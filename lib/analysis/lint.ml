@@ -31,12 +31,14 @@ type result = {
 
 (** Run the given passes (default: all of {!Passes.all}, in registry
     order) over [sg], reporting into [sink].  Callers filter with
-    {!Passes.select} ([--only] / [--skip]). *)
+    {!Passes.select} ([--only] / [--skip]).  The subordination relation
+    is computed once and shared by every pass.  The [--max-errors] cap is
+    absorbed by {!Pass.run_all}, so a result is always returned. *)
 let run ?passes (sink : Diagnostics.sink) (sg : Sign.t) : result =
   let passes = Option.value ~default:Passes.all passes in
   Telemetry.with_span "lint" (fun () ->
-      let counts = Pass.run_all passes sg sink in
-      { lr_passes = counts; lr_subord = Subord.analyze sg })
+      let sub = Subord.analyze sg in
+      { lr_passes = Pass.run_all passes sg sub sink; lr_subord = sub })
 
 let schema_id = "belr-lint/1"
 

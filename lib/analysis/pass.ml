@@ -9,29 +9,39 @@
     becomes a [B0002] bug diagnostic (exit code 2), never a lost run, and
     the remaining passes still execute.  Each pass is timed under a
     [lint:<name>] telemetry span so [--stats]/[--profile] break analysis
-    time down per pass. *)
+    time down per pass.
+
+    Every pass receives the signature's subordination relation, computed
+    once by the caller, so no pass re-runs the closure. *)
 
 open Belr_support
 
 type t = {
   p_name : string;  (** short stable name, e.g. ["subord"] *)
   p_doc : string;  (** one-line description for [-v] listings *)
-  p_run : Belr_lf.Sign.t -> Diagnostics.sink -> unit;
+  p_run : Belr_lf.Sign.t -> Subord.t -> Diagnostics.sink -> unit;
 }
 
 let findings_so_far sink =
   Diagnostics.error_count sink + Diagnostics.warning_count sink
 
-(** Run every pass in order over [sg], emitting into [sink]; returns the
-    per-pass finding counts (errors + warnings attributed to that pass),
-    in pass order.  {!Diagnostics.Stop} (the [--max-errors] cap)
-    propagates to the caller, as in the checking pipeline. *)
-let run_all (passes : t list) (sg : Belr_lf.Sign.t)
+(** Run every pass in order over [sg] and its relation [sub], emitting
+    into [sink]; returns the per-pass finding counts (errors + warnings
+    attributed to that pass), in pass order.  When the [--max-errors] cap
+    trips ({!Diagnostics.Stop}), the remaining passes are skipped and a
+    final [E0002] note is emitted, as in the checking pipeline; the counts
+    then cover the passes that ran, the tripping one included. *)
+let run_all (passes : t list) (sg : Belr_lf.Sign.t) (sub : Subord.t)
     (sink : Diagnostics.sink) : (string * int) list =
-  List.map
-    (fun p ->
-      let before = findings_so_far sink in
-      Telemetry.with_span ("lint:" ^ p.p_name) (fun () ->
-          ignore (Diagnostics.recover sink (fun () -> p.p_run sg sink)));
-      (p.p_name, findings_so_far sink - before))
-    passes
+  let counts = ref [] in
+  let run p =
+    let before = findings_so_far sink in
+    Fun.protect
+      ~finally:(fun () ->
+        counts := (p.p_name, findings_so_far sink - before) :: !counts)
+      (fun () ->
+        Telemetry.with_span ("lint:" ^ p.p_name) (fun () ->
+            ignore (Diagnostics.recover sink (fun () -> p.p_run sg sub sink))))
+  in
+  Diagnostics.with_stop sink (fun () -> List.iter run passes);
+  List.rev !counts

@@ -102,9 +102,8 @@ let vacuous_in_kind sink sg ~at ~skip k =
   in
   go skip k
 
-let subord_pass sg sink =
-  let sub = Subord.analyze sg in
-  Telemetry.add c_subord_pairs (List.length (Subord.pairs sub));
+let subord_pass sg sub sink =
+  Telemetry.add c_subord_pairs (Subord.pair_count sub);
   List.iter
     (fun (_, (te : Sign.typ_entry)) ->
       Telemetry.bump c_decls_scanned;
@@ -128,8 +127,7 @@ let subord_pass sg sink =
     We flag occurrences of the constant's own family — or one mutually
     subordinate with it — in negative position at order ≥ 2, i.e. at an
     odd Π-domain nesting depth ≥ 3. *)
-let adequacy_pass sg sink =
-  let sub = Subord.analyze sg in
+let adequacy_pass sg sub sink =
   List.iter
     (fun (_, (ce : Sign.const_entry)) ->
       Telemetry.bump c_decls_scanned;
@@ -161,7 +159,7 @@ let adequacy_pass sg sink =
 
 (* --- pass 3: dead / cyclic refinement sorts ------------------------------ *)
 
-let sorts_pass sg sink =
+let sorts_pass sg _sub sink =
   let srts = by_id (Sign.all_srts sg) in
   List.iter
     (fun (_, (se : Sign.srt_entry)) ->
@@ -217,7 +215,7 @@ type key =
   | KB of int  (** a [%block] declaration *)
   | KW of Lf.cid_typ  (** the [%worlds] declaration of a family *)
 
-let unused_pass sg sink =
+let unused_pass sg _sub sink =
   let used : (key, unit) Hashtbl.t = Hashtbl.create 64 in
   (* one key per mutual group, so f calling its group-mate g does not
      count as a use of g *)
@@ -338,7 +336,7 @@ let unused_pass sg sink =
 
 (* --- pass 5: shadowing / name hygiene ------------------------------------ *)
 
-let shadow_pass sg sink =
+let shadow_pass sg _sub sink =
   (* duplicate warnings for the same entity/name pair are folded *)
   let seen = Hashtbl.create 16 in
   let once key (emit : unit -> unit) =

@@ -29,9 +29,36 @@ module Sign = Belr_lf.Sign
 type t = {
   so_ids : Lf.cid_typ array;  (** position → family id, sorted ascending *)
   so_pos : (Lf.cid_typ, int) Hashtbl.t;  (** family id → position *)
-  so_rel : bool array array;
-      (** [so_rel.(i).(j)]: family at position [i] ≼ family at position [j] *)
+  so_words : int;  (** 64-bit words per row *)
+  so_rel : Bytes.t;
+      (** one bitset row per family, [so_words] little-endian 64-bit words
+          each: bit [j] of row [i] is set iff family at position [i] ≼
+          family at position [j] *)
 }
+
+(* Byte offset of the word holding bit [j] of row [i]. *)
+let word_at words i j = ((i * words) + (j lsr 6)) lsl 3
+
+let bit j = Int64.shift_left 1L (j land 63)
+
+let mem (rel : Bytes.t) words i j =
+  Int64.logand (Bytes.get_int64_le rel (word_at words i j)) (bit j) <> 0L
+
+let set (rel : Bytes.t) words i j =
+  let o = word_at words i j in
+  Bytes.set_int64_le rel o (Int64.logor (Bytes.get_int64_le rel o) (bit j))
+
+(* Set bits of a word (SWAR popcount). *)
+let popcount (x : int64) =
+  let open Int64 in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    add
+      (logand x 0x3333333333333333L)
+      (logand (shift_right_logical x 2) 0x3333333333333333L)
+  in
+  let x = logand (add x (shift_right_logical x 4)) 0x0f0f0f0f0f0f0f0fL in
+  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
 
 (** The generating edges [(a, b)] (meaning [a ≼ b]) read off the
     signature, {e before} the reflexive-transitive closure.  Exposed so
@@ -74,35 +101,48 @@ let direct_edges (sg : Sign.t) : (Lf.cid_typ * Lf.cid_typ) list =
   !edges
 
 (** Compute the reflexive-transitive subordination relation of a
-    signature (Floyd–Warshall over the family set; signatures are small). *)
+    signature.  Warshall's closure over bitset rows: whenever [k] is in
+    row [i], row [k] is ORed into row [i] a 64-bit word at a time, so
+    [n] families cost O(n²) bit tests plus O(n³/64) word operations. *)
 let analyze (sg : Sign.t) : t =
   let fams = List.sort compare (List.map fst (Sign.all_typs sg)) in
   let so_ids = Array.of_list fams in
   let n = Array.length so_ids in
   let so_pos = Hashtbl.create (max 16 n) in
   Array.iteri (fun i a -> Hashtbl.replace so_pos a i) so_ids;
-  let rel = Array.init n (fun i -> Array.init n (fun j -> i = j)) in
+  let words = (n + 63) lsr 6 in
+  let rel = Bytes.make (n * words * 8) '\000' in
+  for i = 0 to n - 1 do
+    set rel words i i
+  done;
   List.iter
     (fun (a, b) ->
       match (Hashtbl.find_opt so_pos a, Hashtbl.find_opt so_pos b) with
-      | Some i, Some j -> rel.(i).(j) <- true
+      | Some i, Some j -> set rel words i j
       | _ -> ())
     (direct_edges sg);
   for k = 0 to n - 1 do
+    let row_k = word_at words k 0 in
     for i = 0 to n - 1 do
-      if rel.(i).(k) then
-        for j = 0 to n - 1 do
-          if rel.(k).(j) then rel.(i).(j) <- true
+      if mem rel words i k then begin
+        let row_i = word_at words i 0 in
+        for q = 0 to words - 1 do
+          let o = row_i + (q lsl 3) in
+          Bytes.set_int64_le rel o
+            (Int64.logor
+               (Bytes.get_int64_le rel o)
+               (Bytes.get_int64_le rel (row_k + (q lsl 3))))
         done
+      end
     done
   done;
-  { so_ids; so_pos; so_rel = rel }
+  { so_ids; so_pos; so_words = words; so_rel = rel }
 
 (** [leq t a b]: is [a ≼ b]?  Unknown families are only related to
     themselves. *)
 let leq (t : t) (a : Lf.cid_typ) (b : Lf.cid_typ) : bool =
   match (Hashtbl.find_opt t.so_pos a, Hashtbl.find_opt t.so_pos b) with
-  | Some i, Some j -> t.so_rel.(i).(j)
+  | Some i, Some j -> mem t.so_rel t.so_words i j
   | _ -> a = b
 
 (** Mutual subordination [a ≼ b ∧ b ≼ a] — the families' terms can nest
@@ -124,11 +164,10 @@ let dependents (t : t) (seeds : Lf.cid_typ list) : Lf.cid_typ list =
     (families t)
 
 (** [dependents] without the closure: forward reachability over
-    {!direct_edges} from the seed set, O(V+E) instead of the O(V³)
-    Floyd–Warshall of {!analyze}.  Equivalent to
-    [dependents (analyze sg) seeds]; this is the form the incremental
-    checker calls once per request, where the cubic closure would
-    dominate the whole warm re-check. *)
+    {!direct_edges} from the seed set, O(V+E) instead of the whole-relation
+    closure of {!analyze}.  Equivalent to [dependents (analyze sg) seeds];
+    this is the form the incremental checker calls once per request, which
+    needs the frontier of a few seeds, never the full relation. *)
 let dependents_of (sg : Sign.t) (seeds : Lf.cid_typ list) : Lf.cid_typ list
     =
   let succs : (Lf.cid_typ, Lf.cid_typ list) Hashtbl.t = Hashtbl.create 64 in
@@ -154,11 +193,21 @@ let pairs (t : t) : (Lf.cid_typ * Lf.cid_typ) list =
   let n = Array.length t.so_ids in
   for i = n - 1 downto 0 do
     for j = n - 1 downto 0 do
-      if i <> j && t.so_rel.(i).(j) then
+      if i <> j && mem t.so_rel t.so_words i j then
         out := (t.so_ids.(i), t.so_ids.(j)) :: !out
     done
   done;
   !out
+
+(** [List.length (pairs t)], counted from the set bits without building
+    the list. *)
+let pair_count (t : t) : int =
+  let bits = ref 0 in
+  for w = 0 to (Bytes.length t.so_rel lsr 3) - 1 do
+    bits := !bits + popcount (Bytes.get_int64_le t.so_rel (w lsl 3))
+  done;
+  (* every diagonal bit is set: the relation is reflexive *)
+  !bits - Array.length t.so_ids
 
 (** Render the non-reflexive part of the relation, one [a =< b] line per
     pair, using the signature's family names. *)

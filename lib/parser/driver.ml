@@ -80,21 +80,12 @@ let check_files (sink : Diagnostics.sink) (files : string list) :
     sorts, unused declarations, shadowing) over a checked signature,
     reporting through the {e same} sink the checking pipeline used — one
     unified diagnostic stream, one exit code.  Every pass already runs
-    under {!Diagnostics.recover}; the [--max-errors] cap is absorbed here
-    like in checking, in which case the per-pass counts cover only the
-    passes that ran. *)
+    under {!Diagnostics.recover}; the [--max-errors] cap is absorbed by
+    the pass runner like in checking, in which case the per-pass counts
+    cover only the passes that ran. *)
 let lint ?passes (sink : Diagnostics.sink) (sg : Belr_lf.Sign.t) :
     Belr_analysis.Lint.result =
-  let result = ref None in
-  Diagnostics.with_stop sink (fun () ->
-      result := Some (Belr_analysis.Lint.run ?passes sink sg));
-  match !result with
-  | Some r -> r
-  | None ->
-      {
-        Belr_analysis.Lint.lr_passes = [];
-        Belr_analysis.Lint.lr_subord = Belr_analysis.Subord.analyze sg;
-      }
+  Belr_analysis.Lint.run ?passes sink sg
 
 (** The totality analyses behind [belr total] and [check --total] (the
     paper's §6.1 future work): size-change termination and deep coverage

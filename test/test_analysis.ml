@@ -39,7 +39,8 @@ let nat = "LF nat : type = | z : nat | s : nat -> nat;\n"
 (* --- subordination ------------------------------------------------------- *)
 
 (** Reference implementation: reflexive-transitive reachability over
-    {!Subord.direct_edges} by depth-first search, no Floyd–Warshall. *)
+    {!Subord.direct_edges} by depth-first search, independent of the
+    bitset closure. *)
 let brute_leq sg =
   let edges = Subord.direct_edges sg in
   fun a b ->
@@ -185,7 +186,7 @@ let dependents_qcheck =
     QCheck.Test.make ~count:200
       ~name:
         "dependents_of agrees with brute-force reachability and with the \
-         Floyd-Warshall closure on random signatures"
+         bitset closure on random signatures"
       (QCheck.make ~print:graph_print graph_gen)
       (fun (n, edges) ->
         with_graph_sig (n, edges) (fun sg ->
@@ -241,6 +242,49 @@ let dependents_tests =
           (Subord.dependents_of sg [ tm ] = [ tm ]));
   ]
   @ List.map QCheck_alcotest.to_alcotest dependents_qcheck
+
+(* --- the bitset closure across 64-bit word boundaries -------------------- *)
+
+(* A sparse random graph over [n] families, 3n/2 edges, fixed per size. *)
+let sparse_graph n =
+  let rng = Random.State.make [| n |] in
+  let edge _ =
+    let u = Random.State.int rng n in
+    (u, (u + 1 + Random.State.int rng (n - 1)) mod n)
+  in
+  (n, List.init (3 * n / 2) edge)
+
+let closure_tests =
+  List.map
+    (fun n ->
+      test (Printf.sprintf "closure matches brute force at %d families" n)
+        (fun () ->
+          let sink, sg =
+            check [ ("words.bel", src_of_graph (sparse_graph n)) ]
+          in
+          Alcotest.(check int) "fixture checks" 0 (Diagnostics.error_count sink);
+          let sub = Subord.analyze sg in
+          Alcotest.(check int) "families" n (List.length (Subord.families sub));
+          List.iter
+            (fun a ->
+              Alcotest.(check (list int))
+                (Fmt.str "dependents of %s" (Sign.typ_entry sg a).Sign.t_name)
+                (brute_dependents sg [ a ])
+                (Subord.dependents sub [ a ]))
+            (Subord.families sub);
+          Alcotest.(check int) "pair_count counts the pairs"
+            (List.length (Subord.pairs sub))
+            (Subord.pair_count sub)))
+    [ 63; 64; 65; 128; 129 ]
+  @ [
+      test "the empty signature has no pairs; unknown families are reflexive"
+        (fun () ->
+          let sub = Subord.analyze (Sign.create ()) in
+          Alcotest.(check int) "no pairs" 0 (List.length (Subord.pairs sub));
+          Alcotest.(check int) "pair_count" 0 (Subord.pair_count sub);
+          Alcotest.(check bool) "a =< a" true (Subord.leq sub 7 7);
+          Alcotest.(check bool) "a =< b" false (Subord.leq sub 7 8));
+    ]
 
 (* --- the passes on seeded fixtures -------------------------------------- *)
 
@@ -419,16 +463,38 @@ let contract_tests =
           {
             Belr_analysis.Pass.p_name = "boom";
             p_doc = "always crashes";
-            p_run = (fun _ _ -> raise Not_found);
+            p_run = (fun _ _ _ -> raise Not_found);
           }
         in
+        let sg = Sign.create () in
         let counts =
-          Belr_analysis.Pass.run_all [ boom ] (Sign.create ()) sink
+          Belr_analysis.Pass.run_all [ boom ] sg (Subord.analyze sg) sink
         in
         Alcotest.(check (list (pair string int)))
           "pass still reports" [ ("boom", 0) ] counts;
         Alcotest.(check int) "bug recorded" 1 (Diagnostics.bug_count sink);
         Alcotest.(check int) "exit 2" 2 (Diagnostics.exit_code sink));
+    test "--max-errors keeps the counts of the passes that ran" (fun () ->
+        let sink = Diagnostics.sink ~max_errors:1 () in
+        let sg =
+          Driver.check_sources sink
+            [
+              ( "cap.bel",
+                nat
+                ^ "LF vac : nat -> type = | v : {x : nat} vac z;\n\
+                   LFR p1 <| nat : sort = | s : nat -> p1;\n\
+                   LFR p2 <| nat : sort = | s : nat -> p2;\n" );
+            ]
+        in
+        let r = Driver.lint sink sg in
+        Alcotest.(check (list (pair string int)))
+          "subord, adequacy, and the tripping sorts pass"
+          [ ("subord", 1); ("adequacy", 0); ("sorts", 1) ]
+          r.Lint.lr_passes;
+        Alcotest.(check (list string))
+          "W0701, E0702, then the cap note"
+          [ "W0701"; "E0702"; "E0002" ]
+          (codes sink));
     test "lint phases appear as lint:<pass> telemetry spans" (fun () ->
         Telemetry.reset ();
         Telemetry.set_enabled true;
@@ -511,6 +577,7 @@ let suites =
   [
     ("analysis.subordination", subord_tests);
     ("analysis.dependents", dependents_tests);
+    ("analysis.closure", closure_tests);
     ("analysis.passes", pass_tests);
     ("analysis.clean", clean_tests);
     ("analysis.contract", contract_tests);
