@@ -11,17 +11,18 @@
     - E4  scaling of sort checking (near-linear, no intersection blow-up)
     - E5  hereditary substitution with tuple fronts / block projections
     - E6  ablation: unified single-pass judgment vs naive two-pass
-    - E7  ablation: hash-consed term store on vs off (PR 4; the "off"
-          rows are what [BELR_NO_HASHCONS=1] gives end to end), plus the
-          one-at-a-time vs batched spine-append micro-benchmark
+    - E7  the hash-consed term store (PR 4): sort checking and equality
+          on interned terms, plus the one-at-a-time vs batched
+          spine-append micro-benchmark (the store-off rows are frozen in
+          [BENCH_pr4.json])
     - E8  warm vs cold re-check in the belr serve engine (PR 6)
     - E9  observability overhead: baseline vs fully instrumented warm
           serve (metrics registry + gauge sampling + structured log),
           with the production serve.check latency quantiles (PR 7)
-    - E10 ablation: lazy whnf normalization on vs off (PR 9; the "off"
-          rows are what [BELR_NO_WHNF=1] gives end to end): cold-path
-          sort checking, conversion of delayed closures, and running
-          [ceq] on deep [deq] derivation chains
+    - E10 lazy whnf normalization (PR 9): cold-path sort checking,
+          weak-head queries on delayed closures, telescope checking, and
+          running [ceq] on deep [deq] derivation chains (the eager-kernel
+          rows are frozen in [BENCH_pr9.json])
 
     Run with: [dune exec bench/main.exe]  (add [--fast] for a quick pass).
 
@@ -410,39 +411,29 @@ let e6 () =
        [ ("times_ns", json_rows rows); ("two_pass_over_unified", J.Obj ratios) ])
 
 (* ------------------------------------------------------------------ *)
-(* E7 — ablation: the hash-consed term store (PR 4)                     *)
+(* E7 — the hash-consed term store (PR 4)                               *)
 
 let e7 () =
   Fmt.pr
-    "@.== E7: ablation — hash-consed term store (DESIGN.md §S21; \
-     BELR_NO_HASHCONS=1@.";
-  Fmt.pr "   reproduces the \"off\" rows end to end) ==@.";
-  let saved = store_enabled () in
-  (* Each mode builds its own copy of the workload under that mode (so
-     "on" terms are interned and "off" terms are plain allocations), and
-     re-asserts the mode inside the measured closure because bechamel
-     interleaves runs of different tests. *)
-  let mode_tests (label, on) =
-    set_store_enabled on;
-    Hsub.clear_memo ();
+    "@.== E7: hash-consed term store (DESIGN.md §S21; store-off rows \
+     frozen in BENCH_pr4.json) ==@.";
+  Hsub.clear_memo ();
+  let store_tests =
     List.concat_map
       (fun d ->
         let drv = gen_drv d in
         (* a second structurally identical build: physically shared with
-           [drv] exactly when the store is on *)
+           [drv] by interning *)
         let drv' = gen_drv d in
         let s = aeq_srt d in
         [
           Test.make
-            ~name:(Fmt.str "%s/sort-check/depth-%02d" label d)
+            ~name:(Fmt.str "on/sort-check/depth-%02d" d)
             (Staged.stage (fun () ->
-                 set_store_enabled on;
                  ignore (Check_lfr.check_normal lfr_env Ctxs.empty_sctx drv s)));
           Test.make
-            ~name:(Fmt.str "%s/equal/depth-%02d" label d)
-            (Staged.stage (fun () ->
-                 set_store_enabled on;
-                 ignore (Equal.normal drv drv')));
+            ~name:(Fmt.str "on/equal/depth-%02d" d)
+            (Staged.stage (fun () -> ignore (Equal.normal drv drv')));
         ])
       depths
   in
@@ -465,30 +456,9 @@ let e7 () =
         (Staged.stage (fun () -> ignore (app_spine spine_base spine_args)));
     ]
   in
-  let tests =
-    mode_tests ("off", false) @ mode_tests ("on", true) @ spine_tests
-  in
-  set_store_enabled true;
   let rows =
-    print_results
-      "store off vs on (sort-check replicates the E2/E4 workload):"
-      (run_tests (Test.make_grouped ~name:"e7" tests))
-  in
-  let speedups =
-    List.concat_map
-      (fun w ->
-        List.map
-          (fun d ->
-            let get lbl =
-              try List.assoc (Fmt.str "e7/%s/%s/depth-%02d" lbl w d) rows
-              with Not_found -> nan
-            in
-            let off = get "off" and on = get "on" in
-            Fmt.pr "  depth %2d %-10s: off/on speedup = %.2fx@." d w
-              (off /. on);
-            (Fmt.str "%s-depth-%02d" w d, J.Float (off /. on)))
-          depths)
-      [ "sort-check"; "equal" ]
+    print_results "store (sort-check replicates the E2/E4 workload):"
+      (run_tests (Test.make_grouped ~name:"e7" (store_tests @ spine_tests)))
   in
   let spine_ratio =
     let get lbl =
@@ -503,10 +473,8 @@ let e7 () =
     (J.Obj
        [
          ("times_ns", json_rows rows);
-         ("off_over_on", J.Obj speedups);
          ("spine_one_at_a_time_over_batched", J.Float spine_ratio);
-       ]);
-  set_store_enabled saved
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* E8 — warm vs cold re-check in the belr serve engine (PR 6)           *)
@@ -717,7 +685,7 @@ let e9 () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* E10 — ablation: lazy whnf normalization (PR 9)                       *)
+(* E10 — lazy whnf normalization (PR 9)                                 *)
 
 (** A linear [deq] derivation chain of length [n] over the term [t]:
     [chain 0 = e-refl t] and
@@ -775,17 +743,14 @@ let tele_check n =
 
 let e10 () =
   Fmt.pr
-    "@.== E10: ablation — lazy whnf normalization (DESIGN.md §S26; \
-     BELR_NO_WHNF=1@.";
-  Fmt.pr "   reproduces the \"off\" rows end to end) ==@.";
-  let saved = Whnf.whnf_enabled () in
+    "@.== E10: lazy whnf normalization (DESIGN.md §S26; eager-kernel rows \
+     frozen in BENCH_pr9.json) ==@.";
   let dev = Equal_dev.make () in
   let du = dev.Equal_dev.ulam in
   let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
   let chains = if fast then [ 16; 32 ] else [ 16; 32; 64 ] in
   let widths = if fast then [ 64; 128 ] else [ 64; 128; 256 ] in
   let sizes = if fast then [ 1024; 4096 ] else [ 512; 1024; 4096 ] in
-  let modes = [ ("off", false); ("on", true) ] in
   (* Each workload family runs as its own bechamel group, and the
      family's test closures are dropped (and a major GC forced) before
      the next family starts.  This matters: the deep self-similar terms
@@ -793,163 +758,92 @@ let e10 () =
      collide into the same metadata-table buckets — [Hashtbl.hash]
      samples a bounded prefix of the value and the suffixes of a comb
      share theirs — so letting them survive into another family's run
-     would tax every [mk_*] there with long chain walks and skew its
-     off/on ratio.  Within a family both modes share the same live
-     terms, so the contamination cancels out of the ratio. *)
-  let run_family banner mk =
-    let tests = List.concat_map mk modes in
+     would tax every [mk_*] there with long chain walks.  Row names keep
+     the "on/" prefix of [BENCH_pr9.json] so the two stay comparable. *)
+  let run_family banner tests =
     let rows =
       print_results banner (run_tests (Test.make_grouped ~name:"e10" tests))
     in
-    Whnf.set_whnf_enabled saved;
     Gc.full_major ();
     rows
   in
   (* The sort-check and whnf-head workloads run the memo-cold path: the
-     measured closure clears the Hsub and whnf tables first, so "off"
-     really pays the eager substitutions that laziness avoids (warm,
-     those two degenerate to table reads and the ablation measures
-     nothing; the telescope and eval rows have no such sensitivity).
-     The mode is re-asserted inside every closure because bechamel
-     interleaves runs of different tests. *)
+     measured closure clears the Hsub and whnf tables first (warm, both
+     degenerate to table reads). *)
   let rows_sort =
-    run_family "sort-check, whnf off vs on (cold memo tables):"
-      (fun (label, on) ->
-        List.map
-          (fun d ->
-            let drv = gen_drv d in
-            let s = aeq_srt d in
-            Test.make
-              ~name:(Fmt.str "%s/sort-check/depth-%02d" label d)
-              (Staged.stage (fun () ->
-                   Whnf.set_whnf_enabled on;
-                   Hsub.clear_memo ();
-                   Whnf.clear_memo ();
-                   ignore
-                     (Check_lfr.check_normal lfr_env Ctxs.empty_sctx drv s))))
-          depths)
+    run_family "sort-check (cold memo tables):"
+      (List.map
+         (fun d ->
+           let drv = gen_drv d in
+           let s = aeq_srt d in
+           Test.make
+             ~name:(Fmt.str "on/sort-check/depth-%02d" d)
+             (Staged.stage (fun () ->
+                  Hsub.clear_memo ();
+                  Whnf.clear_memo ();
+                  ignore (Check_lfr.check_normal lfr_env Ctxs.empty_sctx drv s))))
+         depths)
   in
   let rows_head =
-    run_family "whnf-head, whnf off vs on (cold memo tables):"
-      (fun (label, on) ->
-        List.map
-          (fun n ->
-            (* The primitive the whole refactor rests on: "which
-               constructor heads ⟦σ⟧M?".  The comb below is an N-node
-               right-spine of applications over #1 (every suffix is a
-               distinct store node, so nothing collapses to a DAG), and
-               lazy whnf answers in O(1) while the eager ablation must
-               force the full N-node substitution.  Memo-cold on both
-               sides: the clear puts the eager engine in the same state a
-               fresh declaration sees. *)
-            let rec comb k =
-              if k = 0 then mk_root (mk_bvar 1) []
-              else Ulam.app_tm u (mk_root (mk_bvar 1) []) (comb (k - 1))
-            in
-            let clo = (comb n, mk_dot (Obj id_tm) Lf.id) in
-            Test.make
-              ~name:(Fmt.str "%s/whnf-head/size-%05d" label n)
-              (Staged.stage (fun () ->
-                   Whnf.set_whnf_enabled on;
-                   Hsub.clear_memo ();
-                   Whnf.clear_memo ();
-                   if Whnf.whnf_enabled () then ignore (Whnf.whnf_normal clo)
-                   else ignore (Whnf.norm_nclo clo))))
-          sizes)
+    run_family "whnf-head (cold memo tables):"
+      (List.map
+         (fun n ->
+           (* The primitive the lazy kernel rests on: "which constructor
+              heads ⟦σ⟧M?".  The comb below is an N-node right-spine of
+              applications over #1 (every suffix is a distinct store
+              node, so nothing collapses to a DAG); whnf answers in O(1)
+              where forcing the substitution costs O(N). *)
+           let rec comb k =
+             if k = 0 then mk_root (mk_bvar 1) []
+             else Ulam.app_tm u (mk_root (mk_bvar 1) []) (comb (k - 1))
+           in
+           let clo = (comb n, mk_dot (Obj id_tm) Lf.id) in
+           Test.make
+             ~name:(Fmt.str "on/whnf-head/size-%05d" n)
+             (Staged.stage (fun () ->
+                  Hsub.clear_memo ();
+                  Whnf.clear_memo ();
+                  ignore (Whnf.whnf_normal clo))))
+         sizes)
   in
   let rows_tele =
-    run_family "telescope checking, whnf off vs on:" (fun (label, on) ->
-        List.map
-          (fun n ->
-            let check = tele_check n in
-            Test.make
-              ~name:(Fmt.str "%s/telescope/width-%03d" label n)
-              (Staged.stage (fun () ->
-                   Whnf.set_whnf_enabled on;
-                   check ())))
-          widths)
+    run_family "telescope checking:"
+      (List.map
+         (fun n ->
+           Test.make
+             ~name:(Fmt.str "on/telescope/width-%03d" n)
+             (Staged.stage (tele_check n)))
+         widths)
   in
   let rows_ceq =
-    run_family "ceq evaluation (the §2 proof as a program), whnf off vs on:"
-      (fun (label, on) ->
-        List.map
-          (fun n ->
-            let chain = deq_chain id_tm n in
-            let call =
-              Comp.App
-                ( List.fold_left
-                    (fun e a -> Comp.MApp (e, a))
-                    (Comp.RecConst dev.Equal_dev.ceq)
-                    [
-                      Meta.MOCtx Ctxs.empty_sctx;
-                      Meta.MOTerm (hat0, id_tm);
-                      Meta.MOTerm (hat0, id_tm);
-                    ],
-                  Comp.Box (Meta.MOTerm (hat0, chain)) )
-            in
-            Test.make
-              ~name:(Fmt.str "%s/ceq-eval/chain-%02d" label n)
-              (Staged.stage (fun () ->
-                   Whnf.set_whnf_enabled on;
-                   ignore
-                     (Belr_comp.Eval.as_box
-                        (Belr_comp.Eval.eval
-                           (Belr_comp.Eval.make_env du.Ulam.sg) call)))))
-          chains)
-  in
-  let rows = rows_sort @ rows_head @ rows_tele @ rows_ceq in
-  Whnf.set_whnf_enabled saved;
-  let ratio key_off key_on =
-    let get k = try List.assoc k rows with Not_found -> nan in
-    get key_off /. get key_on
-  in
-  let speedups =
-    List.concat_map
-      (fun w ->
-        List.map
-          (fun d ->
-            let r =
-              ratio
-                (Fmt.str "e10/off/%s/depth-%02d" w d)
-                (Fmt.str "e10/on/%s/depth-%02d" w d)
-            in
-            Fmt.pr "  depth %2d %-10s: off/on speedup = %.2fx@." d w r;
-            (Fmt.str "%s-depth-%02d" w d, J.Float r))
-          depths)
-      [ "sort-check" ]
-    @ List.map
-        (fun n ->
-          let r =
-            ratio
-              (Fmt.str "e10/off/whnf-head/size-%05d" n)
-              (Fmt.str "e10/on/whnf-head/size-%05d" n)
-          in
-          Fmt.pr "  size %5d %-10s: off/on speedup = %.2fx@." n "whnf-head" r;
-          (Fmt.str "whnf-head-size-%05d" n, J.Float r))
-        sizes
-    @ List.map
-        (fun n ->
-          let r =
-            ratio
-              (Fmt.str "e10/off/telescope/width-%03d" n)
-              (Fmt.str "e10/on/telescope/width-%03d" n)
-          in
-          Fmt.pr "  width %3d %-10s: off/on speedup = %.2fx@." n "telescope" r;
-          (Fmt.str "telescope-width-%03d" n, J.Float r))
-        widths
-    @ List.map
-        (fun n ->
-          let r =
-            ratio
-              (Fmt.str "e10/off/ceq-eval/chain-%02d" n)
-              (Fmt.str "e10/on/ceq-eval/chain-%02d" n)
-          in
-          Fmt.pr "  chain %2d %-10s: off/on speedup = %.2fx@." n "ceq-eval" r;
-          (Fmt.str "ceq-eval-chain-%02d" n, J.Float r))
-        chains
+    run_family "ceq evaluation (the §2 proof as a program):"
+      (List.map
+         (fun n ->
+           let chain = deq_chain id_tm n in
+           let call =
+             Comp.App
+               ( List.fold_left
+                   (fun e a -> Comp.MApp (e, a))
+                   (Comp.RecConst dev.Equal_dev.ceq)
+                   [
+                     Meta.MOCtx Ctxs.empty_sctx;
+                     Meta.MOTerm (hat0, id_tm);
+                     Meta.MOTerm (hat0, id_tm);
+                   ],
+                 Comp.Box (Meta.MOTerm (hat0, chain)) )
+           in
+           Test.make
+             ~name:(Fmt.str "on/ceq-eval/chain-%02d" n)
+             (Staged.stage (fun () ->
+                  ignore
+                    (Belr_comp.Eval.as_box
+                       (Belr_comp.Eval.eval
+                          (Belr_comp.Eval.make_env du.Ulam.sg) call)))))
+         chains)
   in
   record "e10"
-    (J.Obj [ ("times_ns", json_rows rows); ("off_over_on", J.Obj speedups) ])
+    (J.Obj
+       [ ("times_ns", json_rows (rows_sort @ rows_head @ rows_tele @ rows_ceq)) ])
 
 (* ------------------------------------------------------------------ *)
 

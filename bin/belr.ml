@@ -67,18 +67,16 @@ let print_kernel_stats () =
   let ws = Belr_lf.Whnf.stats () in
   let ps = Belr_syntax.Equal.phys_stats () in
   Fmt.epr
-    "kernel: store %s (live %d, interned %d, dedup hits %d, ratio %.2f); \
-     hsub memo %d hit / %d miss (rate %.2f), mfi skips %d; whnf %s, memo \
-     %d hit / %d miss (rate %.2f), forced %d, eager %d; equal phys-eq \
-     %d hit / %d miss@."
-    (if Belr_syntax.Lf.store_enabled () then "on" else "off")
+    "kernel: store (live %d, interned %d, dedup hits %d, ratio %.2f); \
+     hsub memo %d hit / %d miss (rate %.2f), mfi skips %d; whnf memo %d \
+     hit / %d miss (rate %.2f), forced %d, eager %d; equal phys-eq %d hit \
+     / %d miss@."
     st.Belr_syntax.Lf.st_live st.Belr_syntax.Lf.st_interned
     st.Belr_syntax.Lf.st_dedup_hits
     (Belr_syntax.Lf.dedup_ratio ())
     ms.Belr_lf.Hsub.ms_hits ms.Belr_lf.Hsub.ms_misses
     (Belr_lf.Hsub.memo_hit_rate ())
     ms.Belr_lf.Hsub.ms_mfi_skips
-    (if Belr_lf.Whnf.whnf_enabled () then "on" else "off")
     ws.Belr_lf.Whnf.ws_hits ws.Belr_lf.Whnf.ws_misses
     (Belr_lf.Whnf.hit_rate ())
     ws.Belr_lf.Whnf.ws_forced ws.Belr_lf.Whnf.ws_eager
@@ -622,9 +620,7 @@ let kernel_stats_arg =
            counts, dedup ratio, hereditary-substitution memo hit rate, \
            weak-head normalization memo/forcing counters (DESIGN.md \
            S26), and equality fast-path hits; unlike $(b,--stats) this \
-           reads always-on counters and needs no instrumentation (set \
-           BELR_NO_HASHCONS=1 to disable the store itself, \
-           BELR_NO_WHNF=1 to fall back to eager substitution)")
+           reads always-on counters and needs no instrumentation")
 
 let metrics_arg =
   Arg.(

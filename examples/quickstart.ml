@@ -84,10 +84,11 @@ let () =
   Fmt.pr "@.pred is total on pos even though its match is partial on nat —@.";
   Fmt.pr "the refinement carries the exhaustiveness information.@.";
   (* the §6.1 extension: the optional coverage checker agrees *)
-  (match Coverage.check_rec sg pred with
-  | [] -> Fmt.pr "coverage checker: pred covers every candidate of pos ✓@."
-  | issues ->
-      List.iter
-        (fun (missing, _) ->
-          Fmt.pr "coverage checker: missing %s@." (String.concat ", " missing))
-        issues)
+  List.iter
+    (function
+      | Coverage.DCovered ->
+          Fmt.pr "coverage checker: pred covers every candidate of pos ✓@."
+      | Coverage.DUncovered missing ->
+          Fmt.pr "coverage checker: missing %s@." (String.concat ", " missing)
+      | Coverage.DGaveUp -> Fmt.pr "coverage checker: split depth exhausted@.")
+    (Coverage.deep_check_rec sg pred)

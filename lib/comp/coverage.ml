@@ -4,12 +4,14 @@
     step is therefore to develop a coverage…checker").
 
     The sorting rules deliberately do {e not} require coverage (§4.1);
-    this checker is an optional analysis.  It is conservative in the
-    usual direction: [check] never accepts an uncovered match, but may
+    this checker is an optional analysis, run by the totality analyzer
+    ([Totality], [belr total]).  It is conservative in the usual
+    direction: {!deep_check} never accepts an uncovered match, but may
     report a match as uncovered when a cleverer analysis could prove the
     missing cases impossible.
 
-    For a scrutinee of sort [Ψ ⊢ Q] the split candidates are:
+    For a scrutinee (or a nested hole) of sort [Ψ ⊢ Q] the split
+    candidates are:
 
     - every constant carrying a sort in [Q]'s family (for [Q = s·sp]) or
       every constructor of the family (for [Q = ⌊a·sp⌋]) — this is where
@@ -19,17 +21,15 @@
       context's schema whose target family matches [Q]'s, plus every
       matching projection of a concrete block in [Ψ].
 
-    A candidate is discharged if some branch pattern has the same head, or
-    if its result sort {e rigidly clashes} with [Q] (distinct constants in
-    the same spine position), which is how the impossible variable cases
-    of [aeq-trans]'s inner matches are dismissed. *)
+    A candidate is impossible if its result sort {e rigidly clashes}
+    with [Q] (distinct constants in the same spine position), which is
+    how the impossible variable cases of [aeq-trans]'s inner matches are
+    dismissed. *)
 
 open Belr_syntax
 open Belr_lf
 open Belr_core
 open Lf
-
-type verdict = Covered | Uncovered of string list
 
 (** Rigid head of a normal term, if any. *)
 let rec rigid_head (m : normal) : cid_const option =
@@ -157,73 +157,15 @@ let variable_candidates (sg : Sign.t) (omega : Meta.mctx) (psi : Ctxs.sctx)
   in
   schema_cands @ concrete_cands
 
-(** Pattern heads appearing in the branches. *)
-type pat_head = Pconst of cid_const | Pproj of int (* projection index *) | Pvar
-
-let branch_head (br : Comp.branch) : pat_head option =
-  match br.Comp.br_pat with
-  | Meta.MOTerm (_, Root (Const c, _)) -> Some (Pconst c)
-  | Meta.MOTerm (_, Root (Proj (_, k), _)) -> Some (Pproj k)
-  | Meta.MOTerm (_, Root ((BVar _ | PVar _), _)) -> Some Pvar
-  | _ -> None
-
-(** Check that the branches of a case over scrutinee sort [ms] cover the
-    candidates.  [omega] is the ambient meta-context. *)
-let check (sg : Sign.t) (omega : Meta.mctx) (ms : Meta.msrt)
-    (branches : Comp.branch list) : verdict =
-  match ms with
-  | Meta.MSTerm (psi, q) ->
-      let heads = List.filter_map branch_head branches in
-      let missing_consts =
-        List.filter_map
-          (fun c ->
-            if List.mem (Pconst c) heads then None
-            else
-              (* impossibility by rigid clash of the result spine *)
-              let q_spine =
-                match q with
-                | SAtom (_, sp) | SEmbed (_, sp) -> sp
-                | SPi _ -> []
-              in
-              match result_spine sg c ~target:q with
-              | Some sp when spine_clashes sp q_spine -> None
-              | _ -> Some (Sign.const_entry sg c).Sign.c_name)
-          (constant_candidates sg q)
-      in
-      let var_cands = variable_candidates sg omega psi q in
-      let proj_covered k =
-        List.exists (function Pproj k' -> k = k' | _ -> false) heads
-        || List.mem Pvar heads
-      in
-      let missing_vars =
-        List.filter
-          (fun cand ->
-            (* candidate strings end in ".k" for projections *)
-            match String.rindex_opt cand '.' with
-            | Some i -> (
-                match
-                  int_of_string_opt
-                    (String.sub cand (i + 1) (String.length cand - i - 1))
-                with
-                | Some k -> not (proj_covered k)
-                | None -> not (List.mem Pvar heads))
-            | None -> not (List.mem Pvar heads))
-          var_cands
-      in
-      (match missing_consts @ missing_vars with
-      | [] -> Covered
-      | ms -> Uncovered ms)
-  | _ -> Covered (* only boxed-term scrutinees are analyzed *)
-
 (* ===== depth-bounded nested splitting ================================== *)
 
-(** The totality analyzer's deep engine (DESIGN.md §S22).  Where {!check}
-    compares pattern {e heads} one level deep — unsound in both
-    directions for nested patterns ([z] + [s z] "covers" [nat]) — this is
-    a Maranget-style usefulness computation: a case is covered iff no
-    value vector is useful (matches no branch), where candidate values
-    are enumerated per hole from the same refinement-aware candidate sets
-    as {!check} (constants of the hole's sort family minus rigid-clash
+(** The totality analyzer's engine (DESIGN.md §S22).  Comparing pattern
+    {e heads} one level deep would be unsound in both directions for
+    nested patterns ([z] + [s z] "covers" [nat]); this is a
+    Maranget-style usefulness computation instead: a case is covered iff
+    no value vector is useful (matches no branch), where candidate values
+    are enumerated per hole from the refinement-aware candidate sets
+    above (constants of the hole's sort family minus rigid-clash
     impossibilities, variables and projections licensed by the context's
     schema) and constant candidates open sub-holes for their argument
     sorts down to a {e depth bound}.
@@ -475,44 +417,3 @@ let deep_check_rec ?(depth = 3) (sg : Sign.t) (id : cid_rec) : deep list =
             List.rev !out
       in
       prefix [] (Sign.rec_entry sg id).Sign.r_styp body
-
-(** Coverage-check a declared function. *)
-let check_rec (sg : Sign.t) (id : cid_rec) : (string list * int) list =
-  match (Sign.rec_entry sg id).Sign.r_body with
-  | None -> []
-  | Some body ->
-      (* walk the mlam/fn prefix building Ω from the declared sort *)
-      let rec go omega (t : Comp.ctyp) (e : Comp.exp) =
-        match (t, e) with
-        | Comp.CPi (x, _, ms, t'), Comp.MLam (_, e') ->
-            go (Check_comp.mdecl_of_msrt x ms :: omega) t' e'
-        | Comp.CArr (_, t'), Comp.Fn (_, _, e') -> go omega t' e'
-        | _, _ ->
-            let issues = ref [] in
-            let rec walk omega (e : Comp.exp) =
-              match e with
-              | Comp.Var _ | Comp.RecConst _ | Comp.Box _ -> ()
-              | Comp.Fn (_, _, e) -> walk omega e
-              | Comp.MLam (_, e) -> walk omega e
-              | Comp.App (a, b) ->
-                  walk omega a;
-                  walk omega b
-              | Comp.MApp (e, _) -> walk omega e
-              | Comp.LetBox (_, a, b) ->
-                  walk omega a;
-                  walk omega b
-              | Comp.Case (inv, scrut, brs) -> (
-                  walk omega scrut;
-                  List.iter
-                    (fun (b : Comp.branch) ->
-                      walk (b.Comp.br_mctx @ omega) b.Comp.br_body)
-                    brs;
-                  match check sg omega inv.Comp.inv_msrt brs with
-                  | Covered -> ()
-                  | Uncovered missing ->
-                      issues := (missing, List.length omega) :: !issues)
-            in
-            walk omega e;
-            !issues
-      in
-      go [] (Sign.rec_entry sg id).Sign.r_styp body

@@ -14,12 +14,12 @@
     infinite call sequence would descend in no argument forever, and we
     report it with the composition's call path as a witness.
 
-    Compared to {!Termination} (guardedness) this tracks {e which}
-    argument decreases and follows size information {e across} call
-    sites, so it accepts argument-swapping mutual recursion and
-    lexicographic descent (Ackermann) while rejecting the diverging
-    cycles guardedness cannot even see (a [ping → pong → ping] loop that
-    never shrinks).  The closure is bounded by a graph {e budget}; blown
+    Unlike a guardedness check (every recursive call passes some
+    pattern-bound subterm), this tracks {e which} argument decreases and
+    follows size information {e across} call sites, so it accepts
+    argument-swapping mutual recursion and lexicographic descent
+    (Ackermann) while rejecting the diverging cycles guardedness cannot
+    even see (a [ping → pong → ping] loop that never shrinks).  The closure is bounded by a graph {e budget}; blown
     budgets yield {!GaveUp}, never a spurious acceptance. *)
 
 open Belr_analysis

@@ -127,13 +127,10 @@ and check_normal e psi (m : normal) (s : srt) : typ =
   check_normal_c e psi m (s, Lf.id);
   Erase.srt e.sg s
 
-and check_normal_c e psi (m : normal) (cs : Whnf.sclo) : unit =
+and check_normal_c e psi (m : normal) ((s, ss) as cs : Whnf.sclo) : unit =
   (* a guarded step per node: makes sort checking itself interruptible by
      the serve deadline/step budget, not only its hsub/unify calls *)
   Limits.poll ();
-  (* under BELR_NO_WHNF the closure is forced here, reverting this rule
-     to the eager per-step substitution it performed before PR 9 *)
-  let (s, ss) as cs = Whnf.lazy_sclo cs in
   match (m, s) with
   | Lam (x, body), SPi (_, s1, s2) ->
       (* the context stores concrete sorts (srt_of_bvar shifts them), so

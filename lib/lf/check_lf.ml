@@ -93,10 +93,7 @@ and check_spine_kind_c e g (sp : spine) ((k, sk) : Whnf.kclo) : unit =
 and check_normal e g (m : normal) (a : typ) : unit =
   check_normal_c e g m (a, Lf.id)
 
-and check_normal_c e g (m : normal) (ca : Whnf.tclo) : unit =
-  (* under BELR_NO_WHNF the closure is forced here, reverting this rule
-     to the eager per-step substitution it performed before PR 9 *)
-  let (a, sa) as ca = Whnf.lazy_tclo ca in
+and check_normal_c e g (m : normal) ((a, sa) as ca : Whnf.tclo) : unit =
   match (m, a) with
   | Lam (x, body), Pi (_, a1, a2) ->
       (* the context stores concrete types (typ_of_bvar shifts them), so

@@ -168,28 +168,25 @@ and sub_normal (s : sub) (m : normal) : normal =
   match s with
   | Shift 0 -> m (* identity: frequent fast path *)
   | _ ->
-      if not (store_enabled ()) then sub_normal_work s m
-      else begin
-        let t = !current in
-        let ks = sub_id s and km = normal_id m in
-        let i = memo_slot ks km in
-        match t.tb_normal.(i) with
-        | Some (ks', km', r) when ks' = ks && km' = km ->
-            t.tb_hits <- t.tb_hits + 1;
-            r
-        | _ ->
-            t.tb_misses <- t.tb_misses + 1;
-            let r =
-              if mfi_normal m = 0 then begin
-                (* closed term: no substitution can touch it *)
-                t.tb_mfi_skips <- t.tb_mfi_skips + 1;
-                m
-              end
-              else sub_normal_work s m
-            in
-            t.tb_normal.(i) <- Some (ks, km, r);
-            r
-      end
+      let t = !current in
+      let ks = sub_id s and km = normal_id m in
+      let i = memo_slot ks km in
+      match t.tb_normal.(i) with
+      | Some (ks', km', r) when ks' = ks && km' = km ->
+          t.tb_hits <- t.tb_hits + 1;
+          r
+      | _ ->
+          t.tb_misses <- t.tb_misses + 1;
+          let r =
+            if mfi_normal m = 0 then begin
+              (* closed term: no substitution can touch it *)
+              t.tb_mfi_skips <- t.tb_mfi_skips + 1;
+              m
+            end
+            else sub_normal_work s m
+          in
+          t.tb_normal.(i) <- Some (ks, km, r);
+          r
 
 and sub_normal_work (s : sub) (m : normal) : normal =
   Fault.hit "hsub";
@@ -246,27 +243,24 @@ let rec sub_typ (s : sub) (a : typ) : typ =
   match s with
   | Shift 0 -> a
   | _ ->
-      if not (store_enabled ()) then sub_typ_work s a
-      else begin
-        let t = !current in
-        let ks = sub_id s and ka = typ_id a in
-        let i = memo_slot ks ka in
-        match t.tb_typ.(i) with
-        | Some (ks', ka', r) when ks' = ks && ka' = ka ->
-            t.tb_hits <- t.tb_hits + 1;
-            r
-        | _ ->
-            t.tb_misses <- t.tb_misses + 1;
-            let r =
-              if mfi_typ a = 0 then begin
-                t.tb_mfi_skips <- t.tb_mfi_skips + 1;
-                a
-              end
-              else sub_typ_work s a
-            in
-            t.tb_typ.(i) <- Some (ks, ka, r);
-            r
-      end
+      let t = !current in
+      let ks = sub_id s and ka = typ_id a in
+      let i = memo_slot ks ka in
+      match t.tb_typ.(i) with
+      | Some (ks', ka', r) when ks' = ks && ka' = ka ->
+          t.tb_hits <- t.tb_hits + 1;
+          r
+      | _ ->
+          t.tb_misses <- t.tb_misses + 1;
+          let r =
+            if mfi_typ a = 0 then begin
+              t.tb_mfi_skips <- t.tb_mfi_skips + 1;
+              a
+            end
+            else sub_typ_work s a
+          in
+          t.tb_typ.(i) <- Some (ks, ka, r);
+          r
 
 and sub_typ_work (s : sub) (a : typ) : typ =
   match a with
@@ -277,27 +271,24 @@ let rec sub_srt (s : sub) (q : srt) : srt =
   match s with
   | Shift 0 -> q
   | _ ->
-      if not (store_enabled ()) then sub_srt_work s q
-      else begin
-        let t = !current in
-        let ks = sub_id s and kq = srt_id q in
-        let i = memo_slot ks kq in
-        match t.tb_srt.(i) with
-        | Some (ks', kq', r) when ks' = ks && kq' = kq ->
-            t.tb_hits <- t.tb_hits + 1;
-            r
-        | _ ->
-            t.tb_misses <- t.tb_misses + 1;
-            let r =
-              if mfi_srt q = 0 then begin
-                t.tb_mfi_skips <- t.tb_mfi_skips + 1;
-                q
-              end
-              else sub_srt_work s q
-            in
-            t.tb_srt.(i) <- Some (ks, kq, r);
-            r
-      end
+      let t = !current in
+      let ks = sub_id s and kq = srt_id q in
+      let i = memo_slot ks kq in
+      match t.tb_srt.(i) with
+      | Some (ks', kq', r) when ks' = ks && kq' = kq ->
+          t.tb_hits <- t.tb_hits + 1;
+          r
+      | _ ->
+          t.tb_misses <- t.tb_misses + 1;
+          let r =
+            if mfi_srt q = 0 then begin
+              t.tb_mfi_skips <- t.tb_mfi_skips + 1;
+              q
+            end
+            else sub_srt_work s q
+          in
+          t.tb_srt.(i) <- Some (ks, kq, r);
+          r
 
 and sub_srt_work (s : sub) (q : srt) : srt =
   match q with

@@ -80,6 +80,20 @@ let reset (s : t) : unit =
   s.sn_whnf <- Whnf.fresh_tables ();
   Limits.clear_state s.sn_limits
 
+(** Drop the session's kernel caches but keep its signature (the serve
+    memory-pressure reset): clear the store's arenas and metadata in
+    place, and empty both memo worlds, whose entries hold pre-clear
+    nodes alive.  Sharing is lost, soundness is not: the signature's
+    terms outlive the clear as unshared nodes ([Equal] falls back to
+    structure, metadata is recomputed on first query), and ids stay
+    monotone, so no memo key can name a post-clear node by mistake.
+    Intern and memo hit counters are kept. *)
+let drop_caches (s : t) : unit =
+  with_ s (fun () ->
+      Store.store_clear ();
+      Hsub.clear_memo ();
+      Whnf.clear_memo ())
+
 (** Live interned nodes in the session's store (the memory-pressure
     watermark input).  Must be called outside {!with_}[ s] brackets only
     if no other session is installed; the serve loop calls it inside. *)

@@ -24,8 +24,7 @@
     [⟦σ⟧M] has a unique normal form and contracting only the head-spine
     (leaving arguments delayed) commutes with forcing the rest later
     ({!norm_nclo}).  The agreement property — whnf followed by full
-    forcing ≡ eager [Hsub] — is tested on every shipped kit under all
-    four [BELR_NO_HASHCONS] × [BELR_NO_WHNF] combinations.
+    forcing ≡ eager [Hsub] — is a property test over random closures.
 
     Memoization follows the PR-4 discipline: results of {!whnf_normal}
     on [Root] closures are cached in a bounded direct-mapped table keyed
@@ -33,12 +32,7 @@
     reused, and interned nodes are immutable, so a hit is always sound.
     The tables are {!Session.t}-scoped like the [Hsub] memos
     ({!fresh_tables}/{!use_tables}), so one serve session's cached
-    weak-head forms can never leak into another's.
-
-    Ablation: [BELR_NO_WHNF=1] (or {!set_whnf_enabled}[ false]) reverts
-    every consumer to the eager path — closures are forced through
-    {!Hsub} and compared with {!Belr_syntax.Equal} — which is what bench
-    E10 measures against. *)
+    weak-head forms can never leak into another's. *)
 
 open Belr_support
 open Belr_syntax
@@ -49,17 +43,6 @@ let depth = Limits.counter "weak-head normalization"
 let guard f = Limits.guard depth f
 
 let c_whnf = Telemetry.counter "whnf.weak_head_steps"
-
-(* --- ablation ---------------------------------------------------------- *)
-
-let enabled_ref = ref (Sys.getenv_opt "BELR_NO_WHNF" <> Some "1")
-
-let whnf_enabled () = !enabled_ref
-
-(** Toggle the lazy engine (the [BELR_NO_WHNF] ablation, also used by the
-    agreement property tests).  Disabled, every closure consumer forces
-    eagerly through {!Hsub} and compares with {!Belr_syntax.Equal}. *)
-let set_whnf_enabled b = enabled_ref := b
 
 (* --- closures ----------------------------------------------------------- *)
 
@@ -81,17 +64,6 @@ let norm_nclo ((m, s) : nclo) : normal = Hsub.sub_normal s m
 let norm_tclo ((a, s) : tclo) : typ = Hsub.sub_typ s a
 
 let norm_sclo ((q, s) : sclo) : srt = Hsub.sub_srt s q
-
-(** Ablation hooks for the checkers: under [BELR_NO_WHNF] a closure is
-    forced on the spot, so every checking step pays the eager hereditary
-    substitution it paid before PR 9 (the pending substitution never
-    accumulates); enabled, the closure is passed through untouched and
-    only weak-head consumers force fragments of it. *)
-let lazy_tclo (c : tclo) : tclo =
-  if whnf_enabled () then c else (norm_tclo c, Lf.id)
-
-let lazy_sclo (c : sclo) : sclo =
-  if whnf_enabled () then c else (norm_sclo c, Lf.id)
 
 (** Instantiate a binder-body closure with an argument already living in
     the {e current} context: [clo_inst (B, σ) M = (B, M.σ)] denotes
@@ -127,8 +99,7 @@ type swhnf =
 (* --- whnf memo table ----------------------------------------------------- *)
 
 (* Direct-mapped cache for Root-closure weak-head forms, keyed
-   (sub id, normal id) exactly like the Hsub memo.  Only consulted when
-   the store is enabled (ids require interning). *)
+   (sub id, normal id) exactly like the Hsub memo. *)
 
 let memo_bits = 14
 
@@ -206,25 +177,22 @@ let rec whnf_normal ((m, s) : nclo) : nwhnf =
   | Root (h, sp) -> (
       match s with
       | Shift 0 -> WRoot (h, sp, s)
-      | _ ->
-          if not (store_enabled ()) then whnf_root s h sp
-          else begin
-            let t = !current in
-            let ks = sub_id s and km = normal_id m in
-            let i = memo_slot ks km in
-            match t.wt_root.(i) with
-            | Some (ks', km', r) when ks' = ks && km' = km ->
-                t.wt_hits <- t.wt_hits + 1;
-                r
-            | _ ->
-                t.wt_misses <- t.wt_misses + 1;
-                let r =
-                  if mfi_normal m = 0 then WRoot (h, sp, Lf.id)
-                  else whnf_root s h sp
-                in
-                t.wt_root.(i) <- Some (ks, km, r);
-                r
-          end)
+      | _ -> (
+          let t = !current in
+          let ks = sub_id s and km = normal_id m in
+          let i = memo_slot ks km in
+          match t.wt_root.(i) with
+          | Some (ks', km', r) when ks' = ks && km' = km ->
+              t.wt_hits <- t.wt_hits + 1;
+              r
+          | _ ->
+              t.wt_misses <- t.wt_misses + 1;
+              let r =
+                if mfi_normal m = 0 then WRoot (h, sp, Lf.id)
+                else whnf_root s h sp
+              in
+              t.wt_root.(i) <- Some (ks, km, r);
+              r))
 
 and whnf_root (s : sub) (h : head) (sp : spine) : nwhnf =
   Telemetry.bump c_whnf;
@@ -294,7 +262,6 @@ let subs_agree (s1 : sub) (s2 : sub) (mfi : int) : bool =
 
 let rec conv_normal ((m1, s1) as c1 : nclo) ((m2, s2) as c2 : nclo) : bool =
   if m1 == m2 && subs_agree s1 s2 (mfi_normal m1) then true
-  else if not (whnf_enabled ()) then Equal.normal (norm_nclo c1) (norm_nclo c2)
   else
     match (whnf_normal c1, whnf_normal c2) with
     | WLam (_, b1, t1), WLam (_, b2, t2) ->
@@ -310,9 +277,8 @@ and conv_spine ((sp1, s1) : spine * sub) ((sp2, s2) : spine * sub) : bool =
       conv_normal (m1, s1) (m2, s2) && conv_spine (r1, s1) (r2, s2)
   | _ -> false
 
-let rec conv_typ ((a1, s1) as c1 : tclo) ((a2, s2) as c2 : tclo) : bool =
+let rec conv_typ ((a1, s1) : tclo) ((a2, s2) : tclo) : bool =
   if a1 == a2 && subs_agree s1 s2 (mfi_typ a1) then true
-  else if not (whnf_enabled ()) then Equal.typ (norm_tclo c1) (norm_tclo c2)
   else
     match (a1, a2) with
     | Atom (p1, sp1), Atom (p2, sp2) ->
@@ -322,9 +288,8 @@ let rec conv_typ ((a1, s1) as c1 : tclo) ((a2, s2) as c2 : tclo) : bool =
         && guard (fun () -> conv_typ (a1b, Hsub.dot1 s1) (a2b, Hsub.dot1 s2))
     | _ -> false
 
-let rec conv_srt ((q1, s1) as c1 : sclo) ((q2, s2) as c2 : sclo) : bool =
+let rec conv_srt ((q1, s1) : sclo) ((q2, s2) : sclo) : bool =
   if q1 == q2 && subs_agree s1 s2 (mfi_srt q1) then true
-  else if not (whnf_enabled ()) then Equal.srt (norm_sclo c1) (norm_sclo c2)
   else
     match (q1, q2) with
     | SAtom (c1', sp1), SAtom (c2', sp2) ->

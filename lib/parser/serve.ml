@@ -809,9 +809,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
     let pressure =
       match t.sv_watermark with
       | Some w when Session.with_ ses.ss_core Session.store_live > w ->
-          Session.with_ ses.ss_core (fun () ->
-              Belr_syntax.Lf.store_clear ();
-              Hsub.clear_memo ());
+          Session.drop_caches ses.ss_core;
           t.sv_pressure_resets <- t.sv_pressure_resets + 1;
           Diagnostics.emit sink
             (Diagnostics.make ~code:"W0901" Diagnostics.Warning

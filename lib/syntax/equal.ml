@@ -19,8 +19,8 @@
     spellings denote the same total substitution, and checkers reach the
     boundary with either spelling depending on which rule fired last.
     {!Store.mk_dot} collapses the expanded spelling on construction, so
-    this equation mostly matters when hash-consing is disabled
-    ([BELR_NO_HASHCONS=1]) or for terms built before a {!store_clear}. *)
+    this equation mostly matters for terms built before a {!store_clear}
+    (which are not re-interned, so [==] also misses on them). *)
 
 open Belr_support
 open Lf
@@ -42,7 +42,7 @@ let phys_stats () = { ps_hits = !phys_hits; ps_misses = !phys_misses }
     reaches [Equal] without being the store's representative was built
     around the smart constructors — a sharing leak. *)
 let assert_rep (m : normal) =
-  if store_debug && store_enabled () && not (is_rep_normal m) then
+  if store_debug && not (is_rep_normal m) then
     Error.violation
       "Equal: normal term is not the store representative (a constructor \
        bypassed the hash-consing store)"

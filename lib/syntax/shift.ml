@@ -23,7 +23,7 @@ open Lf
 (* LF-level shifting                                                   *)
 
 let rec shift_head d c (h : head) : head =
-  if d = 0 || (store_enabled () && mfi_head h <= c) then h
+  if d = 0 || mfi_head h <= c then h
   else
     match h with
     | Const _ -> h
@@ -33,7 +33,7 @@ let rec shift_head d c (h : head) : head =
     | MVar (u, s) -> mk_mvar u (shift_sub d c s)
 
 and shift_normal d c (m : normal) : normal =
-  if d = 0 || (store_enabled () && mfi_normal m <= c) then m
+  if d = 0 || mfi_normal m <= c then m
   else
     match m with
     | Lam (x, n) -> mk_lam x (shift_normal d (c + 1) n)
@@ -48,7 +48,7 @@ and shift_front d c = function
   | Undef -> Undef
 
 and shift_sub d c (s : sub) : sub =
-  if d = 0 || (store_enabled () && mfi_sub s <= c) then s
+  if d = 0 || mfi_sub s <= c then s
   else
     match s with
     | Empty -> s
@@ -72,14 +72,14 @@ and shift_sub d c (s : sub) : sub =
     | Dot (f, s') -> mk_dot (shift_front d c f) (shift_sub d c s')
 
 let rec shift_typ d c (a : typ) : typ =
-  if d = 0 || (store_enabled () && mfi_typ a <= c) then a
+  if d = 0 || mfi_typ a <= c then a
   else
     match a with
     | Atom (p, sp) -> mk_atom p (shift_spine d c sp)
     | Pi (x, a1, b) -> mk_pi x (shift_typ d c a1) (shift_typ d (c + 1) b)
 
 let rec shift_srt d c (s : srt) : srt =
-  if d = 0 || (store_enabled () && mfi_srt s <= c) then s
+  if d = 0 || mfi_srt s <= c then s
   else
     match s with
     | SAtom (q, sp) -> mk_satom q (shift_spine d c sp)

@@ -67,16 +67,6 @@ type skind = Ksort | Kspi of Name.t * srt * skind
 
 (* --- store state ------------------------------------------------------ *)
 
-let on =
-  ref
-    (match Sys.getenv_opt "BELR_NO_HASHCONS" with
-    | None | Some "" | Some "0" -> true
-    | Some _ -> false)
-
-let store_enabled () = !on
-
-let set_store_enabled b = on := b
-
 let store_debug = Sys.getenv_opt "BELR_STORE_DEBUG" <> None
 
 let mfi_infinity = max_int
@@ -173,9 +163,9 @@ let empty_meta = { m_id = fresh (); m_hash = 0x45; m_mfi = 0 }
 (* --- hashing and max-free-index --------------------------------------- *)
 
 (* [hash_*]/[mfi1_*] are one-level: they read the children's *stored*
-   metadata.  [meta_*] memoizes.  Nodes built through [mk_*] while the
-   store is enabled always have their children's metadata present; nodes
-   built while it was disabled get a (deep, one-time) computation on
+   metadata.  [meta_*] memoizes.  Nodes built through [mk_*] always have
+   their children's metadata present; nodes that outlive a [store_clear]
+   (or were built in another state) get a (deep, one-time) computation on
    first query, so every accessor below is total.
 
    mfi soundness notes:
@@ -442,74 +432,59 @@ let with_state st f =
 (* --- interning -------------------------------------------------------- *)
 
 let intern_head (cand : head) : head =
-  if not !on then cand
-  else begin
-    Fault.hit "store-intern";
-    let a = !cur_arena in
-    let rep = HeadArena.merge a.ar_head cand in
-    if rep == cand then begin
-      a.ar_interned <- a.ar_interned + 1;
-      ignore (meta_head rep)
-    end
-    else a.ar_dedup <- a.ar_dedup + 1;
-    rep
+  Fault.hit "store-intern";
+  let a = !cur_arena in
+  let rep = HeadArena.merge a.ar_head cand in
+  if rep == cand then begin
+    a.ar_interned <- a.ar_interned + 1;
+    ignore (meta_head rep)
   end
+  else a.ar_dedup <- a.ar_dedup + 1;
+  rep
 
 let intern_normal (cand : normal) : normal =
-  if not !on then cand
-  else begin
-    Fault.hit "store-intern";
-    let a = !cur_arena in
-    let rep = NormalArena.merge a.ar_normal cand in
-    if rep == cand then begin
-      a.ar_interned <- a.ar_interned + 1;
-      ignore (meta_normal rep)
-    end
-    else a.ar_dedup <- a.ar_dedup + 1;
-    rep
+  Fault.hit "store-intern";
+  let a = !cur_arena in
+  let rep = NormalArena.merge a.ar_normal cand in
+  if rep == cand then begin
+    a.ar_interned <- a.ar_interned + 1;
+    ignore (meta_normal rep)
   end
+  else a.ar_dedup <- a.ar_dedup + 1;
+  rep
 
 let intern_sub (cand : sub) : sub =
-  if not !on then cand
-  else begin
-    Fault.hit "store-intern";
-    let a = !cur_arena in
-    let rep = SubArena.merge a.ar_sub cand in
-    if rep == cand then begin
-      a.ar_interned <- a.ar_interned + 1;
-      ignore (meta_sub rep)
-    end
-    else a.ar_dedup <- a.ar_dedup + 1;
-    rep
+  Fault.hit "store-intern";
+  let a = !cur_arena in
+  let rep = SubArena.merge a.ar_sub cand in
+  if rep == cand then begin
+    a.ar_interned <- a.ar_interned + 1;
+    ignore (meta_sub rep)
   end
+  else a.ar_dedup <- a.ar_dedup + 1;
+  rep
 
 let intern_typ (cand : typ) : typ =
-  if not !on then cand
-  else begin
-    Fault.hit "store-intern";
-    let a = !cur_arena in
-    let rep = TypArena.merge a.ar_typ cand in
-    if rep == cand then begin
-      a.ar_interned <- a.ar_interned + 1;
-      ignore (meta_typ rep)
-    end
-    else a.ar_dedup <- a.ar_dedup + 1;
-    rep
+  Fault.hit "store-intern";
+  let a = !cur_arena in
+  let rep = TypArena.merge a.ar_typ cand in
+  if rep == cand then begin
+    a.ar_interned <- a.ar_interned + 1;
+    ignore (meta_typ rep)
   end
+  else a.ar_dedup <- a.ar_dedup + 1;
+  rep
 
 let intern_srt (cand : srt) : srt =
-  if not !on then cand
-  else begin
-    Fault.hit "store-intern";
-    let a = !cur_arena in
-    let rep = SrtArena.merge a.ar_srt cand in
-    if rep == cand then begin
-      a.ar_interned <- a.ar_interned + 1;
-      ignore (meta_srt rep)
-    end
-    else a.ar_dedup <- a.ar_dedup + 1;
-    rep
+  Fault.hit "store-intern";
+  let a = !cur_arena in
+  let rep = SrtArena.merge a.ar_srt cand in
+  if rep == cand then begin
+    a.ar_interned <- a.ar_interned + 1;
+    ignore (meta_srt rep)
   end
+  else a.ar_dedup <- a.ar_dedup + 1;
+  rep
 
 (* --- smart constructors ----------------------------------------------- *)
 
@@ -531,7 +506,7 @@ let mk_empty = Empty
 
 (* Small shifts are ubiquitous ([Shift 0] is the identity substitution);
    a preallocated cache makes them physically unique without touching the
-   arena, in both enabled and disabled modes. *)
+   arena. *)
 let shift_cache = Array.init 64 (fun n -> Shift n)
 
 let mk_shift n =
@@ -539,8 +514,8 @@ let mk_shift n =
   else intern_sub (Shift n)
 
 let mk_dot f s =
-  (* keep identity substitutions canonical: Dot (xₙ, ↑ⁿ) = ↑ⁿ⁻¹; applied
-     in both modes — it is semantic canonicalization, not sharing *)
+  (* keep identity substitutions canonical: Dot (xₙ, ↑ⁿ) = ↑ⁿ⁻¹ — it is
+     semantic canonicalization, not sharing *)
   match (f, s) with
   | Obj (Root (BVar k, [])), Shift n when k = n -> mk_shift (n - 1)
   | _ -> intern_sub (Dot (f, s))
@@ -626,12 +601,13 @@ let dedup_ratio () =
 
 (* Report the store's numbers in --stats / --profile ("store" section of
    the belr-profile/1 schema; Belr_lf.Hsub contributes its memo-table
-   fields to the same section). *)
+   fields to the same section).  "enabled" is always true: the schema
+   predates the retirement of the store's off switch. *)
 let () =
   Telemetry.register_section "store" (fun () ->
       let s = store_stats () in
       [
-        ("enabled", Json.Bool !on);
+        ("enabled", Json.Bool true);
         ("live", Json.Int s.st_live);
         ("interned", Json.Int s.st_interned);
         ("dedup_hits", Json.Int s.st_dedup_hits);

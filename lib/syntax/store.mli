@@ -4,7 +4,7 @@
     {!head}, {!normal}, {!sub}, {!typ}, {!srt} — is built through a smart
     constructor ([mk_*]) that interns it into a weak arena: two
     structurally α-equal nodes (binder {!Belr_support.Name.t} hints are
-    printing-only and ignored) constructed while the store is enabled are
+    printing-only and ignored) constructed in the same store state are
     the {e same} OCaml value.  The node types are [private], so pattern
     matching everywhere in the kernel is unchanged while construction is
     compiler-forced through this interface.
@@ -29,11 +29,10 @@
     [Dot (Obj xₙ, Shift n)] to [Shift (n-1)] (so [Dot (Obj x₁, Shift 1)]
     is [id]), keeping identity substitutions syntactically canonical.
 
-    The store can be disabled with the [BELR_NO_HASHCONS=1] environment
-    variable or {!set_store_enabled} (the benchmark ablation E7): [mk_*]
-    then allocate plain nodes.  Physical equality remains {e sound} in
-    mixed mode — it just stops being complete, and [Equal] keeps its deep
-    structural fallback. *)
+    Physical equality is {e sound} for every pair of nodes, but complete
+    only for nodes interned in the same state since its last
+    {!store_clear}: a term that outlives a clear is not re-interned, so
+    [Equal] keeps its deep structural fallback. *)
 
 open Belr_support
 
@@ -172,15 +171,10 @@ val with_state : state -> (unit -> 'a) -> 'a
 
 (* --- store control ---------------------------------------------------- *)
 
-val store_enabled : unit -> bool
-(** Is interning on?  Defaults to [true] unless [BELR_NO_HASHCONS=1]. *)
-
-val set_store_enabled : bool -> unit
-(** Toggle interning (the bench ablation).  Terms built while disabled
-    are ordinary unshared nodes; already-interned terms stay valid. *)
-
 val store_clear : unit -> unit
-(** Drop every arena and metadata entry (test/bench isolation only).
+(** Drop every arena and metadata entry of the installed state (bench
+    isolation, and the serve memory-pressure reset through
+    [Belr_lf.Session.drop_caches], which also empties the memo tables).
     Unique ids keep counting up, so memo entries keyed on old ids can
     never be confused with post-clear terms. *)
 
@@ -190,9 +184,10 @@ val mfi_infinity : int
 (** The "no sound bound" mfi value ([max_int]). *)
 
 val normal_id : normal -> int
-(** Unique id of an interned node.  Total: a node built while the store
-    was disabled is assigned a fresh id (and has its metadata computed
-    and cached) on first query. *)
+(** Unique id of an interned node.  Total: a node with no metadata in
+    the installed state (one that outlived a {!store_clear}, or was built
+    in another state) is assigned a fresh id (and has its metadata
+    computed and cached) on first query. *)
 
 val sub_id : sub -> int
 

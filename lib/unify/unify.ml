@@ -140,9 +140,9 @@ let rec resolve_sub st (s : sub) : sub =
     variables stay in place — the rigid-rigid decomposition reaches them
     one constructor at a time, so a solved variable buried in an argument
     that the comparison never needs is never substituted out.  This is
-    the unifier's analogue of {!Belr_lf.Whnf.whnf_normal}; the
-    [BELR_NO_WHNF] ablation reverts to full {!resolve_normal} at every
-    node. *)
+    the unifier's analogue of {!Belr_lf.Whnf.whnf_normal}; a solution
+    is resolved in full ({!resolve_normal}) only where it must be, before
+    the occurs check and inversion in [solve_mvar]. *)
 let rec head_unfold st (m : normal) : normal =
   match m with
   | Root (MVar (u, s), sp) -> (
@@ -161,61 +161,41 @@ let rec resolve_msrt st (s : Meta.msrt) : Meta.msrt =
 
 (* --- occurs check ------------------------------------------------------- *)
 
-let rec occurs_head (u : int) (h : head) : bool =
-  match h with
-  | Const _ | BVar _ -> false
-  | MVar (v, s) | PVar (v, s) -> v = u || occurs_sub u s
-  | Proj (b, _) -> occurs_head u b
-
-and occurs_normal u = function
-  | Lam (_, m) -> occurs_normal u m
-  | Root (h, sp) -> occurs_head u h || List.exists (occurs_normal u) sp
-
-and occurs_front u = function
-  | Obj m -> occurs_normal u m
-  | Tup t -> List.exists (occurs_normal u) t
-  | Undef -> false
-
-and occurs_sub u = function
-  | Empty | Shift _ -> false
-  | Dot (f, s) -> occurs_front u f || occurs_sub u s
-
 (** Occurs check over the sharing structure: hash-consed terms are DAGs,
-    and the plain structural descent above revisits shared subtrees as
-    often as they are referenced.  With the store on, the verdict is
-    memoized per node id for the one query variable (the table lives only
-    for this check — solutions recorded later could change the answer). *)
-let occurs_normal_shared (u : int) (m : normal) : bool =
-  if not (store_enabled ()) then occurs_normal u m
-  else begin
-    let seen : (int, bool) Hashtbl.t = Hashtbl.create 64 in
-    let rec go_n m =
-      let id = normal_id m in
-      match Hashtbl.find_opt seen id with
-      | Some b -> b
-      | None ->
-          let b =
-            match m with
-            | Lam (_, n) -> go_n n
-            | Root (h, sp) -> go_h h || List.exists go_n sp
-          in
-          Hashtbl.add seen id b;
-          b
-    and go_h = function
-      | Const _ | BVar _ -> false
-      | MVar (v, s) | PVar (v, s) -> v = u || go_s s
-      | Proj (b, _) -> go_h b
-    and go_s = function
-      | Empty | Shift _ -> false
-      | Dot (f, s) ->
-          (match f with
-          | Obj m -> go_n m
-          | Tup t -> List.exists go_n t
-          | Undef -> false)
-          || go_s s
-    in
-    go_n m
-  end
+    and a plain structural descent revisits shared subtrees as often as
+    they are referenced.  The verdict is memoized per node id for the one
+    query variable (the table lives only for this check — solutions
+    recorded later could change the answer). *)
+let occurs_normal (u : int) (m : normal) : bool =
+  let seen : (int, bool) Hashtbl.t = Hashtbl.create 64 in
+  let rec go_n m =
+    let id = normal_id m in
+    match Hashtbl.find_opt seen id with
+    | Some b -> b
+    | None ->
+        let b =
+          match m with
+          | Lam (_, n) -> go_n n
+          | Root (h, sp) -> go_h h || List.exists go_n sp
+        in
+        Hashtbl.add seen id b;
+        b
+  and go_h = function
+    | Const _ | BVar _ -> false
+    | MVar (v, s) | PVar (v, s) -> v = u || go_s s
+    | Proj (b, _) -> go_h b
+  and go_s = function
+    | Empty | Shift _ -> false
+    | Dot (f, s) ->
+        (match f with
+        | Obj m -> go_n m
+        | Tup t -> List.exists go_n t
+        | Undef -> false)
+        || go_s s
+  in
+  go_n m
+
+let occurs_head u h = occurs_normal u (mk_root h [])
 
 (* --- pattern substitutions and inversion -------------------------------- *)
 
@@ -305,10 +285,7 @@ let rec unify_normal st (m1 : normal) (m2 : normal) : unit =
   Limits.guard depth (fun () -> unify_normal_inner st m1 m2)
 
 and unify_normal_inner st (m1 : normal) (m2 : normal) : unit =
-  let m1, m2 =
-    if Whnf.whnf_enabled () then (head_unfold st m1, head_unfold st m2)
-    else (resolve_normal st m1, resolve_normal st m2)
-  in
+  let m1 = head_unfold st m1 and m2 = head_unfold st m2 in
   if Equal.normal m1 m2 then ()
   else
   match (m1, m2) with
@@ -329,7 +306,7 @@ and solve_mvar st (u : int) (s : sub) (m : normal) : unit =
      and inversion (a fixpoint no-op when already resolved) *)
   let m = resolve_normal st m in
   Telemetry.bump c_occurs;
-  if occurs_normal_shared u m then fail "occurs check failed";
+  if occurs_normal u m then fail "occurs check failed";
   let m' = invert_term s m in
   let psi =
     match decl st u with

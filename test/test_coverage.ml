@@ -1,5 +1,6 @@
 (** Tests for the conservative coverage checker (the paper's §6.1
-    extension): refinements shrink coverage obligations. *)
+    extension, {!Belr_comp.Coverage.deep_check_rec}): refinements shrink
+    coverage obligations. *)
 
 open Belr_lf
 open Belr_comp
@@ -32,41 +33,43 @@ let find_rec sg n =
   | Some (Sign.Sym_rec r) -> r
   | _ -> Alcotest.failf "%s not found" n
 
+(** Per-[case] deep verdicts of a function, as counts. *)
+let verdicts sg n =
+  let ds = Coverage.deep_check_rec sg (find_rec sg n) in
+  let count p = List.length (List.filter p ds) in
+  ( count (( = ) Coverage.DCovered),
+    count (function Coverage.DUncovered _ -> true | _ -> false) )
+
 let tests =
   [
     ok "pred is covered at sort pos (z has no sort there)" (fun () ->
         let sg = Belr_parser.Process.program pred_program in
-        match Coverage.check_rec sg (find_rec sg "pred-pos") with
-        | [] -> ()
+        match Coverage.deep_check_rec sg (find_rec sg "pred-pos") with
+        | [ Coverage.DCovered ] -> ()
         | _ -> Alcotest.fail "expected full coverage");
     ok "the same match is uncovered at type nat (missing z)" (fun () ->
         let sg = Belr_parser.Process.program pred_program in
-        match Coverage.check_rec sg (find_rec sg "pred-nat") with
-        | [ (missing, _) ] ->
+        match Coverage.deep_check_rec sg (find_rec sg "pred-nat") with
+        | [ Coverage.DUncovered missing ] ->
             Alcotest.(check bool) "z missing" true (List.mem "z" missing)
         | _ -> Alcotest.fail "expected exactly one uncovered match");
     ok "the §2 ceq covers all six candidates" (fun () ->
         let sg = Surface.load () in
-        Alcotest.(check int)
-          "no issues" 0
-          (List.length (Coverage.check_rec sg (find_rec sg "ceq"))));
+        let covered, uncovered = verdicts sg "ceq" in
+        Alcotest.(check bool) "some case" true (covered > 0);
+        Alcotest.(check int) "no issues" 0 uncovered);
     ok "aeq-refl and aeq-sym are covered" (fun () ->
         let sg = Surface.load () in
-        Alcotest.(check int)
-          "refl" 0
-          (List.length (Coverage.check_rec sg (find_rec sg "aeq-refl")));
-        Alcotest.(check int)
-          "sym" 0
-          (List.length (Coverage.check_rec sg (find_rec sg "aeq-sym"))));
+        Alcotest.(check int) "refl" 0 (snd (verdicts sg "aeq-refl"));
+        Alcotest.(check int) "sym" 0 (snd (verdicts sg "aeq-sym")));
     ok
       "aeq-trans's inner matches are conservatively flagged (their variable \
        cases are impossible but need unification to dismiss)"
       (fun () ->
         let sg = Surface.load () in
-        let issues = Coverage.check_rec sg (find_rec sg "aeq-trans") in
         (* two inner case expressions, each with an impossible variable
            candidate the conservative analysis cannot dismiss *)
-        Alcotest.(check int) "two flags" 2 (List.length issues));
+        Alcotest.(check int) "two flags" 2 (snd (verdicts sg "aeq-trans")));
   ]
 
 let suites = [ ("coverage", tests) ]

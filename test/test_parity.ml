@@ -85,9 +85,10 @@ let tests =
           | Some (Sign.Sym_rec r) -> r
           | _ -> Alcotest.fail "half not found"
         in
-        Alcotest.(check int)
-          "no issues" 0
-          (List.length (Coverage.check_rec sg half)));
+        Alcotest.(check bool)
+          "every case covered" true
+          (List.for_all (( = ) Coverage.DCovered)
+             (Coverage.deep_check_rec sg half)));
     ok "conservativity: even/odd derivations erase to nat" (fun () ->
         let sg = Lazy.force psg in
         let env = Check_lfr.make_env sg [] in

@@ -139,8 +139,37 @@ let incremental_tests =
         Alcotest.(check int) "one family left" 1 typs);
   ]
 
+(** Live (occupied) slots of a direct-mapped memo table. *)
+let occupied tbl = Array.fold_left (fun n e -> if e = None then n else n + 1) 0 tbl
+
 let robustness_tests =
   [
+    test "the memory-pressure reset (W0901) drops every kernel cache"
+      (fun () ->
+        let t = Serve.create ~watermark:1 () in
+        let r1 = round t (request ~source:Belr_kits.Surface.full_src 1) in
+        Alcotest.(check bool) "W0901 reported" true (List.mem "W0901" (codes r1));
+        Alcotest.(check string) "status" "degraded" (str_field "status" r1);
+        Alcotest.(check int) "exit 0" 0 (int_field "exit_code" r1);
+        let ses = Hashtbl.find t.Serve.sv_sessions "s" in
+        Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
+            let open Belr_lf in
+            let h = Hsub.current_tables () and w = Whnf.current_tables () in
+            Alcotest.(check int) "store empty" 0
+              (Belr_syntax.Lf.store_stats ()).Belr_syntax.Lf.st_live;
+            Alcotest.(check int) "hsub normal memo empty" 0
+              (occupied h.Hsub.tb_normal);
+            Alcotest.(check int) "hsub typ memo empty" 0 (occupied h.Hsub.tb_typ);
+            Alcotest.(check int) "hsub srt memo empty" 0 (occupied h.Hsub.tb_srt);
+            Alcotest.(check int) "whnf memo empty" 0 (occupied w.Whnf.wt_root));
+        (* sharing is lost, results are not: an edit re-checks against
+           the signature's now-unshared terms *)
+        let r2 =
+          round t
+            (request ~source:(Belr_kits.Surface.full_src ^ "\n\n" ^ nat) 2)
+        in
+        Alcotest.(check int) "re-check after the reset: exit 0" 0
+          (int_field "exit_code" r2));
     test "an injected kernel fault yields a structured error reply, and \
           the next request on a fresh session succeeds" (fun () ->
         let t = Serve.create () in

@@ -1,9 +1,10 @@
 (** The hash-consed term store (PR 4, DESIGN.md §S21): interning
     invariants (identical builds are physically equal; physical equality
-    implies deep [Equal]), agreement of the memoized and unmemoized
-    hereditary substitution (property-level and over the shipped
-    examples), the always-on kernel counters, and the Shift-vs-
-    Dot-expansion regression at context boundaries. *)
+    implies deep [Equal]; a copy from another store state is equal but not
+    shared), agreement of the memoized [Hsub] with the unmemoized
+    reference substitution in {!Ref_hsub}, the shipped examples' verdicts,
+    the always-on kernel counters, and the Shift-vs-Dot-expansion
+    regression at context boundaries. *)
 
 open Belr_support
 open Belr_syntax
@@ -14,11 +15,6 @@ open Lf
 let test name f = Alcotest.test_case name `Quick f
 
 let f = Ulam.make ()
-
-(** Run [k] with the store disabled, restoring the mode afterwards. *)
-let without_store k =
-  set_store_enabled false;
-  Fun.protect ~finally:(fun () -> set_store_enabled true) k
 
 (* --- generators (over the §2 signature, as in test_props) --------------- *)
 
@@ -62,8 +58,8 @@ let gen_nat_open (nvars : int) : normal QCheck.Gen.t =
 (* --- rebuilding through the smart constructors --------------------------- *)
 
 (** Rebuild a term node by node through the [mk_*] constructors, keeping
-    binder names.  With the store on, the result must be the same
-    physical node (interning is deterministic and total). *)
+    binder names.  In the store state the term was built in, the result
+    is the same physical node (interning is deterministic and total). *)
 let rec rebuild_normal (m : normal) : normal =
   match m with
   | Lam (x, b) -> mk_lam x (rebuild_normal b)
@@ -109,35 +105,95 @@ let prop_phys_implies_deep =
          structural spec always agree *)
       && Equal.normal m1 m2 = Equal.deep_normal m1 m2)
 
-let prop_uninterned_copy_equal =
+let prop_foreign_copy_equal =
+  (* a copy built in a fresh store state is what a term that outlives a
+     [store_clear] (serve's memory-pressure reset) looks like: it has no
+     representative or metadata in the installed state *)
   QCheck.Test.make ~count:200
-    ~name:"a store-off copy is deep-equal but physically fresh"
+    ~name:"a copy from a fresh store state is deep-equal but physically fresh"
     (QCheck.make gen_tm)
     (fun m ->
-      let copy = without_store (fun () -> rebuild_normal m) in
-      Equal.deep_normal m copy
-      && Equal.normal m copy
-      && ((not (copy == m)) || match m with Root (_, []) -> true | _ -> false))
+      let copy = with_state (fresh_state ()) (fun () -> rebuild_normal m) in
+      Equal.deep_normal m copy && Equal.normal m copy && not (copy == m))
 
-(* --- substitution: memoized vs unmemoized -------------------------------- *)
+(* --- substitution: Hsub vs the reference oracle -------------------------- *)
 
-let prop_memo_agrees =
-  (* the same substitution applied with the store (mfi skips + memo) and
-     without (plain traversal) gives deep-equal results *)
-  let gen = QCheck.Gen.(pair (gen_nat_open 2) (gen_nat_open 1)) in
+(** Random terms over a fixed source context, shaped to reach every case
+    of hereditary substitution under {!gen_sub}: index [1 + d] (under [d]
+    local [Lam]s) is a function variable applied to one argument (a
+    β-redex once it is replaced by a [Lam]), [2 + d] a plain variable,
+    [3 + d] a block variable used through projections (a [Tup] front),
+    plus meta-variables under a delayed substitution ([comp]).  The LF
+    [Lam]s are untyped here — substitution does not look at types. *)
+let gen_redex_src : normal QCheck.Gen.t =
+  let open QCheck.Gen in
+  let rec go d sz st =
+    let proj k = mk_root (mk_proj (mk_bvar (3 + d)) (1 + (k mod 2))) [] in
+    let leaf =
+      frequency
+        ((if d > 0 then [ (1, return (bvar 1)) ] else [])
+        @ [
+            (1, return (Ulam.zero f));
+            (2, return (bvar (2 + d)));
+            (1, map proj small_nat);
+            (1, return (mk_root (mk_mvar 1 (mk_shift 0)) []));
+          ])
+    in
+    if sz <= 0 then leaf st
+    else
+      frequency
+        [
+          (1, leaf);
+          (2, map (Ulam.succ f) (go d (sz - 1)));
+          (2, map (fun a -> mk_root (mk_bvar (1 + d)) [ a ]) (go d (sz - 1)));
+          (1, map (mk_lam "x") (go (d + 1) (sz / 2)));
+        ]
+        st
+  in
+  sized (go 0)
+
+(** Substitutions for {!gen_redex_src}'s context: a [Lam] for the
+    function variable, a term for the plain one, a two-component tuple
+    for the block, and a shift for the rest. *)
+let gen_sub : sub QCheck.Gen.t =
+  let open QCheck.Gen in
+  let body = gen_nat_open 2 in
+  map
+    (fun (((fb, x), (p1, p2)), k) ->
+      mk_dot
+        (Obj (mk_lam "y" fb))
+        (mk_dot (Obj x) (mk_dot (Tup [ p1; p2 ]) (mk_shift k))))
+    (pair
+       (pair (pair body (gen_nat_open 1)) (pair (gen_nat_open 1) (gen_nat_open 1)))
+       (int_bound 2))
+
+let prop_hsub_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"Hsub.sub_normal ≡ the unmemoized reference substitution"
+    (QCheck.make (QCheck.Gen.pair gen_redex_src gen_sub))
+    (fun (m, s) ->
+      (* twice: the second call is answered from the memo tables *)
+      let r1 = Hsub.sub_normal s m and r2 = Hsub.sub_normal s m in
+      let spec = Ref_hsub.sub_normal s m in
+      Equal.deep_normal r1 spec && Equal.deep_normal r2 spec)
+
+let prop_hsub_typ_srt_match_oracle =
   QCheck.Test.make ~count:200
-    ~name:"memoized and unmemoized hereditary substitution agree"
-    (QCheck.make gen)
-    (fun (m, body) ->
-      let s = mk_dot (Obj body) (mk_shift 0) in
-      let r_on = Hsub.sub_normal s m in
-      let r_off =
-        without_store (fun () ->
-            let m' = rebuild_normal m in
-            let s' = mk_dot (Obj (rebuild_normal body)) (mk_shift 0) in
-            Hsub.sub_normal s' m')
+    ~name:"Hsub.sub_typ/sub_srt ≡ the unmemoized reference substitution"
+    (QCheck.make (QCheck.Gen.pair gen_redex_src gen_sub))
+    (fun (m, s) ->
+      (* dependent Π shapes, so substitution also goes under binders *)
+      let m1 = Shift.shift_normal 1 0 m in
+      let a =
+        mk_pi "x" (mk_atom f.Ulam.deq [ m; m ]) (mk_atom f.Ulam.deq [ m1; bvar 1 ])
       in
-      Equal.deep_normal r_on r_off)
+      let q =
+        mk_spi "x"
+          (mk_satom f.Ulam.aeq [ m; m ])
+          (mk_satom f.Ulam.aeq [ m1; bvar 1 ])
+      in
+      Equal.deep_typ (Hsub.sub_typ s a) (Ref_hsub.sub_typ s a)
+      && Equal.deep_srt (Hsub.sub_srt s q) (Ref_hsub.sub_srt s q))
 
 let prop_dot_collapse_semantics =
   (* the mk_dot normalization (↑ⁿ for its η-expansion) is semantics-
@@ -153,7 +209,7 @@ let prop_dot_collapse_semantics =
         (Hsub.sub_normal expanded m)
         (Hsub.sub_normal (mk_shift n) m))
 
-(* --- shipped examples in both modes -------------------------------------- *)
+(* --- shipped examples ----------------------------------------------------- *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -167,17 +223,19 @@ let check_src src =
   Diagnostics.exit_code sink
 
 let example_tests =
-  let both_modes name path =
-    test (name ^ " checks identically with the store on and off") (fun () ->
-        let src = read_file path in
-        Alcotest.(check int) "store on" 0 (check_src src);
-        Alcotest.(check int) "store off" 0
-          (without_store (fun () -> check_src src)))
-  in
-  [
-    both_modes "examples/quickstart.blr" "../examples/quickstart.blr";
-    both_modes "examples/equal.bel" "../examples/equal.bel";
-  ]
+  (* totality.blr is checked alone here, without the quickstart.blr that
+     supplies [nat], so it must fail *)
+  List.map
+    (fun (path, code) ->
+      test (Fmt.str "%s checks with exit code %d" path code) (fun () ->
+          Alcotest.(check int)
+            path code
+            (check_src (read_file ("../" ^ path)))))
+    [
+      ("examples/quickstart.blr", 0);
+      ("examples/equal.bel", 0);
+      ("examples/totality.blr", 1);
+    ]
 
 (* --- Shift vs Dot-expansion at context boundaries (the PR 4 bugfix) ------ *)
 
@@ -267,8 +325,9 @@ let suites =
         [
           prop_intern_phys;
           prop_phys_implies_deep;
-          prop_uninterned_copy_equal;
-          prop_memo_agrees;
+          prop_foreign_copy_equal;
+          prop_hsub_matches_oracle;
+          prop_hsub_typ_srt_match_oracle;
           prop_dot_collapse_semantics;
         ]
       @ example_tests @ boundary_tests @ counter_tests );

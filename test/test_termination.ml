@@ -1,44 +1,34 @@
-(** Tests for the conservative structural termination checker. *)
+(** Termination fixtures for the totality analyzer's size-change engine
+    ({!Belr_comp.Sct}, run through {!Belr_comp.Totality}): the shipped
+    developments terminate, and the small recursion schemes below get the
+    verdict their call structure deserves. *)
 
-open Belr_lf
+open Belr_support
 open Belr_comp
 open Belr_kits
 
 let ok name thunk = Alcotest.test_case name `Quick thunk
 
-let find_rec sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_rec r) -> r
-  | _ -> Alcotest.failf "%s not found" n
-
-let guarded sg n =
-  match Termination.check_rec sg (find_rec sg n) with
-  | Termination.Guarded -> true
-  | Termination.Issues _ -> false
+let terminating sg n =
+  let r = Totality.run (Diagnostics.sink ()) sg in
+  match List.find_opt (fun f -> f.Totality.fv_name = n) r.Totality.tr_fns with
+  | Some f -> Totality.terminating f
+  | None -> Alcotest.failf "%s not analyzed" n
 
 let tests =
   [
-    ok "the §2 development is structurally guarded" (fun () ->
+    ok "the §2 development terminates" (fun () ->
         let sg = Surface.load () in
         List.iter
           (fun n ->
-            Alcotest.(check bool) (n ^ " guarded") true (guarded sg n))
+            Alcotest.(check bool) (n ^ " terminating") true (terminating sg n))
           [ "aeq-refl"; "aeq-sym"; "aeq-trans"; "ceq" ]);
-    ok "half, strengthen, and result-val are guarded" (fun () ->
+    ok "half, strengthen, and result-val terminate" (fun () ->
         let sg = Parity.load () in
-        Alcotest.(check bool) "half" true (guarded sg "half");
+        Alcotest.(check bool) "half" true (terminating sg "half");
         let sg2 = Values.load () in
-        Alcotest.(check bool) "strengthen" true (guarded sg2 "strengthen");
-        Alcotest.(check bool) "result-val" true (guarded sg2 "result-val"));
-    ok "a trivial loop is rejected" (fun () ->
-        let sg =
-          Belr_parser.Process.program
-            {bel|
-LF nat : type = | z : nat | s : nat -> nat;
-rec loop : [ |- nat] -> [ |- nat] = fn d => loop d;
-|bel}
-        in
-        Alcotest.(check bool) "loop" false (guarded sg "loop"));
+        Alcotest.(check bool) "strengthen" true (terminating sg2 "strengthen");
+        Alcotest.(check bool) "result-val" true (terminating sg2 "result-val"));
     ok "a call on the whole scrutinee (not a subterm) is rejected" (fun () ->
         let sg =
           Belr_parser.Process.program
@@ -51,9 +41,8 @@ mlam N => case [ |- N] of
   [ |- s M] => spin [ |- s M];
 |bel}
         in
-        (* the argument s M is headed by a constant, not by the pattern
-           variable M: the conservative check flags it *)
-        Alcotest.(check bool) "spin" false (guarded sg "spin"));
+        (* s M rebuilds the scrutinee: no argument shrinks *)
+        Alcotest.(check bool) "spin" false (terminating sg "spin"));
     ok "a call on the pattern subterm is accepted" (fun () ->
         let sg =
           Belr_parser.Process.program
@@ -66,21 +55,14 @@ mlam N => case [ |- N] of
   [ |- s M] => down [ |- M];
 |bel}
         in
-        Alcotest.(check bool) "down" true (guarded sg "down"));
-    ok "call_args records computation-level argument positions too"
+        Alcotest.(check bool) "down" true (terminating sg "down"));
+    ok "call chains record computation-level argument positions too"
       (fun () ->
         (* regression: [f e [X]] must contribute both positions, in
-           application order — analyses over argument positions (the
-           size-change graphs) index into this list *)
-        let sg =
-          Belr_parser.Process.program
-            {bel|
-LF nat : type = | z : nat | s : nat -> nat;
-rec f : [ |- nat] -> {N : [ |- nat]} [ |- nat] =
-fn d => mlam N => d;
-|bel}
-        in
-        let f = find_rec sg "f" in
+           application order — the size-change graphs index into this
+           list *)
+        let module Comp = Belr_syntax.Comp in
+        let module Cg = Belr_analysis.Callgraph in
         let mo =
           Belr_syntax.Meta.MOCtx
             {
@@ -89,49 +71,12 @@ fn d => mlam N => d;
               Belr_syntax.Ctxs.s_decls = [];
             }
         in
-        let e =
-          Belr_syntax.Comp.MApp
-            ( Belr_syntax.Comp.App
-                (Belr_syntax.Comp.RecConst f, Belr_syntax.Comp.Var 1),
-              mo )
-        in
-        match Termination.call_args (fun g -> g = f) e [] with
-        | Some [ Termination.AComp (Belr_syntax.Comp.Var 1);
-                 Termination.AMeta _ ] -> ()
-        | Some args ->
-            Alcotest.failf "expected both positions, got %d"
-              (List.length args)
-        | None -> Alcotest.fail "head not recognized");
-    ok "guardedness is group-aware: the swapped mutual call is analyzed"
-      (fun () ->
-        let sg =
-          Belr_parser.Process.program
-            {bel|
-LF nat : type = | z : nat | s : nat -> nat;
-rec flip : {M : [ |- nat]} {N : [ |- nat]} [ |- nat] =
-mlam M => mlam N => case [ |- M] of
-| [ |- z] => [ |- N]
-| {M' : [ |- nat]}
-  [ |- s M'] => flop [ |- N] [ |- M']
-and flop : {M : [ |- nat]} {N : [ |- nat]} [ |- nat] =
-mlam M => mlam N => flip [ |- M] [ |- N];
-|bel}
-        in
-        (* flip's call passes the pattern subterm M'; flop's call passes
-           only its own mlam binders, which guard nothing *)
-        Alcotest.(check bool) "flip" true (guarded sg "flip");
-        match Termination.check_rec sg (find_rec sg "flop") with
-        | Termination.Issues [ msg ] ->
-            Alcotest.(check bool) "names the callee" true
-              (let affix = "flip" in
-               let n = String.length affix and m = String.length msg in
-               let rec go i =
-                 i + n <= m && (String.sub msg i n = affix || go (i + 1))
-               in
-               go 0)
-        | Termination.Issues _ -> Alcotest.fail "expected one issue"
-        | Termination.Guarded ->
-            Alcotest.fail "cross-function call went unanalyzed");
+        let e = Comp.MApp (Comp.App (Comp.RecConst 0, Comp.Var 1), mo) in
+        match Cg.chain e [] with
+        | Comp.RecConst 0, [ Cg.CAComp (Comp.Var 1); Cg.CAMeta _ ] -> ()
+        | _, args ->
+            Alcotest.failf "expected the head and both positions, got %d"
+              (List.length args));
   ]
 
 let suites = [ ("termination", tests) ]

@@ -1,9 +1,10 @@
 (** Tests for the totality analyzer (DESIGN.md §S22): size-change
     termination over the call graph, deep refinement-aware coverage, and
-    the [belr-total/1] report.  The fixture corpus is chosen to separate
-    the analyses: recursion schemes the guardedness heuristic
-    ({!Belr_comp.Termination}) rejects but size-change accepts, and
-    diverging cycles size-change must reject with a call-path witness. *)
+    the [belr-total/1] report.  The fixture corpus is chosen to stress
+    size-change: recursion schemes a guardedness check (some recursive
+    argument is a pattern variable) would reject but size-change
+    accepts, and diverging cycles size-change must reject with a
+    call-path witness. *)
 
 open Belr_support
 open Belr_lf
@@ -21,11 +22,6 @@ let find_rec sg n =
   match Sign.lookup_name sg n with
   | Some (Sign.Sym_rec r) -> r
   | _ -> Alcotest.failf "%s not found" n
-
-let guarded sg n =
-  match Termination.check_rec sg (find_rec sg n) with
-  | Termination.Guarded -> true
-  | Termination.Issues _ -> false
 
 let total_run ?depth ?budget sg =
   let sink = Diagnostics.sink () in
@@ -110,10 +106,9 @@ and pong : {N : [ |- nat]} [ |- nat] = mlam N => ping [ |- N];
 
 let sct_tests =
   [
-    ok "argument-swapping mutual recursion: guardedness rejects flop, \
-        size-change accepts the group" (fun () ->
+    ok "argument-swapping mutual recursion: size-change accepts the group"
+      (fun () ->
         let sg = Belr_parser.Process.program flip_flop_src in
-        Alcotest.(check bool) "flop unguarded" false (guarded sg "flop");
         let _, r = total_run sg in
         Alcotest.(check bool) "flip terminating" true
           (Totality.terminating (verdict_of r "flip"));
@@ -121,19 +116,16 @@ let sct_tests =
           (Totality.terminating (verdict_of r "flop"));
         Alcotest.(check (list string))
           "one SCC" [ "flip"; "flop" ] (verdict_of r "flip").Totality.fv_group);
-    ok "lexicographic descent: guardedness rejects lexlb, size-change \
-        accepts it" (fun () ->
+    ok "lexicographic descent: size-change accepts lexlb" (fun () ->
         let sg = Belr_parser.Process.program lexlb_src in
-        Alcotest.(check bool) "lexlb unguarded" false (guarded sg "lexlb");
         let sink, r = total_run sg in
         Alcotest.(check bool) "terminating" true
           (Totality.terminating (verdict_of r "lexlb"));
         Alcotest.(check bool) "covered" true
           (Totality.covered (verdict_of r "lexlb"));
         Alcotest.(check int) "clean" 0 (Diagnostics.error_count sink));
-    ok "ack is accepted by both analyses" (fun () ->
+    ok "ack is accepted by size-change" (fun () ->
         let sg = Belr_parser.Process.program ack_src in
-        Alcotest.(check bool) "guarded" true (guarded sg "ack");
         let _, r = total_run sg in
         Alcotest.(check bool) "terminating" true
           (Totality.terminating (verdict_of r "ack")));
@@ -192,19 +184,15 @@ let sct_tests =
              (fun d -> d.Diagnostics.d_code = "W0712")
              (Diagnostics.all sink));
         Alcotest.(check int) "no errors" 0 (Diagnostics.error_count sink));
-    ok "size-change subsumes guardedness on the shipped developments"
-      (fun () ->
+    ok "every function of the shipped developments terminates" (fun () ->
         List.iter
           (fun sg ->
             let _, r = total_run sg in
             List.iter
-              (fun (id, name) ->
-                match Termination.check_rec sg id with
-                | Termination.Guarded ->
-                    Alcotest.(check bool)
-                      (name ^ " terminating") true
-                      (Totality.terminating (verdict_of r name))
-                | Termination.Issues _ -> ())
+              (fun (_, name) ->
+                Alcotest.(check bool)
+                  (name ^ " terminating") true
+                  (Totality.terminating (verdict_of r name)))
               (Callgraph.analyze sg).Callgraph.cg_recs)
           [
             Belr_kits.Surface.load ();
@@ -240,14 +228,10 @@ fn d => case d of
 
 let coverage_tests =
   [
-    ok "a nested gap invisible to the shallow check is found" (fun () ->
+    ok "a nested gap invisible to a head-only check is found" (fun () ->
         let sg = Belr_parser.Process.program skip_src in
-        let id = find_rec sg "skip" in
-        (* shallow: both head constants appear, so it is fooled *)
-        Alcotest.(check int)
-          "shallow accepts" 0
-          (List.length (Coverage.check_rec sg id));
-        match Coverage.deep_check_rec sg id with
+        (* both head constants appear, so comparing heads is fooled *)
+        match Coverage.deep_check_rec sg (find_rec sg "skip") with
         | [ Coverage.DUncovered ms ] ->
             Alcotest.(check bool) "missing (s z)" true (List.mem "(s z)" ms)
         | _ -> Alcotest.fail "expected one uncovered case");
@@ -269,7 +253,7 @@ let coverage_tests =
         Alcotest.(check bool) "not covered" false
           (Totality.covered (verdict_of r "skip")));
     ok "refinements still prune impossible candidates at depth" (fun () ->
-        (* the pred-pos/pred-nat pair from the shallow tests, deep *)
+        (* the pred-pos/pred-nat pair of test_coverage *)
         let sg =
           Belr_parser.Process.program
             (nat_sig

@@ -108,20 +108,26 @@ let tests =
         ignore
           (Check_lfr.check_normal (Check_lfr.make_env sg []) psi res
              ((mk_satom aeq ([ b1; b1; Shift.shift_normal 1 0 i ])))));
-    ok "typed aeq-sym is guarded and covered" (fun () ->
+    ok "typed aeq-sym terminates and is covered" (fun () ->
         let sg = Lazy.force tsg in
         let sym =
           match Sign.lookup_name sg "aeq-sym" with
           | Some (Sign.Sym_rec r) -> r
           | _ -> Alcotest.fail "aeq-sym not found"
         in
-        Alcotest.(check int)
-          "covered" 0
-          (List.length (Coverage.check_rec sg sym));
-        match Termination.check_rec sg sym with
-        | Termination.Guarded -> ()
-        | Termination.Issues is ->
-            Alcotest.failf "not guarded: %s" (String.concat "; " is));
+        Alcotest.(check bool)
+          "covered" true
+          (List.for_all (( = ) Coverage.DCovered)
+             (Coverage.deep_check_rec sg sym));
+        let r = Totality.run (Belr_support.Diagnostics.sink ()) sg in
+        match
+          List.find_opt
+            (fun f -> f.Totality.fv_name = "aeq-sym")
+            r.Totality.tr_fns
+        with
+        | Some f ->
+            Alcotest.(check bool) "terminating" true (Totality.terminating f)
+        | None -> Alcotest.fail "aeq-sym not analyzed");
   ]
 
 let suites = [ ("typed_equal", tests) ]

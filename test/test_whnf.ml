@@ -1,11 +1,11 @@
 (** The lazy weak-head normalization core (PR 9, DESIGN.md §S26):
-    agreement of whnf-plus-full-unfolding with the eager hereditary
-    substitution it replaces — as a property over random closures and
-    over the shipped examples — under every combination of the
-    [BELR_NO_HASHCONS] and [BELR_NO_WHNF] ablations; agreement of the
-    closure-level convertibility checks with [Equal] on forced forms;
-    the [E0905] evaluation-fuel diagnostic; and session isolation of the
-    whnf memo tables. *)
+    agreement of whnf-plus-full-unfolding with the hereditary
+    substitution it forces through ([Hsub], itself checked against the
+    {!Ref_hsub} oracle in test_store) as a property over random
+    closures; agreement of the closure-level convertibility checks with
+    [Equal] on forced forms; the shipped examples' verdicts across cold,
+    warm and dropped kernel caches; the [E0905] evaluation-fuel diagnostic; and
+    session isolation of the whnf memo tables. *)
 
 open Belr_support
 open Belr_syntax
@@ -16,24 +16,6 @@ open Lf
 let test name f = Alcotest.test_case name `Quick f
 
 let u = Ulam.make ()
-
-(* --- ablation matrix ----------------------------------------------------- *)
-
-(** Run [k] under an explicit (store, whnf) mode pair, restoring both
-    modes afterwards (the suite runs with both on, the default). *)
-let with_modes ~store ~whnf k =
-  set_store_enabled store;
-  Whnf.set_whnf_enabled whnf;
-  Fun.protect
-    ~finally:(fun () ->
-      set_store_enabled true;
-      Whnf.set_whnf_enabled true)
-    k
-
-let all_modes = [ (true, true); (true, false); (false, true); (false, false) ]
-
-let mode_label (store, whnf) =
-  Fmt.str "store=%b whnf=%b" store whnf
 
 (* --- full unfolding through the weak-head views -------------------------- *)
 
@@ -109,20 +91,9 @@ let gen_clo : Whnf.nclo QCheck.Gen.t =
 
 let prop_agreement =
   QCheck.Test.make ~count:150
-    ~name:
-      "whnf + full unfolding ≡ eager hereditary substitution (all four \
-       ablation combos)"
+    ~name:"whnf + full unfolding ≡ eager hereditary substitution"
     (QCheck.make gen_clo)
-    (fun ((m, s) as c) ->
-      List.for_all
-        (fun (store, whnf) ->
-          with_modes ~store ~whnf (fun () ->
-              let lazy_nf = force_nclo c in
-              let eager_nf = Hsub.sub_normal s m in
-              Equal.deep_normal lazy_nf eager_nf
-              || QCheck.Test.fail_reportf "disagree under %s"
-                   (mode_label (store, whnf))))
-        all_modes)
+    (fun ((m, s) as c) -> Equal.deep_normal (force_nclo c) (Hsub.sub_normal s m))
 
 let prop_typ_srt_agreement =
   QCheck.Test.make ~count:100
@@ -140,28 +111,18 @@ let prop_typ_srt_agreement =
           (mk_sembed u.Ulam.tm [])
           (mk_satom u.Ulam.aeq [ m; bvar 1 ])
       in
-      List.for_all
-        (fun (store, whnf) ->
-          with_modes ~store ~whnf (fun () ->
-              Equal.deep_typ (force_tclo (a, s)) (Hsub.sub_typ s a)
-              && Equal.deep_srt (force_sclo (q, s)) (Hsub.sub_srt s q)))
-        all_modes)
+      Equal.deep_typ (force_tclo (a, s)) (Hsub.sub_typ s a)
+      && Equal.deep_srt (force_sclo (q, s)) (Hsub.sub_srt s q))
 
 let prop_conv_agrees_with_equal =
   QCheck.Test.make ~count:150
-    ~name:"conv on closures ≡ Equal on forced forms (whnf on and off)"
+    ~name:"conv on closures ≡ Equal on forced forms"
     (QCheck.make (QCheck.Gen.pair gen_clo gen_clo))
     (fun (((m1, s1) as c1), ((m2, s2) as c2)) ->
-      let spec =
-        Equal.normal (Hsub.sub_normal s1 m1) (Hsub.sub_normal s2 m2)
-      in
-      List.for_all
-        (fun whnf ->
-          with_modes ~store:true ~whnf (fun () ->
-              Whnf.conv_normal c1 c2 = spec))
-        [ true; false ])
+      Whnf.conv_normal c1 c2
+      = Equal.normal (Hsub.sub_normal s1 m1) (Hsub.sub_normal s2 m2))
 
-(* --- shipped examples under the full ablation matrix --------------------- *)
+(* --- shipped examples across kernel cache states --------------------- *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -169,31 +130,40 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let check_src src =
+(** Check [src] in the installed kernel world; the diagnostic codes in
+    emission order, and the exit code. *)
+let check_codes src =
   let sink = Diagnostics.sink () in
   let _sg = Belr_parser.Driver.check_sources sink [ ("test.bel", src) ] in
-  Diagnostics.exit_code sink
+  ( List.map (fun (d : Diagnostics.t) -> d.Diagnostics.d_code)
+      (Diagnostics.all sink),
+    Diagnostics.exit_code sink )
 
 let example_tests =
-  let all_modes_check name path =
-    test (name ^ " checks identically in all four ablation combos") (fun () ->
+  let cache_states name path code =
+    test (name ^ " checks identically with cold, warm and dropped caches")
+      (fun () ->
         let src = read_file path in
-        (* the default mode's verdict is the spec; every ablation combo
-           must reproduce it exactly (totality.blr deliberately carries
-           a failing declaration, so its baseline is nonzero) *)
-        let baseline = check_src src in
-        List.iter
-          (fun (store, whnf) ->
-            Alcotest.(check int)
-              (mode_label (store, whnf))
-              baseline
-              (with_modes ~store ~whnf (fun () -> check_src src)))
-          all_modes)
+        let s = Session.create () in
+        (* cold: empty store and memo tables; warm: the same session
+           again, answered from the tables the first run filled; dropped:
+           after the serve memory-pressure reset, whose pre-clear nodes
+           outlive the clear unshared *)
+        let codes, exit = Session.with_ s (fun () -> check_codes src) in
+        Alcotest.(check int) "cold exit code" code exit;
+        Alcotest.(check (pair (list string) int))
+          "warm" (codes, exit)
+          (Session.with_ s (fun () -> check_codes src));
+        Session.drop_caches s;
+        Alcotest.(check (pair (list string) int))
+          "after drop_caches" (codes, exit)
+          (Session.with_ s (fun () -> check_codes src)))
   in
   [
-    all_modes_check "examples/quickstart.blr" "../examples/quickstart.blr";
-    all_modes_check "examples/equal.bel" "../examples/equal.bel";
-    all_modes_check "examples/totality.blr" "../examples/totality.blr";
+    (* totality.blr alone lacks the quickstart.blr that supplies [nat] *)
+    cache_states "examples/quickstart.blr" "../examples/quickstart.blr" 0;
+    cache_states "examples/equal.bel" "../examples/equal.bel" 0;
+    cache_states "examples/totality.blr" "../examples/totality.blr" 1;
   ]
 
 (* --- E0905: the evaluation step budget ----------------------------------- *)
@@ -322,7 +292,7 @@ let props =
 let suites =
   [
     ("whnf: lazy/eager agreement", props);
-    ("whnf: shipped examples × ablation matrix", example_tests);
+    ("whnf: shipped examples × cache states", example_tests);
     ("whnf: evaluation fuel (E0905)", fuel_tests);
     ("whnf: session isolation", session_tests);
   ]
