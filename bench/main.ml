@@ -17,7 +17,7 @@
           [BENCH_pr4.json])
     - E8  warm vs cold re-check in the belr serve engine (PR 6)
     - E9  observability overhead: baseline vs fully instrumented warm
-          serve (metrics registry + gauge sampling + structured log),
+          serve (metrics registry + structured log),
           with the production serve.check latency quantiles (PR 7)
     - E10 lazy whnf normalization (PR 9): cold-path sort checking,
           weak-head queries on delayed closures, telescope checking, and
@@ -557,9 +557,9 @@ let e8 () =
 (* E9 — observability overhead on the warm serve path (PR 7)           *)
 
 (** The acceptance gate of DESIGN.md §S24: full production observability
-    (metrics registry on, per-request gauge sampling, structured Info
-    log to /dev/null) must cost < 2% on the warm incremental re-check
-    path that E8 measures.  Two long-lived servers run the same
+    (metrics registry on, structured Info log to /dev/null; the gauges
+    are sampled only when read) must cost < 2% on the warm incremental
+    re-check path that E8 measures.  Two long-lived servers run the same
     one-edit workload; the closures toggle the global instrumentation
     so each measured request runs fully baseline or fully instrumented.
     The instrumented rounds also populate the [serve.check] latency
@@ -652,7 +652,7 @@ let e9 () =
     print_results
       (Fmt.str
          "baseline (registry off, no log) vs instrumented (metrics + \
-          gauges + JSON log to /dev/null); per-request medians over %d \
+          JSON log to /dev/null); per-request medians over %d \
           interleaved rounds:"
          rounds)
       rows

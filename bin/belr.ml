@@ -376,6 +376,8 @@ let run_serve deadline_ms max_live_nodes max_errors max_depth max_eval_steps
   Belr_parser.Serve.run t stdin stdout;
   (match metrics with
   | Some path -> (
+      (* the exposition reads the gauges: sample them first *)
+      Belr_parser.Serve.sample_gauges t;
       try Metrics.write_exposition path
       with Sys_error msg ->
         Fmt.epr "belr serve: cannot write metrics %s: %s@." path msg)

@@ -67,13 +67,19 @@ type entry = {
   en_hash : int;  (** content hash of its source slice *)
   en_decl : Ext.decl;
   mutable en_ok : bool;  (** did its last (re-)check succeed? *)
+  mutable en_stamp : int;
+      (** the sequence number ([ss_checks]) of the session check that
+          last found it invalid — and re-checked it, or left it marked
+          failed when a deadline or the error cap cut the check short *)
 }
 
 type analysis_cache = {
   ac_sig : (string * int * bool) list;
       (** (key, content hash, last-check verdict) per declaration when
           the analysis ran — the cache is valid iff this still matches *)
-  ac_olds : entry list;  (** the entries themselves, for closure counts *)
+  ac_stamp : int;
+      (** [ss_checks] when the analysis ran: the entries stamped later
+          are the ones a miss reports as re-analyzed *)
   ac_result : J.t;
   ac_diags : Diagnostics.t list;
       (** the findings the analysis emitted, replayed on a cache hit so
@@ -91,6 +97,8 @@ type session = {
   mutable ss_parse_ok : bool;
       (** the last parse was error-free (precondition for reusing its
           declarations across the unchanged text prefix) *)
+  mutable ss_checks : int;
+      (** session checks run so far: the stamp source of [en_stamp] *)
   mutable ss_lint_cache : analysis_cache option;
   mutable ss_total_cache : analysis_cache option;
   mutable ss_modes_cache : analysis_cache option;
@@ -225,30 +233,60 @@ let create ?deadline_ms ?(max_depth = Limits.default_max_depth)
 let uptime_ns (t : t) : int =
   Int64.to_int (Int64.sub (Limits.now_ns ()) t.sv_started_ns)
 
-(** Sample the point-in-time gauges: GC, the session's store, the
-    {!Limits} peak watermarks (exported per subsystem), and the server's
-    own degradation counters.  Called at the end of every request — reads
-    of always-on state, no instrumentation required. *)
-let sample_gauges (t : t) (ses : session) : unit =
+(** Run [f] inside the world of every live session. *)
+let each_session (t : t) (f : unit -> unit) : unit =
+  Hashtbl.iter (fun _ ses -> Session.with_ ses.ss_core f) t.sv_sessions
+
+(** Live interned store nodes, summed over the live sessions. *)
+let live_nodes (t : t) : int =
+  let n = ref 0 in
+  each_session t (fun () -> n := !n + Session.store_live ());
+  !n
+
+(** Sample the point-in-time gauges: GC; the store and whnf counts
+    summed over the live sessions; the {!Limits} peak watermarks
+    (exported per subsystem), the maximum over the live sessions; and
+    the server's own degradation counters.  Called only where the gauges
+    are read — the [metrics] method, and [belr serve --metrics] before it
+    writes the exposition — because the store census is O(store): it
+    counts every arena of every session. *)
+let sample_gauges (t : t) : unit =
   let gc = Gc.quick_stat () in
   Metrics.set_int g_gc_heap gc.Gc.heap_words;
   Metrics.set_int g_gc_top_heap gc.Gc.top_heap_words;
   Metrics.set_int g_gc_minor gc.Gc.minor_collections;
   Metrics.set_int g_gc_major gc.Gc.major_collections;
-  Session.with_ ses.ss_core (fun () ->
-      let st = Belr_syntax.Lf.store_stats () in
-      Metrics.set_int g_store_live st.Belr_syntax.Lf.st_live;
-      Metrics.set_int g_store_interned st.Belr_syntax.Lf.st_interned;
-      Metrics.set g_store_dedup (Belr_syntax.Lf.dedup_ratio ());
-      let ws = Belr_lf.Whnf.stats () in
-      Metrics.set_int g_whnf_hits ws.Belr_lf.Whnf.ws_hits;
-      Metrics.set_int g_whnf_misses ws.Belr_lf.Whnf.ws_misses;
-      Metrics.set_int g_whnf_forced ws.Belr_lf.Whnf.ws_forced;
-      Metrics.set_int g_whnf_eager ws.Belr_lf.Whnf.ws_eager;
-      List.iter
-        (fun (name, peak) ->
-          Metrics.set_int (Metrics.gauge ("limits.peak." ^ name)) peak)
-        (Limits.peaks ()));
+  let live = ref 0 and interned = ref 0 and dedup_hits = ref 0 in
+  let hits = ref 0 and misses = ref 0 and forced = ref 0 and eager = ref 0 in
+  let peaks = ref (List.map (fun (name, _) -> (name, 0)) (Limits.peaks ())) in
+  each_session t (fun () ->
+      let st = Lf.store_stats () and ws = Whnf.stats () in
+      live := !live + st.Lf.st_live;
+      interned := !interned + st.Lf.st_interned;
+      dedup_hits := !dedup_hits + st.Lf.st_dedup_hits;
+      hits := !hits + ws.Whnf.ws_hits;
+      misses := !misses + ws.Whnf.ws_misses;
+      forced := !forced + ws.Whnf.ws_forced;
+      eager := !eager + ws.Whnf.ws_eager;
+      let ses_peaks = Limits.peaks () in
+      peaks :=
+        List.map
+          (fun (name, p) -> (name, max p (List.assoc name ses_peaks)))
+          !peaks);
+  Metrics.set_int g_store_live !live;
+  Metrics.set_int g_store_interned !interned;
+  (* [Lf.dedup_ratio] over the summed counts *)
+  Metrics.set g_store_dedup
+    (if !interned = 0 then 0.0
+     else float_of_int (!interned + !dedup_hits) /. float_of_int !interned);
+  Metrics.set_int g_whnf_hits !hits;
+  Metrics.set_int g_whnf_misses !misses;
+  Metrics.set_int g_whnf_forced !forced;
+  Metrics.set_int g_whnf_eager !eager;
+  List.iter
+    (fun (name, peak) ->
+      Metrics.set_int (Metrics.gauge ("limits.peak." ^ name)) peak)
+    !peaks;
   Metrics.set_int g_sessions (Hashtbl.length t.sv_sessions);
   Metrics.set_int g_pressure_resets t.sv_pressure_resets;
   Metrics.set_int g_deadline_overruns t.sv_deadline_overruns;
@@ -267,6 +305,7 @@ let find_session (t : t) (name : string) : session =
           ss_entries = [];
           ss_text = "";
           ss_parse_ok = false;
+          ss_checks = 0;
           ss_lint_cache = None;
           ss_total_cache = None;
           ss_modes_cache = None;
@@ -344,6 +383,7 @@ let entry_list ?(olds = []) (src : string) (decls : Ext.decl list) :
         en_hash = content_hash slice;
         en_decl = d;
         en_ok = true;
+        en_stamp = 0;
       })
     (decl_slices src decls)
 
@@ -540,10 +580,12 @@ let cache_sig (entries : entry list) : (string * int * bool) list =
     and the cached result returned without re-running the analysis, so a
     warm reply is indistinguishable from a cold one.  On a miss the
     analysis re-runs over the whole signature (the passes are signature
-    folds, not per-declaration ones); the reported [rechecked] is the
-    invalidation closure of the edits — the declarations whose findings
-    could actually have changed — and [reused] the rest, mirroring the
-    [check] method's accounting. *)
+    folds, not per-declaration ones); the reported [rechecked] counts the
+    declarations some session check has processed since the cached run
+    (stamped later than it) — the union of those checks' invalidation
+    closures, so the declarations whose findings could actually have
+    changed — and [reused] the rest, mirroring the [check] method's
+    accounting.  With no cached run every declaration counts. *)
 let with_analysis_cache (ses : session) (sink : Diagnostics.sink)
     ~(get : session -> analysis_cache option)
     ~(set : session -> analysis_cache option -> unit)
@@ -556,19 +598,19 @@ let with_analysis_cache (ses : session) (sink : Diagnostics.sink)
           List.iter (Diagnostics.emit sink) c.ac_diags);
       (c.ac_result, 0, List.length news)
   | cached ->
-      let olds = match cached with Some c -> c.ac_olds | None -> [] in
-      let invalid =
-        Session.with_ ses.ss_core (fun () ->
-            invalid_keys (Session.sign ses.ss_core) olds news)
+      let since = Option.fold ~none:0 ~some:(fun c -> c.ac_stamp) cached in
+      let rechecked =
+        List.fold_left
+          (fun n e -> if e.en_stamp > since then n + 1 else n)
+          0 news
       in
-      let rechecked = SS.cardinal invalid in
       let reused = List.length news - rechecked in
       let result = analyze () in
       set ses
         (Some
            {
              ac_sig = now;
-             ac_olds = news;
+             ac_stamp = ses.ss_checks;
              ac_result = result;
              ac_diags = Diagnostics.all sink;
            });
@@ -600,6 +642,8 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
   in
   ses.ss_text <- src;
   ses.ss_parse_ok <- Diagnostics.error_count sink = errs0;
+  ses.ss_checks <- ses.ss_checks + 1;
+  let stamp = ses.ss_checks in
   let olds = ses.ss_entries in
   let news = entry_list ~olds src decls in
   let invalid = invalid_keys sg olds news in
@@ -612,21 +656,29 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
       if (not (SS.mem o.en_key new_keys)) || SS.mem o.en_key invalid then
         Sign.retract_names sg o.en_names)
     olds;
-  let old_ok = Hashtbl.create 32 in
-  List.iter (fun o -> Hashtbl.replace old_ok o.en_key o.en_ok) olds;
+  let old_by_key = Hashtbl.create 32 in
+  List.iter (fun o -> Hashtbl.replace old_by_key o.en_key o) olds;
   let rechecked = ref 0 and reused = ref 0 in
   let deadline_hit = ref false in
   (* the sink's error cap can abort the loop below mid-way (Stop from
      [Diagnostics.emit]) — but the old entries are already retracted and
      [ss_text] updated, so [news] must be committed regardless.
-     Pre-mark every to-re-check entry failed (the loop overwrites the
-     mark when it actually processes one) and commit in a [finally]:
-     entries the abort skipped then re-check on the next request instead
-     of being reused as stale successes over an older text.  Reused
-     (non-invalid) entries keep their default [en_ok = true], which is
-     exact: an old entry with [en_ok = false] is always a seed. *)
+     Pre-mark every to-re-check entry failed and stamped with this check
+     (the loop overwrites the verdict when it actually processes one) and
+     commit in a [finally]: entries the abort skipped then re-check on
+     the next request instead of being reused as stale successes over an
+     older text.  A reused (non-invalid) entry always has an old entry
+     under its key, whose verdict and stamp it carries over. *)
   List.iter
-    (fun e -> if SS.mem e.en_key invalid then e.en_ok <- false)
+    (fun e ->
+      if SS.mem e.en_key invalid then begin
+        e.en_ok <- false;
+        e.en_stamp <- stamp
+      end
+      else
+        let o = Hashtbl.find old_by_key e.en_key in
+        e.en_ok <- o.en_ok;
+        e.en_stamp <- o.en_stamp)
     news;
   Fun.protect
     ~finally:(fun () -> ses.ss_entries <- news)
@@ -647,13 +699,7 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
               e.en_ok <-
                 not (List.exists (Sign.is_poisoned sg) e.en_names)
             end
-          else begin
-            incr reused;
-            e.en_ok <-
-              (match Hashtbl.find_opt old_ok e.en_key with
-              | Some ok -> ok
-              | None -> true)
-          end)
+          else incr reused)
         news);
   let result =
     J.Obj
@@ -780,7 +826,6 @@ let span_tree_json (mark : int) : J.t =
 let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
   t.sv_requests <- t.sv_requests + 1;
   Metrics.inc m_requests;
-  let ses = find_session t rq.rq_session in
   Limits.set_max_depth
     (Option.value rq.rq_max_depth ~default:t.sv_max_depth);
   (* clear first, unconditionally: protocol-error paths below return
@@ -807,8 +852,9 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
     (* memory watermark: an oversized session store is cleared in place —
        sharing (not soundness) is lost, and the reply says so *)
     let pressure =
-      match t.sv_watermark with
-      | Some w when Session.with_ ses.ss_core Session.store_live > w ->
+      match (t.sv_watermark, Hashtbl.find_opt t.sv_sessions rq.rq_session) with
+      | Some w, Some ses
+        when Session.with_ ses.ss_core Session.store_live > w ->
           Session.drop_caches ses.ss_core;
           t.sv_pressure_resets <- t.sv_pressure_resets + 1;
           Diagnostics.emit sink
@@ -832,7 +878,6 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
     (match List.assoc_opt rq.rq_method m_method_hist with
     | Some h -> Metrics.observe h (Int64.to_int elapsed_ns)
     | None -> ());
-    sample_gauges t ses;
     let exit_code = Diagnostics.exit_code sink in
     let log_counts =
       List.filter_map
@@ -899,190 +944,13 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
   in
   try
     Fault.hit "serve-dispatch";
+    (* [metrics] and [health] are server-wide: they read every live
+       session and create none *)
     match rq.rq_method with
-  | "check" -> (
-      let src =
-        match (rq.rq_source, rq.rq_file) with
-        | Some s, _ -> Ok (s, "<serve>")
-        | None, Some f -> (
-            match Driver.read_file sink f with
-            | Some s -> Ok (s, f)
-            | None -> Result.Error (`Io f))
-        | None, None -> Result.Error `Missing
-      in
-      match src with
-      | Result.Error `Missing ->
-          reject "method \"check\" needs a \"source\" or \"file\" string"
-      | Result.Error (`Io _) ->
-          (* E0701 is already in the sink; nothing was touched *)
-          finish ()
-      | Ok (src, name) ->
-          let result = ref J.Null in
-          let rechecked = ref 0 and reused = ref 0 in
-          let degraded = ref false in
-          Session.with_ ses.ss_core (fun () ->
-              Diagnostics.with_stop sink (fun () ->
-                  let r, rc, ru, dl = check_in_session sink ses ~name src in
-                  result := r;
-                  rechecked := rc;
-                  reused := ru;
-                  degraded := dl));
-          (if !degraded && not (has_code (Diagnostics.all sink) "E0903") then
-             let ms =
-               Option.value rq.rq_deadline_ms
-                 ~default:(Option.value t.sv_deadline_ms ~default:0)
-             in
-             Diagnostics.emit sink
-               (Diagnostics.make ~code:"E0903" Diagnostics.Error
-                  "resource limit exceeded: the request deadline of %d ms \
-                   passed; %d declaration(s) left unchecked"
-                  ms
-                  (List.length
-                     (List.filter (fun e -> not e.en_ok) ses.ss_entries))));
-          Metrics.add m_decls_rechecked !rechecked;
-          Metrics.add m_decls_reused !reused;
-          finish ~result:!result ~degraded:!degraded
-            ~extra_telemetry:
-              [
-                ("rechecked", J.Int !rechecked); ("reused", J.Int !reused);
-              ]
-            ())
-  | "lint" ->
-      let result, rechecked, reused =
-        with_analysis_cache ses sink
-          ~get:(fun s -> s.ss_lint_cache)
-          ~set:(fun s c -> s.ss_lint_cache <- c)
-          (fun () ->
-            let lr = Driver.lint_in ses.ss_core sink in
-            J.Obj
-              [
-                ( "passes",
-                  J.Obj
-                    (List.map
-                       (fun (n, c) -> (n, J.Int c))
-                       lr.Belr_analysis.Lint.lr_passes) );
-              ])
-      in
-      finish ~result
-        ~extra_telemetry:
-          [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-        ()
-  | "total" ->
-      let result, rechecked, reused =
-        with_analysis_cache ses sink
-          ~get:(fun s -> s.ss_total_cache)
-          ~set:(fun s c -> s.ss_total_cache <- c)
-          (fun () ->
-            let tr = Driver.total_in ses.ss_core sink in
-            let fns = tr.Belr_comp.Totality.tr_fns in
-            let n_term =
-              List.length
-                (List.filter
-                   (fun f ->
-                     f.Belr_comp.Totality.fv_term
-                     = Belr_comp.Totality.TTotal)
-                   fns)
-            in
-            let n_cov =
-              List.length (List.filter Belr_comp.Totality.covered fns)
-            in
-            J.Obj
-              [
-                ("functions", J.Int (List.length fns));
-                ("terminating", J.Int n_term);
-                ("covered", J.Int n_cov);
-              ])
-      in
-      finish ~result
-        ~extra_telemetry:
-          [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-        ()
-  | "modes" ->
-      let result, rechecked, reused =
-        with_analysis_cache ses sink
-          ~get:(fun s -> s.ss_modes_cache)
-          ~set:(fun s c -> s.ss_modes_cache <- c)
-          (fun () ->
-            let mr = Driver.modes_in ses.ss_core sink in
-            let fams = mr.Belr_analysis.Modes.mr_fams in
-            let n_clean =
-              List.length (List.filter Belr_analysis.Modes.clean fams)
-            in
-            J.Obj
-              [
-                ("modes", J.Int mr.Belr_analysis.Modes.mr_modes);
-                ("families", J.Int (List.length fams));
-                ("clean", J.Int n_clean);
-                ("missing", J.Int mr.Belr_analysis.Modes.mr_missing);
-              ])
-      in
-      finish ~result
-        ~extra_telemetry:
-          [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-        ()
-  | "stats" ->
-      (* back-compat alias: the historical shape, with the aggregate
-         fields now read off the metrics registry *)
-      let result =
-        Session.with_ ses.ss_core (fun () ->
-            J.Obj
-              [
-                ("summary", sign_summary_json (Session.sign ses.ss_core));
-                ("decls", J.Int (List.length ses.ss_entries));
-                ("kernel", kernel_stats_json ());
-                ("requests", J.Int t.sv_requests);
-                ("sessions", J.Int (Hashtbl.length t.sv_sessions));
-                ("pressure_resets", J.Int t.sv_pressure_resets);
-                ("deadline_overruns", J.Int t.sv_deadline_overruns);
-                ( "decls_rechecked",
-                  J.Int (Metrics.counter_value m_decls_rechecked) );
-                ( "decls_reused",
-                  J.Int (Metrics.counter_value m_decls_reused) );
-                ( "telemetry_events_dropped",
-                  J.Int (Telemetry.events_dropped ()) );
-              ])
-      in
-      finish ~result ()
-  | "reset" ->
-      (* capture the session's watermarks {e before} discarding its
-         world: a reset is exactly when an operator wants to know how
-         hot the session ran, and the values are unrecoverable after *)
-      let peaks, live =
-        Session.with_ ses.ss_core (fun () ->
-            ( Limits.peaks (),
-              (Belr_syntax.Lf.store_stats ()).Belr_syntax.Lf.st_live ))
-      in
-      Session.reset ses.ss_core;
-      ses.ss_entries <- [];
-      ses.ss_text <- "";
-      ses.ss_parse_ok <- false;
-      ses.ss_lint_cache <- None;
-      ses.ss_total_cache <- None;
-      ses.ss_modes_cache <- None;
-      finish
-        ~result:
-          (J.Obj
-             [
-               ("reset", J.Bool true);
-               ( "peaks_before_reset",
-                 J.Obj
-                   (List.filter_map
-                      (fun (name, peak) ->
-                        if peak > 0 then Some (name, J.Int peak) else None)
-                      peaks) );
-               ("store_live_before_reset", J.Int live);
-             ])
-        ()
   | "metrics" ->
-      (* the gauges in the report are the ones [finish] is about to
-         re-sample; sample first so the reply carries current values *)
-      sample_gauges t ses;
+      sample_gauges t;
       finish ~result:(Metrics.to_json ()) ()
   | "health" ->
-      let live =
-        Session.with_ ses.ss_core (fun () ->
-            (Belr_syntax.Lf.store_stats ()).Belr_syntax.Lf.st_live)
-      in
       finish
         ~result:
           (J.Obj
@@ -1091,7 +959,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                ("uptime_ns", J.Int (uptime_ns t));
                ("requests", J.Int t.sv_requests);
                ("sessions", J.Int (Hashtbl.length t.sv_sessions));
-               ("live_nodes", J.Int live);
+               ("live_nodes", J.Int (live_nodes t));
                ("pressure_resets", J.Int t.sv_pressure_resets);
                ("deadline_overruns", J.Int t.sv_deadline_overruns);
                ("limit_trips", J.Int (Limits.trip_count ()));
@@ -1100,12 +968,192 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                ("log_lines_dropped", J.Int (Log.dropped ()));
              ])
         ()
-  | m ->
-      reject
-        (Printf.sprintf
-           "unknown method %S (expected check, lint, total, modes, stats, \
-            reset, metrics, or health)"
-           m)
+  | meth -> (
+      (* every other method works on the named session, created on
+         first use *)
+      let ses = find_session t rq.rq_session in
+      match meth with
+      | "check" -> (
+          let src =
+            match (rq.rq_source, rq.rq_file) with
+            | Some s, _ -> Ok (s, "<serve>")
+            | None, Some f -> (
+                match Driver.read_file sink f with
+                | Some s -> Ok (s, f)
+                | None -> Result.Error (`Io f))
+            | None, None -> Result.Error `Missing
+          in
+          match src with
+          | Result.Error `Missing ->
+              reject "method \"check\" needs a \"source\" or \"file\" string"
+          | Result.Error (`Io _) ->
+              (* E0701 is already in the sink; nothing was touched *)
+              finish ()
+          | Ok (src, name) ->
+              let result = ref J.Null in
+              let rechecked = ref 0 and reused = ref 0 in
+              let degraded = ref false in
+              Session.with_ ses.ss_core (fun () ->
+                  Diagnostics.with_stop sink (fun () ->
+                      let r, rc, ru, dl = check_in_session sink ses ~name src in
+                      result := r;
+                      rechecked := rc;
+                      reused := ru;
+                      degraded := dl));
+              (if
+                 !degraded && not (has_code (Diagnostics.all sink) "E0903")
+               then
+                 let ms =
+                   Option.value rq.rq_deadline_ms
+                     ~default:(Option.value t.sv_deadline_ms ~default:0)
+                 in
+                 Diagnostics.emit sink
+                   (Diagnostics.make ~code:"E0903" Diagnostics.Error
+                      "resource limit exceeded: the request deadline of %d ms \
+                       passed; %d declaration(s) left unchecked"
+                      ms
+                      (List.length
+                         (List.filter (fun e -> not e.en_ok) ses.ss_entries))));
+              Metrics.add m_decls_rechecked !rechecked;
+              Metrics.add m_decls_reused !reused;
+              finish ~result:!result ~degraded:!degraded
+                ~extra_telemetry:
+                  [
+                    ("rechecked", J.Int !rechecked); ("reused", J.Int !reused);
+                  ]
+                ())
+      | "lint" ->
+          let result, rechecked, reused =
+            with_analysis_cache ses sink
+              ~get:(fun s -> s.ss_lint_cache)
+              ~set:(fun s c -> s.ss_lint_cache <- c)
+              (fun () ->
+                let lr = Driver.lint_in ses.ss_core sink in
+                J.Obj
+                  [
+                    ( "passes",
+                      J.Obj
+                        (List.map
+                           (fun (n, c) -> (n, J.Int c))
+                           lr.Belr_analysis.Lint.lr_passes) );
+                  ])
+          in
+          finish ~result
+            ~extra_telemetry:
+              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
+            ()
+      | "total" ->
+          let result, rechecked, reused =
+            with_analysis_cache ses sink
+              ~get:(fun s -> s.ss_total_cache)
+              ~set:(fun s c -> s.ss_total_cache <- c)
+              (fun () ->
+                let tr = Driver.total_in ses.ss_core sink in
+                let fns = tr.Belr_comp.Totality.tr_fns in
+                let n_term =
+                  List.length
+                    (List.filter
+                       (fun f ->
+                         f.Belr_comp.Totality.fv_term
+                         = Belr_comp.Totality.TTotal)
+                       fns)
+                in
+                let n_cov =
+                  List.length (List.filter Belr_comp.Totality.covered fns)
+                in
+                J.Obj
+                  [
+                    ("functions", J.Int (List.length fns));
+                    ("terminating", J.Int n_term);
+                    ("covered", J.Int n_cov);
+                  ])
+          in
+          finish ~result
+            ~extra_telemetry:
+              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
+            ()
+      | "modes" ->
+          let result, rechecked, reused =
+            with_analysis_cache ses sink
+              ~get:(fun s -> s.ss_modes_cache)
+              ~set:(fun s c -> s.ss_modes_cache <- c)
+              (fun () ->
+                let mr = Driver.modes_in ses.ss_core sink in
+                let fams = mr.Belr_analysis.Modes.mr_fams in
+                let n_clean =
+                  List.length (List.filter Belr_analysis.Modes.clean fams)
+                in
+                J.Obj
+                  [
+                    ("modes", J.Int mr.Belr_analysis.Modes.mr_modes);
+                    ("families", J.Int (List.length fams));
+                    ("clean", J.Int n_clean);
+                    ("missing", J.Int mr.Belr_analysis.Modes.mr_missing);
+                  ])
+          in
+          finish ~result
+            ~extra_telemetry:
+              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
+            ()
+      | "stats" ->
+          (* back-compat alias: the historical shape, with the aggregate
+             fields now read off the metrics registry *)
+          let result =
+            Session.with_ ses.ss_core (fun () ->
+                J.Obj
+                  [
+                    ("summary", sign_summary_json (Session.sign ses.ss_core));
+                    ("decls", J.Int (List.length ses.ss_entries));
+                    ("kernel", kernel_stats_json ());
+                    ("requests", J.Int t.sv_requests);
+                    ("sessions", J.Int (Hashtbl.length t.sv_sessions));
+                    ("pressure_resets", J.Int t.sv_pressure_resets);
+                    ("deadline_overruns", J.Int t.sv_deadline_overruns);
+                    ( "decls_rechecked",
+                      J.Int (Metrics.counter_value m_decls_rechecked) );
+                    ( "decls_reused",
+                      J.Int (Metrics.counter_value m_decls_reused) );
+                    ( "telemetry_events_dropped",
+                      J.Int (Telemetry.events_dropped ()) );
+                  ])
+          in
+          finish ~result ()
+      | "reset" ->
+          (* capture the session's watermarks {e before} discarding its
+             world: a reset is exactly when an operator wants to know how
+             hot the session ran, and the values are unrecoverable after *)
+          let peaks, live =
+            Session.with_ ses.ss_core (fun () ->
+                ( Limits.peaks (),
+                  (Belr_syntax.Lf.store_stats ()).Belr_syntax.Lf.st_live ))
+          in
+          Session.reset ses.ss_core;
+          ses.ss_entries <- [];
+          ses.ss_text <- "";
+          ses.ss_parse_ok <- false;
+          ses.ss_lint_cache <- None;
+          ses.ss_total_cache <- None;
+          ses.ss_modes_cache <- None;
+          finish
+            ~result:
+              (J.Obj
+                 [
+                   ("reset", J.Bool true);
+                   ( "peaks_before_reset",
+                     J.Obj
+                       (List.filter_map
+                          (fun (name, peak) ->
+                            if peak > 0 then Some (name, J.Int peak) else None)
+                          peaks) );
+                   ("store_live_before_reset", J.Int live);
+                 ])
+            ()
+      | m ->
+          reject
+            (Printf.sprintf
+               "unknown method %S (expected check, lint, total, modes, stats, \
+                reset, metrics, or health)"
+               m))
   with exn -> crash_restore exn
 
 (** Handle one input line, total: whatever happens, the caller gets a

@@ -479,9 +479,214 @@ let observability_tests =
         | _ -> Alcotest.fail "stats lacks telemetry_events_dropped");
   ]
 
+(* --- server-wide methods never create a session ------------------------- *)
+
+let result_of r =
+  match J.member "result" r with
+  | Some res -> res
+  | None -> Alcotest.fail "reply lacks result"
+
+let gauge name = Metrics.gauge_value (Metrics.gauge name)
+
+(** Run [f] inside the world of [t]'s session [name]. *)
+let in_session t name f =
+  Belr_lf.Session.with_ (Hashtbl.find t.Serve.sv_sessions name).Serve.ss_core f
+
+let health_gauge_tests =
+  [
+    test "health and metrics count live sessions only and aggregate \
+          their store" (fun () ->
+        let t = Serve.create () in
+        (* a fresh server: no session, nothing live, and probing creates
+           nothing *)
+        let h0 = result_of (round t (request ~meth:"health" 1)) in
+        Alcotest.(check int) "fresh: no sessions" 0 (int_field "sessions" h0);
+        Alcotest.(check int) "fresh: nothing live" 0
+          (int_field "live_nodes" h0);
+        ignore (round t (request ~meth:"metrics" 2));
+        Alcotest.(check (float 0.)) "fresh: serve.sessions gauge" 0.
+          (gauge "serve.sessions");
+        Alcotest.(check int) "fresh: still no sessions" 0
+          (Hashtbl.length t.Serve.sv_sessions);
+        (* one checked session *)
+        ignore (round t (request ~session:"a" ~source:(src3 nat) 3));
+        let live_a = in_session t "a" Belr_lf.Session.store_live in
+        Alcotest.(check bool) "the check interned nodes" true (live_a > 0);
+        let h1 = result_of (round t (request ~meth:"health" 4)) in
+        Alcotest.(check int) "one session" 1 (int_field "sessions" h1);
+        Alcotest.(check int) "its live nodes" live_a
+          (int_field "live_nodes" h1);
+        (* probes naming an unknown session neither create it nor change
+           the aggregate *)
+        let h2 =
+          result_of (round t (request ~session:"nobody" ~meth:"health" 5))
+        in
+        ignore (round t (request ~session:"nobody" ~meth:"metrics" 6));
+        Alcotest.(check int) "still one session" 1 (int_field "sessions" h2);
+        Alcotest.(check bool) "the probed name was not created" false
+          (Hashtbl.mem t.Serve.sv_sessions "nobody");
+        Alcotest.(check (float 0.)) "serve.sessions gauge" 1.
+          (gauge "serve.sessions");
+        Alcotest.(check (float 0.)) "store.live gauge" (float_of_int live_a)
+          (gauge "store.live");
+        (* a second session: store counts sum, limit peaks take the max *)
+        ignore (round t (request ~session:"b" ~source:nat 7));
+        let live_b = in_session t "b" Belr_lf.Session.store_live in
+        let h3 = result_of (round t (request ~meth:"health" 8)) in
+        Alcotest.(check int) "two sessions" 2 (int_field "sessions" h3);
+        Alcotest.(check int) "summed live nodes" (live_a + live_b)
+          (int_field "live_nodes" h3);
+        ignore (round t (request ~meth:"metrics" 9));
+        Alcotest.(check (float 0.)) "summed store.live gauge"
+          (float_of_int (live_a + live_b))
+          (gauge "store.live");
+        List.iter2
+          (fun (name, pa) (_, pb) ->
+            Alcotest.(check (float 0.))
+              ("limits.peak." ^ name)
+              (float_of_int (max pa pb))
+              (gauge ("limits.peak." ^ name)))
+          (in_session t "a" Limits.peaks)
+          (in_session t "b" Limits.peaks));
+  ]
+
+(* --- query accounting from check stamps ---------------------------------- *)
+
+(** Check [src] on session ["s"] and return the invalidation closure the
+    check processes: [invalid_keys] of the session's entries and [src]'s,
+    over the signature as it stands before the check. *)
+let check_closure t id src =
+  let ses = Serve.find_session t "s" in
+  let closure =
+    Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
+        let decls =
+          Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>"
+            src
+        in
+        Serve.invalid_keys
+          (Belr_lf.Session.sign ses.Serve.ss_core)
+          ses.Serve.ss_entries (Serve.entry_list src decls))
+  in
+  ignore (round t (request ~source:src id));
+  closure
+
+let exp' =
+  "LF exp : type =\n| lam : (exp -> exp) -> exp\n| app : exp -> exp -> exp\n\
+   | var : exp;"
+
+let broken_vec = "LF vec : type =\n| cons : natt -> vec -> vec;"
+let bool_decl = "LF bool : type =\n| tt : bool\n| ff : bool;"
+let lines ds = String.concat "\n\n" ds
+
+let stamp_tests =
+  [
+    test "after one edit, a query counts the edit's invalidation closure"
+      (fun () ->
+        let t = Serve.create () in
+        ignore (round t (request ~source:(lines [ nat; exp; dep ]) 1));
+        ignore (round t (request ~meth:"lint" 2));
+        (* edit, insert, delete (breaking a dependent), re-insert, a
+           failing edit, and its fix: one check between two queries *)
+        let steps =
+          [
+            ("edit", lines [ nat'; exp; dep ]);
+            ("insert", lines [ nat'; bool_decl; exp; dep ]);
+            ("delete", lines [ bool_decl; exp; dep ]);
+            ("re-insert", lines [ nat; bool_decl; exp; dep ]);
+            ("failing edit", lines [ nat; bool_decl; exp; broken_vec ]);
+            ("fix", lines [ nat; bool_decl; exp; dep ]);
+          ]
+        in
+        let sizes =
+          List.mapi
+            (fun i (what, src) ->
+              let closure = check_closure t (10 + (2 * i)) src in
+              let q = round t (request ~meth:"lint" (11 + (2 * i))) in
+              let n = Serve.SS.cardinal closure in
+              let decls =
+                List.length (Serve.find_session t "s").Serve.ss_entries
+              in
+              Alcotest.(check int) (what ^ ": rechecked") n
+                (tele_field "rechecked" q);
+              Alcotest.(check int) (what ^ ": reused") (decls - n)
+                (tele_field "reused" q);
+              n)
+            steps
+        in
+        (* edit: nat + vec; insert: bool; delete: vec (now failing);
+           re-insert: nat + vec; failing edit: vec; fix: vec *)
+        Alcotest.(check (list int)) "closure sizes" [ 2; 1; 1; 2; 1; 1 ] sizes);
+    test "after two edits, a query counts the union of both closures"
+      (fun () ->
+        let t = Serve.create () in
+        ignore (round t (request ~source:(lines [ nat; exp; dep ]) 1));
+        ignore (round t (request ~meth:"lint" 2));
+        (* the second check reuses nat and vec, and must carry their
+           stamps from the first over *)
+        let c1 = check_closure t 3 (lines [ nat'; exp; dep ]) in
+        let c2 = check_closure t 4 (lines [ nat'; exp'; dep ]) in
+        let q = round t (request ~meth:"lint" 5) in
+        Alcotest.(check int) "union of the closures"
+          (Serve.SS.cardinal (Serve.SS.union c1 c2))
+          (tele_field "rechecked" q);
+        Alcotest.(check int) "nat, vec and exp" 3 (tele_field "rechecked" q);
+        (* the deliberate difference from a net diff against the cached
+           entries: when a later check reverts an earlier edit, the
+           stamps still count what both checks processed *)
+        let cached = (Serve.find_session t "s").Serve.ss_entries in
+        let c3 = check_closure t 6 (lines [ nat; exp'; dep ]) in
+        let c4 = check_closure t 7 (lines [ nat'; exp; dep ]) in
+        let q = round t (request ~meth:"lint" 8) in
+        Alcotest.(check int) "union again"
+          (Serve.SS.cardinal (Serve.SS.union c3 c4))
+          (tele_field "rechecked" q);
+        let ses = Serve.find_session t "s" in
+        let net =
+          Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
+              Serve.invalid_keys
+                (Belr_lf.Session.sign ses.Serve.ss_core)
+                cached ses.Serve.ss_entries)
+        in
+        (* nat is back to its cached text, so only exp differs *)
+        Alcotest.(check (list string)) "the net diff is exp alone"
+          [ "exp#0" ] (Serve.SS.elements net);
+        Alcotest.(check int) "the stamps count nat, vec and exp" 3
+          (tele_field "rechecked" q));
+    test "a declaration failing in every check is counted on every miss"
+      (fun () ->
+        let t = Serve.create () in
+        ignore (round t (request ~source:(lines [ nat; broken_vec; exp ]) 1));
+        let q0 = round t (request ~meth:"modes" 2) in
+        Alcotest.(check int) "cold: all" 3 (tele_field "rechecked" q0);
+        List.iteri
+          (fun i e ->
+            let src = lines [ nat; broken_vec; e ] in
+            ignore (round t (request ~source:src (3 + (2 * i))));
+            let q = round t (request ~meth:"modes" (4 + (2 * i))) in
+            (* the edited exp, and vec retried because it failed *)
+            Alcotest.(check int) "exp and the failing vec" 2
+              (tele_field "rechecked" q);
+            Alcotest.(check int) "nat reused" 1 (tele_field "reused" q))
+          [ exp'; exp; exp' ]);
+    test "reset makes the next miss count every declaration" (fun () ->
+        let t = Serve.create () in
+        let src = lines [ nat; exp; dep ] in
+        ignore (round t (request ~source:src 1));
+        ignore (round t (request ~meth:"total" 2));
+        let warm = round t (request ~meth:"total" 3) in
+        Alcotest.(check int) "warm: none" 0 (tele_field "rechecked" warm);
+        ignore (round t (request ~meth:"reset" 4));
+        ignore (round t (request ~source:src 5));
+        let q = round t (request ~meth:"total" 6) in
+        Alcotest.(check int) "after reset: all" 3 (tele_field "rechecked" q);
+        Alcotest.(check int) "none reused" 0 (tele_field "reused" q));
+  ]
+
 let suites =
   [
     ("serve incremental", incremental_tests);
     ("serve robustness", robustness_tests);
     ("serve observability", observability_tests);
+    ("serve health gauges", health_gauge_tests);
+    ("serve stamp accounting", stamp_tests);
   ]

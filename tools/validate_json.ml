@@ -31,13 +31,15 @@
     streams must satisfy the [@metrics] observability contract: unique
     [request_id]s on every reply, an [error] reply from the injected
     fault, a [belr-metrics/1] reply with a populated [serve.check]
-    latency histogram, and an [up] health reply.
+    latency histogram, and an [up] health reply that counts no more
+    sessions than the [check] replies name and sees live store nodes.
 
     A [belr-metrics/1] document must carry its [counters]/[gauges]/
     [histograms] arrays (histogram entries: name, count, quantiles,
     buckets), and a [.prom] argument is checked as a Prometheus text
     exposition (every sample [belr_]-prefixed and numeric, the serve
-    request counter present, at least one [_bucket{le=...}] series).
+    request counter present, at least one [_bucket{le=...}] series;
+    after [--serve-metrics], a positive [belr_store_live] gauge).
     Exit 0 iff every file passes; the [@smoke], [@lint], [@total],
     [@worlds], [@modes], [@serve], [@metrics], and [@bench-json] dune
     aliases fail the build otherwise. *)
@@ -420,11 +422,39 @@ let check_log_line (j : J.t) : string option =
       | _ -> Some "log line \"level\" is not debug, info, warn, or error")
   | _ -> Some "log line lacks an integer \"ts_ns\""
 
+(** The golden script creates sessions only by checking, so the [up]
+    health reply [res] may count no more sessions than the [check]
+    replies (those whose result carries [failed]) name, and after those
+    real checks it must see live store nodes. *)
+let check_health_gauges (replies : J.t list) (res : J.t) : string option =
+  let checked =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r ->
+           match (J.member "session" r, J.member "result" r) with
+           | Some (J.String s), Some result
+             when J.member "failed" result <> None ->
+               Some s
+           | _ -> None)
+         replies)
+  in
+  match (J.member "sessions" res, J.member "live_nodes" res) with
+  | Some (J.Int n), _ when n > List.length checked ->
+      Some
+        (Printf.sprintf
+           "health counts %d session(s), but checks named only %d" n
+           (List.length checked))
+  | Some (J.Int _), Some (J.Int live) ->
+      if live > 0 then None
+      else Some "health reports 0 live_nodes after real checks"
+  | _ -> Some "health reply lacks integer \"sessions\"/\"live_nodes\""
+
 (** The observability contract (see [examples/dune], alias [@metrics]):
     the scripted stream must show the injected fault as an [error]
     reply, a [metrics] reply whose [belr-metrics/1] payload has a
     populated [serve.check] latency histogram, a [health] reply that is
-    [up], and a distinct [request_id] on every reply. *)
+    [up] and passes {!check_health_gauges}, and a distinct [request_id]
+    on every reply. *)
 let check_metrics_contract (replies : J.t list) : string option =
   let rids =
     List.filter_map
@@ -474,21 +504,23 @@ let check_metrics_contract (replies : J.t list) : string option =
             | None -> (
                 match J.member "p50_ns" h with
                 | Some (J.Int n) when n > 0 -> (
-                    let health_up =
-                      List.exists
+                    let health =
+                      List.find_map
                         (fun r ->
                           match J.member "result" r with
-                          | Some res ->
-                              J.member "status" res
-                              = Some (J.String "up")
-                          | None -> false)
+                          | Some res
+                            when J.member "status" res
+                                 = Some (J.String "up") ->
+                              Some res
+                          | _ -> None)
                         replies
                     in
-                    if health_up then None
-                    else
-                      Some
-                        "metrics stream has no health reply with status \
-                         \"up\"")
+                    match health with
+                    | None ->
+                        Some
+                          "metrics stream has no health reply with status \
+                           \"up\""
+                    | Some res -> check_health_gauges replies res)
                 | _ -> Some "\"serve.check\" histogram has p50_ns <= 0")))
 
 let check_jsonl ~abuse ~metrics (src : string) : string option =
@@ -528,12 +560,15 @@ let check_jsonl ~abuse ~metrics (src : string) : string option =
 
 (** Every non-comment line must be [name value] with a [belr_]-prefixed
     name and a numeric value; the file must expose the serve request
-    counter and at least one histogram bucket series. *)
-let check_prom (src : string) : string option =
+    counter and at least one histogram bucket series.  With [metrics]
+    (the [@metrics] script's exposition, written after real checks) the
+    [belr_store_live] gauge must also be positive. *)
+let check_prom ~metrics (src : string) : string option =
   let err = ref None in
   let samples = ref 0 in
   let has_requests = ref false in
   let has_bucket = ref false in
+  let store_live = ref 0.0 in
   List.iteri
     (fun i line ->
       let line = String.trim line in
@@ -565,6 +600,8 @@ let check_prom (src : string) : string option =
               incr samples;
               if name = "belr_serve_requests_total" then
                 has_requests := true;
+              if name = "belr_store_live" then
+                store_live := float_of_string (String.trim value);
               let is_sub sub s =
                 let n = String.length sub and m = String.length s in
                 let rec go i =
@@ -583,6 +620,8 @@ let check_prom (src : string) : string option =
         Some "exposition lacks belr_serve_requests_total"
       else if not !has_bucket then
         Some "exposition has no _bucket{le=...} histogram series"
+      else if metrics && !store_live <= 0.0 then
+        Some "exposition's belr_store_live is not positive"
       else None
 
 let () =
@@ -607,7 +646,7 @@ let () =
               if Filename.check_suffix path ".jsonl" then
                 report path (check_jsonl ~abuse:!abuse ~metrics:!metrics src)
               else if Filename.check_suffix path ".prom" then
-                report path (check_prom src)
+                report path (check_prom ~metrics:!metrics src)
               else (
                 match J.parse src with
                 | Error msg -> report path (Some msg)
