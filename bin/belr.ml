@@ -3,10 +3,11 @@
     - [belr check FILE…]   parse, elaborate, sort-check, and run the
       conservativity translation on each file (later files see the
       declarations of earlier ones).
-    - [belr lint FILE…]    check, then run the signature analyses
-      (subordination, adequacy, dead sorts, unused declarations,
-      shadowing); findings are diagnostics with stable W07xx/E0702 codes,
-      and [--json FILE] writes the machine-readable [belr-lint/1] report.
+    - [belr lint|total|worlds|modes FILE…]   check, then run that
+      analyzer of {!Belr_parser.Driver.analyses}; findings are
+      diagnostics with stable codes, and [--json FILE] writes the
+      machine-readable [belr-<name>/1] report.  [check --<name>] folds
+      the same analyzers into a plain check.
 
     Checking is fault-tolerant: every independent error in a pass is
     reported (one declaration failing does not hide the rest), rendered
@@ -82,270 +83,6 @@ let print_kernel_stats () =
     ws.Belr_lf.Whnf.ws_forced ws.Belr_lf.Whnf.ws_eager
     ps.Belr_syntax.Equal.ps_hits ps.Belr_syntax.Equal.ps_misses
 
-let print_lint_results sg (lr : Belr_analysis.Lint.result) =
-  Fmt.pr "analysis passes:@.";
-  List.iter
-    (fun (name, findings) -> Fmt.pr "  %-12s %d finding(s)@." name findings)
-    lr.Belr_analysis.Lint.lr_passes;
-  Fmt.pr "%a" (Belr_analysis.Subord.pp sg) lr.Belr_analysis.Lint.lr_subord
-
-let term_label (f : Belr_comp.Totality.fn_verdict) =
-  match f.Belr_comp.Totality.fv_term with
-  | Belr_comp.Totality.TTotal -> "terminating"
-  | Belr_comp.Totality.TDiverging _ -> "possibly diverging"
-  | Belr_comp.Totality.TGaveUp -> "termination unknown (budget)"
-  | Belr_comp.Totality.TUnknown -> "termination unknown (analysis failed)"
-
-let print_total_results (tr : Belr_comp.Totality.result) =
-  Fmt.pr "callgraph: %d function(s), %d call site(s), %d SCC(s), %d composed \
-          graph(s)@."
-    (List.length tr.Belr_comp.Totality.tr_fns)
-    tr.Belr_comp.Totality.tr_sites tr.Belr_comp.Totality.tr_sccs
-    tr.Belr_comp.Totality.tr_composed;
-  List.iter
-    (fun (f : Belr_comp.Totality.fn_verdict) ->
-      Fmt.pr "total %s : %s, %s (%d case(s))%s@." f.Belr_comp.Totality.fv_name
-        (term_label f)
-        (if Belr_comp.Totality.covered f then "covered" else "non-exhaustive")
-        f.Belr_comp.Totality.fv_cases
-        (match f.Belr_comp.Totality.fv_group with
-        | [ _ ] -> ""
-        | g -> "  [group: " ^ String.concat ", " g ^ "]"))
-    tr.Belr_comp.Totality.tr_fns
-
-let print_worlds_results (wr : Belr_analysis.Worlds.result) =
-  Fmt.pr "signature: %d block(s), %d worlds declaration(s)@."
-    wr.Belr_analysis.Worlds.wr_blocks wr.Belr_analysis.Worlds.wr_worlds;
-  List.iter
-    (fun (f : Belr_analysis.Worlds.fn_report) ->
-      Fmt.pr "worlds %s : %s (%d extension(s), %d familie(s) checked)%s@."
-        f.Belr_analysis.Worlds.wf_name
-        (if Belr_analysis.Worlds.clean f then "clean" else "dirty")
-        f.Belr_analysis.Worlds.wf_exts f.Belr_analysis.Worlds.wf_fams
-        (if f.Belr_analysis.Worlds.wf_nonstrict > 0 then
-           Printf.sprintf "  [%d non-strict pattern variable(s)]"
-             f.Belr_analysis.Worlds.wf_nonstrict
-         else ""))
-    wr.Belr_analysis.Worlds.wr_fns
-
-let print_modes_results (mr : Belr_analysis.Modes.result) =
-  Fmt.pr "signature: %d mode declaration(s), %d missing@."
-    mr.Belr_analysis.Modes.mr_modes mr.Belr_analysis.Modes.mr_missing;
-  List.iter
-    (fun (f : Belr_analysis.Modes.fam_report) ->
-      Fmt.pr "modes %s : %s (%d clause(s), %d input(s), %d output(s))%s@."
-        f.Belr_analysis.Modes.mf_name
-        (if Belr_analysis.Modes.clean f then "clean" else "dirty")
-        f.Belr_analysis.Modes.mf_clauses f.Belr_analysis.Modes.mf_inputs
-        f.Belr_analysis.Modes.mf_outputs
-        (if f.Belr_analysis.Modes.mf_sorted then "  [sort-level]" else ""))
-    mr.Belr_analysis.Modes.mr_fams
-
-let run_worlds files verbose json no_strict max_errors max_depth
-    max_eval_steps werror stats trace profile kernel_stats =
-  Limits.set_max_depth max_depth;
-  Limits.set_eval_fuel max_eval_steps;
-  let telemetry = stats || trace <> None || profile <> None in
-  if telemetry then begin
-    Telemetry.reset ();
-    Telemetry.set_enabled true
-  end;
-  let sink = Diagnostics.sink ~max_errors ~werror () in
-  let sg = Belr_parser.Driver.check_files sink files in
-  let wr = Belr_parser.Driver.worlds ~check_strict:(not no_strict) sink sg in
-  if telemetry then begin
-    Telemetry.set_enabled false;
-    Option.iter (fun f -> write_report sink f (Telemetry.trace_json ())) trace;
-    Option.iter
-      (fun f -> write_report sink f (Telemetry.profile_json ()))
-      profile
-  end;
-  (* written on every exit path: a report full of findings is the point *)
-  Option.iter
-    (fun f ->
-      write_report sink f (Belr_analysis.Worlds.report_json ~files sink wr))
-    json;
-  Diagnostics.dump Fmt.stderr sink;
-  if stats then Fmt.epr "%a@?" Telemetry.pp_stats ();
-  if kernel_stats then print_kernel_stats ();
-  match Diagnostics.exit_code sink with
-  | 0 ->
-      Fmt.pr "%d file(s) worlds-checked: %a.@." (List.length files)
-        Diagnostics.pp_summary sink;
-      if verbose then print_worlds_results wr;
-      0
-  | code ->
-      Fmt.epr "worlds failed: %a.@." Diagnostics.pp_summary sink;
-      code
-
-let run_modes files verbose json max_errors max_depth max_eval_steps werror
-    stats trace profile kernel_stats =
-  Limits.set_max_depth max_depth;
-  Limits.set_eval_fuel max_eval_steps;
-  let telemetry = stats || trace <> None || profile <> None in
-  if telemetry then begin
-    Telemetry.reset ();
-    Telemetry.set_enabled true
-  end;
-  let sink = Diagnostics.sink ~max_errors ~werror () in
-  let sg = Belr_parser.Driver.check_files sink files in
-  let mr = Belr_parser.Driver.modes sink sg in
-  if telemetry then begin
-    Telemetry.set_enabled false;
-    Option.iter (fun f -> write_report sink f (Telemetry.trace_json ())) trace;
-    Option.iter
-      (fun f -> write_report sink f (Telemetry.profile_json ()))
-      profile
-  end;
-  (* written on every exit path: a report full of findings is the point *)
-  Option.iter
-    (fun f ->
-      write_report sink f (Belr_analysis.Modes.report_json ~files sink mr))
-    json;
-  Diagnostics.dump Fmt.stderr sink;
-  if stats then Fmt.epr "%a@?" Telemetry.pp_stats ();
-  if kernel_stats then print_kernel_stats ();
-  match Diagnostics.exit_code sink with
-  | 0 ->
-      Fmt.pr "%d file(s) mode-checked: %a.@." (List.length files)
-        Diagnostics.pp_summary sink;
-      if verbose then print_modes_results mr;
-      0
-  | code ->
-      Fmt.epr "modes failed: %a.@." Diagnostics.pp_summary sink;
-      code
-
-let run_total files verbose json depth budget max_errors max_depth
-    max_eval_steps werror stats trace profile kernel_stats =
-  Limits.set_max_depth max_depth;
-  Limits.set_eval_fuel max_eval_steps;
-  let telemetry = stats || trace <> None || profile <> None in
-  if telemetry then begin
-    Telemetry.reset ();
-    Telemetry.set_enabled true
-  end;
-  let sink = Diagnostics.sink ~max_errors ~werror () in
-  let sg = Belr_parser.Driver.check_files sink files in
-  let tr = Belr_parser.Driver.total ~depth ~budget sink sg in
-  if telemetry then begin
-    Telemetry.set_enabled false;
-    Option.iter (fun f -> write_report sink f (Telemetry.trace_json ())) trace;
-    Option.iter
-      (fun f -> write_report sink f (Telemetry.profile_json ()))
-      profile
-  end;
-  (* written on every exit path: a report full of findings is the point *)
-  Option.iter
-    (fun f ->
-      write_report sink f (Belr_comp.Totality.report_json ~files sink tr))
-    json;
-  Diagnostics.dump Fmt.stderr sink;
-  if stats then Fmt.epr "%a@?" Telemetry.pp_stats ();
-  if kernel_stats then print_kernel_stats ();
-  match Diagnostics.exit_code sink with
-  | 0 ->
-      Fmt.pr "%d file(s) totality-checked: %a.@." (List.length files)
-        Diagnostics.pp_summary sink;
-      if verbose then print_total_results tr;
-      0
-  | code ->
-      Fmt.epr "total failed: %a.@." Diagnostics.pp_summary sink;
-      code
-
-let run_check files verbose total lint worlds modes max_errors max_depth
-    max_eval_steps werror stats trace profile kernel_stats metrics =
-  Limits.set_max_depth max_depth;
-  Limits.set_eval_fuel max_eval_steps;
-  let telemetry = stats || trace <> None || profile <> None in
-  if telemetry then begin
-    Telemetry.reset ();
-    Telemetry.set_enabled true
-  end;
-  if metrics <> None then Metrics.set_enabled true;
-  let sink = Diagnostics.sink ~max_errors ~werror () in
-  let sg = Belr_parser.Driver.check_files sink files in
-  if total then Belr_parser.Driver.analyze sink sg;
-  if worlds then ignore (Belr_parser.Driver.worlds sink sg);
-  if modes then ignore (Belr_parser.Driver.modes sink sg);
-  let lint_result =
-    if lint then Some (Belr_parser.Driver.lint sink sg) else None
-  in
-  if telemetry then begin
-    (* stop recording before rendering, so the renderers observe a
-       stable state *)
-    Telemetry.set_enabled false;
-    Option.iter (fun f -> write_report sink f (Telemetry.trace_json ())) trace;
-    Option.iter
-      (fun f -> write_report sink f (Telemetry.profile_json ()))
-      profile
-  end;
-  Option.iter (fun f -> write_metrics sink f) metrics;
-  Diagnostics.dump Fmt.stderr sink;
-  if stats then Fmt.epr "%a@?" Telemetry.pp_stats ();
-  if kernel_stats then print_kernel_stats ();
-  match Diagnostics.exit_code sink with
-  | 0 ->
-      Fmt.pr "%d file(s) checked successfully.@." (List.length files);
-      summarize sg;
-      if verbose then begin
-        print_recs sg;
-        Option.iter (print_lint_results sg) lint_result
-      end;
-      0
-  | code ->
-      Fmt.epr "check failed: %a.@." Diagnostics.pp_summary sink;
-      code
-
-let run_lint files verbose total worlds modes only skip json max_errors
-    max_depth max_eval_steps werror stats trace profile kernel_stats =
-  Limits.set_max_depth max_depth;
-  Limits.set_eval_fuel max_eval_steps;
-  (* the pass-name converter validates [--only]/[--skip] at parse time,
-     so selection cannot fail here; keep the hard error anyway in case a
-     pass is ever unregistered between parsing and running *)
-  let passes =
-    match Belr_analysis.Passes.select ~only ~skip () with
-    | Result.Ok ps -> ps
-    | Result.Error msg ->
-        Fmt.epr "belr lint: %s@." msg;
-        exit 124
-  in
-  let telemetry = stats || trace <> None || profile <> None in
-  if telemetry then begin
-    Telemetry.reset ();
-    Telemetry.set_enabled true
-  end;
-  let sink = Diagnostics.sink ~max_errors ~werror () in
-  let sg = Belr_parser.Driver.check_files sink files in
-  let lr = Belr_parser.Driver.lint ~passes sink sg in
-  if total then ignore (Belr_parser.Driver.total sink sg);
-  if worlds then ignore (Belr_parser.Driver.worlds sink sg);
-  if modes then ignore (Belr_parser.Driver.modes sink sg);
-  if telemetry then begin
-    Telemetry.set_enabled false;
-    Option.iter (fun f -> write_report sink f (Telemetry.trace_json ())) trace;
-    Option.iter
-      (fun f -> write_report sink f (Telemetry.profile_json ()))
-      profile
-  end;
-  (* written on every exit path: a report full of findings is the point *)
-  Option.iter
-    (fun f ->
-      write_report sink f (Belr_analysis.Lint.report_json ~files sink lr))
-    json;
-  Diagnostics.dump Fmt.stderr sink;
-  if stats then Fmt.epr "%a@?" Telemetry.pp_stats ();
-  if kernel_stats then print_kernel_stats ();
-  match Diagnostics.exit_code sink with
-  | 0 ->
-      Fmt.pr "%d file(s) linted: %a.@." (List.length files)
-        Diagnostics.pp_summary sink;
-      if verbose then print_lint_results sg lr;
-      0
-  | code ->
-      Fmt.epr "lint failed: %a.@." Diagnostics.pp_summary sink;
-      code
-
 let run_serve deadline_ms max_live_nodes max_errors max_depth max_eval_steps
     log_file log_level slow_ms metrics =
   Limits.set_eval_fuel max_eval_steps;
@@ -409,90 +146,6 @@ let files_arg =
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"print checked functions")
 
-let total_arg =
-  Arg.(
-    value & flag
-    & info [ "total" ]
-        ~doc:
-          "also run the totality analyzer (the paper's §6.1 extensions): \
-           size-change termination over the call graph and depth-bounded \
-           coverage, reported on stderr with stable codes (E0710 \
-           non-terminating cycle, W0711 missing cases, W0712 gave up)")
-
-let total_json_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "write the machine-readable totality report (schema \
-           belr-total/1: per-function verdicts, call-graph statistics, \
-           every diagnostic with code and location, summary, exit code) \
-           to $(docv)")
-
-let split_depth_arg =
-  Arg.(
-    value & opt int 3
-    & info [ "split-depth" ] ~docv:"N"
-        ~doc:
-          "maximum nesting depth of coverage splitting; deeper patterns \
-           make the analysis give up with W0712 rather than guess")
-
-let sct_budget_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "sct-budget" ] ~docv:"N"
-        ~doc:
-          "maximum number of distinct composed size-change graphs per \
-           recursion component; exceeding it makes the analysis give up \
-           with W0712 rather than loop")
-
-let worlds_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "worlds" ]
-        ~doc:
-          "also run the regular-worlds + strictness analyzer (Twelf-style \
-           $(b,%block) / $(b,%worlds) declarations): context-schema \
-           subsumption up to refinement subsorting and subordination \
-           strengthening, plus strict-occurrence checking of case \
-           patterns, reported with stable codes (E0720 extension outside \
-           the declared worlds, W0721 missing %worlds declaration, W0722 \
-           non-strict pattern variable)")
-
-let worlds_json_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "write the machine-readable worlds report (schema belr-worlds/1: \
-           per-function extension/family/violation counts, signature \
-           block/worlds counts, every diagnostic with code and location, \
-           summary, exit code) to $(docv)")
-
-let modes_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "modes" ]
-        ~doc:
-          "also run the mode & uniqueness analyzer (Twelf-style $(b,%mode) \
-           declarations): a groundness dataflow checks that every clause \
-           of a moded family can schedule its premises so inputs are \
-           ground before each call and outputs are ground afterwards, and \
-           a uniqueness pass flags input-overlapping clauses with \
-           divergent rigid outputs; findings carry stable codes (E0730 \
-           ill-moded clause, E0731 ungroundable output, W0732 missing \
-           %mode declaration, W0733 non-unique output)")
-
-let modes_json_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "write the machine-readable modes report (schema belr-modes/1: \
-           per-family clause/input/output/violation counts, signature \
-           mode/missing counts, every diagnostic with code and location, \
-           summary, exit code) to $(docv)")
-
 let pass_name_conv =
   let known () =
     List.map (fun p -> p.Belr_analysis.Pass.p_name) Belr_analysis.Passes.all
@@ -526,6 +179,23 @@ let skip_arg =
           "run every lint pass except the named ones; naming an unknown \
            pass is a hard error, not a silent no-op")
 
+let split_depth_arg =
+  Arg.(
+    value & opt int 3
+    & info [ "split-depth" ] ~docv:"N"
+        ~doc:
+          "maximum nesting depth of coverage splitting; deeper patterns \
+           make the analysis give up with W0712 rather than guess")
+
+let sct_budget_arg =
+  Arg.(
+    value & opt int 4096
+    & info [ "sct-budget" ] ~docv:"N"
+        ~doc:
+          "maximum number of distinct composed size-change graphs per \
+           recursion component; exceeding it makes the analysis give up \
+           with W0712 rather than loop")
+
 let no_strict_arg =
   Arg.(
     value & flag
@@ -533,25 +203,6 @@ let no_strict_arg =
         ~doc:
           "skip the strict-occurrence pass (W0722); only the worlds \
            subsumption checks run")
-
-let lint_flag_arg =
-  Arg.(
-    value & flag
-    & info [ "lint" ]
-        ~doc:
-          "also run the signature analyses (subordination, adequacy, dead \
-           sorts, unused declarations, shadowing) after checking; \
-           findings carry stable W07xx/E0702 codes and share the \
-           diagnostic stream and exit code with checking")
-
-let lint_json_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:
-          "write the machine-readable lint report (schema belr-lint/1: \
-           per-pass finding counts, every diagnostic with code and \
-           location, summary, exit code) to $(docv)")
 
 let max_errors_arg =
   Arg.(
@@ -635,92 +286,182 @@ let metrics_arg =
            available as JSON (schema belr-metrics/1) from the serve \
            $(b,metrics) method")
 
+(* --- the pipeline subcommands ------------------------------------------- *)
+
+(** The options every pipeline subcommand shares. *)
+type common = {
+  max_errors : int;
+  max_depth : int;
+  max_eval_steps : int;
+  werror : bool;
+  stats : bool;
+  trace : string option;
+  profile : string option;
+  kernel_stats : bool;
+}
+
+let common_term =
+  Term.(
+    const
+      (fun max_errors max_depth max_eval_steps werror stats trace profile
+           kernel_stats ->
+        {
+          max_errors;
+          max_depth;
+          max_eval_steps;
+          werror;
+          stats;
+          trace;
+          profile;
+          kernel_stats;
+        })
+    $ max_errors_arg $ max_depth_arg $ max_eval_steps_arg $ werror_arg
+    $ stats_arg $ trace_arg $ profile_arg $ kernel_stats_arg)
+
+(** Check [files], then run [analyses] (registry order) on the same
+    sink.  [primary] is the subcommand's own analyzer — [None] for
+    [belr check] — whose report [--json] writes and whose name words the
+    closing line. *)
+let run_analysis ?primary ?json ?metrics analyses files verbose c =
+  Limits.set_max_depth c.max_depth;
+  Limits.set_eval_fuel c.max_eval_steps;
+  let telemetry = c.stats || c.trace <> None || c.profile <> None in
+  if telemetry then begin
+    Telemetry.reset ();
+    Telemetry.set_enabled true
+  end;
+  if metrics <> None then Metrics.set_enabled true;
+  let sink = Diagnostics.sink ~max_errors:c.max_errors ~werror:c.werror () in
+  let sg = Belr_parser.Driver.check_files sink files in
+  let outcomes = Belr_parser.Driver.run_analyses analyses sink sg in
+  let listings () =
+    List.iter (fun o -> Fmt.pr "%a" o.Belr_parser.Driver.listing ()) outcomes
+  in
+  if telemetry then begin
+    (* stop recording before rendering, so the renderers observe a
+       stable state *)
+    Telemetry.set_enabled false;
+    Option.iter
+      (fun f -> write_report sink f (Telemetry.trace_json ()))
+      c.trace;
+    Option.iter
+      (fun f -> write_report sink f (Telemetry.profile_json ()))
+      c.profile
+  end;
+  Option.iter (fun f -> write_metrics sink f) metrics;
+  (* written on every exit path: a report full of findings is the point *)
+  (match (primary, json) with
+  | Some a, Some f ->
+      let o = List.assq a (List.combine analyses outcomes) in
+      write_report sink f (Belr_parser.Driver.report_json ~files sink a o)
+  | _ -> ());
+  Diagnostics.dump Fmt.stderr sink;
+  if c.stats then Fmt.epr "%a@?" Telemetry.pp_stats ();
+  if c.kernel_stats then print_kernel_stats ();
+  match (Diagnostics.exit_code sink, primary) with
+  | 0, None ->
+      Fmt.pr "%d file(s) checked successfully.@." (List.length files);
+      summarize sg;
+      if verbose then begin
+        print_recs sg;
+        listings ()
+      end;
+      0
+  | 0, Some a ->
+      Fmt.pr "%d file(s) %s: %a.@." (List.length files)
+        a.Belr_parser.Driver.past Diagnostics.pp_summary sink;
+      if verbose then listings ();
+      0
+  | code, _ ->
+      Fmt.epr "%s failed: %a.@."
+        (match primary with
+        | None -> "check"
+        | Some a -> a.Belr_parser.Driver.name)
+        Diagnostics.pp_summary sink;
+      code
+
+(** [--<name>]: fold the analyzer into another subcommand's run. *)
+let analysis_flag (a : Belr_parser.Driver.analysis) =
+  Arg.(
+    value & flag
+    & info [ a.name ]
+        ~doc:
+          ("also run " ^ a.doc
+         ^ ", reported on the same diagnostic stream and exit code"))
+
+(** The analyzers among [among] whose flag is set, in [among]'s order. *)
+let flagged (among : Belr_parser.Driver.analysis list) =
+  List.fold_right
+    (fun a rest ->
+      Term.(
+        const (fun on rest -> if on then a :: rest else rest)
+        $ analysis_flag a $ rest))
+    among (Term.const [])
+
+let json_arg (a : Belr_parser.Driver.analysis) =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:
+          ("write the machine-readable belr-" ^ a.name
+         ^ "/1 report (the analyzer's own sections, every diagnostic with \
+            code and location, summary, exit code) to $(docv)"))
+
+(** A subcommand's own options, as the term that configures its registry
+    entry, and the analyzers it can fold in by flag (lint only). *)
+let subcommand_options (a : Belr_parser.Driver.analysis) =
+  let module D = Belr_parser.Driver in
+  match a.name with
+  | "lint" ->
+      ( Term.(
+          ret
+            (const (fun only skip ->
+                 match Belr_analysis.Passes.select ~only ~skip () with
+                 | Result.Ok passes -> `Ok (D.lint_analysis ~passes ())
+                 | Result.Error msg -> `Error (false, msg))
+            $ only_arg $ skip_arg)),
+        flagged (List.filter (fun b -> b != a) D.analyses) )
+  | "total" ->
+      ( Term.(
+          const (fun depth budget -> D.total_analysis ~depth ~budget ())
+          $ split_depth_arg $ sct_budget_arg),
+        Term.const [] )
+  | "worlds" ->
+      ( Term.(
+          const (fun no_strict ->
+              D.worlds_analysis ~check_strict:(not no_strict) ())
+          $ no_strict_arg),
+        Term.const [] )
+  | _ -> (Term.const a, Term.const [])
+
+let analysis_cmd (a : Belr_parser.Driver.analysis) =
+  let configured, also = subcommand_options a in
+  let doc =
+    "check source files, then run " ^ a.doc ^ "; $(b,--json) writes the belr-"
+    ^ a.name ^ "/1 report"
+  in
+  Cmd.v (Cmd.info a.name ~doc)
+    Term.(
+      const (fun files verbose primary also json c ->
+          let analyses =
+            List.filter_map
+              (fun b ->
+                if b == a then Some primary else List.find_opt (( == ) b) also)
+              Belr_parser.Driver.analyses
+          in
+          run_analysis ~primary ?json analyses files verbose c)
+      $ files_arg $ verbose_arg $ configured $ also $ json_arg a $ common_term)
+
 let check_cmd =
   let doc = "parse, elaborate, and sort-check source files" in
-  Cmd.v
-    (Cmd.info "check" ~doc)
+  Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const (fun files v t li wo mo me md ev we st tr pr ks mx ->
-          run_check files v t li wo mo me md ev we st tr pr ks mx)
-      $ files_arg $ verbose_arg $ total_arg $ lint_flag_arg $ worlds_flag_arg
-      $ modes_flag_arg $ max_errors_arg $ max_depth_arg $ max_eval_steps_arg
-      $ werror_arg $ stats_arg $ trace_arg $ profile_arg $ kernel_stats_arg
-      $ metrics_arg)
-
-let lint_cmd =
-  let doc =
-    "check source files, then run the signature analyses (subordination, \
-     adequacy, dead sorts, unused declarations, shadowing); filter them \
-     with $(b,--only) / $(b,--skip), and add $(b,--total), $(b,--worlds), \
-     or $(b,--modes) to fold those analyzers into the same stream"
-  in
-  Cmd.v
-    (Cmd.info "lint" ~doc)
-    Term.(
-      const (fun files v t wo mo on sk js me md ev we st tr pr ks ->
-          run_lint files v t wo mo on sk js me md ev we st tr pr ks)
-      $ files_arg $ verbose_arg $ total_arg $ worlds_flag_arg
-      $ modes_flag_arg $ only_arg $ skip_arg $ lint_json_arg
-      $ max_errors_arg $ max_depth_arg $ max_eval_steps_arg $ werror_arg
-      $ stats_arg $ trace_arg $ profile_arg $ kernel_stats_arg)
-
-let total_cmd =
-  let doc =
-    "check source files, then run the totality analyzer: size-change \
-     termination (Lee-Jones-Ben-Amram closure over the call graph, \
-     accepting mutual recursion and lexicographic descent) and \
-     depth-bounded refinement-aware coverage; verdicts carry stable \
-     codes (E0710, W0711, W0712) and $(b,--json) writes the belr-total/1 \
-     report"
-  in
-  Cmd.v
-    (Cmd.info "total" ~doc)
-    Term.(
-      const (fun files v js sd sb me md ev we st tr pr ks ->
-          run_total files v js sd sb me md ev we st tr pr ks)
-      $ files_arg $ verbose_arg $ total_json_arg $ split_depth_arg
-      $ sct_budget_arg $ max_errors_arg $ max_depth_arg $ max_eval_steps_arg
-      $ werror_arg $ stats_arg $ trace_arg $ profile_arg $ kernel_stats_arg)
-
-let worlds_cmd =
-  let doc =
-    "check source files, then run the regular-worlds + strictness \
-     analyzer: every context extension a function (or anything it calls) \
-     can produce is checked subsumed — up to refinement subsorting and \
-     subordination strengthening — by the $(b,%worlds) declarations of \
-     the families it appeals to, and every case-pattern meta-variable is \
-     checked for a strict occurrence; verdicts carry stable codes \
-     (E0720, W0721, W0722) and $(b,--json) writes the belr-worlds/1 \
-     report"
-  in
-  Cmd.v
-    (Cmd.info "worlds" ~doc)
-    Term.(
-      const (fun files v js ns me md ev we st tr pr ks ->
-          run_worlds files v js ns me md ev we st tr pr ks)
-      $ files_arg $ verbose_arg $ worlds_json_arg $ no_strict_arg
-      $ max_errors_arg $ max_depth_arg $ max_eval_steps_arg $ werror_arg
-      $ stats_arg $ trace_arg $ profile_arg $ kernel_stats_arg)
-
-let modes_cmd =
-  let doc =
-    "check source files, then run the mode & uniqueness analyzer: each \
-     $(b,%mode) declaration assigns input (+) and output (-) polarities \
-     to a family's arguments, a groundness dataflow verifies every \
-     clause can order its premises so calls are made with ground inputs \
-     and deliver ground outputs, and a uniqueness pass flags clauses \
-     whose inputs overlap but whose rigid outputs diverge; verdicts \
-     carry stable codes (E0730, E0731, W0732, W0733) and $(b,--json) \
-     writes the belr-modes/1 report"
-  in
-  Cmd.v
-    (Cmd.info "modes" ~doc)
-    Term.(
-      const (fun files v js me md ev we st tr pr ks ->
-          run_modes files v js me md ev we st tr pr ks)
-      $ files_arg $ verbose_arg $ modes_json_arg $ max_errors_arg
-      $ max_depth_arg $ max_eval_steps_arg $ werror_arg $ stats_arg
-      $ trace_arg $ profile_arg $ kernel_stats_arg)
+      const (fun files verbose analyses metrics c ->
+          run_analysis ?metrics analyses files verbose c)
+      $ files_arg $ verbose_arg
+      $ flagged Belr_parser.Driver.analyses
+      $ metrics_arg $ common_term)
 
 let markdown_arg =
   Arg.(
@@ -791,13 +532,14 @@ let slow_ms_arg =
 let serve_cmd =
   let doc =
     "run the long-lived JSON-line server (schema belr-serve/1): one \
-     request object per stdin line (methods check, lint, total, stats, \
-     reset, metrics, health), one reply object per stdout line; sessions \
-     are isolated worlds, checking is incremental per declaration, and \
-     every request is crash-only — malformed input, kernel faults, and \
-     blown deadlines produce structured error replies, never a dead \
-     server; $(b,--log), $(b,--slow-ms), and $(b,--metrics) add \
-     production observability, correlated by per-request ids"
+     request object per stdin line (methods "
+    ^ String.concat ", " Belr_parser.Serve.methods
+    ^ "), one reply object per stdout line; sessions are isolated \
+       worlds, checking is incremental per declaration, and every request \
+       is crash-only — malformed input, kernel faults, and blown \
+       deadlines produce structured error replies, never a dead server; \
+       $(b,--log), $(b,--slow-ms), and $(b,--metrics) add production \
+       observability, correlated by per-request ids"
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
@@ -815,7 +557,7 @@ let main =
   in
   Cmd.group
     (Cmd.info "belr" ~version:"1.0.0" ~doc)
-    [ check_cmd; lint_cmd; total_cmd; worlds_cmd; modes_cmd; codes_cmd;
-      serve_cmd ]
+    ((check_cmd :: List.map analysis_cmd Belr_parser.Driver.analyses)
+    @ [ codes_cmd; serve_cmd ])
 
 let () = exit (Cmd.eval' main)

@@ -55,7 +55,7 @@
 
     Each phase runs under a [modes:<pass>] telemetry span; the report
     follows the [belr-modes/1] schema (validated by
-    [tools/validate_json.ml] under the [@modes] alias). *)
+    [tools/validate_json.ml] under the [@analyses] alias). *)
 
 open Belr_support
 open Belr_syntax
@@ -232,288 +232,285 @@ let empty_result = { mr_fams = []; mr_modes = 0; mr_missing = 0 }
 (** Run the mode checker over every [%mode]-declared family, reporting
     through [sink].  Analysis failures on a recovered (partially
     checked) signature are contained per family. *)
-let run (sink : Diagnostics.sink) (sg : Sign.t) : result =
-  Telemetry.with_span "modes" (fun () ->
-      let typ_names = Hashtbl.create 32 in
-      List.iter
-        (fun (a, (te : Sign.typ_entry)) ->
-          Hashtbl.replace typ_names a te.Sign.t_name)
-        (Sign.all_typs sg);
-      let names a =
-        match Hashtbl.find_opt typ_names a with
-        | Some n -> n
-        | None -> "#" ^ string_of_int a
+let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
+  let typ_names = Hashtbl.create 32 in
+  List.iter
+    (fun (a, (te : Sign.typ_entry)) ->
+      Hashtbl.replace typ_names a te.Sign.t_name)
+    (Sign.all_typs sg);
+  let names a =
+    match Hashtbl.find_opt typ_names a with
+    | Some n -> n
+    | None -> "#" ^ string_of_int a
+  in
+  let sub =
+    Telemetry.with_span "modes:subord" (fun () -> Facts.subord facts)
+  in
+  let modes =
+    List.sort
+      (fun (m1 : Sign.mode_entry) m2 -> compare m1.m_fam m2.m_fam)
+      (Sign.all_modes sg)
+  in
+  (* W0732, deduplicated: a family missing its %mode is reported at
+     its first appeal, wherever that is *)
+  let missing_warned : (Lf.cid_typ, unit) Hashtbl.t = Hashtbl.create 8 in
+  let missing = ref 0 in
+  let warn_missing ~loc ~via fam' =
+    if not (Hashtbl.mem missing_warned fam') then begin
+      Hashtbl.replace missing_warned fam' ();
+      incr missing;
+      Diagnostics.emit sink
+        (Diagnostics.make ~loc ~code:"W0732" Diagnostics.Warning
+           "%s appeals to %s, which has no %%mode declaration; its \
+            arguments are assumed ground"
+           via (names fam'))
+    end
+  in
+  let check_family (me : Sign.mode_entry) : fam_report =
+    let fam = me.Sign.m_fam in
+    let clause_loc cname =
+      match Sign.decl_loc sg cname with
+      | Some l -> l
+      | None -> me.Sign.m_loc
+    in
+    let views =
+      Telemetry.with_span "modes:clauses" (fun () ->
+          let raw =
+            match me.Sign.m_srt with
+            | Some s ->
+                List.filter_map
+                  (fun c ->
+                    Option.map
+                      (fun (srt, _) ->
+                        ( (Sign.const_entry sg c).Sign.c_name,
+                          erase_srt sg srt ))
+                      (Sign.csort sg ~const:c ~family:s))
+                  (Sign.constants_of_srt sg s)
+            | None ->
+                List.map
+                  (fun c ->
+                    let ce = Sign.const_entry sg c in
+                    (ce.Sign.c_name, ce.Sign.c_typ))
+                  (Sign.constants_of_typ sg fam)
+          in
+          List.filter_map
+            (fun (cname, ct) ->
+              let doms, a, concl = split_clause ct in
+              if a <> fam then None  (* defensive: foreign target *)
+              else
+                Some
+                  {
+                    v_name = cname;
+                    v_loc = clause_loc cname;
+                    v_doms = Array.of_list doms;
+                    v_concl = Array.of_list concl;
+                  })
+            raw)
+    in
+    Telemetry.add c_clauses (List.length views);
+    let pol i =
+      match List.nth_opt me.Sign.m_args i with
+      | Some (p, _) -> Some p
+      | None -> None
+    in
+    let illmoded = ref 0 in
+    let ungrounded = ref 0 in
+    let check_clause (v : view) =
+      let n = Array.length v.v_doms in
+      let domfv =
+        Array.mapi (fun k (_, t) -> fv_typ ~depth:k 0 t ISet.empty) v.v_doms
       in
-      let sub =
-        Telemetry.with_span "modes:subord" (fun () -> Subord.analyze sg)
+      let conclfv =
+        Array.map (fun m -> fv_normal ~depth:n 0 m ISet.empty) v.v_concl
       in
-      let modes =
-        List.sort
-          (fun (m1 : Sign.mode_entry) m2 -> compare m1.m_fam m2.m_fam)
-          (Sign.all_modes sg)
+      let occurs_later k =
+        (let rec later j =
+           j < n && (ISet.mem k domfv.(j) || later (j + 1))
+         in
+         later (k + 1))
+        || Array.exists (ISet.mem k) conclfv
       in
-      (* W0732, deduplicated: a family missing its %mode is reported at
-         its first appeal, wherever that is *)
-      let missing_warned : (Lf.cid_typ, unit) Hashtbl.t = Hashtbl.create 8 in
-      let missing = ref 0 in
-      let warn_missing ~loc ~via fam' =
-        if not (Hashtbl.mem missing_warned fam') then begin
-          Hashtbl.replace missing_warned fam' ();
-          incr missing;
+      (* a variable invisible to the judgment (its family is not
+         subordinate to [fam]) carries no groundness obligation *)
+      let exempt =
+        Array.map
+          (fun (_, t) -> not (Subord.leq sub (Lf.typ_target t) fam))
+          v.v_doms
+      in
+      let g = ref ISet.empty in
+      Array.iteri
+        (fun i fv -> if pol i = Some true then g := ISet.union !g fv)
+        conclfv;
+      let premises = ref [] in
+      Array.iteri
+        (fun k (_, t) ->
+          let tgt = Lf.typ_target t in
+          match Sign.mode_of sg tgt with
+          | Some _ ->
+              Telemetry.bump c_premises;
+              premises := premise_spec sg ~k t :: !premises
+          | None ->
+              if not (occurs_later k) then begin
+                (* an unmoded judgment premise: warn, then be
+                   lenient so one missing %mode does not cascade *)
+                warn_missing ~loc:v.v_loc
+                  ~via:
+                    (Printf.sprintf "clause %s of %s" v.v_name
+                       me.Sign.m_name)
+                  tgt;
+                g := ISet.add k (ISet.union !g domfv.(k))
+              end)
+        v.v_doms;
+      let ready p =
+        ISet.for_all (fun x -> exempt.(x) || ISet.mem x !g) p.p_req
+      in
+      let pending = ref (List.rev !premises) in
+      let rec fixpoint () =
+        let fired = ref false in
+        pending :=
+          List.filter
+            (fun p ->
+              if ready p then begin
+                g := ISet.union !g p.p_prod;
+                fired := true;
+                false
+              end
+              else true)
+            !pending;
+        if !fired && !pending <> [] then fixpoint ()
+      in
+      fixpoint ();
+      match !pending with
+      | p :: _ ->
+          incr illmoded;
+          let stuck =
+            ISet.filter
+              (fun x -> not (exempt.(x) || ISet.mem x !g))
+              p.p_req
+          in
+          let witness =
+            match ISet.min_elt_opt stuck with
+            | Some x -> Name.to_string (fst v.v_doms.(x))
+            | None -> "?"
+          in
           Diagnostics.emit sink
-            (Diagnostics.make ~loc ~code:"W0732" Diagnostics.Warning
-               "%s appeals to %s, which has no %%mode declaration; its \
-                arguments are assumed ground"
-               via (names fam'))
-        end
-      in
-      let check_family (me : Sign.mode_entry) : fam_report =
-        let fam = me.Sign.m_fam in
-        let clause_loc cname =
-          match Sign.decl_loc sg cname with
-          | Some l -> l
-          | None -> me.Sign.m_loc
-        in
-        let views =
-          Telemetry.with_span "modes:clauses" (fun () ->
-              let raw =
-                match me.Sign.m_srt with
-                | Some s ->
-                    List.filter_map
-                      (fun c ->
-                        Option.map
-                          (fun (srt, _) ->
-                            ( (Sign.const_entry sg c).Sign.c_name,
-                              erase_srt sg srt ))
-                          (Sign.csort sg ~const:c ~family:s))
-                      (Sign.constants_of_srt sg s)
-                | None ->
-                    List.map
-                      (fun c ->
-                        let ce = Sign.const_entry sg c in
-                        (ce.Sign.c_name, ce.Sign.c_typ))
-                      (Sign.constants_of_typ sg fam)
-              in
-              List.filter_map
-                (fun (cname, ct) ->
-                  let doms, a, concl = split_clause ct in
-                  if a <> fam then None  (* defensive: foreign target *)
-                  else
-                    Some
-                      {
-                        v_name = cname;
-                        v_loc = clause_loc cname;
-                        v_doms = Array.of_list doms;
-                        v_concl = Array.of_list concl;
-                      })
-                raw)
-        in
-        Telemetry.add c_clauses (List.length views);
-        let pol i =
-          match List.nth_opt me.Sign.m_args i with
-          | Some (p, _) -> Some p
-          | None -> None
-        in
-        let illmoded = ref 0 in
-        let ungrounded = ref 0 in
-        let check_clause (v : view) =
-          let n = Array.length v.v_doms in
-          let domfv =
-            Array.mapi (fun k (_, t) -> fv_typ ~depth:k 0 t ISet.empty) v.v_doms
-          in
-          let conclfv =
-            Array.map (fun m -> fv_normal ~depth:n 0 m ISet.empty) v.v_concl
-          in
-          let occurs_later k =
-            (let rec later j =
-               j < n && (ISet.mem k domfv.(j) || later (j + 1))
-             in
-             later (k + 1))
-            || Array.exists (ISet.mem k) conclfv
-          in
-          (* a variable invisible to the judgment (its family is not
-             subordinate to [fam]) carries no groundness obligation *)
-          let exempt =
-            Array.map
-              (fun (_, t) -> not (Subord.leq sub (Lf.typ_target t) fam))
-              v.v_doms
-          in
-          let g = ref ISet.empty in
+            (Diagnostics.make ~loc:v.v_loc ~code:"E0730"
+               Diagnostics.Error
+               "clause %s of %s is ill-moded: the premise appealing to \
+                %s can never be scheduled because its input variable %s \
+                is never ground"
+               v.v_name me.Sign.m_name (names p.p_fam) witness)
+      | [] ->
+          (* outputs only make sense once every premise ran *)
+          let reported = ref false in
           Array.iteri
-            (fun i fv -> if pol i = Some true then g := ISet.union !g fv)
-            conclfv;
-          let premises = ref [] in
-          Array.iteri
-            (fun k (_, t) ->
-              let tgt = Lf.typ_target t in
-              match Sign.mode_of sg tgt with
-              | Some _ ->
-                  Telemetry.bump c_premises;
-                  premises := premise_spec sg ~k t :: !premises
-              | None ->
-                  if not (occurs_later k) then begin
-                    (* an unmoded judgment premise: warn, then be
-                       lenient so one missing %mode does not cascade *)
-                    warn_missing ~loc:v.v_loc
-                      ~via:
-                        (Printf.sprintf "clause %s of %s" v.v_name
-                           me.Sign.m_name)
-                      tgt;
-                    g := ISet.add k (ISet.union !g domfv.(k))
-                  end)
-            v.v_doms;
-          let ready p =
-            ISet.for_all (fun x -> exempt.(x) || ISet.mem x !g) p.p_req
-          in
-          let pending = ref (List.rev !premises) in
-          let rec fixpoint () =
-            let fired = ref false in
-            pending :=
-              List.filter
-                (fun p ->
-                  if ready p then begin
-                    g := ISet.union !g p.p_prod;
-                    fired := true;
-                    false
-                  end
-                  else true)
-                !pending;
-            if !fired && !pending <> [] then fixpoint ()
-          in
-          fixpoint ();
-          match !pending with
-          | p :: _ ->
-              incr illmoded;
-              let stuck =
-                ISet.filter
-                  (fun x -> not (exempt.(x) || ISet.mem x !g))
-                  p.p_req
-              in
-              let witness =
-                match ISet.min_elt_opt stuck with
-                | Some x -> Name.to_string (fst v.v_doms.(x))
-                | None -> "?"
-              in
+            (fun i fv ->
+              if (not !reported) && pol i = Some false then
+                match
+                  ISet.min_elt_opt
+                    (ISet.filter
+                       (fun x -> not (exempt.(x) || ISet.mem x !g))
+                       fv)
+                with
+                | Some x ->
+                    reported := true;
+                    incr ungrounded;
+                    Diagnostics.emit sink
+                      (Diagnostics.make ~loc:v.v_loc ~code:"E0731"
+                         Diagnostics.Error
+                         "clause %s of %s cannot ground output argument \
+                          %d of its conclusion: variable %s is still \
+                          free after all premises"
+                         v.v_name me.Sign.m_name (i + 1)
+                         (Name.to_string (fst v.v_doms.(x))))
+                | None -> ())
+            conclfv
+    in
+    Telemetry.with_span "modes:groundness" (fun () ->
+        List.iter check_clause views);
+    let nonunique = ref 0 in
+    Telemetry.with_span "modes:unique" (fun () ->
+        let arr = Array.of_list views in
+        for i = 0 to Array.length arr - 1 do
+          for j = i + 1 to Array.length arr - 1 do
+            Telemetry.bump c_pairs;
+            let vi = arr.(i) and vj = arr.(j) in
+            let m = min (Array.length vi.v_concl) (Array.length vj.v_concl) in
+            let clash_at p = clashes vi.v_concl.(p) vj.v_concl.(p) in
+            let overlap = ref true in
+            let diverge = ref false in
+            for p = 0 to m - 1 do
+              match pol p with
+              | Some true -> if clash_at p then overlap := false
+              | Some false -> if clash_at p then diverge := true
+              | None -> ()
+            done;
+            if !overlap && !diverge then begin
+              incr nonunique;
               Diagnostics.emit sink
-                (Diagnostics.make ~loc:v.v_loc ~code:"E0730"
-                   Diagnostics.Error
-                   "clause %s of %s is ill-moded: the premise appealing to \
-                    %s can never be scheduled because its input variable %s \
-                    is never ground"
-                   v.v_name me.Sign.m_name (names p.p_fam) witness)
-          | [] ->
-              (* outputs only make sense once every premise ran *)
-              let reported = ref false in
-              Array.iteri
-                (fun i fv ->
-                  if (not !reported) && pol i = Some false then
-                    match
-                      ISet.min_elt_opt
-                        (ISet.filter
-                           (fun x -> not (exempt.(x) || ISet.mem x !g))
-                           fv)
-                    with
-                    | Some x ->
-                        reported := true;
-                        incr ungrounded;
-                        Diagnostics.emit sink
-                          (Diagnostics.make ~loc:v.v_loc ~code:"E0731"
-                             Diagnostics.Error
-                             "clause %s of %s cannot ground output argument \
-                              %d of its conclusion: variable %s is still \
-                              free after all premises"
-                             v.v_name me.Sign.m_name (i + 1)
-                             (Name.to_string (fst v.v_doms.(x))))
-                    | None -> ())
-                conclfv
-        in
-        Telemetry.with_span "modes:groundness" (fun () ->
-            List.iter check_clause views);
-        let nonunique = ref 0 in
-        Telemetry.with_span "modes:unique" (fun () ->
-            let arr = Array.of_list views in
-            for i = 0 to Array.length arr - 1 do
-              for j = i + 1 to Array.length arr - 1 do
-                Telemetry.bump c_pairs;
-                let vi = arr.(i) and vj = arr.(j) in
-                let m = min (Array.length vi.v_concl) (Array.length vj.v_concl) in
-                let clash_at p = clashes vi.v_concl.(p) vj.v_concl.(p) in
-                let overlap = ref true in
-                let diverge = ref false in
-                for p = 0 to m - 1 do
-                  match pol p with
-                  | Some true -> if clash_at p then overlap := false
-                  | Some false -> if clash_at p then diverge := true
-                  | None -> ()
-                done;
-                if !overlap && !diverge then begin
-                  incr nonunique;
-                  Diagnostics.emit sink
-                    (Diagnostics.make ~loc:vj.v_loc ~code:"W0733"
-                       Diagnostics.Warning
-                       "clauses %s and %s of %s overlap on their inputs but \
-                        produce divergent rigid outputs: the output of %s \
-                        is not unique"
-                       vi.v_name vj.v_name me.Sign.m_name me.Sign.m_name)
-                end
-              done
-            done);
-        {
-          mf_fam = fam;
-          mf_name = me.Sign.m_name;
-          mf_sorted = me.Sign.m_srt <> None;
-          mf_inputs =
-            List.length (List.filter (fun (p, _) -> p) me.Sign.m_args);
-          mf_outputs =
-            List.length (List.filter (fun (p, _) -> not p) me.Sign.m_args);
-          mf_clauses = List.length views;
-          mf_illmoded = !illmoded;
-          mf_ungrounded = !ungrounded;
-          mf_nonunique = !nonunique;
-        }
-      in
-      let fams =
-        List.filter_map
-          (fun (me : Sign.mode_entry) ->
-            Diagnostics.recover sink ~loc:me.Sign.m_loc ~code:"E0201"
-              (fun () -> check_family me))
-          modes
-      in
-      (* a judgment family a rec induction appeals to should carry a
-         mode too — but only nag signatures that opted into modes *)
-      Telemetry.with_span "modes:recs" (fun () ->
-          if modes <> [] then
-            List.iter
-              (fun (_, (re : Sign.rec_entry)) ->
-                let loc =
-                  Option.value ~default:Loc.ghost
-                    (Sign.decl_loc sg re.Sign.r_name)
+                (Diagnostics.make ~loc:vj.v_loc ~code:"W0733"
+                   Diagnostics.Warning
+                   "clauses %s and %s of %s overlap on their inputs but \
+                    produce divergent rigid outputs: the output of %s \
+                    is not unique"
+                   vi.v_name vj.v_name me.Sign.m_name me.Sign.m_name)
+            end
+          done
+        done);
+    {
+      mf_fam = fam;
+      mf_name = me.Sign.m_name;
+      mf_sorted = me.Sign.m_srt <> None;
+      mf_inputs =
+        List.length (List.filter (fun (p, _) -> p) me.Sign.m_args);
+      mf_outputs =
+        List.length (List.filter (fun (p, _) -> not p) me.Sign.m_args);
+      mf_clauses = List.length views;
+      mf_illmoded = !illmoded;
+      mf_ungrounded = !ungrounded;
+      mf_nonunique = !nonunique;
+    }
+  in
+  let fams =
+    List.filter_map
+      (fun (me : Sign.mode_entry) ->
+        Diagnostics.recover sink ~loc:me.Sign.m_loc ~code:"E0201"
+          (fun () -> check_family me))
+      modes
+  in
+  (* a judgment family a rec induction appeals to should carry a
+     mode too — but only nag signatures that opted into modes *)
+  Telemetry.with_span "modes:recs" (fun () ->
+      if modes <> [] then
+        List.iter
+          (fun (_, (re : Sign.rec_entry)) ->
+            let loc =
+              Option.value ~default:Loc.ghost
+                (Sign.decl_loc sg re.Sign.r_name)
+            in
+            Refs.iter_ctyp
+              (fun tgt ->
+                let fam' =
+                  match tgt with
+                  | Refs.RTyp a -> Some a
+                  | Refs.RSrt q ->
+                      Some (Sign.srt_entry sg q).Sign.s_refines
+                  | _ -> None
                 in
-                Refs.iter_ctyp
-                  (fun tgt ->
-                    let fam' =
-                      match tgt with
-                      | Refs.RTyp a -> Some a
-                      | Refs.RSrt q ->
-                          Some (Sign.srt_entry sg q).Sign.s_refines
-                      | _ -> None
-                    in
-                    match fam' with
-                    | Some a
-                      when Sign.mode_of sg a = None
-                           && Lf.kind_arity (Sign.typ_entry sg a).Sign.t_kind
-                              >= 1 ->
-                        warn_missing ~loc
-                          ~via:(Printf.sprintf "rec %s" re.Sign.r_name)
-                          a
-                    | _ -> ())
-                  re.Sign.r_styp)
-              (List.sort compare (Sign.all_recs sg)));
-      { mr_fams = fams; mr_modes = List.length modes; mr_missing = !missing })
+                match fam' with
+                | Some a
+                  when Sign.mode_of sg a = None
+                       && Lf.kind_arity (Sign.typ_entry sg a).Sign.t_kind
+                          >= 1 ->
+                    warn_missing ~loc
+                      ~via:(Printf.sprintf "rec %s" re.Sign.r_name)
+                      a
+                | _ -> ())
+              re.Sign.r_styp)
+          (List.sort compare (Sign.all_recs sg)));
+  { mr_fams = fams; mr_modes = List.length modes; mr_missing = !missing }
 
 (* --- report ------------------------------------------------------------- *)
-
-let schema_id = "belr-modes/1"
 
 let clean (f : fam_report) =
   f.mf_illmoded = 0 && f.mf_ungrounded = 0 && f.mf_nonunique = 0
@@ -532,27 +529,36 @@ let fam_json (f : fam_report) : Json.t =
       ("clean", Json.Bool (clean f));
     ]
 
-(** The full [belr-modes/1] report for one run; [finding] entries reuse
-    the [belr-lint/1] finding shape. *)
-let report_json ~(files : string list) (sink : Diagnostics.sink) (r : result)
-    : Json.t =
+(** The report's own sections: per-family counts and the signature's
+    mode/missing counts. *)
+let sections (r : result) : (string * Json.t) list =
+  [
+    ("families", Json.List (List.map fam_json r.mr_fams));
+    ( "signature",
+      Json.Obj
+        [ ("modes", Json.Int r.mr_modes); ("missing", Json.Int r.mr_missing) ]
+    );
+  ]
+
+(** The serve reply payload. *)
+let reply_json (r : result) : Json.t =
   Json.Obj
     [
-      ("schema", Json.String schema_id);
-      ("files", Json.List (List.map (fun f -> Json.String f) files));
-      ("families", Json.List (List.map fam_json r.mr_fams));
-      ( "signature",
-        Json.Obj
-          [ ("modes", Json.Int r.mr_modes); ("missing", Json.Int r.mr_missing) ]
-      );
-      ("findings", Json.List (List.map Lint.finding_json (Diagnostics.all sink)));
-      ( "summary",
-        Json.Obj
-          [
-            ("errors", Json.Int (Diagnostics.error_count sink));
-            ("warnings", Json.Int (Diagnostics.warning_count sink));
-            ("notes", Json.Int (Diagnostics.note_count sink));
-            ("bugs", Json.Int (Diagnostics.bug_count sink));
-          ] );
-      ("exit_code", Json.Int (Diagnostics.exit_code sink));
+      ("modes", Json.Int r.mr_modes);
+      ("families", Json.Int (List.length r.mr_fams));
+      ("clean", Json.Int (List.length (List.filter clean r.mr_fams)));
+      ("missing", Json.Int r.mr_missing);
     ]
+
+(** The [-v] listing: one verdict line per moded family. *)
+let pp ppf (r : result) =
+  Fmt.pf ppf "signature: %d mode declaration(s), %d missing@." r.mr_modes
+    r.mr_missing;
+  List.iter
+    (fun f ->
+      Fmt.pf ppf "modes %s : %s (%d clause(s), %d input(s), %d output(s))%s@."
+        f.mf_name
+        (if clean f then "clean" else "dirty")
+        f.mf_clauses f.mf_inputs f.mf_outputs
+        (if f.mf_sorted then "  [sort-level]" else ""))
+    r.mr_fams

@@ -42,7 +42,7 @@
 
     Each phase runs under a [worlds:<pass>] telemetry span; the report
     follows the [belr-worlds/1] schema (validated by
-    [tools/validate_json.ml] under the [@worlds] alias). *)
+    [tools/validate_json.ml] under the [@analyses] alias). *)
 
 open Belr_support
 open Belr_syntax
@@ -369,191 +369,188 @@ let rec_loc sg id =
     strict-occurrence pass ({!Strict}) over every case branch.  Analysis
     failures on a recovered (partially checked) signature are contained
     per function. *)
-let run ?(check_strict = true) (sink : Diagnostics.sink) (sg : Sign.t) :
-    result =
-  Telemetry.with_span "worlds" (fun () ->
-      let typ_names = Hashtbl.create 32 in
-      List.iter
-        (fun (a, (te : Sign.typ_entry)) ->
-          Hashtbl.replace typ_names a te.Sign.t_name)
-        (Sign.all_typs sg);
-      let names a =
-        match Hashtbl.find_opt typ_names a with
-        | Some n -> n
-        | None -> "#" ^ string_of_int a
-      in
-      let sub =
-        Telemetry.with_span "worlds:subord" (fun () -> Subord.analyze sg)
-      in
-      let cg =
-        Telemetry.with_span "worlds:callgraph" (fun () -> Callgraph.analyze sg)
-      in
-      let rec_name id =
-        match Sign.rec_entry_opt sg id with
-        | Some re -> re.Sign.r_name
-        | None -> "#" ^ string_of_int id
-      in
-      (* the restricted block field lists of a family's declared worlds,
-         memoized per family *)
-      let world_tiles
-          : (Lf.cid_typ, (string * (int * Lf.typ) list) list option) Hashtbl.t
-          =
-        Hashtbl.create 16
-      in
-      let tiles_of fam =
-        match Hashtbl.find_opt world_tiles fam with
-        | Some t -> t
-        | None ->
-            let t =
-              Option.map
-                (fun (w : Sign.worlds_entry) ->
-                  List.filter_map
-                    (fun b ->
-                      let be = Sign.block_entry sg b in
-                      (* offsets are assigned before the relevance
-                         filter: dropped fields still occupy binder
-                         indices in the kept ones *)
-                      match
-                        List.filter
-                          (fun (_, t) ->
-                            Subord.leq sub (Lf.typ_target t) fam)
-                          (List.mapi
-                             (fun j t -> (j, t))
-                             (erase_fields sg be.Sign.b_fields))
-                      with
-                      | [] -> None
-                      | fs -> Some (be.Sign.b_name, fs))
-                    w.Sign.w_blocks)
-                (Sign.worlds_of sg fam)
-            in
-            Hashtbl.replace world_tiles fam t;
-            t
-      in
-      let check_fn (id, fname) =
-        let loc = rec_loc sg id in
-        let re = Sign.rec_entry sg id in
-        let c =
-          Telemetry.with_span "worlds:collect" (fun () -> collect sg re)
+let run ?(check_strict = true) (sg : Sign.t) (facts : Facts.t)
+    (sink : Diagnostics.sink) : result =
+  let typ_names = Hashtbl.create 32 in
+  List.iter
+    (fun (a, (te : Sign.typ_entry)) ->
+      Hashtbl.replace typ_names a te.Sign.t_name)
+    (Sign.all_typs sg);
+  let names a =
+    match Hashtbl.find_opt typ_names a with
+    | Some n -> n
+    | None -> "#" ^ string_of_int a
+  in
+  let sub =
+    Telemetry.with_span "worlds:subord" (fun () -> Facts.subord facts)
+  in
+  let cg =
+    Telemetry.with_span "worlds:callgraph" (fun () -> Facts.callgraph facts)
+  in
+  let rec_name id =
+    match Sign.rec_entry_opt sg id with
+    | Some re -> re.Sign.r_name
+    | None -> "#" ^ string_of_int id
+  in
+  (* the restricted block field lists of a family's declared worlds,
+     memoized per family *)
+  let world_tiles
+      : (Lf.cid_typ, (string * (int * Lf.typ) list) list option) Hashtbl.t
+      =
+    Hashtbl.create 16
+  in
+  let tiles_of fam =
+    match Hashtbl.find_opt world_tiles fam with
+    | Some t -> t
+    | None ->
+        let t =
+          Option.map
+            (fun (w : Sign.worlds_entry) ->
+              List.filter_map
+                (fun b ->
+                  let be = Sign.block_entry sg b in
+                  (* offsets are assigned before the relevance
+                     filter: dropped fields still occupy binder
+                     indices in the kept ones *)
+                  match
+                    List.filter
+                      (fun (_, t) ->
+                        Subord.leq sub (Lf.typ_target t) fam)
+                      (List.mapi
+                         (fun j t -> (j, t))
+                         (erase_fields sg be.Sign.b_fields))
+                  with
+                  | [] -> None
+                  | fs -> Some (be.Sign.b_name, fs))
+                w.Sign.w_blocks)
+            (Sign.worlds_of sg fam)
         in
-        Telemetry.add c_exts
-          (List.length c.c_direct + List.length c.c_flow
-          + List.length c.c_schema);
-        (* assemble the (telescope, family, witness) obligations:
-           box-local pairs, schema content against the function's own
-           boxed families, and flowed telescopes against every family a
-           transitive callee boxes *)
-        let obligations = ref [] in
-        let seen = Hashtbl.create 32 in
-        let add x fam path =
-          let key = (x.x_fields, fam) in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            obligations := (x, fam, path) :: !obligations
-          end
-        in
-        List.iter (fun (x, fam) -> add x fam [ id ]) c.c_direct;
-        List.iter (fun x -> List.iter (fun fam -> add x fam [ id ]) c.c_boxed)
-          c.c_schema;
-        List.iter
-          (fun (g, path) ->
-            match Sign.rec_entry_opt sg g with
-            | None -> ()
-            | Some ge ->
-                let gc = collect sg ge in
-                List.iter
-                  (fun fam ->
-                    List.iter
-                      (fun x -> add x fam path)
-                      (c.c_flow @ c.c_schema))
-                  gc.c_boxed)
-          (reachable_callees cg id);
-        let violations = ref 0 in
-        let undeclared = ref 0 in
-        let checked = ref 0 in
-        Telemetry.with_span "worlds:subsume" (fun () ->
+        Hashtbl.replace world_tiles fam t;
+        t
+  in
+  let check_fn (id, fname) =
+    let loc = rec_loc sg id in
+    let re = Sign.rec_entry sg id in
+    let c =
+      Telemetry.with_span "worlds:collect" (fun () -> collect sg re)
+    in
+    Telemetry.add c_exts
+      (List.length c.c_direct + List.length c.c_flow
+      + List.length c.c_schema);
+    (* assemble the (telescope, family, witness) obligations:
+       box-local pairs, schema content against the function's own
+       boxed families, and flowed telescopes against every family a
+       transitive callee boxes *)
+    let obligations = ref [] in
+    let seen = Hashtbl.create 32 in
+    let add x fam path =
+      let key = (x.x_fields, fam) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        obligations := (x, fam, path) :: !obligations
+      end
+    in
+    List.iter (fun (x, fam) -> add x fam [ id ]) c.c_direct;
+    List.iter (fun x -> List.iter (fun fam -> add x fam [ id ]) c.c_boxed)
+      c.c_schema;
+    List.iter
+      (fun (g, path) ->
+        match Sign.rec_entry_opt sg g with
+        | None -> ()
+        | Some ge ->
+            let gc = collect sg ge in
             List.iter
-              (fun (x, fam, path) ->
-                match relevant sub ~fam x.x_fields with
-                | [] -> ()  (* nothing [fam] can see: trivially subsumed *)
-                | tele -> (
-                    incr checked;
-                    Telemetry.bump c_pairs;
-                    let witness =
-                      String.concat " -> "
-                        (List.map rec_name path @ [ names fam ])
-                    in
-                    match tiles_of fam with
-                    | None ->
-                        incr undeclared;
-                        Diagnostics.emit sink
-                          (Diagnostics.make ~loc ~code:"W0721"
-                             Diagnostics.Warning
-                             "%s extends contexts reaching %s (e.g. %s), \
-                              but %s has no %%worlds declaration (appeal \
-                              path: %s)"
-                             fname (names fam) x.x_desc (names fam) witness)
-                    | Some blocks ->
-                        if not (tiles ~blocks:(List.map snd blocks) tele)
-                        then begin
-                          incr violations;
-                          Diagnostics.emit sink
-                            (Diagnostics.make ~loc ~code:"E0720"
-                               Diagnostics.Error
-                               "context extension %s in %s is not subsumed \
-                                by the declared worlds of %s (%s) (appeal \
-                                path: %s)"
-                               x.x_desc fname (names fam)
-                               (if blocks = [] then "no relevant block"
-                                else
-                                  String.concat " | " (List.map fst blocks))
-                               witness)
-                        end))
-              (List.rev !obligations));
-        let nonstrict = ref 0 in
-        if check_strict then
-          Telemetry.with_span "worlds:strict" (fun () ->
-              List.iteri
-                (fun case_i offenders ->
-                  List.iter
-                    (fun (branch_i, _pos, x) ->
-                      incr nonstrict;
+              (fun fam ->
+                List.iter
+                  (fun x -> add x fam path)
+                  (c.c_flow @ c.c_schema))
+              gc.c_boxed)
+      (reachable_callees cg id);
+    let violations = ref 0 in
+    let undeclared = ref 0 in
+    let checked = ref 0 in
+    Telemetry.with_span "worlds:subsume" (fun () ->
+        List.iter
+          (fun (x, fam, path) ->
+            match relevant sub ~fam x.x_fields with
+            | [] -> ()  (* nothing [fam] can see: trivially subsumed *)
+            | tele -> (
+                incr checked;
+                Telemetry.bump c_pairs;
+                let witness =
+                  String.concat " -> "
+                    (List.map rec_name path @ [ names fam ])
+                in
+                match tiles_of fam with
+                | None ->
+                    incr undeclared;
+                    Diagnostics.emit sink
+                      (Diagnostics.make ~loc ~code:"W0721"
+                         Diagnostics.Warning
+                         "%s extends contexts reaching %s (e.g. %s), \
+                          but %s has no %%worlds declaration (appeal \
+                          path: %s)"
+                         fname (names fam) x.x_desc (names fam) witness)
+                | Some blocks ->
+                    if not (tiles ~blocks:(List.map snd blocks) tele)
+                    then begin
+                      incr violations;
                       Diagnostics.emit sink
-                        (Diagnostics.make ~loc ~code:"W0722"
-                           Diagnostics.Warning
-                           "pattern variable %s in branch %d of case %d of \
-                            %s has no strict occurrence: coverage of this \
-                            case is heuristic"
-                           x (branch_i + 1) (case_i + 1) fname))
-                    offenders)
-                (Strict.rec_nonstrict sg id));
-        {
-          wf_id = id;
-          wf_name = fname;
-          wf_exts =
-            List.length c.c_direct + List.length c.c_flow
-            + List.length c.c_schema;
-          wf_fams = !checked;
-          wf_violations = !violations;
-          wf_undeclared = !undeclared;
-          wf_nonstrict = !nonstrict;
-        }
-      in
-      let fns =
-        List.filter_map
-          (fun (id, fname) ->
-            Diagnostics.recover sink ~loc:(rec_loc sg id) ~code:"E0201"
-              (fun () -> check_fn (id, fname)))
-          cg.Callgraph.cg_recs
-      in
-      {
-        wr_fns = fns;
-        wr_blocks = List.length (Sign.all_blocks sg);
-        wr_worlds = List.length (Sign.all_worlds sg);
-      })
+                        (Diagnostics.make ~loc ~code:"E0720"
+                           Diagnostics.Error
+                           "context extension %s in %s is not subsumed \
+                            by the declared worlds of %s (%s) (appeal \
+                            path: %s)"
+                           x.x_desc fname (names fam)
+                           (if blocks = [] then "no relevant block"
+                            else
+                              String.concat " | " (List.map fst blocks))
+                           witness)
+                    end))
+          (List.rev !obligations));
+    let nonstrict = ref 0 in
+    if check_strict then
+      Telemetry.with_span "worlds:strict" (fun () ->
+          List.iteri
+            (fun case_i offenders ->
+              List.iter
+                (fun (branch_i, _pos, x) ->
+                  incr nonstrict;
+                  Diagnostics.emit sink
+                    (Diagnostics.make ~loc ~code:"W0722"
+                       Diagnostics.Warning
+                       "pattern variable %s in branch %d of case %d of \
+                        %s has no strict occurrence: coverage of this \
+                        case is heuristic"
+                       x (branch_i + 1) (case_i + 1) fname))
+                offenders)
+            (Strict.rec_nonstrict sg id));
+    {
+      wf_id = id;
+      wf_name = fname;
+      wf_exts =
+        List.length c.c_direct + List.length c.c_flow
+        + List.length c.c_schema;
+      wf_fams = !checked;
+      wf_violations = !violations;
+      wf_undeclared = !undeclared;
+      wf_nonstrict = !nonstrict;
+    }
+  in
+  let fns =
+    List.filter_map
+      (fun (id, fname) ->
+        Diagnostics.recover sink ~loc:(rec_loc sg id) ~code:"E0201"
+          (fun () -> check_fn (id, fname)))
+      cg.Callgraph.cg_recs
+  in
+  {
+    wr_fns = fns;
+    wr_blocks = List.length (Sign.all_blocks sg);
+    wr_worlds = List.length (Sign.all_worlds sg);
+  }
 
 (* --- report ------------------------------------------------------------- *)
-
-let schema_id = "belr-worlds/1"
 
 let clean (f : fn_report) =
   f.wf_violations = 0 && f.wf_undeclared = 0 && f.wf_nonstrict = 0
@@ -570,29 +567,39 @@ let fn_json (f : fn_report) : Json.t =
       ("clean", Json.Bool (clean f));
     ]
 
-(** The full [belr-worlds/1] report for one run; [finding] entries reuse
-    the [belr-lint/1] finding shape. *)
-let report_json ~(files : string list) (sink : Diagnostics.sink) (r : result)
-    : Json.t =
+(** The report's own sections: per-function counts and the signature's
+    block/worlds declaration counts. *)
+let sections (r : result) : (string * Json.t) list =
+  [
+    ("functions", Json.List (List.map fn_json r.wr_fns));
+    ( "signature",
+      Json.Obj
+        [ ("blocks", Json.Int r.wr_blocks); ("worlds", Json.Int r.wr_worlds) ]
+    );
+  ]
+
+(** The serve reply payload. *)
+let reply_json (r : result) : Json.t =
   Json.Obj
     [
-      ("schema", Json.String schema_id);
-      ("files", Json.List (List.map (fun f -> Json.String f) files));
-      ("functions", Json.List (List.map fn_json r.wr_fns));
-      ( "signature",
-        Json.Obj
-          [
-            ("blocks", Json.Int r.wr_blocks);
-            ("worlds", Json.Int r.wr_worlds);
-          ] );
-      ("findings", Json.List (List.map Lint.finding_json (Diagnostics.all sink)));
-      ( "summary",
-        Json.Obj
-          [
-            ("errors", Json.Int (Diagnostics.error_count sink));
-            ("warnings", Json.Int (Diagnostics.warning_count sink));
-            ("notes", Json.Int (Diagnostics.note_count sink));
-            ("bugs", Json.Int (Diagnostics.bug_count sink));
-          ] );
-      ("exit_code", Json.Int (Diagnostics.exit_code sink));
+      ("functions", Json.Int (List.length r.wr_fns));
+      ("clean", Json.Int (List.length (List.filter clean r.wr_fns)));
+      ("blocks", Json.Int r.wr_blocks);
+      ("worlds", Json.Int r.wr_worlds);
     ]
+
+(** The [-v] listing: one verdict line per function. *)
+let pp ppf (r : result) =
+  Fmt.pf ppf "signature: %d block(s), %d worlds declaration(s)@." r.wr_blocks
+    r.wr_worlds;
+  List.iter
+    (fun f ->
+      Fmt.pf ppf "worlds %s : %s (%d extension(s), %d familie(s) checked)%s@."
+        f.wf_name
+        (if clean f then "clean" else "dirty")
+        f.wf_exts f.wf_fams
+        (if f.wf_nonstrict > 0 then
+           Printf.sprintf "  [%d non-strict pattern variable(s)]"
+             f.wf_nonstrict
+         else ""))
+    r.wr_fns

@@ -20,7 +20,7 @@
     counters [total.composed_graphs], [total.split_candidates], and
     [total.pruned_cases] account for the work done.  The machine-readable
     report follows the [belr-total/1] schema (validated by
-    [tools/validate_json.ml] under the [@total] alias):
+    [tools/validate_json.ml] under the [@analyses] alias):
 
     {v
     { "schema": "belr-total/1",
@@ -75,128 +75,126 @@ let rec_loc sg id =
     [sink].  [depth] bounds coverage splitting; [budget] bounds the SCT
     closure.  Analysis failures on a recovered (partially checked)
     signature are contained per SCC / per function. *)
-let run ?(depth = 3) ?(budget = 4096) (sink : Diagnostics.sink)
-    (sg : Sign.t) : result =
-  Telemetry.with_span "total" (fun () ->
-      let name id = (Sign.rec_entry sg id).Sign.r_name in
-      let cg =
-        Telemetry.with_span "total:callgraph" (fun () -> Callgraph.analyze sg)
-      in
-      let sccs = Callgraph.sccs cg in
-      (* termination: one verdict per SCC, shared by its members *)
-      let composed = ref 0 in
-      let term_of : (Lf.cid_rec, term_status) Hashtbl.t = Hashtbl.create 16 in
-      Telemetry.with_span "total:sct" (fun () ->
-          List.iter
-            (fun scc ->
-              let v =
-                match
-                  Diagnostics.recover sink
-                    ~loc:(match scc with id :: _ -> rec_loc sg id | [] -> Loc.ghost)
-                    ~code:"E0201"
-                    (fun () -> Sct.check_scc ~budget cg scc)
-                with
-                | Some (v, `Composed n) ->
-                    composed := !composed + n;
-                    Telemetry.add c_composed n;
-                    (match v with
-                    | Sct.Terminating -> TTotal
-                    | Sct.Diverging p -> TDiverging p
-                    | Sct.GaveUp -> TGaveUp)
-                | None -> TUnknown
+let run ?(depth = 3) ?(budget = 4096) (sg : Sign.t)
+    (facts : Belr_analysis.Facts.t) (sink : Diagnostics.sink) : result =
+  let name id = (Sign.rec_entry sg id).Sign.r_name in
+  let cg =
+    Telemetry.with_span "total:callgraph" (fun () ->
+        Belr_analysis.Facts.callgraph facts)
+  in
+  let sccs = Callgraph.sccs cg in
+  (* termination: one verdict per SCC, shared by its members *)
+  let composed = ref 0 in
+  let term_of : (Lf.cid_rec, term_status) Hashtbl.t = Hashtbl.create 16 in
+  Telemetry.with_span "total:sct" (fun () ->
+      List.iter
+        (fun scc ->
+          let v =
+            match
+              Diagnostics.recover sink
+                ~loc:(match scc with id :: _ -> rec_loc sg id | [] -> Loc.ghost)
+                ~code:"E0201"
+                (fun () -> Sct.check_scc ~budget cg scc)
+            with
+            | Some (v, `Composed n) ->
+                composed := !composed + n;
+                Telemetry.add c_composed n;
+                (match v with
+                | Sct.Terminating -> TTotal
+                | Sct.Diverging p -> TDiverging p
+                | Sct.GaveUp -> TGaveUp)
+            | None -> TUnknown
+          in
+          List.iter (fun id -> Hashtbl.replace term_of id v) scc;
+          match v with
+          | TDiverging path ->
+              let members =
+                String.concat ", " (List.map name scc)
               in
-              List.iter (fun id -> Hashtbl.replace term_of id v) scc;
-              match v with
-              | TDiverging path ->
-                  let members =
-                    String.concat ", " (List.map name scc)
-                  in
-                  Diagnostics.emit sink
-                    (Diagnostics.make
-                       ~loc:(rec_loc sg (List.hd scc))
-                       ~code:"E0710" Diagnostics.Error
-                       "possibly non-terminating recursion in %s: no argument \
-                        strictly decreases along the cycle %s"
-                       members
-                       (Sct.render_path name path))
-              | TGaveUp ->
-                  Diagnostics.emit sink
-                    (Diagnostics.make
-                       ~loc:(match scc with id :: _ -> rec_loc sg id | [] -> Loc.ghost)
-                       ~code:"W0712" Diagnostics.Warning
-                       "termination analysis of %s gave up: size-change \
-                        closure exceeded its budget of %d graphs"
-                       (String.concat ", " (List.map name scc))
-                       budget)
-              | TTotal | TUnknown -> ())
-            sccs);
-      (* coverage: per function, per case *)
-      let fns =
-        Telemetry.with_span "total:coverage" (fun () ->
-            List.map
-              (fun (id, fname) ->
-                let scc =
-                  match
-                    List.find_opt (fun scc -> List.mem id scc) sccs
-                  with
-                  | Some scc -> scc
-                  | None -> [ id ]
-                in
-                let cases =
-                  match
-                    Diagnostics.recover sink ~loc:(rec_loc sg id)
-                      ~code:"E0201" (fun () ->
-                        Coverage.deep_check_rec ~depth sg id)
-                  with
-                  | Some cs -> cs
-                  | None -> []
-                in
-                let missing = ref [] in
-                let gaveup = ref 0 in
-                List.iter
-                  (function
-                    | Coverage.DCovered -> ()
-                    | Coverage.DUncovered ms ->
-                        missing := ms :: !missing;
-                        Diagnostics.emit sink
-                          (Diagnostics.make ~loc:(rec_loc sg id)
-                             ~code:"W0711" Diagnostics.Warning
-                             "a case in %s is non-exhaustive: missing %s"
-                             fname
-                             (String.concat ", " ms))
-                    | Coverage.DGaveUp ->
-                        incr gaveup;
-                        Diagnostics.emit sink
-                          (Diagnostics.make ~loc:(rec_loc sg id)
-                             ~code:"W0712" Diagnostics.Warning
-                             "coverage analysis of a case in %s gave up at \
-                              splitting depth %d"
-                             fname depth))
-                  cases;
-                {
-                  fv_id = id;
-                  fv_name = fname;
-                  fv_group = List.map name scc;
-                  fv_term =
-                    (match Hashtbl.find_opt term_of id with
-                    | Some v -> v
-                    | None -> TTotal);
-                  fv_cases = List.length cases;
-                  fv_missing = List.rev !missing;
-                  fv_gaveup = !gaveup;
-                })
-              cg.Callgraph.cg_recs)
-      in
-      {
-        tr_fns = fns;
-        tr_sites = List.length cg.Callgraph.cg_sites;
-        tr_sccs = List.length sccs;
-        tr_composed = !composed;
-      })
+              Diagnostics.emit sink
+                (Diagnostics.make
+                   ~loc:(rec_loc sg (List.hd scc))
+                   ~code:"E0710" Diagnostics.Error
+                   "possibly non-terminating recursion in %s: no argument \
+                    strictly decreases along the cycle %s"
+                   members
+                   (Sct.render_path name path))
+          | TGaveUp ->
+              Diagnostics.emit sink
+                (Diagnostics.make
+                   ~loc:(match scc with id :: _ -> rec_loc sg id | [] -> Loc.ghost)
+                   ~code:"W0712" Diagnostics.Warning
+                   "termination analysis of %s gave up: size-change \
+                    closure exceeded its budget of %d graphs"
+                   (String.concat ", " (List.map name scc))
+                   budget)
+          | TTotal | TUnknown -> ())
+        sccs);
+  (* coverage: per function, per case *)
+  let fns =
+    Telemetry.with_span "total:coverage" (fun () ->
+        List.map
+          (fun (id, fname) ->
+            let scc =
+              match
+                List.find_opt (fun scc -> List.mem id scc) sccs
+              with
+              | Some scc -> scc
+              | None -> [ id ]
+            in
+            let cases =
+              match
+                Diagnostics.recover sink ~loc:(rec_loc sg id)
+                  ~code:"E0201" (fun () ->
+                    Coverage.deep_check_rec ~depth sg id)
+              with
+              | Some cs -> cs
+              | None -> []
+            in
+            let missing = ref [] in
+            let gaveup = ref 0 in
+            List.iter
+              (function
+                | Coverage.DCovered -> ()
+                | Coverage.DUncovered ms ->
+                    missing := ms :: !missing;
+                    Diagnostics.emit sink
+                      (Diagnostics.make ~loc:(rec_loc sg id)
+                         ~code:"W0711" Diagnostics.Warning
+                         "a case in %s is non-exhaustive: missing %s"
+                         fname
+                         (String.concat ", " ms))
+                | Coverage.DGaveUp ->
+                    incr gaveup;
+                    Diagnostics.emit sink
+                      (Diagnostics.make ~loc:(rec_loc sg id)
+                         ~code:"W0712" Diagnostics.Warning
+                         "coverage analysis of a case in %s gave up at \
+                          splitting depth %d"
+                         fname depth))
+              cases;
+            {
+              fv_id = id;
+              fv_name = fname;
+              fv_group = List.map name scc;
+              fv_term =
+                (match Hashtbl.find_opt term_of id with
+                | Some v -> v
+                | None -> TTotal);
+              fv_cases = List.length cases;
+              fv_missing = List.rev !missing;
+              fv_gaveup = !gaveup;
+            })
+          cg.Callgraph.cg_recs)
+  in
+  {
+    tr_fns = fns;
+    tr_sites = List.length cg.Callgraph.cg_sites;
+    tr_sccs = List.length sccs;
+    tr_composed = !composed;
+  }
 
 (* --- report ------------------------------------------------------------ *)
-
-let schema_id = "belr-total/1"
 
 let terminating (f : fn_verdict) =
   match f.fv_term with TTotal -> true | _ -> false
@@ -218,33 +216,51 @@ let fn_json (f : fn_verdict) : Json.t =
              f.fv_missing) );
     ]
 
-(** The full [belr-total/1] report for one run; [finding] entries reuse
-    the [belr-lint/1] finding shape. *)
-let report_json ~(files : string list) (sink : Diagnostics.sink)
-    (r : result) : Json.t =
+(** The report's own sections: per-function verdicts and the call-graph
+    statistics. *)
+let sections (r : result) : (string * Json.t) list =
+  [
+    ("functions", Json.List (List.map fn_json r.tr_fns));
+    ( "callgraph",
+      Json.Obj
+        [
+          ("functions", Json.Int (List.length r.tr_fns));
+          ("sites", Json.Int r.tr_sites);
+          ("sccs", Json.Int r.tr_sccs);
+          ("composed", Json.Int r.tr_composed);
+        ] );
+  ]
+
+(** The serve reply payload. *)
+let reply_json (r : result) : Json.t =
   Json.Obj
     [
-      ("schema", Json.String schema_id);
-      ("files", Json.List (List.map (fun f -> Json.String f) files));
-      ("functions", Json.List (List.map fn_json r.tr_fns));
-      ( "callgraph",
-        Json.Obj
-          [
-            ("functions", Json.Int (List.length r.tr_fns));
-            ("sites", Json.Int r.tr_sites);
-            ("sccs", Json.Int r.tr_sccs);
-            ("composed", Json.Int r.tr_composed);
-          ] );
-      ( "findings",
-        Json.List
-          (List.map Belr_analysis.Lint.finding_json (Diagnostics.all sink)) );
-      ( "summary",
-        Json.Obj
-          [
-            ("errors", Json.Int (Diagnostics.error_count sink));
-            ("warnings", Json.Int (Diagnostics.warning_count sink));
-            ("notes", Json.Int (Diagnostics.note_count sink));
-            ("bugs", Json.Int (Diagnostics.bug_count sink));
-          ] );
-      ("exit_code", Json.Int (Diagnostics.exit_code sink));
+      ("functions", Json.Int (List.length r.tr_fns));
+      ( "terminating",
+        Json.Int (List.length (List.filter terminating r.tr_fns)) );
+      ("covered", Json.Int (List.length (List.filter covered r.tr_fns)));
     ]
+
+let term_label (f : fn_verdict) =
+  match f.fv_term with
+  | TTotal -> "terminating"
+  | TDiverging _ -> "possibly diverging"
+  | TGaveUp -> "termination unknown (budget)"
+  | TUnknown -> "termination unknown (analysis failed)"
+
+(** The [-v] listing: call-graph statistics, then one verdict line per
+    function. *)
+let pp ppf (r : result) =
+  Fmt.pf ppf
+    "callgraph: %d function(s), %d call site(s), %d SCC(s), %d composed \
+     graph(s)@."
+    (List.length r.tr_fns) r.tr_sites r.tr_sccs r.tr_composed;
+  List.iter
+    (fun f ->
+      Fmt.pf ppf "total %s : %s, %s (%d case(s))%s@." f.fv_name (term_label f)
+        (if covered f then "covered" else "non-exhaustive")
+        f.fv_cases
+        (match f.fv_group with
+        | [ _ ] -> ""
+        | g -> "  [group: " ^ String.concat ", " g ^ "]"))
+    r.tr_fns

@@ -76,68 +76,172 @@ let check_files (sink : Diagnostics.sink) (files : string list) :
         files);
   sg
 
-(** Run the [belr lint] signature analyses (subordination, adequacy,
-    sorts, unused declarations, shadowing) over a checked signature,
-    reporting through the {e same} sink the checking pipeline used — one
-    unified diagnostic stream, one exit code.  Every pass already runs
-    under {!Diagnostics.recover}; the [--max-errors] cap is absorbed by
-    the pass runner like in checking, in which case the per-pass counts
-    cover only the passes that ran. *)
-let lint ?passes (sink : Diagnostics.sink) (sg : Belr_lf.Sign.t) :
-    Belr_analysis.Lint.result =
-  Belr_analysis.Lint.run ?passes sink sg
+(* --- the analysis registry ---------------------------------------------- *)
 
-(** The totality analyses behind [belr total] and [check --total] (the
-    paper's §6.1 future work): size-change termination and deep coverage
-    over the whole signature, reported through the {e same} sink as
-    checking — E0710 errors and W0711/W0712 warnings via the diagnostics
-    registry, never on stdout, so they cannot corrupt the
-    machine-readable summary.  Every SCC and every function is analyzed
-    under recovery: an analysis crash on a partially checked signature is
-    a reported bug, not a lost run. *)
-let total ?depth ?budget (sink : Diagnostics.sink) (sg : Belr_lf.Sign.t) :
-    Belr_comp.Totality.result =
-  let result = ref None in
-  Diagnostics.with_stop sink (fun () ->
-      result := Some (Belr_comp.Totality.run ?depth ?budget sink sg));
-  match !result with
-  | Some r -> r
-  | None -> Belr_comp.Totality.empty_result
+(** What one analyzer run yields beyond its diagnostics (which go to the
+    shared sink): its own report sections, its serve reply payload, and
+    its [-v] listing — each built only when a caller asks for it. *)
+type outcome = {
+  sections : (string * Json.t) list Lazy.t;
+      (** the [belr-<name>/1] report sections between [files] and
+          [findings] *)
+  reply : Json.t Lazy.t;  (** the serve reply's [result] *)
+  listing : unit Fmt.t;  (** the [-v] listing *)
+}
 
-(** Back-compatible alias: the [--total] flag of [belr check] runs the
-    full totality analyzer for its diagnostics only. *)
-let analyze (sink : Diagnostics.sink) (sg : Belr_lf.Sign.t) : unit =
-  ignore (total sink sg)
+(** One whole-signature analyzer.  [name] is at once the CLI subcommand,
+    the [check --<name>] flag, the serve method, the telemetry span, the
+    serve cache key and the [belr-<name>/1] schema id. *)
+type analysis = {
+  name : string;
+  doc : string;  (** what the analyzer checks, for the CLI help *)
+  past : string;  (** the CLI's success line: "N file(s) <past>: …" *)
+  run : Belr_lf.Sign.t -> Belr_analysis.Facts.t -> Diagnostics.sink -> outcome;
+}
 
-(** The regular-worlds + strictness analyses behind [belr worlds] and
-    [check --worlds] ([%block] / [%worlds] declarations, DESIGN.md §S25):
-    context-schema subsumption and strict-occurrence checking over the
-    whole signature, reported through the {e same} sink as checking —
-    E0720 errors and W0721/W0722 warnings via the diagnostics registry.
-    Every function is analyzed under recovery. *)
-let worlds ?check_strict (sink : Diagnostics.sink) (sg : Belr_lf.Sign.t) :
-    Belr_analysis.Worlds.result =
-  let result = ref None in
-  Diagnostics.with_stop sink (fun () ->
-      result := Some (Belr_analysis.Worlds.run ?check_strict sink sg));
-  match !result with
-  | Some r -> r
-  | None -> Belr_analysis.Worlds.empty_result
+(** Package a typed analyzer as a registry entry.  The analyzer runs
+    under {!Diagnostics.with_stop}: when the [--max-errors] cap stops it,
+    the outcome is built from [empty], so a report still carries the
+    entry's own sections. *)
+let analysis ~name ~doc ~past ~run ~empty ~sections ~reply ~listing =
+  let run sg facts sink =
+    let r = ref empty in
+    Diagnostics.with_stop sink (fun () -> r := run sg facts sink);
+    let r = !r in
+    {
+      sections = lazy (sections r);
+      reply = lazy (reply r);
+      listing = (fun ppf () -> listing sg facts ppf r);
+    }
+  in
+  { name; doc; past; run }
 
-(** The mode & uniqueness analysis behind [belr modes] and
-    [check --modes] ([%mode] declarations, DESIGN.md §S27): groundness
-    dataflow and output-uniqueness over every moded family, reported
-    through the {e same} sink as checking — E0730/E0731 errors and
-    W0732/W0733 warnings via the diagnostics registry.  Every family is
-    analyzed under recovery. *)
-let modes (sink : Diagnostics.sink) (sg : Belr_lf.Sign.t) :
-    Belr_analysis.Modes.result =
-  let result = ref None in
-  Diagnostics.with_stop sink (fun () ->
-      result := Some (Belr_analysis.Modes.run sink sg));
-  match !result with
-  | Some r -> r
-  | None -> Belr_analysis.Modes.empty_result
+(** The signature analyses (subordination, adequacy, sorts, unused
+    declarations, shadowing); [passes] selects them ([--only]/[--skip]).
+    The pass runner absorbs the error cap itself, so the per-pass counts
+    cover the passes that ran. *)
+let lint_analysis ?passes () =
+  let module L = Belr_analysis.Lint in
+  analysis ~name:"lint" ~past:"linted"
+    ~doc:
+      "the signature analyses (subordination, adequacy, dead sorts, unused \
+       declarations, shadowing); findings carry stable W07xx/E0702 codes"
+    ~run:(L.run ?passes) ~empty:L.empty_result ~sections:L.sections
+    ~reply:L.reply_json ~listing:L.pp
+
+(** The totality analyzer (the paper's §6.1 future work): size-change
+    termination and deep coverage; [depth] bounds coverage splitting,
+    [budget] the size-change closure. *)
+let total_analysis ?depth ?budget () =
+  let module T = Belr_comp.Totality in
+  analysis ~name:"total" ~past:"totality-checked"
+    ~doc:
+      "the totality analyzer (the paper's §6.1 extensions): size-change \
+       termination over the call graph, accepting mutual recursion and \
+       lexicographic descent, and depth-bounded refinement-aware \
+       coverage; findings carry stable codes (E0710 non-terminating \
+       cycle, W0711 missing cases, W0712 gave up)"
+    ~run:(T.run ?depth ?budget) ~empty:T.empty_result ~sections:T.sections
+    ~reply:T.reply_json ~listing:(fun _ _ -> T.pp)
+
+(** The regular-worlds + strictness analyzer ([%block] / [%worlds],
+    DESIGN.md §S25); [check_strict] runs the strict-occurrence pass. *)
+let worlds_analysis ?check_strict () =
+  let module W = Belr_analysis.Worlds in
+  analysis ~name:"worlds" ~past:"worlds-checked"
+    ~doc:
+      "the regular-worlds + strictness analyzer (Twelf-style %block / \
+       %worlds declarations): every context extension a function can \
+       produce must be subsumed, up to refinement subsorting and \
+       subordination strengthening, by the declared worlds of the \
+       families it reaches, and every case-pattern variable must occur \
+       strictly; findings carry stable codes (E0720 extension outside the \
+       declared worlds, W0721 missing %worlds declaration, W0722 \
+       non-strict pattern variable)"
+    ~run:(W.run ?check_strict) ~empty:W.empty_result ~sections:W.sections
+    ~reply:W.reply_json ~listing:(fun _ _ -> W.pp)
+
+(** The mode & uniqueness analyzer ([%mode], DESIGN.md §S27). *)
+let modes_analysis () =
+  let module M = Belr_analysis.Modes in
+  analysis ~name:"modes" ~past:"mode-checked"
+    ~doc:
+      "the mode & uniqueness analyzer (Twelf-style %mode declarations): a \
+       groundness dataflow checks that every clause of a moded family can \
+       order its premises so calls get ground inputs and deliver ground \
+       outputs, and a uniqueness pass flags input-overlapping clauses \
+       with divergent rigid outputs; findings carry stable codes (E0730 \
+       ill-moded clause, E0731 ungroundable output, W0732 missing %mode \
+       declaration, W0733 non-unique output)"
+    ~run:M.run ~empty:M.empty_result ~sections:M.sections ~reply:M.reply_json
+    ~listing:(fun _ _ -> M.pp)
+
+(** The registry, with default options, in the order [belr check] runs
+    its analyzers. *)
+let analyses =
+  [ lint_analysis (); total_analysis (); worlds_analysis (); modes_analysis () ]
+
+(** Run [analyses] in order over a checked signature, reporting through
+    the {e same} sink the checking pipeline used — one diagnostic stream,
+    one exit code.  Each runs under its [name] span; the facts they read
+    (subordination, call graph) are computed at most once for all of
+    them. *)
+let run_analyses (analyses : analysis list) (sink : Diagnostics.sink)
+    (sg : Belr_lf.Sign.t) : outcome list =
+  let facts = Belr_analysis.Facts.make sg in
+  List.map
+    (fun a -> Telemetry.with_span a.name (fun () -> a.run sg facts sink))
+    analyses
+
+let run_analysis (a : analysis) (sink : Diagnostics.sink)
+    (sg : Belr_lf.Sign.t) : outcome =
+  List.hd (run_analyses [ a ] sink sg)
+
+(** One report finding: the diagnostic with its source position, when it
+    has one, split into [file]/[line]/[col] beside the [loc] string. *)
+let finding_json (d : Diagnostics.t) : Json.t =
+  let loc = d.Diagnostics.d_loc in
+  Json.Obj
+    ([
+       ("code", Json.String d.Diagnostics.d_code);
+       ( "severity",
+         Json.String (Diagnostics.severity_label d.Diagnostics.d_severity) );
+       ("message", Json.String d.Diagnostics.d_message);
+     ]
+    @
+    if Loc.is_ghost loc then []
+    else
+      [
+        ("file", Json.String loc.Loc.source);
+        ("line", Json.Int loc.Loc.start_pos.Loc.line);
+        ("col", Json.Int loc.Loc.start_pos.Loc.col);
+        ("loc", Json.String (Loc.to_string loc));
+      ])
+
+(** The [belr-<name>/1] report of one run: the shared envelope (schema,
+    files, findings, summary, exit code) around the analyzer's own
+    sections.  [findings] carries {e every} diagnostic in the sink, the
+    checking ones included. *)
+let report_json ~(files : string list) (sink : Diagnostics.sink)
+    (a : analysis) (o : outcome) : Json.t =
+  Json.Obj
+    ([
+       ("schema", Json.String ("belr-" ^ a.name ^ "/1"));
+       ("files", Json.List (List.map (fun f -> Json.String f) files));
+     ]
+    @ Lazy.force o.sections
+    @ [
+        ("findings", Json.List (List.map finding_json (Diagnostics.all sink)));
+        ( "summary",
+          Json.Obj
+            [
+              ("errors", Json.Int (Diagnostics.error_count sink));
+              ("warnings", Json.Int (Diagnostics.warning_count sink));
+              ("notes", Json.Int (Diagnostics.note_count sink));
+              ("bugs", Json.Int (Diagnostics.bug_count sink));
+            ] );
+        ("exit_code", Json.Int (Diagnostics.exit_code sink));
+      ])
 
 (* --- session-scoped entry points ---------------------------------------- *)
 
@@ -163,22 +267,13 @@ let check_files_in (ses : Belr_lf.Session.t) (sink : Diagnostics.sink)
       ses.Belr_lf.Session.sn_sign <- sg;
       sg)
 
-let lint_in ?passes (ses : Belr_lf.Session.t) (sink : Diagnostics.sink) :
-    Belr_analysis.Lint.result =
+let run_analysis_in (a : analysis) (ses : Belr_lf.Session.t)
+    (sink : Diagnostics.sink) : outcome =
   Belr_lf.Session.with_ ses (fun () ->
-      lint ?passes sink (Belr_lf.Session.sign ses))
+      run_analysis a sink (Belr_lf.Session.sign ses))
 
-let total_in ?depth ?budget (ses : Belr_lf.Session.t)
-    (sink : Diagnostics.sink) : Belr_comp.Totality.result =
-  Belr_lf.Session.with_ ses (fun () ->
-      total ?depth ?budget sink (Belr_lf.Session.sign ses))
-
-let worlds_in ?check_strict (ses : Belr_lf.Session.t)
-    (sink : Diagnostics.sink) : Belr_analysis.Worlds.result =
-  Belr_lf.Session.with_ ses (fun () ->
-      worlds ?check_strict sink (Belr_lf.Session.sign ses))
-
-let modes_in (ses : Belr_lf.Session.t) (sink : Diagnostics.sink) :
-    Belr_analysis.Modes.result =
-  Belr_lf.Session.with_ ses (fun () ->
-      modes sink (Belr_lf.Session.sign ses))
+(* One-line aliases of the runner, kept for the benchmark harness. *)
+let lint_in = run_analysis_in (lint_analysis ())
+let total_in = run_analysis_in (total_analysis ())
+let worlds_in = run_analysis_in (worlds_analysis ())
+let modes_in = run_analysis_in (modes_analysis ())

@@ -8,7 +8,7 @@
     { "id": <any>, "method": "check", "session": "s"?,
       "source": "…"? | "file": "path"?,
       "deadline_ms": <int>?, "step_budget": <int>?, "max_depth": <int>? }
-    { "id": <any>, "method": "lint" | "total" | "modes" | "stats"
+    { "id": <any>, "method": "lint" | "total" | "worlds" | "modes"
                            | "reset" | "metrics" | "health",
       "session": "s"?, … }
     v}
@@ -85,9 +85,10 @@ type analysis_cache = {
       (** the findings the analysis emitted, replayed on a cache hit so
           a warm reply is indistinguishable from a cold one *)
 }
-(** A whole-signature analysis result ([lint] / [total]) memoized per
-    declaration content-hash: a warm request over an unedited signature
-    replays the cached reply instead of re-running the passes. *)
+(** A whole-signature analysis result (one per {!Driver.analyses}
+    entry) memoized per declaration content-hash: a warm request over an
+    unedited signature replays the cached reply instead of re-running
+    the analyzer. *)
 
 type session = {
   ss_name : string;
@@ -99,9 +100,8 @@ type session = {
           declarations across the unchanged text prefix) *)
   mutable ss_checks : int;
       (** session checks run so far: the stamp source of [en_stamp] *)
-  mutable ss_lint_cache : analysis_cache option;
-  mutable ss_total_cache : analysis_cache option;
-  mutable ss_modes_cache : analysis_cache option;
+  ss_caches : (string, analysis_cache) Hashtbl.t;
+      (** keyed by analysis name *)
 }
 
 type t = {
@@ -148,6 +148,18 @@ let m_decls_reused =
   Metrics.counter ~help:"declarations reused by the incremental engine"
     "serve.decls.reused"
 
+(** Every serve method: [check], one per {!Driver.analyses} entry, then
+    the session and server-wide methods. *)
+let methods =
+  ("check" :: List.map (fun a -> a.Driver.name) Driver.analyses)
+  @ [ "reset"; "metrics"; "health" ]
+
+(** ["check, lint, …, or health"], for the unknown-method rejection. *)
+let expected_methods =
+  match List.rev methods with
+  | last :: rest -> String.concat ", " (List.rev rest) ^ ", or " ^ last
+  | [] -> ""
+
 (** Per-method latency histograms; the [serve.check] p50/p99 is the
     headline number the bench overhead gate (E9) reads back. *)
 let m_method_hist : (string * Metrics.histogram) list =
@@ -157,8 +169,7 @@ let m_method_hist : (string * Metrics.histogram) list =
         Metrics.histogram
           ~help:(Printf.sprintf "latency of serve %s requests (ns)" m)
           ("serve." ^ m) ))
-    [ "check"; "lint"; "total"; "modes"; "stats"; "reset"; "metrics";
-      "health" ]
+    methods
 
 let g_sessions = Metrics.gauge ~help:"live serve sessions" "serve.sessions"
 
@@ -306,9 +317,7 @@ let find_session (t : t) (name : string) : session =
           ss_text = "";
           ss_parse_ok = false;
           ss_checks = 0;
-          ss_lint_cache = None;
-          ss_total_cache = None;
-          ss_modes_cache = None;
+          ss_caches = Hashtbl.create 4;
         }
       in
       Hashtbl.replace t.sv_sessions name s;
@@ -568,17 +577,17 @@ let invalid_keys (sg : Sign.t) (olds : entry list) (news : entry list) :
   done;
   !invalid
 
-(* --- whole-signature analysis caching (lint / total) --------------------- *)
+(* --- whole-signature analysis caching ------------------------------------- *)
 
 let cache_sig (entries : entry list) : (string * int * bool) list =
   List.map (fun e -> (e.en_key, e.en_hash, e.en_ok)) entries
 
 (** Run [analyze] (a whole-signature analysis reporting through [sink])
-    under the per-declaration content-hash cache [get]/[set].  On a hit —
-    every declaration's (key, content hash, check verdict) unchanged
-    since the cached run — the cached findings are replayed into [sink]
-    and the cached result returned without re-running the analysis, so a
-    warm reply is indistinguishable from a cold one.  On a miss the
+    under the session's per-declaration content-hash cache for [name].
+    On a hit — every declaration's (key, content hash, check verdict)
+    unchanged since the cached run — the cached findings are replayed
+    into [sink] and the cached result returned without re-running the
+    analysis, so a warm reply is indistinguishable from a cold one.  On a miss the
     analysis re-runs over the whole signature (the passes are signature
     folds, not per-declaration ones); the reported [rechecked] counts the
     declarations some session check has processed since the cached run
@@ -587,12 +596,10 @@ let cache_sig (entries : entry list) : (string * int * bool) list =
     changed — and [reused] the rest, mirroring the [check] method's
     accounting.  With no cached run every declaration counts. *)
 let with_analysis_cache (ses : session) (sink : Diagnostics.sink)
-    ~(get : session -> analysis_cache option)
-    ~(set : session -> analysis_cache option -> unit)
-    (analyze : unit -> J.t) : J.t * int * int =
+    (name : string) (analyze : unit -> J.t) : J.t * int * int =
   let news = ses.ss_entries in
   let now = cache_sig news in
-  match get ses with
+  match Hashtbl.find_opt ses.ss_caches name with
   | Some c when c.ac_sig = now ->
       Diagnostics.with_stop sink (fun () ->
           List.iter (Diagnostics.emit sink) c.ac_diags);
@@ -606,14 +613,13 @@ let with_analysis_cache (ses : session) (sink : Diagnostics.sink)
       in
       let reused = List.length news - rechecked in
       let result = analyze () in
-      set ses
-        (Some
-           {
-             ac_sig = now;
-             ac_stamp = ses.ss_checks;
-             ac_result = result;
-             ac_diags = Diagnostics.all sink;
-           });
+      Hashtbl.replace ses.ss_caches name
+        {
+          ac_sig = now;
+          ac_stamp = ses.ss_checks;
+          ac_result = result;
+          ac_diags = Diagnostics.all sink;
+        };
       (result, rechecked, reused)
 
 (* --- request handlers --------------------------------------------------- *)
@@ -711,19 +717,6 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
       ]
   in
   (result, !rechecked, !reused, !deadline_hit)
-
-let kernel_stats_json () : J.t =
-  let st = Belr_syntax.Lf.store_stats () in
-  let ms = Hsub.memo_stats () in
-  J.Obj
-    [
-      ("store_live", J.Int st.Belr_syntax.Lf.st_live);
-      ("store_interned", J.Int st.Belr_syntax.Lf.st_interned);
-      ("store_dedup_hits", J.Int st.Belr_syntax.Lf.st_dedup_hits);
-      ("memo_hits", J.Int ms.Hsub.ms_hits);
-      ("memo_misses", J.Int ms.Hsub.ms_misses);
-      ("mfi_skips", J.Int ms.Hsub.ms_mfi_skips);
-    ]
 
 (* --- the protocol layer ------------------------------------------------- *)
 
@@ -972,8 +965,20 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
       (* every other method works on the named session, created on
          first use *)
       let ses = find_session t rq.rq_session in
-      match meth with
-      | "check" -> (
+      match
+        (meth, List.find_opt (fun a -> a.Driver.name = meth) Driver.analyses)
+      with
+      | _, Some a ->
+          let result, rechecked, reused =
+            with_analysis_cache ses sink a.Driver.name (fun () ->
+                let o = Driver.run_analysis_in a ses.ss_core sink in
+                Lazy.force o.Driver.reply)
+          in
+          finish ~result
+            ~extra_telemetry:
+              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
+            ()
+      | "check", None -> (
           let src =
             match (rq.rq_source, rq.rq_file) with
             | Some s, _ -> Ok (s, "<serve>")
@@ -1022,103 +1027,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                     ("rechecked", J.Int !rechecked); ("reused", J.Int !reused);
                   ]
                 ())
-      | "lint" ->
-          let result, rechecked, reused =
-            with_analysis_cache ses sink
-              ~get:(fun s -> s.ss_lint_cache)
-              ~set:(fun s c -> s.ss_lint_cache <- c)
-              (fun () ->
-                let lr = Driver.lint_in ses.ss_core sink in
-                J.Obj
-                  [
-                    ( "passes",
-                      J.Obj
-                        (List.map
-                           (fun (n, c) -> (n, J.Int c))
-                           lr.Belr_analysis.Lint.lr_passes) );
-                  ])
-          in
-          finish ~result
-            ~extra_telemetry:
-              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-            ()
-      | "total" ->
-          let result, rechecked, reused =
-            with_analysis_cache ses sink
-              ~get:(fun s -> s.ss_total_cache)
-              ~set:(fun s c -> s.ss_total_cache <- c)
-              (fun () ->
-                let tr = Driver.total_in ses.ss_core sink in
-                let fns = tr.Belr_comp.Totality.tr_fns in
-                let n_term =
-                  List.length
-                    (List.filter
-                       (fun f ->
-                         f.Belr_comp.Totality.fv_term
-                         = Belr_comp.Totality.TTotal)
-                       fns)
-                in
-                let n_cov =
-                  List.length (List.filter Belr_comp.Totality.covered fns)
-                in
-                J.Obj
-                  [
-                    ("functions", J.Int (List.length fns));
-                    ("terminating", J.Int n_term);
-                    ("covered", J.Int n_cov);
-                  ])
-          in
-          finish ~result
-            ~extra_telemetry:
-              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-            ()
-      | "modes" ->
-          let result, rechecked, reused =
-            with_analysis_cache ses sink
-              ~get:(fun s -> s.ss_modes_cache)
-              ~set:(fun s c -> s.ss_modes_cache <- c)
-              (fun () ->
-                let mr = Driver.modes_in ses.ss_core sink in
-                let fams = mr.Belr_analysis.Modes.mr_fams in
-                let n_clean =
-                  List.length (List.filter Belr_analysis.Modes.clean fams)
-                in
-                J.Obj
-                  [
-                    ("modes", J.Int mr.Belr_analysis.Modes.mr_modes);
-                    ("families", J.Int (List.length fams));
-                    ("clean", J.Int n_clean);
-                    ("missing", J.Int mr.Belr_analysis.Modes.mr_missing);
-                  ])
-          in
-          finish ~result
-            ~extra_telemetry:
-              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-            ()
-      | "stats" ->
-          (* back-compat alias: the historical shape, with the aggregate
-             fields now read off the metrics registry *)
-          let result =
-            Session.with_ ses.ss_core (fun () ->
-                J.Obj
-                  [
-                    ("summary", sign_summary_json (Session.sign ses.ss_core));
-                    ("decls", J.Int (List.length ses.ss_entries));
-                    ("kernel", kernel_stats_json ());
-                    ("requests", J.Int t.sv_requests);
-                    ("sessions", J.Int (Hashtbl.length t.sv_sessions));
-                    ("pressure_resets", J.Int t.sv_pressure_resets);
-                    ("deadline_overruns", J.Int t.sv_deadline_overruns);
-                    ( "decls_rechecked",
-                      J.Int (Metrics.counter_value m_decls_rechecked) );
-                    ( "decls_reused",
-                      J.Int (Metrics.counter_value m_decls_reused) );
-                    ( "telemetry_events_dropped",
-                      J.Int (Telemetry.events_dropped ()) );
-                  ])
-          in
-          finish ~result ()
-      | "reset" ->
+      | "reset", None ->
           (* capture the session's watermarks {e before} discarding its
              world: a reset is exactly when an operator wants to know how
              hot the session ran, and the values are unrecoverable after *)
@@ -1131,9 +1040,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
           ses.ss_entries <- [];
           ses.ss_text <- "";
           ses.ss_parse_ok <- false;
-          ses.ss_lint_cache <- None;
-          ses.ss_total_cache <- None;
-          ses.ss_modes_cache <- None;
+          Hashtbl.reset ses.ss_caches;
           finish
             ~result:
               (J.Obj
@@ -1148,12 +1055,10 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                    ("store_live_before_reset", J.Int live);
                  ])
             ()
-      | m ->
+      | m, None ->
           reject
-            (Printf.sprintf
-               "unknown method %S (expected check, lint, total, modes, stats, \
-                reset, metrics, or health)"
-               m))
+            (Printf.sprintf "unknown method %S (expected %s)" m
+               expected_methods))
   with exn -> crash_restore exn
 
 (** Handle one input line, total: whatever happens, the caller gets a

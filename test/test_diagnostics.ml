@@ -195,7 +195,7 @@ let analysis_tests =
         let sg =
           Driver.check_sources sink [ ("test.bel", Belr_kits.Surface.full_src) ]
         in
-        Driver.analyze sink sg;
+        ignore (Driver.run_analysis (Driver.total_analysis ()) sink sg);
         Alcotest.(check int) "no errors" 0 (Diagnostics.error_count sink);
         Alcotest.(check bool) "coverage warnings" true
           (List.mem "W0711" (codes_of Diagnostics.Warning sink));
@@ -205,7 +205,7 @@ let analysis_tests =
         let sg =
           Driver.check_sources sink [ ("test.bel", Belr_kits.Surface.full_src) ]
         in
-        Driver.analyze sink sg;
+        ignore (Driver.run_analysis (Driver.total_analysis ()) sink sg);
         Alcotest.(check int) "exit" 1 (Diagnostics.exit_code sink));
   ]
 

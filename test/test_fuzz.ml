@@ -61,10 +61,7 @@ let never_crashes i (src : string) : unit =
   let sink = Diagnostics.sink ~max_errors:100 () in
   match
     let sg = Driver.check_sources sink [ ("fuzz.bel", src) ] in
-    ignore (Driver.lint sink sg);
-    ignore (Driver.total sink sg);
-    ignore (Driver.worlds sink sg);
-    ignore (Driver.modes sink sg)
+    ignore (Driver.run_analyses Driver.analyses sink sg)
   with
   | () ->
       let rendered = Fmt.str "%a" (fun ppf s -> Diagnostics.dump ppf s) sink in

@@ -8,4 +8,4 @@ let () =
    @ Test_store.suites @ Test_analysis.suites @ Test_totality.suites
    @ Test_session.suites @ Test_serve.suites @ Test_metrics.suites
    @ Test_worlds.suites @ Test_modes.suites @ Test_whnf.suites
-   @ Test_fuzz.suites)
+   @ Test_registry.suites @ Test_fuzz.suites)

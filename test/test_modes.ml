@@ -9,7 +9,6 @@
 open Belr_support
 open Belr_parser
 module Sign = Belr_lf.Sign
-module Modes = Belr_analysis.Modes
 module J = Json
 
 let test name f = Alcotest.test_case name `Quick f
@@ -33,19 +32,53 @@ let messages_of code sink =
       else None)
     (Diagnostics.all sink)
 
-(** Check [src], then mode-check the resulting signature. *)
-let modes_src src =
+let modes = Driver.modes_analysis ()
+
+(** Check [src], then mode-check the resulting signature through the
+    analysis registry. *)
+let modes_outcome src =
   let sink = Diagnostics.sink () in
   let sg = Driver.check_sources sink [ ("test.bel", src) ] in
   Alcotest.(check int) "fixture checks cleanly" 0
     (Diagnostics.error_count sink);
-  let r = Driver.modes sink sg in
-  (sink, sg, r)
+  (sink, sg, Driver.run_analysis modes sink sg)
 
-let fam_report (r : Modes.result) name =
-  match
-    List.find_opt (fun f -> f.Modes.mf_name = name) r.Modes.mr_fams
-  with
+(** Mode-check [sg]; the result is the outcome's report sections, as
+    one JSON object. *)
+let run_modes sink sg =
+  let o = Driver.run_analysis modes sink sg in
+  J.Obj (Lazy.force o.Driver.sections)
+
+let modes_src src =
+  let sink, sg, o = modes_outcome src in
+  (sink, sg, J.Obj (Lazy.force o.Driver.sections))
+
+(** The belr-modes/1 report of [modes_outcome]. *)
+let modes_report src =
+  let sink, _, o = modes_outcome src in
+  (sink, Driver.report_json ~files:[ "test.bel" ] sink modes o)
+
+let field k j =
+  match J.member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "report lacks %S" k
+
+let num k j =
+  match field k j with J.Int n -> n | _ -> Alcotest.failf "%S is no int" k
+
+let flag k j =
+  match field k j with J.Bool b -> b | _ -> Alcotest.failf "%S is no bool" k
+
+let name_of f =
+  match field "name" f with
+  | J.String s -> s
+  | _ -> Alcotest.fail "name is no string"
+
+let families r = Option.value (J.to_list (field "families" r)) ~default:[]
+let signature k r = num k (field "signature" r)
+
+let fam_report r name =
+  match List.find_opt (fun f -> name_of f = name) (families r) with
   | Some f -> f
   | None -> Alcotest.failf "%s not analyzed" name
 
@@ -133,8 +166,8 @@ let groundness_tests =
         Alcotest.(check int) "one E0730" 1 (count "E0730" sink);
         Alcotest.(check int) "no E0731 cascade" 0 (count "E0731" sink);
         let f = fam_report r "f" in
-        Alcotest.(check int) "illmoded counted" 1 f.Modes.mf_illmoded;
-        Alcotest.(check bool) "not clean" false (Modes.clean f);
+        Alcotest.(check int) "illmoded counted" 1 (num "illmoded" f);
+        Alcotest.(check bool) "not clean" false (flag "clean" f);
         List.iter
           (fun m ->
             Alcotest.(check bool) "names the clause" true (contains "c" m);
@@ -146,10 +179,10 @@ let groundness_tests =
         Alcotest.(check int) "no E0730" 0 (count "E0730" sink);
         Alcotest.(check int) "no E0731" 0 (count "E0731" sink);
         let f = fam_report r "f" in
-        Alcotest.(check bool) "clean" true (Modes.clean f);
-        Alcotest.(check int) "two inputs" 2 f.Modes.mf_inputs;
-        Alcotest.(check int) "no outputs" 0 f.Modes.mf_outputs;
-        Alcotest.(check int) "one clause" 1 f.Modes.mf_clauses;
+        Alcotest.(check bool) "clean" true (flag "clean" f);
+        Alcotest.(check int) "two inputs" 2 (num "inputs" f);
+        Alcotest.(check int) "no outputs" 0 (num "outputs" f);
+        Alcotest.(check int) "one clause" 1 (num "clauses" f);
         Alcotest.(check int) "exit 0" 0 (Diagnostics.exit_code sink));
     test "an output no premise produces is E0731, with the position and \
           the free variable" (fun () ->
@@ -157,7 +190,7 @@ let groundness_tests =
         Alcotest.(check int) "one E0731" 1 (count "E0731" sink);
         Alcotest.(check int) "no E0730" 0 (count "E0730" sink);
         let f = fam_report r "f" in
-        Alcotest.(check int) "ungrounded counted" 1 f.Modes.mf_ungrounded;
+        Alcotest.(check int) "ungrounded counted" 1 (num "ungrounded" f);
         List.iter
           (fun m ->
             Alcotest.(check bool) "names the position" true
@@ -169,10 +202,10 @@ let groundness_tests =
         let sink, _, r = modes_src grounded_src in
         Alcotest.(check (list string)) "no findings" [] (codes sink);
         let f = fam_report r "f" in
-        Alcotest.(check bool) "clean" true (Modes.clean f);
-        Alcotest.(check int) "one input, one output" 1 f.Modes.mf_inputs;
-        Alcotest.(check int) "one output" 1 f.Modes.mf_outputs;
-        Alcotest.(check int) "two clauses" 2 f.Modes.mf_clauses);
+        Alcotest.(check bool) "clean" true (flag "clean" f);
+        Alcotest.(check int) "one input, one output" 1 (num "inputs" f);
+        Alcotest.(check int) "one output" 1 (num "outputs" f);
+        Alcotest.(check int) "two clauses" 2 (num "clauses" f));
   ]
 
 (* --- the missing-%mode warning ------------------------------------------- *)
@@ -183,7 +216,7 @@ let missing_tests =
         let sink, _, r = modes_src missing_src in
         Alcotest.(check int) "one W0732 (deduplicated)" 1
           (count "W0732" sink);
-        Alcotest.(check int) "counted in the result" 1 r.Modes.mr_missing;
+        Alcotest.(check int) "counted in the result" 1 (signature "missing" r);
         Alcotest.(check int) "no errors" 0 (Diagnostics.error_count sink);
         List.iter
           (fun m ->
@@ -192,7 +225,7 @@ let missing_tests =
           (messages_of "W0732" sink);
         (* lenient: the moded family itself still checks clean *)
         Alcotest.(check bool) "f clean" true
-          (Modes.clean (fam_report r "f"));
+          (flag "clean" (fam_report r "f"));
         Alcotest.(check int) "exit 0 (warning only)" 0
           (Diagnostics.exit_code sink));
     test "a family a rec appeals to without a %mode is W0732" (fun () ->
@@ -210,7 +243,7 @@ fn x => x;
         in
         let sink, _, r = modes_src src in
         Alcotest.(check int) "one W0732" 1 (count "W0732" sink);
-        Alcotest.(check int) "counted" 1 r.Modes.mr_missing;
+        Alcotest.(check int) "counted" 1 (signature "missing" r);
         List.iter
           (fun m ->
             Alcotest.(check bool) "blames the rec" true
@@ -228,7 +261,7 @@ fn x => x;
         in
         let sink, _, r = modes_src src in
         Alcotest.(check int) "no W0732" 0 (count "W0732" sink);
-        Alcotest.(check int) "nothing analyzed" 0 (List.length r.Modes.mr_fams));
+        Alcotest.(check int) "nothing analyzed" 0 (List.length (families r)));
   ]
 
 (* --- uniqueness ----------------------------------------------------------- *)
@@ -240,8 +273,8 @@ let uniqueness_tests =
         let sink, _, r = modes_src nonunique_src in
         Alcotest.(check int) "one W0733" 1 (count "W0733" sink);
         let f = fam_report r "f" in
-        Alcotest.(check int) "nonunique counted" 1 f.Modes.mf_nonunique;
-        Alcotest.(check bool) "not clean" false (Modes.clean f);
+        Alcotest.(check int) "nonunique counted" 1 (num "nonunique" f);
+        Alcotest.(check bool) "not clean" false (flag "clean" f);
         List.iter
           (fun m ->
             Alcotest.(check bool) "names both clauses" true
@@ -264,7 +297,7 @@ LF f : d -> d -> type =
         in
         let sink, _, r = modes_src src in
         Alcotest.(check int) "no W0733" 0 (count "W0733" sink);
-        Alcotest.(check bool) "clean" true (Modes.clean (fam_report r "f")));
+        Alcotest.(check bool) "clean" true (flag "clean" (fam_report r "f")));
     test "rigidly clashing inputs never overlap" (fun () ->
         let sink, _, _ = modes_src grounded_src in
         Alcotest.(check int) "no W0733" 0 (count "W0733" sink));
@@ -293,9 +326,9 @@ let sorted_tests =
         let sink, _, r = modes_src (sort_src ^ "%mode r -M;\n") in
         Alcotest.(check (list string)) "no findings" [] (codes sink);
         let f = fam_report r "r" in
-        Alcotest.(check bool) "keyed as a sort" true f.Modes.mf_sorted;
-        Alcotest.(check int) "only the refined clause" 1 f.Modes.mf_clauses;
-        Alcotest.(check bool) "clean" true (Modes.clean f));
+        Alcotest.(check bool) "keyed as a sort" true (flag "sorted" f);
+        Alcotest.(check int) "only the refined clause" 1 (num "clauses" f);
+        Alcotest.(check bool) "clean" true (flag "clean" f));
   ]
 
 (* --- %mode processing errors ---------------------------------------------- *)
@@ -352,9 +385,9 @@ let corpus_tests =
           (fun (name, load, n_modes) ->
             let sg = load () in
             let sink = Diagnostics.sink () in
-            let r = Driver.modes sink sg in
+            let r = run_modes sink sg in
             Alcotest.(check int) (name ^ ": mode declarations") n_modes
-              r.Modes.mr_modes;
+              (signature "modes" r);
             Alcotest.(check int) (name ^ ": no errors") 0
               (Diagnostics.error_count sink);
             Alcotest.(check int) (name ^ ": no warnings") 0
@@ -362,9 +395,9 @@ let corpus_tests =
             List.iter
               (fun f ->
                 Alcotest.(check bool)
-                  (name ^ ": " ^ f.Modes.mf_name ^ " clean")
-                  true (Modes.clean f))
-              r.Modes.mr_fams)
+                  (name ^ ": " ^ name_of f ^ " clean")
+                  true (flag "clean" f))
+              (families r))
           [
             ("surface", Belr_kits.Surface.load, 1);
             ("values", Belr_kits.Values.load, 2);
@@ -375,23 +408,23 @@ let corpus_tests =
       (fun () ->
         let sg = Belr_kits.Surface.load () in
         let sink = Diagnostics.sink () in
-        let r = Driver.modes sink sg in
+        let r = run_modes sink sg in
         let f = fam_report r "aeq" in
-        Alcotest.(check bool) "sorted" true f.Modes.mf_sorted;
-        Alcotest.(check int) "inputs" 2 f.Modes.mf_inputs;
-        Alcotest.(check int) "outputs" 0 f.Modes.mf_outputs;
+        Alcotest.(check bool) "sorted" true (flag "sorted" f);
+        Alcotest.(check int) "inputs" 2 (num "inputs" f);
+        Alcotest.(check int) "outputs" 0 (num "outputs" f);
         (* only the refinement's two congruence clauses are checked:
            e-refl/e-sym/e-trans live in declarative deq only *)
-        Alcotest.(check int) "clauses" 2 f.Modes.mf_clauses);
+        Alcotest.(check int) "clauses" 2 (num "clauses" f));
     test "typed_equal synthesizes its classifying type as an output"
       (fun () ->
         let sg = Belr_kits.Typed_equal.load () in
         let sink = Diagnostics.sink () in
-        let r = Driver.modes sink sg in
+        let r = run_modes sink sg in
         let f = fam_report r "aeq" in
-        Alcotest.(check int) "inputs" 2 f.Modes.mf_inputs;
-        Alcotest.(check int) "outputs" 1 f.Modes.mf_outputs;
-        Alcotest.(check bool) "clean" true (Modes.clean f));
+        Alcotest.(check int) "inputs" 2 (num "inputs" f);
+        Alcotest.(check int) "outputs" 1 (num "outputs" f);
+        Alcotest.(check bool) "clean" true (flag "clean" f));
     test "the example corpus is mode-clean" (fun () ->
         let sources =
           List.map
@@ -402,11 +435,11 @@ let corpus_tests =
         let sg = Driver.check_sources sink sources in
         Alcotest.(check int) "corpus checks" 0
           (Diagnostics.error_count sink);
-        let r = Driver.modes sink sg in
+        let r = run_modes sink sg in
         Alcotest.(check int) "no errors" 0 (Diagnostics.error_count sink);
         Alcotest.(check int) "no warnings" 0
           (Diagnostics.warning_count sink);
-        Alcotest.(check int) "two modes (nat, aeq)" 2 r.Modes.mr_modes);
+        Alcotest.(check int) "two modes (nat, aeq)" 2 (signature "modes" r));
   ]
 
 (* --- telemetry ------------------------------------------------------------ *)
@@ -438,8 +471,7 @@ let telemetry_tests =
 let report_tests =
   [
     test "report_json has the belr-modes/1 shape" (fun () ->
-        let sink, _, r = modes_src grounded_src in
-        let j = Modes.report_json ~files:[ "test.bel" ] sink r in
+        let _, j = modes_report grounded_src in
         Alcotest.(check bool) "schema" true
           (J.member "schema" j = Some (J.String "belr-modes/1"));
         (match Option.bind (J.member "families" j) J.to_list with
@@ -464,8 +496,7 @@ let report_tests =
         Alcotest.(check bool) "exit code" true
           (J.member "exit_code" j = Some (J.Int 0)));
     test "violations land in the report's findings and exit code" (fun () ->
-        let sink, _, r = modes_src illmoded_src in
-        let j = Modes.report_json ~files:[ "test.bel" ] sink r in
+        let _, j = modes_report illmoded_src in
         (match Option.bind (J.member "findings" j) J.to_list with
         | Some (_ :: _ as fs) ->
             Alcotest.(check bool) "an E0730 finding" true

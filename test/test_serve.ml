@@ -295,18 +295,24 @@ let robustness_tests =
         let r2 = round t (request ~source:(src3 nat) 3) in
         Alcotest.(check string) "fresh world ok" "ok" (str_field "status" r2);
         Alcotest.(check int) "re-checks all" 3 (tele_field "rechecked" r2));
-    test "lint and stats answer on a checked session" (fun () ->
+    test "lint and health answer on a checked session; stats is gone"
+      (fun () ->
         let t = Serve.create () in
         ignore (round t (request ~source:(src3 nat) 1));
         let rl = round t (request ~meth:"lint" 2) in
         Alcotest.(check string) "lint ok" "ok" (str_field "status" rl);
         let rs = round t (request ~meth:"stats" 3) in
-        Alcotest.(check string) "stats ok" "ok" (str_field "status" rs);
+        Alcotest.(check string) "stats rejected" "error"
+          (str_field "status" rs);
+        Alcotest.(check (list string)) "as a protocol error" [ "E0904" ]
+          (codes rs);
+        let rh = round t (request ~meth:"health" 4) in
+        Alcotest.(check string) "health ok" "ok" (str_field "status" rh);
         match
-          Option.bind (J.member "result" rs) (J.member "requests")
+          Option.bind (J.member "result" rh) (J.member "requests")
         with
-        | Some (J.Int n) -> Alcotest.(check int) "request count" 3 n
-        | _ -> Alcotest.fail "stats lacks requests");
+        | Some (J.Int n) -> Alcotest.(check int) "request count" 4 n
+        | _ -> Alcotest.fail "health lacks requests");
   ]
 
 let observability_tests =
@@ -459,24 +465,62 @@ let observability_tests =
         let m3 = round t (request ~meth:"modes" 6) in
         Alcotest.(check int) "post-reset modes re-analyzes all" 4
           (tele_field "rechecked" m3));
-    test "stats exposes the registry's incremental counters" (fun () ->
+    test "metrics and health expose the incremental counters" (fun () ->
         let t = Serve.create () in
         ignore (round t (request ~source:(src3 nat) 1));
         ignore (round t (request ~source:(src3 nat') 2));
-        let r = round t (request ~meth:"stats" 3) in
-        let result =
-          match J.member "result" r with
+        let result meth id =
+          match J.member "result" (round t (request ~meth id)) with
           | Some res -> res
-          | None -> Alcotest.fail "stats reply lacks result"
+          | None -> Alcotest.failf "%s reply lacks result" meth
         in
-        (match J.member "decls_rechecked" result with
-        | Some (J.Int n) ->
-            (* 3 cold + 2 invalidated by the nat edit *)
-            Alcotest.(check bool) "rechecked >= 5" true (n >= 5)
-        | _ -> Alcotest.fail "stats lacks decls_rechecked");
-        match J.member "telemetry_events_dropped" result with
+        let counters =
+          Option.value ~default:[]
+            (Option.bind (J.member "counters" (result "metrics" 3)) J.to_list)
+        in
+        (match
+           List.find_opt
+             (fun c ->
+               J.member "name" c = Some (J.String "serve.decls.rechecked"))
+             counters
+         with
+        | Some c -> (
+            match J.member "value" c with
+            | Some (J.Int n) ->
+                (* 3 cold + 2 invalidated by the nat edit *)
+                Alcotest.(check bool) "rechecked >= 5" true (n >= 5)
+            | _ -> Alcotest.fail "serve.decls.rechecked lacks its value")
+        | None -> Alcotest.fail "metrics lacks serve.decls.rechecked");
+        match J.member "telemetry_events_dropped" (result "health" 4) with
         | Some (J.Int _) -> ()
-        | _ -> Alcotest.fail "stats lacks telemetry_events_dropped");
+        | _ -> Alcotest.fail "health lacks telemetry_events_dropped");
+    test "worlds answers like a batch run, replays on a repeat, and an \
+          edit invalidates it" (fun () ->
+        let src = Test_worlds.sig_src ^ Test_worlds.refl_src in
+        let batch =
+          let sink = Diagnostics.sink () in
+          let sg = Driver.check_sources sink [ ("<serve>", src) ] in
+          ignore (Driver.run_analysis (Driver.worlds_analysis ()) sink sg);
+          List.map (fun d -> d.Diagnostics.d_code) (Diagnostics.all sink)
+        in
+        Alcotest.(check bool) "the batch run has findings" true (batch <> []);
+        let t = Serve.create () in
+        ignore (round t (request ~source:src 1));
+        let w1 = round t (request ~meth:"worlds" 2) in
+        Alcotest.(check string) "worlds ok" "ok" (str_field "status" w1);
+        Alcotest.(check (list string)) "the batch run's codes" batch (codes w1);
+        let w2 = round t (request ~meth:"worlds" 3) in
+        Alcotest.(check int) "a repeat is a cache hit" 0
+          (tele_field "rechecked" w2);
+        Alcotest.(check bool) "same result" true
+          (J.member "result" w1 = J.member "result" w2);
+        Alcotest.(check (list string)) "same findings" (codes w1) (codes w2);
+        ignore (round t (request ~source:(src ^ "\n\nLF extra : type;") 4));
+        let w3 = round t (request ~meth:"worlds" 5) in
+        Alcotest.(check bool) "the edit is re-analyzed" true
+          (tele_field "rechecked" w3 > 0);
+        Alcotest.(check (list string)) "same codes after the edit" batch
+          (codes w3));
   ]
 
 (* --- server-wide methods never create a session ------------------------- *)

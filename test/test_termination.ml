@@ -10,7 +10,7 @@ open Belr_kits
 let ok name thunk = Alcotest.test_case name `Quick thunk
 
 let terminating sg n =
-  let r = Totality.run (Diagnostics.sink ()) sg in
+  let r = Totality.run sg (Belr_analysis.Facts.make sg) (Diagnostics.sink ()) in
   match List.find_opt (fun f -> f.Totality.fv_name = n) r.Totality.tr_fns with
   | Some f -> Totality.terminating f
   | None -> Alcotest.failf "%s not analyzed" n

@@ -25,8 +25,16 @@ let find_rec sg n =
 
 let total_run ?depth ?budget sg =
   let sink = Diagnostics.sink () in
-  let r = Totality.run ?depth ?budget sink sg in
+  let r = Totality.run ?depth ?budget sg (Belr_analysis.Facts.make sg) sink in
   (sink, r)
+
+(** The belr-total/1 report of totality-checking [sg] through the
+    analysis registry. *)
+let total_report ~files sg =
+  let sink = Diagnostics.sink () in
+  let a = Belr_parser.Driver.total_analysis () in
+  let o = Belr_parser.Driver.run_analysis a sink sg in
+  Belr_parser.Driver.report_json ~files sink a o
 
 let verdict_of r n =
   match
@@ -288,11 +296,10 @@ let report_tests =
     ok "the belr-total/1 report carries verdicts, callgraph, and summary"
       (fun () ->
         let sg = Belr_parser.Process.program flip_flop_src in
-        let sink, r = total_run sg in
-        let j = Totality.report_json ~files:[ "flipflop.blr" ] sink r in
+        let j = total_report ~files:[ "flipflop.blr" ] sg in
         (match Json.member "schema" j with
         | Some (Json.String s) ->
-            Alcotest.(check string) "schema" Totality.schema_id s
+            Alcotest.(check string) "schema" "belr-total/1" s
         | _ -> Alcotest.fail "missing schema");
         (match Option.bind (Json.member "functions" j) Json.to_list with
         | Some fns -> Alcotest.(check int) "two functions" 2 (List.length fns)
@@ -312,8 +319,7 @@ let report_tests =
         | _ -> Alcotest.fail "expected exit code 0");
     ok "a diverging cycle drives the report's exit code to 1" (fun () ->
         let sg = Belr_parser.Process.program loop_src in
-        let sink, r = total_run sg in
-        let j = Totality.report_json ~files:[ "loop.blr" ] sink r in
+        let j = total_report ~files:[ "loop.blr" ] sg in
         (match Json.member "exit_code" j with
         | Some (Json.Int 1) -> ()
         | _ -> Alcotest.fail "expected exit code 1");

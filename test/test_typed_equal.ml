@@ -119,7 +119,10 @@ let tests =
           "covered" true
           (List.for_all (( = ) Coverage.DCovered)
              (Coverage.deep_check_rec sg sym));
-        let r = Totality.run (Belr_support.Diagnostics.sink ()) sg in
+        let r =
+          Totality.run sg (Belr_analysis.Facts.make sg)
+            (Belr_support.Diagnostics.sink ())
+        in
         match
           List.find_opt
             (fun f -> f.Totality.fv_name = "aeq-sym")

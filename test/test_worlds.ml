@@ -9,7 +9,6 @@
 open Belr_support
 open Belr_parser
 module Sign = Belr_lf.Sign
-module Worlds = Belr_analysis.Worlds
 module J = Json
 
 let test name f = Alcotest.test_case name `Quick f
@@ -33,18 +32,52 @@ let messages_of code sink =
       else None)
     (Diagnostics.all sink)
 
-(** Check [src], then worlds-check the resulting signature. *)
-let worlds_src ?check_strict src =
+(** Check [src], then worlds-check the resulting signature through the
+    analysis registry. *)
+let worlds_outcome ?check_strict src =
   let sink = Diagnostics.sink () in
   let sg = Driver.check_sources sink [ ("test.bel", src) ] in
-  Alcotest.(check int) "fixture checks cleanly" 0 (Diagnostics.error_count sink);
-  let r = Driver.worlds ?check_strict sink sg in
-  (sink, sg, r)
+  Alcotest.(check int) "fixture checks cleanly" 0
+    (Diagnostics.error_count sink);
+  let a = Driver.worlds_analysis ?check_strict () in
+  (sink, sg, a, Driver.run_analysis a sink sg)
 
-let fn_report (r : Worlds.result) name =
-  match
-    List.find_opt (fun f -> f.Worlds.wf_name = name) r.Worlds.wr_fns
-  with
+(** Worlds-check [sg]; the result is the outcome's report sections, as
+    one JSON object. *)
+let run_worlds sink sg =
+  let o = Driver.run_analysis (Driver.worlds_analysis ()) sink sg in
+  J.Obj (Lazy.force o.Driver.sections)
+
+let worlds_src ?check_strict src =
+  let sink, sg, _, o = worlds_outcome ?check_strict src in
+  (sink, sg, J.Obj (Lazy.force o.Driver.sections))
+
+(** The belr-worlds/1 report of [worlds_outcome]. *)
+let worlds_report src =
+  let sink, _, a, o = worlds_outcome src in
+  (sink, Driver.report_json ~files:[ "test.bel" ] sink a o)
+
+let field k j =
+  match J.member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "report lacks %S" k
+
+let num k j =
+  match field k j with J.Int n -> n | _ -> Alcotest.failf "%S is no int" k
+
+let flag k j =
+  match field k j with J.Bool b -> b | _ -> Alcotest.failf "%S is no bool" k
+
+let name_of f =
+  match field "name" f with
+  | J.String s -> s
+  | _ -> Alcotest.fail "name is no string"
+
+let functions r = Option.value (J.to_list (field "functions" r)) ~default:[]
+let signature k r = num k (field "signature" r)
+
+let fn_report r name =
+  match List.find_opt (fun f -> name_of f = name) (functions r) with
   | Some f -> f
   | None -> Alcotest.failf "%s not analyzed" name
 
@@ -146,14 +179,14 @@ let subsumption_tests =
         Alcotest.(check int) "no W0721" 0 (count "W0721" sink);
         Alcotest.(check int) "no W0722" 0 (count "W0722" sink);
         let f = fn_report r "aeq-refl" in
-        Alcotest.(check bool) "clean" true (Worlds.clean f);
+        Alcotest.(check bool) "clean" true (flag "clean" f);
         Alcotest.(check bool) "extensions were collected" true
-          (f.Worlds.wf_exts > 0);
+          ((num "extensions" f) > 0);
         Alcotest.(check bool) "pairs were checked" true
-          (f.Worlds.wf_fams > 0);
-        Alcotest.(check int) "one block" 1 r.Worlds.wr_blocks;
+          ((num "families" f) > 0);
+        Alcotest.(check int) "one block" 1 (signature "blocks" r);
         (* %worlds (xbW) tm deq counts once per bounded family *)
-        Alcotest.(check int) "two world declarations" 2 r.Worlds.wr_worlds);
+        Alcotest.(check int) "two world declarations" 2 (signature "worlds" r));
     test "a family appealed to without a %worlds declaration is W0721, \
           with the appeal path" (fun () ->
         let sink, _, r = worlds_src (sig_src ^ refl_src) in
@@ -161,8 +194,8 @@ let subsumption_tests =
         Alcotest.(check bool) "W0721 reported" true (count "W0721" sink > 0);
         let f = fn_report r "aeq-refl" in
         Alcotest.(check bool) "undeclared counted" true
-          (f.Worlds.wf_undeclared > 0);
-        Alcotest.(check bool) "not clean" false (Worlds.clean f);
+          ((num "undeclared" f) > 0);
+        Alcotest.(check bool) "not clean" false (flag "clean" f);
         List.iter
           (fun m ->
             Alcotest.(check bool) "witness path present" true
@@ -173,7 +206,7 @@ let subsumption_tests =
         Alcotest.(check bool) "E0720 reported" true (count "E0720" sink > 0);
         let f = fn_report r "aeq-refl" in
         Alcotest.(check bool) "violations counted" true
-          (f.Worlds.wf_violations > 0);
+          ((num "violations" f) > 0);
         List.iter
           (fun m ->
             Alcotest.(check bool) "names the world" true
@@ -190,7 +223,7 @@ let subsumption_tests =
         Alcotest.(check int) "no E0720" 0 (count "E0720" sink);
         Alcotest.(check int) "no W0721" 0 (count "W0721" sink);
         Alcotest.(check bool) "clean" true
-          (Worlds.clean (fn_report r "idtm")));
+          (flag "clean" (fn_report r "idtm")));
     test "refinement subsorting lets one deq-level block cover the aeq \
           schema" (fun () ->
         (* xaG's element carries an aeq assumption; the declared block
@@ -212,7 +245,7 @@ let strict_tests =
         Alcotest.(check int) "one W0722" 1 (count "W0722" sink);
         let f = fn_report r "leak" in
         Alcotest.(check int) "one non-strict variable" 1
-          f.Worlds.wf_nonstrict;
+          (num "nonstrict" f);
         List.iter
           (fun m ->
             Alcotest.(check bool) "names the variable" true (contains "M" m))
@@ -221,7 +254,7 @@ let strict_tests =
         let sink, _, r = worlds_src ~check_strict:false nonstrict_src in
         Alcotest.(check int) "no W0722" 0 (count "W0722" sink);
         Alcotest.(check int) "not counted either" 0
-          (fn_report r "leak").Worlds.wf_nonstrict);
+          (num "nonstrict" (fn_report r "leak")));
     test "index-determined variables are strict through other sorts"
       (fun () ->
         (* N never occurs in the branch body, but it heads a
@@ -257,7 +290,7 @@ let corpus_tests =
           (fun (name, load) ->
             let sg = load () in
             let sink = Diagnostics.sink () in
-            let r = Driver.worlds sink sg in
+            let r = run_worlds sink sg in
             Alcotest.(check int) (name ^ ": no errors") 0
               (Diagnostics.error_count sink);
             Alcotest.(check int) (name ^ ": no warnings") 0
@@ -265,9 +298,9 @@ let corpus_tests =
             List.iter
               (fun f ->
                 Alcotest.(check bool)
-                  (name ^ ": " ^ f.Worlds.wf_name ^ " clean")
-                  true (Worlds.clean f))
-              r.Worlds.wr_fns)
+                  (name ^ ": " ^ name_of f ^ " clean")
+                  true (flag "clean" f))
+              (functions r))
           [
             ("surface", Belr_kits.Surface.load);
             ("values", Belr_kits.Values.load);
@@ -283,7 +316,7 @@ let corpus_tests =
         let sink = Diagnostics.sink () in
         let sg = Driver.check_sources sink sources in
         Alcotest.(check int) "corpus checks" 0 (Diagnostics.error_count sink);
-        ignore (Driver.worlds sink sg);
+        ignore (run_worlds sink sg);
         Alcotest.(check int) "no errors" 0 (Diagnostics.error_count sink);
         Alcotest.(check int) "no warnings" 0
           (Diagnostics.warning_count sink));
@@ -294,8 +327,7 @@ let corpus_tests =
 let report_tests =
   [
     test "report_json has the belr-worlds/1 shape" (fun () ->
-        let sink, _, r = worlds_src (sig_src ^ good_decls ^ refl_src) in
-        let j = Worlds.report_json ~files:[ "test.bel" ] sink r in
+        let _, j = worlds_report (sig_src ^ good_decls ^ refl_src) in
         Alcotest.(check bool) "schema" true
           (J.member "schema" j = Some (J.String "belr-worlds/1"));
         (match Option.bind (J.member "functions" j) J.to_list with
@@ -318,8 +350,7 @@ let report_tests =
         Alcotest.(check bool) "exit code" true
           (J.member "exit_code" j = Some (J.Int 0)));
     test "violations land in the report's findings and exit code" (fun () ->
-        let sink, _, r = worlds_src (sig_src ^ bad_decls ^ refl_src) in
-        let j = Worlds.report_json ~files:[ "test.bel" ] sink r in
+        let _, j = worlds_report (sig_src ^ bad_decls ^ refl_src) in
         (match Option.bind (J.member "findings" j) J.to_list with
         | Some (_ :: _ as fs) ->
             Alcotest.(check bool) "an E0720 finding" true

@@ -2,18 +2,13 @@
     JSON, and recognized shapes get structural checks — a Chrome trace
     must carry a non-empty [traceEvents] array of complete/metadata
     events, a [belr-profile/1] report its [phases] and [counters]
-    sections plus the hash-consing [store] section (DESIGN.md §S21), a
-    [belr-lint/1] report a well-formed [findings] array (code + severity
-    per entry) and a [summary], a [belr-total/1] report its [functions]
-    array (name + terminating + covered per entry) plus the [callgraph],
-    [findings], and [summary] sections, a [belr-worlds/1] report its
-    [functions] array (name + extension/violation/nonstrict counts +
-    clean flag per entry) plus the [signature], [findings], and
-    [summary] sections, a [belr-modes/1] report its [families] array
-    (name + clause/illmoded/ungrounded/nonunique counts + clean flag
-    per entry) plus the [signature] (modes/missing counts), [findings],
-    and [summary] sections, and a [belr-bench/1] report a non-empty
-    [experiments] object of per-experiment objects.
+    sections plus the hash-consing [store] section (DESIGN.md §S21), an
+    analysis report ([belr-lint/1], [belr-total/1], [belr-worlds/1],
+    [belr-modes/1]) the shared envelope — [files], a [findings] array
+    (code + severity per entry), [summary], [exit_code] — plus the own
+    sections its schema lists in {!analysis_reports}, and a
+    [belr-bench/1] report a non-empty [experiments] object of
+    per-experiment objects.
 
     A [.jsonl] argument is validated line by line; every non-blank line
     must parse, every [belr-serve/1] reply must carry its [id],
@@ -40,9 +35,9 @@
     exposition (every sample [belr_]-prefixed and numeric, the serve
     request counter present, at least one [_bucket{le=...}] series;
     after [--serve-metrics], a positive [belr_store_live] gauge).
-    Exit 0 iff every file passes; the [@smoke], [@lint], [@total],
-    [@worlds], [@modes], [@serve], [@metrics], and [@bench-json] dune
-    aliases fail the build otherwise. *)
+    Exit 0 iff every file passes; the [@smoke], [@analyses], [@serve],
+    [@metrics], and [@bench-json] dune aliases fail the build
+    otherwise. *)
 
 module J = Belr_support.Json
 
@@ -51,6 +46,101 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* --- analysis reports (belr-<name>/1) ------------------------------------ *)
+
+type kind = Str | Int | Bool
+
+let has_kind kind (v : J.t) =
+  match (kind, v) with
+  | Str, J.String _ | Int, J.Int _ | Bool, J.Bool _ -> true
+  | _ -> false
+
+(** An analysis report's own section: an array whose every entry carries
+    typed keys, or an object that carries keys. *)
+type section =
+  | Entries of string * (string * kind) list
+  | Fields of string * string list
+
+(** The own sections each analysis schema requires beside the shared
+    envelope. *)
+let analysis_reports =
+  [
+    ( "belr-lint/1",
+      [ Entries ("passes", [ ("name", Str); ("findings", Int) ]) ] );
+    ( "belr-total/1",
+      [
+        Entries
+          ( "functions",
+            [ ("name", Str); ("terminating", Bool); ("covered", Bool) ] );
+        Fields ("callgraph", []);
+      ] );
+    ( "belr-worlds/1",
+      [
+        Entries
+          ( "functions",
+            [
+              ("name", Str); ("extensions", Int); ("violations", Int);
+              ("nonstrict", Int); ("clean", Bool);
+            ] );
+        Fields ("signature", [ "blocks"; "worlds" ]);
+      ] );
+    ( "belr-modes/1",
+      [
+        Entries
+          ( "families",
+            [
+              ("name", Str); ("clauses", Int); ("illmoded", Int);
+              ("ungrounded", Int); ("nonunique", Int); ("clean", Bool);
+            ] );
+        Fields ("signature", [ "modes"; "missing" ]);
+      ] );
+  ]
+
+let check_section (j : J.t) : section -> string option = function
+  | Entries (name, typed) -> (
+      match Option.bind (J.member name j) J.to_list with
+      | None -> Some (Printf.sprintf "report lacks a %S array" name)
+      | Some entries ->
+          List.find_map
+            (fun e ->
+              List.find_map
+                (fun (k, kind) ->
+                  match J.member k e with
+                  | Some v when has_kind kind v -> None
+                  | _ ->
+                      Some
+                        (Printf.sprintf "a %S entry lacks a well-typed %S"
+                           name k))
+                typed)
+            entries)
+  | Fields (name, ks) -> (
+      match J.member name j with
+      | Some (J.Obj _ as o) ->
+          List.find_map
+            (fun k ->
+              if J.member k o = None then
+                Some (Printf.sprintf "%S section lacks %S" name k)
+              else None)
+            ks
+      | _ -> Some (Printf.sprintf "report lacks its %S object" name))
+
+(** The shared envelope — [files], a [findings] array with a code and a
+    severity string per entry, [summary], and an integer [exit_code] —
+    then the schema's own sections. *)
+let check_analysis_report sections (j : J.t) : string option =
+  let envelope =
+    [
+      Entries ("findings", [ ("code", Str); ("severity", Str) ]);
+      Fields ("summary", [ "errors"; "warnings"; "notes"; "bugs" ]);
+    ]
+  in
+  if Option.bind (J.member "files" j) J.to_list = None then
+    Some "report lacks a \"files\" array"
+  else
+    match J.member "exit_code" j with
+    | Some (J.Int _) -> List.find_map (check_section j) (envelope @ sections)
+    | _ -> Some "report lacks an integer \"exit_code\""
 
 let check_structure (j : J.t) : string option =
   match J.member "traceEvents" j with
@@ -68,6 +158,8 @@ let check_structure (j : J.t) : string option =
       | _ -> Some "\"traceEvents\" is not a non-empty array")
   | None -> (
       match J.member "schema" j with
+      | Some (J.String schema) when List.mem_assoc schema analysis_reports ->
+          check_analysis_report (List.assoc schema analysis_reports) j
       | Some (J.String "belr-profile/1") -> (
           if J.member "phases" j = None then
             Some "profile report lacks \"phases\""
@@ -119,169 +211,6 @@ let check_structure (j : J.t) : string option =
                 then Some "an experiments entry is not an object"
                 else None
             | _ -> Some "bench report lacks a non-empty \"experiments\" object")
-      | Some (J.String "belr-lint/1") -> (
-          match Option.bind (J.member "findings" j) J.to_list with
-          | None -> Some "lint report lacks a \"findings\" array"
-          | Some findings ->
-              let bad_finding f =
-                match (J.member "code" f, J.member "severity" f) with
-                | Some (J.String _), Some (J.String _) -> false
-                | _ -> true
-              in
-              if List.exists bad_finding findings then
-                Some
-                  "a findings entry is missing its \"code\" or \
-                   \"severity\" string"
-              else if J.member "summary" j = None then
-                Some "lint report lacks \"summary\""
-              else None)
-      | Some (J.String "belr-total/1") -> (
-          match Option.bind (J.member "functions" j) J.to_list with
-          | None -> Some "total report lacks a \"functions\" array"
-          | Some fns -> (
-              let bad_fn f =
-                match
-                  ( J.member "name" f,
-                    J.member "terminating" f,
-                    J.member "covered" f )
-                with
-                | Some (J.String _), Some (J.Bool _), Some (J.Bool _) ->
-                    false
-                | _ -> true
-              in
-              if List.exists bad_fn fns then
-                Some
-                  "a functions entry is missing its \"name\" string or \
-                   \"terminating\"/\"covered\" booleans"
-              else
-                match J.member "callgraph" j with
-                | Some (J.Obj _) -> (
-                    match Option.bind (J.member "findings" j) J.to_list with
-                    | None -> Some "total report lacks a \"findings\" array"
-                    | Some findings ->
-                        let bad_finding f =
-                          match
-                            (J.member "code" f, J.member "severity" f)
-                          with
-                          | Some (J.String _), Some (J.String _) -> false
-                          | _ -> true
-                        in
-                        if List.exists bad_finding findings then
-                          Some
-                            "a findings entry is missing its \"code\" or \
-                             \"severity\" string"
-                        else if J.member "summary" j = None then
-                          Some "total report lacks \"summary\""
-                        else None)
-                | _ -> Some "total report lacks its \"callgraph\" object"))
-      | Some (J.String "belr-worlds/1") -> (
-          match Option.bind (J.member "functions" j) J.to_list with
-          | None -> Some "worlds report lacks a \"functions\" array"
-          | Some fns -> (
-              let bad_fn f =
-                match
-                  ( J.member "name" f,
-                    J.member "extensions" f,
-                    J.member "violations" f,
-                    J.member "nonstrict" f,
-                    J.member "clean" f )
-                with
-                | ( Some (J.String _),
-                    Some (J.Int _),
-                    Some (J.Int _),
-                    Some (J.Int _),
-                    Some (J.Bool _) ) ->
-                    false
-                | _ -> true
-              in
-              if List.exists bad_fn fns then
-                Some
-                  "a functions entry is missing its \"name\" string, its \
-                   \"extensions\"/\"violations\"/\"nonstrict\" counts, or \
-                   its \"clean\" boolean"
-              else
-                match J.member "signature" j with
-                | Some (J.Obj _ as sigj) -> (
-                    if J.member "blocks" sigj = None then
-                      Some "worlds \"signature\" section lacks \"blocks\""
-                    else if J.member "worlds" sigj = None then
-                      Some "worlds \"signature\" section lacks \"worlds\""
-                    else
-                      match
-                        Option.bind (J.member "findings" j) J.to_list
-                      with
-                      | None -> Some "worlds report lacks a \"findings\" array"
-                      | Some findings ->
-                          let bad_finding f =
-                            match
-                              (J.member "code" f, J.member "severity" f)
-                            with
-                            | Some (J.String _), Some (J.String _) -> false
-                            | _ -> true
-                          in
-                          if List.exists bad_finding findings then
-                            Some
-                              "a findings entry is missing its \"code\" or \
-                               \"severity\" string"
-                          else if J.member "summary" j = None then
-                            Some "worlds report lacks \"summary\""
-                          else None)
-                | _ -> Some "worlds report lacks its \"signature\" object"))
-      | Some (J.String "belr-modes/1") -> (
-          match Option.bind (J.member "families" j) J.to_list with
-          | None -> Some "modes report lacks a \"families\" array"
-          | Some fams -> (
-              let bad_fam f =
-                match
-                  ( J.member "name" f,
-                    J.member "clauses" f,
-                    J.member "illmoded" f,
-                    J.member "ungrounded" f,
-                    J.member "nonunique" f,
-                    J.member "clean" f )
-                with
-                | ( Some (J.String _),
-                    Some (J.Int _),
-                    Some (J.Int _),
-                    Some (J.Int _),
-                    Some (J.Int _),
-                    Some (J.Bool _) ) ->
-                    false
-                | _ -> true
-              in
-              if List.exists bad_fam fams then
-                Some
-                  "a families entry is missing its \"name\" string, its \
-                   \"clauses\"/\"illmoded\"/\"ungrounded\"/\"nonunique\" \
-                   counts, or its \"clean\" boolean"
-              else
-                match J.member "signature" j with
-                | Some (J.Obj _ as sigj) -> (
-                    if J.member "modes" sigj = None then
-                      Some "modes \"signature\" section lacks \"modes\""
-                    else if J.member "missing" sigj = None then
-                      Some "modes \"signature\" section lacks \"missing\""
-                    else
-                      match
-                        Option.bind (J.member "findings" j) J.to_list
-                      with
-                      | None -> Some "modes report lacks a \"findings\" array"
-                      | Some findings ->
-                          let bad_finding f =
-                            match
-                              (J.member "code" f, J.member "severity" f)
-                            with
-                            | Some (J.String _), Some (J.String _) -> false
-                            | _ -> true
-                          in
-                          if List.exists bad_finding findings then
-                            Some
-                              "a findings entry is missing its \"code\" or \
-                               \"severity\" string"
-                          else if J.member "summary" j = None then
-                            Some "modes report lacks \"summary\""
-                          else None)
-                | _ -> Some "modes report lacks its \"signature\" object"))
       | Some (J.String "belr-metrics/1") -> (
           let arr k = Option.bind (J.member k j) J.to_list in
           match (arr "counters", arr "gauges", arr "histograms") with
