@@ -144,16 +144,8 @@ let e1 () =
     "   solution needs many additional arguments; ours measures the \
      generalized-@.";
   Fmt.pr "   context conventional baseline — see EXPERIMENTS.md) ==@.@.";
-  let refin_sg = Surface.load () in
-  let conv = Conventional.make () in
-  let refin =
-    Stats.dev_stats ~name:"refinement" refin_sg ~block_width:2
-      [ "aeq-refl"; "aeq-sym"; "aeq-trans"; "ceq" ]
-  in
-  let cv =
-    Stats.dev_stats ~name:"conventional" conv.Conventional.sg ~block_width:3
-      [ "aeq-refl"; "aeq-sym"; "aeq-trans"; "ceq"; "sound" ]
-  in
+  let refin = Stats.dev_stats ~name:"refinement" (Surface.load ()) in
+  let cv = Stats.dev_stats ~name:"conventional" (Conventional.load ()) in
   Stats.pp_comparison Fmt.stdout refin cv;
   let dev (d : Stats.dev_stats) =
     J.Obj
@@ -687,17 +679,19 @@ let e9 () =
 (* ------------------------------------------------------------------ *)
 (* E10 — lazy whnf normalization (PR 9)                                 *)
 
-(** A linear [deq] derivation chain of length [n] over the term [t]:
+(** A linear [deq] derivation chain of length [n] over the term [t],
+    built from the [e-*] constants of the §2 signature [sg]:
     [chain 0 = e-refl t] and
     [chain n = e-trans t t t (chain (n-1)) (e-sym t t (e-refl t))], so
     [ceq] performs [n] pattern-matching steps — each carrying [t] in the
     implicit arguments — to produce the [aeq] image. *)
-let deq_chain t n =
-  let refl = mk_root (mk_const u.Ulam.e_refl) [ t ] in
-  let sym = mk_root (mk_const u.Ulam.e_sym) [ t; t; refl ] in
+let deq_chain sg t n =
+  let c name = mk_const (Lookup.find_const sg name) in
+  let refl = mk_root (c "e-refl") [ t ] in
+  let sym = mk_root (c "e-sym") [ t; t; refl ] in
+  let trans = c "e-trans" in
   let rec go n acc =
-    if n = 0 then acc
-    else go (n - 1) (mk_root (mk_const u.Ulam.e_trans) [ t; t; t; acc; sym ])
+    if n = 0 then acc else go (n - 1) (mk_root trans [ t; t; t; acc; sym ])
   in
   go n refl
 
@@ -745,8 +739,11 @@ let e10 () =
   Fmt.pr
     "@.== E10: lazy whnf normalization (DESIGN.md §S26; eager-kernel rows \
      frozen in BENCH_pr9.json) ==@.";
-  let dev = Equal_dev.make () in
-  let du = dev.Equal_dev.ulam in
+  let dev = Surface.load () in
+  let dev_id =
+    mk_root (mk_const (Lookup.find_const dev "lam"))
+      [ mk_lam "x" (mk_root (mk_bvar 1) []) ]
+  in
   let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
   let chains = if fast then [ 16; 32 ] else [ 16; 32; 64 ] in
   let widths = if fast then [ 64; 128 ] else [ 64; 128; 256 ] in
@@ -819,16 +816,16 @@ let e10 () =
     run_family "ceq evaluation (the §2 proof as a program):"
       (List.map
          (fun n ->
-           let chain = deq_chain id_tm n in
+           let chain = deq_chain dev dev_id n in
            let call =
              Comp.App
                ( List.fold_left
                    (fun e a -> Comp.MApp (e, a))
-                   (Comp.RecConst dev.Equal_dev.ceq)
+                   (Comp.RecConst (Lookup.find_rec dev "ceq"))
                    [
                      Meta.MOCtx Ctxs.empty_sctx;
-                     Meta.MOTerm (hat0, id_tm);
-                     Meta.MOTerm (hat0, id_tm);
+                     Meta.MOTerm (hat0, dev_id);
+                     Meta.MOTerm (hat0, dev_id);
                    ],
                  Comp.Box (Meta.MOTerm (hat0, chain)) )
            in
@@ -838,7 +835,7 @@ let e10 () =
                   ignore
                     (Belr_comp.Eval.as_box
                        (Belr_comp.Eval.eval
-                          (Belr_comp.Eval.make_env du.Ulam.sg) call)))))
+                          (Belr_comp.Eval.make_env dev) call)))))
          chains)
   in
   record "e10"

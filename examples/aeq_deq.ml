@@ -29,33 +29,14 @@ let () =
   Fmt.pr
     "-> full development (aeq-refl, aeq-sym, aeq-trans, ceq) checked@.@.";
   let penv = Sign.pp_env sg in
-  let find_c n =
-    match Sign.lookup_name sg n with
-    | Some (Sign.Sym_const c) -> c
-    | _ -> failwith (n ^ " not found")
-  in
-  let find_r n =
-    match Sign.lookup_name sg n with
-    | Some (Sign.Sym_rec r) -> r
-    | _ -> failwith (n ^ " not found")
-  in
-  let find_s n =
-    match Sign.lookup_name sg n with
-    | Some (Sign.Sym_srt s) -> s
-    | _ -> failwith (n ^ " not found")
-  in
-  let lam = find_c "lam"
-  and e_refl = find_c "e-refl"
-  and e_sym = find_c "e-sym"
-  and e_trans = find_c "e-trans"
-  and e_lam = find_c "e-lam" in
-  let aeq = find_s "aeq" in
-  let deq =
-    match Sign.lookup_name sg "deq" with
-    | Some (Sign.Sym_typ a) -> a
-    | _ -> failwith "deq not found"
-  in
-  let ceq = find_r "ceq" in
+  let lam = Lookup.find_const sg "lam"
+  and e_refl = Lookup.find_const sg "e-refl"
+  and e_sym = Lookup.find_const sg "e-sym"
+  and e_trans = Lookup.find_const sg "e-trans"
+  and e_lam = Lookup.find_const sg "e-lam" in
+  let aeq = Lookup.find_srt sg "aeq" in
+  let deq = Lookup.find_typ sg "deq" in
+  let ceq = Lookup.find_rec sg "ceq" in
   let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
   let idt = (mk_root ((mk_const lam)) ([ (mk_lam "x" ((mk_root ((mk_bvar 1)) []))) ])) in
   (* a declarative derivation full of equivalence axioms *)

@@ -1,7 +1,8 @@
 (** The conventional (refinement-free) baseline, and the E1 comparison.
 
     Loads both mechanizations of the §2 benchmark — the refinement
-    solution and the conventional joint-context solution — and prints the
+    solution ([Surface]) and the conventional joint-context solution
+    ([examples/conventional.blr]) — and prints the
     proof-size comparison that reproduces the paper's qualitative claim:
     the refinement solution is smaller on every axis and gets soundness
     for free.
@@ -12,17 +13,11 @@ open Belr_kits
 
 let () =
   Fmt.pr "=== E1: refinement vs conventional mechanization ===@.@.";
-  let refin_sg = Surface.load () in
-  let conv = Conventional.make () in
-  Fmt.pr "both developments checked (and their erasures re-checked).@.@.";
-  let refin_stats =
-    Stats.dev_stats ~name:"refinement" refin_sg ~block_width:2
-      [ "aeq-refl"; "aeq-sym"; "aeq-trans"; "ceq" ]
-  in
+  let refin_stats = Stats.dev_stats ~name:"refinement" (Surface.load ()) in
   let conv_stats =
-    Stats.dev_stats ~name:"conventional" conv.Conventional.sg ~block_width:3
-      [ "aeq-refl"; "aeq-sym"; "aeq-trans"; "ceq"; "sound" ]
+    Stats.dev_stats ~name:"conventional" (Conventional.load ())
   in
+  Fmt.pr "both developments checked (and their erasures re-checked).@.@.";
   Stats.pp_comparison Fmt.stdout refin_stats conv_stats;
   Fmt.pr "@.observations (the paper's §2 claims, measured):@.";
   Fmt.pr "- the conventional development duplicates the congruence rules@.";

@@ -13,6 +13,7 @@ open Belr_syntax
 open Belr_lf
 open Belr_core
 open Belr_comp
+open Belr_kits
 open Lf
 
 let program =
@@ -42,22 +43,9 @@ let () =
   Fmt.pr "%s@." program;
   let sg = Belr_parser.Process.program ~name:"quickstart.bel" program in
   Fmt.pr "-> program parsed, elaborated, sort-checked; erasure re-checked@.@.";
-  let find_c n =
-    match Sign.lookup_name sg n with
-    | Some (Sign.Sym_const c) -> c
-    | _ -> failwith (n ^ " not found")
-  in
-  let z = find_c "z" and s = find_c "s" in
-  let pos =
-    match Sign.lookup_name sg "pos" with
-    | Some (Sign.Sym_srt x) -> x
-    | _ -> failwith "pos not found"
-  in
-  let pred =
-    match Sign.lookup_name sg "pred" with
-    | Some (Sign.Sym_rec r) -> r
-    | _ -> failwith "pred not found"
-  in
+  let z = Lookup.find_const sg "z" and s = Lookup.find_const sg "s" in
+  let pos = Lookup.find_srt sg "pos" in
+  let pred = Lookup.find_rec sg "pred" in
   let rec church k = if k = 0 then (mk_root ((mk_const z)) []) else (mk_root ((mk_const s)) ([ church (k - 1) ])) in
   let penv = Sign.pp_env sg in
   let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in

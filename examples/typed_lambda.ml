@@ -17,6 +17,7 @@ open Belr_syntax
 open Belr_lf
 open Belr_core
 open Belr_comp
+open Belr_kits
 open Lf
 
 let program =
@@ -57,21 +58,12 @@ let () =
   let sg = Belr_parser.Process.program ~name:"typed.bel" program in
   Fmt.pr "-> program checked@.@.";
   let penv = Sign.pp_env sg in
-  let find_c n =
-    match Sign.lookup_name sg n with
-    | Some (Sign.Sym_const c) -> c
-    | _ -> failwith (n ^ " not found")
-  in
-  let base = find_c "base"
-  and arr = find_c "arr"
-  and lam = find_c "lam"
-  and t_lam = find_c "t-lam"
-  and t_app = find_c "t-app" in
-  let infer =
-    match Sign.lookup_name sg "infer" with
-    | Some (Sign.Sym_rec r) -> r
-    | _ -> failwith "infer not found"
-  in
+  let base = Lookup.find_const sg "base"
+  and arr = Lookup.find_const sg "arr"
+  and lam = Lookup.find_const sg "lam"
+  and t_lam = Lookup.find_const sg "t-lam"
+  and t_app = Lookup.find_const sg "t-app" in
+  let infer = Lookup.find_rec sg "infer" in
   let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
   let b = (mk_root ((mk_const base)) []) in
   let arrow a c = (mk_root ((mk_const arr)) ([ a; c ])) in
@@ -83,11 +75,7 @@ let () =
           (mk_lam "x" ((mk_lam "t" ((mk_root ((mk_bvar 1)) []))))) ]))
   in
   let env = Check_lfr.make_env sg [] in
-  let oft_a =
-    match Sign.lookup_name sg "oft" with
-    | Some (Sign.Sym_typ a) -> a
-    | _ -> failwith "oft not found"
-  in
+  let oft_a = Lookup.find_typ sg "oft" in
   ignore
     (Check_lfr.check_normal env Ctxs.empty_sctx d_id
        ((mk_sembed oft_a ([ id_tm; arrow b b ]))));
@@ -127,7 +115,7 @@ let () =
       (Ctxs.SCBlock ("y", tw, [ b ]))
   in
   (* y = index 1, f = index 2 *)
-  let app_c = find_c "app" in
+  let app_c = Lookup.find_const sg "app" in
   let m = (mk_root ((mk_const app_c)) ([ (mk_root ((mk_proj ((mk_bvar 2)) 1)) []); (mk_root ((mk_proj ((mk_bvar 1)) 1)) []) ])) in
   let d =
     (mk_root ((mk_const t_app)) ([ (mk_root ((mk_proj ((mk_bvar 2)) 1)) []); b; b; (mk_root ((mk_proj ((mk_bvar 1)) 1)) []);

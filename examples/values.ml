@@ -17,20 +17,11 @@ let () =
   let sg = Values.load () in
   Fmt.pr "-> development checked@.@.";
   let penv = Sign.pp_env sg in
-  let find_c n =
-    match Sign.lookup_name sg n with
-    | Some (Sign.Sym_const c) -> c
-    | _ -> failwith (n ^ " not found")
-  in
-  let lam = find_c "lam"
-  and app = find_c "app"
-  and ev_lam = find_c "ev-lam"
-  and ev_app = find_c "ev-app" in
-  let strengthen =
-    match Sign.lookup_name sg "strengthen" with
-    | Some (Sign.Sym_rec r) -> r
-    | _ -> failwith "strengthen not found"
-  in
+  let lam = Lookup.find_const sg "lam"
+  and app = Lookup.find_const sg "app"
+  and ev_lam = Lookup.find_const sg "ev-lam"
+  and ev_app = Lookup.find_const sg "ev-app" in
+  let strengthen = Lookup.find_rec sg "strengthen" in
   let idf = (mk_lam "x" ((mk_root ((mk_bvar 1)) []))) in
   let idt = (mk_root ((mk_const lam)) ([ idf ])) in
   let appt = (mk_root ((mk_const app)) ([ idt; idt ])) in
@@ -53,11 +44,7 @@ let () =
     | Meta.MOTerm (_, m) -> m
     | _ -> assert false
   in
-  let evalv =
-    match Sign.lookup_name sg "evalv" with
-    | Some (Sign.Sym_srt s) -> s
-    | _ -> failwith "evalv not found"
-  in
+  let evalv = Lookup.find_srt sg "evalv" in
   Fmt.pr "strengthened into the refined judgment:@.  %a@.@."
     (Pp.pp_normal penv) res;
   let env = Check_lfr.make_env sg [] in

@@ -4,8 +4,8 @@
     completeness benchmark needs "13 additional arguments, including 7
     explicit ones that must be manipulated in every case of the proof",
     while the refinement solution needs none of them.  We mechanized both
-    (see {!Equal_dev}/{!Surface} and {!Conventional}) and measure their
-    sizes here: arguments per theorem, AST nodes, block widths,
+    in source ({!Surface} and {!Conventional}) and measure the elaborated
+    signatures here: arguments per theorem, AST nodes, block widths,
     constructor duplication, and the number of theorems (soundness is free
     with a refinement, a real induction without). *)
 
@@ -170,21 +170,27 @@ type dev_stats = {
   ds_total_nodes : int;
 }
 
-let dev_stats ~name (sg : Sign.t) ~(block_width : int)
-    (theorem_names : string list) : dev_stats =
+(** Measure a checked development: every constructor, sort assignment
+    and computation-level function of [sg], with the widest schema
+    element as its block width. *)
+let dev_stats ~name (sg : Sign.t) : dev_stats =
   let consts = List.length (Sign.all_consts sg) in
   let csorts =
     List.fold_left
       (fun n (_, (s : Sign.srt_entry)) -> n + List.length s.Sign.s_consts)
       0 (Sign.all_srts sg)
   in
+  let block_width =
+    List.fold_left
+      (fun w (_, (g : Sign.schema_entry)) ->
+        List.fold_left
+          (fun w (e : Ctxs.elem) -> max w (List.length e.Ctxs.e_block))
+          w g.Sign.g_elems)
+      0 (Sign.all_schemas sg)
+  in
   let theorems =
-    List.filter_map
-      (fun n ->
-        match Sign.lookup_name sg n with
-        | Some (Sign.Sym_rec id) -> Some (rec_stats sg id)
-        | _ -> None)
-      theorem_names
+    List.sort (fun (a, _) (b, _) -> compare a b) (Sign.all_recs sg)
+    |> List.map (fun (id, _) -> rec_stats sg id)
   in
   {
     ds_name = name;

@@ -1,10 +1,10 @@
 (** The paper's §2 development in surface syntax.
 
-    This is the same mechanization as {!Equal_dev}, but written in the
-    concrete syntax and pushed through the full pipeline
-    (parse → elaborate → sort-check → erase → re-check).  The test suite
-    cross-validates the two: both must check, and both must compute the
-    same results.
+    This is the refinement solution of the ORBI completeness benchmark,
+    pushed through the full pipeline (parse → elaborate → sort-check →
+    erase → re-check).  It is the one copy of the development: the tests,
+    bench E1/E10 and the examples look its constants up by name
+    ({!Lookup}), and [examples/equal.bel] is emitted from it.
 
     The front end is explicit (see [Belr_parser.Elab]): branch pattern
     variables carry [{X : …}] declarations and constructors are fully

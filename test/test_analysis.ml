@@ -114,11 +114,7 @@ let subord_tests =
     test "tm is subordinate to deq but not conversely" (fun () ->
         let _, sg = check [ ("s.bel", Belr_kits.Surface.signature_src) ] in
         let sub = Subord.analyze sg in
-        let fam n =
-          match Sign.lookup_name sg n with
-          | Some (Sign.Sym_typ a) -> a
-          | _ -> Alcotest.failf "%s is not a type family" n
-        in
+        let fam = Belr_kits.Lookup.find_typ sg in
         Alcotest.(check bool) "tm =< deq" true
           (Subord.leq sub (fam "tm") (fam "deq"));
         Alcotest.(check bool) "deq =< tm" false
@@ -160,11 +156,6 @@ let brute_dependents sg seeds =
   in
   List.iter visit seeds;
   List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) seen [])
-
-let fam_named sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_typ a) -> a
-  | _ -> Alcotest.failf "%s is not a type family" n
 
 (* Random signatures as one mutual LF group — mutual recursion means any
    family can reference any other, so arbitrary edge graphs (including
@@ -226,7 +217,7 @@ let dependents_qcheck =
             let sub = Subord.analyze sg in
             List.for_all
               (fun i ->
-                let seed = fam_named sg (Printf.sprintf "f%d" i) in
+                let seed = Belr_kits.Lookup.find_typ sg (Printf.sprintf "f%d" i) in
                 let fast = Subord.dependents_of sg [ seed ] in
                 fast = brute_dependents sg [ seed ]
                 && fast
@@ -238,7 +229,8 @@ let dependents_qcheck =
       (fun (n, edges) ->
         with_graph_sig (n, edges) (fun sg ->
             let seeds =
-              List.init n (fun i -> fam_named sg (Printf.sprintf "f%d" i))
+              List.init n (fun i ->
+                  Belr_kits.Lookup.find_typ sg (Printf.sprintf "f%d" i))
             in
             let union =
               List.sort_uniq compare
@@ -260,7 +252,8 @@ let dependents_tests =
                  and b : type = | cb : a -> b;\n" );
             ]
         in
-        let a = fam_named sg "a" and bf = fam_named sg "b" in
+        let fam = Belr_kits.Lookup.find_typ sg in
+        let a = fam "a" and bf = fam "b" in
         let both = List.sort compare [ a; bf ] in
         Alcotest.(check bool) "from a" true
           (Subord.dependents_of sg [ a ] = both);
@@ -270,7 +263,7 @@ let dependents_tests =
         Alcotest.(check bool) "mutual" true (Subord.mutual sub a bf));
     test "an isolated family depends only on itself" (fun () ->
         let _, sg = check [ ("iso.bel", nat ^ "LF tm : type = | c : tm;\n") ] in
-        let tm = fam_named sg "tm" in
+        let tm = Belr_kits.Lookup.find_typ sg "tm" in
         Alcotest.(check bool) "singleton" true
           (Subord.dependents_of sg [ tm ] = [ tm ]));
   ]

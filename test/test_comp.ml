@@ -10,7 +10,24 @@ open Belr_comp
 open Belr_kits
 open Lf
 
-let dev = lazy (Equal_dev.make ())
+(** The §2 development, loaded from source; its constants by name. *)
+let dev = lazy (Surface.load ())
+
+let c name = mk_const (Lookup.find_const (Lazy.force dev) name)
+
+let r name = Comp.RecConst (Lookup.find_rec (Lazy.force dev) name)
+
+let aeq () = Lookup.find_srt (Lazy.force dev) "aeq"
+
+(** The identity λ-term [lam \x. x]. *)
+let id_tm () = mk_root (c "lam") [ mk_lam "x" (mk_root (mk_bvar 1) []) ]
+
+(** The context [b : xeW] of one block of the refined schema [xaG]. *)
+let xa_sctx1 () =
+  match Belr_parser.Elab.find_world (Lazy.force dev) "xeW" with
+  | Some (Belr_parser.Elab.Wsort f) ->
+      Ctxs.sctx_push Ctxs.empty_sctx (Ctxs.SCBlock ("b", f, []))
+  | _ -> Alcotest.fail "xeW not found"
 
 let ok name thunk = Alcotest.test_case name `Quick thunk
 
@@ -25,7 +42,7 @@ let hat_empty = { Meta.hat_var = None; Meta.hat_names = [] }
 
 let empty_sctx = Ctxs.empty_sctx
 
-(* Closed terms and derivations over the ulam signature *)
+(* Closed terms and derivations over the §2 signature *)
 
 let build_tests =
   [
@@ -42,14 +59,12 @@ let run_tests =
   [
     ok "running aeq-refl on (app id id) yields a checkable aeq derivation"
       (fun () ->
-        let d = Lazy.force dev in
-        let u = d.Equal_dev.ulam in
-        let sg = u.Ulam.sg in
-        let idt = Ulam.id_tm u in
-        let t = Ulam.app_tm u idt idt in
+        let sg = Lazy.force dev in
+        let idt = id_tm () in
+        let t = mk_root (c "app") [ idt; idt ] in
         let call =
           mapps
-            (Comp.RecConst d.Equal_dev.aeq_refl)
+            (r "aeq-refl")
             [ Meta.MOCtx empty_sctx; Meta.MOTerm (hat_empty, t) ]
         in
         let v = Eval.eval (Eval.make_env sg) call in
@@ -62,21 +77,19 @@ let run_tests =
         let env = Check_lfr.make_env sg [] in
         ignore
           (Check_lfr.check_normal env empty_sctx res
-             ((mk_satom u.Ulam.aeq ([ t; t ])))));
+             ((mk_satom (aeq ()) ([ t; t ])))));
     ok "running ceq on (e-trans (e-refl id) (e-sym (e-refl id)))" (fun () ->
-        let d = Lazy.force dev in
-        let u = d.Equal_dev.ulam in
-        let sg = u.Ulam.sg in
-        let idt = Ulam.id_tm u in
-        let refl = (mk_root ((mk_const u.Ulam.e_refl)) ([ idt ])) in
-        let sym = (mk_root ((mk_const u.Ulam.e_sym)) ([ idt; idt; refl ])) in
+        let sg = Lazy.force dev in
+        let idt = id_tm () in
+        let refl = (mk_root (c "e-refl") ([ idt ])) in
+        let sym = (mk_root (c "e-sym") ([ idt; idt; refl ])) in
         let dtrans =
-          (mk_root ((mk_const u.Ulam.e_trans)) ([ idt; idt; idt; refl; sym ]))
+          (mk_root (c "e-trans") ([ idt; idt; idt; refl; sym ]))
         in
         let call =
           Comp.App
             ( mapps
-                (Comp.RecConst d.Equal_dev.ceq)
+                (r "ceq")
                 [
                   Meta.MOCtx empty_sctx;
                   Meta.MOTerm (hat_empty, idt);
@@ -93,26 +106,24 @@ let run_tests =
         let env = Check_lfr.make_env sg [] in
         ignore
           (Check_lfr.check_normal env empty_sctx res
-             ((mk_satom u.Ulam.aeq ([ idt; idt ])))));
+             ((mk_satom (aeq ()) ([ idt; idt ])))));
     ok "running ceq through a binder (e-lam with e-sym under it)" (fun () ->
-        let d = Lazy.force dev in
-        let u = d.Equal_dev.ulam in
-        let sg = u.Ulam.sg in
+        let sg = Lazy.force dev in
         (* deq (lam \x.x) (lam \x.x) via e-lam, whose body uses e-sym on
            the variable's equality assumption: exercises context
            extension, promotion, and the parameter-variable case *)
         let idf = (mk_lam "x" ((mk_root ((mk_bvar 1)) []))) in
         let body =
           (* λx.λu. e-sym x x u *)
-          (mk_lam "x" ((mk_lam "u" ((mk_root ((mk_const u.Ulam.e_sym)) ([ (mk_root ((mk_bvar 2)) []); (mk_root ((mk_bvar 2)) []);
+          (mk_lam "x" ((mk_lam "u" ((mk_root (c "e-sym") ([ (mk_root ((mk_bvar 2)) []); (mk_root ((mk_bvar 2)) []);
                         (mk_root ((mk_bvar 1)) []) ]))))))
         in
-        let dlam = (mk_root ((mk_const u.Ulam.e_lam)) ([ idf; idf; body ])) in
-        let idt = Ulam.id_tm u in
+        let dlam = (mk_root (c "e-lam") ([ idf; idf; body ])) in
+        let idt = id_tm () in
         let call =
           Comp.App
             ( mapps
-                (Comp.RecConst d.Equal_dev.ceq)
+                (r "ceq")
                 [
                   Meta.MOCtx empty_sctx;
                   Meta.MOTerm (hat_empty, idt);
@@ -129,20 +140,18 @@ let run_tests =
         let env = Check_lfr.make_env sg [] in
         ignore
           (Check_lfr.check_normal env empty_sctx res
-             ((mk_satom u.Ulam.aeq ([ idt; idt ])))));
+             ((mk_satom (aeq ()) ([ idt; idt ])))));
     ok "running aeq-sym in a non-empty context" (fun () ->
-        let d = Lazy.force dev in
-        let u = d.Equal_dev.ulam in
-        let sg = u.Ulam.sg in
+        let sg = Lazy.force dev in
         (* Ψ = b : xeW; run aeq-sym on [Ψ ⊢ b.2] *)
-        let psi1 = Ulam.xa_sctx u 1 in
+        let psi1 = xa_sctx1 () in
         let h = Meta.hat_of_sctx psi1 in
         let b1 = (mk_root ((mk_proj ((mk_bvar 1)) 1)) []) in
         let b2 = (mk_root ((mk_proj ((mk_bvar 1)) 2)) []) in
         let call =
           Comp.App
             ( mapps
-                (Comp.RecConst d.Equal_dev.aeq_sym)
+                (r "aeq-sym")
                 [
                   Meta.MOCtx psi1;
                   Meta.MOTerm (h, b1);
@@ -159,20 +168,18 @@ let run_tests =
         let env = Check_lfr.make_env sg [] in
         ignore
           (Check_lfr.check_normal env psi1 res
-             ((mk_satom u.Ulam.aeq ([ b1; b1 ])))));
+             ((mk_satom (aeq ()) ([ b1; b1 ])))));
     fails "ill-sorted bodies are rejected by the comp checker" (fun () ->
-        let d = Lazy.force dev in
-        let u = d.Equal_dev.ulam in
-        let sg = u.Ulam.sg in
+        let sg = Lazy.force dev in
         (* claim [· ⊢ aeq id id] by boxing an e-refl derivation: e-refl
            has no aeq sort, so this must fail *)
-        let idt = Ulam.id_tm u in
-        let bad = (mk_root ((mk_const u.Ulam.e_refl)) ([ idt ])) in
+        let idt = id_tm () in
+        let bad = (mk_root (c "e-refl") ([ idt ])) in
         let env = Check_comp.make_env sg [] [] in
         Check_comp.check_exp env
           (Comp.Box (Meta.MOTerm (hat_empty, bad)))
           (Comp.CBox
-             (Meta.MSTerm (empty_sctx, (mk_satom u.Ulam.aeq ([ idt; idt ]))))));
+             (Meta.MSTerm (empty_sctx, (mk_satom (aeq ()) ([ idt; idt ]))))));
     ok "apps helper is exercised" (fun () -> ignore apps);
   ]
 

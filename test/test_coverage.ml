@@ -2,7 +2,6 @@
     extension, {!Belr_comp.Coverage.deep_check_rec}): refinements shrink
     coverage obligations. *)
 
-open Belr_lf
 open Belr_comp
 open Belr_kits
 
@@ -28,14 +27,9 @@ fn d => case d of
   [ |- s N] => [ |- N];
 |bel}
 
-let find_rec sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_rec r) -> r
-  | _ -> Alcotest.failf "%s not found" n
-
 (** Per-[case] deep verdicts of a function, as counts. *)
 let verdicts sg n =
-  let ds = Coverage.deep_check_rec sg (find_rec sg n) in
+  let ds = Coverage.deep_check_rec sg (Lookup.find_rec sg n) in
   let count p = List.length (List.filter p ds) in
   ( count (( = ) Coverage.DCovered),
     count (function Coverage.DUncovered _ -> true | _ -> false) )
@@ -44,12 +38,12 @@ let tests =
   [
     ok "pred is covered at sort pos (z has no sort there)" (fun () ->
         let sg = Belr_parser.Process.program pred_program in
-        match Coverage.deep_check_rec sg (find_rec sg "pred-pos") with
+        match Coverage.deep_check_rec sg (Lookup.find_rec sg "pred-pos") with
         | [ Coverage.DCovered ] -> ()
         | _ -> Alcotest.fail "expected full coverage");
     ok "the same match is uncovered at type nat (missing z)" (fun () ->
         let sg = Belr_parser.Process.program pred_program in
-        match Coverage.deep_check_rec sg (find_rec sg "pred-nat") with
+        match Coverage.deep_check_rec sg (Lookup.find_rec sg "pred-nat") with
         | [ Coverage.DUncovered missing ] ->
             Alcotest.(check bool) "z missing" true (List.mem "z" missing)
         | _ -> Alcotest.fail "expected exactly one uncovered match");

@@ -19,18 +19,8 @@ let fails name thunk =
       | exception Error.Violation _ -> ()
       | _ -> Alcotest.failf "%s: expected failure" name)
 
-let find_c sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_const c) -> c
-  | _ -> Alcotest.failf "%s not found" n
-
-let find_s sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_srt s) -> s
-  | _ -> Alcotest.failf "%s not found" n
-
 let church sg k =
-  let z = find_c sg "z" and s = find_c sg "s" in
+  let z = Lookup.find_const sg "z" and s = Lookup.find_const sg "s" in
   let rec go k = if k = 0 then (mk_root ((mk_const z)) []) else (mk_root ((mk_const s)) ([ go (k - 1) ])) in
   go k
 
@@ -39,8 +29,8 @@ let tests =
     ok "mutual refinement group checks" (fun () -> ignore (Lazy.force psg));
     ok "s has a sort in both families" (fun () ->
         let sg = Lazy.force psg in
-        let s = find_c sg "s" in
-        let even = find_s sg "even" and odd = find_s sg "odd" in
+        let s = Lookup.find_const sg "s" in
+        let even = Lookup.find_srt sg "even" and odd = Lookup.find_srt sg "odd" in
         Alcotest.(check bool)
           "even" true
           (Sign.csort sg ~const:s ~family:even <> None);
@@ -52,22 +42,18 @@ let tests =
         let env = Check_lfr.make_env sg [] in
         ignore
           (Check_lfr.check_normal env Ctxs.empty_sctx (church sg 4)
-             ((mk_satom (find_s sg "even") [])));
+             ((mk_satom (Lookup.find_srt sg "even") [])));
         ignore
           (Check_lfr.check_normal env Ctxs.empty_sctx (church sg 3)
-             ((mk_satom (find_s sg "odd") []))));
+             ((mk_satom (Lookup.find_srt sg "odd") []))));
     fails "3 is not even" (fun () ->
         let sg = Lazy.force psg in
         Check_lfr.check_normal (Check_lfr.make_env sg []) Ctxs.empty_sctx
           (church sg 3)
-          ((mk_satom (find_s sg "even") [])));
+          ((mk_satom (Lookup.find_srt sg "even") [])));
     ok "half 6 = 3 (runs)" (fun () ->
         let sg = Lazy.force psg in
-        let half =
-          match Sign.lookup_name sg "half" with
-          | Some (Sign.Sym_rec r) -> r
-          | _ -> Alcotest.fail "half not found"
-        in
+        let half = Lookup.find_rec sg "half" in
         let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
         let call =
           Comp.App
@@ -80,11 +66,7 @@ let tests =
     ok "both matches of half are covered (even: z+s, odd: s only)"
       (fun () ->
         let sg = Lazy.force psg in
-        let half =
-          match Sign.lookup_name sg "half" with
-          | Some (Sign.Sym_rec r) -> r
-          | _ -> Alcotest.fail "half not found"
-        in
+        let half = Lookup.find_rec sg "half" in
         Alcotest.(check bool)
           "every case covered" true
           (List.for_all (( = ) Coverage.DCovered)
@@ -94,7 +76,7 @@ let tests =
         let env = Check_lfr.make_env sg [] in
         let a =
           Check_lfr.check_normal env Ctxs.empty_sctx (church sg 8)
-            ((mk_satom (find_s sg "even") []))
+            ((mk_satom (Lookup.find_srt sg "even") []))
         in
         Check_lf.check_normal (Check_lf.make_env sg []) Ctxs.empty_ctx
           (church sg 8) a);

@@ -9,6 +9,7 @@
 open Belr_support
 open Belr_lf
 open Belr_comp
+open Belr_kits
 module Callgraph = Belr_analysis.Callgraph
 
 let ok name thunk = Alcotest.test_case name `Quick thunk
@@ -17,11 +18,6 @@ let contains affix s =
   let n = String.length affix and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   go 0
-
-let find_rec sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_rec r) -> r
-  | _ -> Alcotest.failf "%s not found" n
 
 let total_run ?depth ?budget sg =
   let sink = Diagnostics.sink () in
@@ -239,18 +235,18 @@ let coverage_tests =
     ok "a nested gap invisible to a head-only check is found" (fun () ->
         let sg = Belr_parser.Process.program skip_src in
         (* both head constants appear, so comparing heads is fooled *)
-        match Coverage.deep_check_rec sg (find_rec sg "skip") with
+        match Coverage.deep_check_rec sg (Lookup.find_rec sg "skip") with
         | [ Coverage.DUncovered ms ] ->
             Alcotest.(check bool) "missing (s z)" true (List.mem "(s z)" ms)
         | _ -> Alcotest.fail "expected one uncovered case");
     ok "the patched match is covered at depth" (fun () ->
         let sg = Belr_parser.Process.program skip_full_src in
-        match Coverage.deep_check_rec sg (find_rec sg "skip") with
+        match Coverage.deep_check_rec sg (Lookup.find_rec sg "skip") with
         | [ Coverage.DCovered ] -> ()
         | _ -> Alcotest.fail "expected full coverage");
     ok "an insufficient split depth gives up (W0712), never lies" (fun () ->
         let sg = Belr_parser.Process.program skip_full_src in
-        (match Coverage.deep_check_rec ~depth:1 sg (find_rec sg "skip") with
+        (match Coverage.deep_check_rec ~depth:1 sg (Lookup.find_rec sg "skip") with
         | [ Coverage.DGaveUp ] -> ()
         | _ -> Alcotest.fail "expected a gave-up verdict");
         let sink, r = total_run ~depth:1 sg in
@@ -280,10 +276,10 @@ fn d => case d of
   [ |- s N] => [ |- N];
 |bel})
         in
-        (match Coverage.deep_check_rec sg (find_rec sg "pred-pos") with
+        (match Coverage.deep_check_rec sg (Lookup.find_rec sg "pred-pos") with
         | [ Coverage.DCovered ] -> ()
         | _ -> Alcotest.fail "pred-pos should be covered at sort pos");
-        match Coverage.deep_check_rec sg (find_rec sg "pred-nat") with
+        match Coverage.deep_check_rec sg (Lookup.find_rec sg "pred-nat") with
         | [ Coverage.DUncovered ms ] ->
             Alcotest.(check bool) "z missing" true (List.mem "z" ms)
         | _ -> Alcotest.fail "pred-nat should miss z");
@@ -340,7 +336,7 @@ let callgraph_tests =
     ok "call sites carry strict edges from pattern subterms" (fun () ->
         let sg = Belr_parser.Process.program flip_flop_src in
         let cg = Callgraph.analyze sg in
-        let flip = find_rec sg "flip" and flop = find_rec sg "flop" in
+        let flip = Lookup.find_rec sg "flip" and flop = Lookup.find_rec sg "flop" in
         let site =
           match
             List.find_opt
@@ -363,20 +359,20 @@ let callgraph_tests =
     ok "the SCC decomposition groups the mutual pair" (fun () ->
         let sg = Belr_parser.Process.program flip_flop_src in
         let cg = Callgraph.analyze sg in
-        let flip = find_rec sg "flip" and flop = find_rec sg "flop" in
+        let flip = Lookup.find_rec sg "flip" and flop = Lookup.find_rec sg "flop" in
         Alcotest.(check bool) "one mutual SCC" true
           (List.exists
              (fun scc -> List.mem flip scc && List.mem flop scc)
              (Callgraph.sccs cg)));
     ok "rec groups are recorded in the signature" (fun () ->
         let sg = Belr_parser.Process.program flip_flop_src in
-        let flip = find_rec sg "flip" and flop = find_rec sg "flop" in
+        let flip = Lookup.find_rec sg "flip" and flop = Lookup.find_rec sg "flop" in
         Alcotest.(check bool) "flip's group lists both" true
           (Sign.rec_group sg flip = [ flip; flop ]);
         Alcotest.(check bool) "flop's group lists both" true
           (Sign.rec_group sg flop = [ flip; flop ]);
         let sg2 = Belr_parser.Process.program loop_src in
-        let loop = find_rec sg2 "loop" in
+        let loop = Lookup.find_rec sg2 "loop" in
         Alcotest.(check bool) "singletons default" true
           (Sign.rec_group sg2 loop = [ loop ]));
   ]

@@ -4,7 +4,6 @@
     sorts depend on the instantiation. *)
 
 open Belr_syntax
-open Belr_lf
 open Belr_core
 open Belr_comp
 open Belr_kits
@@ -13,11 +12,6 @@ open Lf
 let tsg = lazy (Typed_equal.load ())
 
 let ok name thunk = Alcotest.test_case name `Quick thunk
-
-let find_c sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_const c) -> c
-  | _ -> Alcotest.failf "%s not found" n
 
 let tests =
   [
@@ -36,9 +30,9 @@ let tests =
           | Some (Belr_parser.Elab.Wsort f) -> f
           | _ -> Alcotest.fail "xeW not found"
         in
-        let i = (mk_root ((mk_const (find_c sg "i"))) []) in
+        let i = (mk_root ((mk_const (Lookup.find_const sg "i"))) []) in
         let arr =
-          (mk_root ((mk_const (find_c sg "arr"))) ([ i; i ]))
+          (mk_root ((mk_const (Lookup.find_const sg "arr"))) ([ i; i ]))
         in
         let psi =
           Ctxs.sctx_push
@@ -48,11 +42,7 @@ let tests =
         (* y = 1 at type i, f = 2 at type i → i *)
         let s_y = Sctxops.srt_of_proj sg psi 1 2 in
         let s_f = Sctxops.srt_of_proj sg psi 2 2 in
-        let aeq =
-          match Sign.lookup_name sg "aeq" with
-          | Some (Sign.Sym_srt s) -> s
-          | _ -> Alcotest.fail "aeq not found"
-        in
+        let aeq = Lookup.find_srt sg "aeq" in
         (match s_y with
         | SAtom (s, [ _; _; ty ]) when s = aeq ->
             Alcotest.(check bool) "y at i" true (Equal.normal ty i)
@@ -69,15 +59,11 @@ let tests =
           | Some (Belr_parser.Elab.Wsort f) -> f
           | _ -> Alcotest.fail "xeW not found"
         in
-        let i = (mk_root ((mk_const (find_c sg "i"))) []) in
+        let i = (mk_root ((mk_const (Lookup.find_const sg "i"))) []) in
         let psi =
           Ctxs.sctx_push Ctxs.empty_sctx (Ctxs.SCBlock ("b", xeW, [ i ]))
         in
-        let sym =
-          match Sign.lookup_name sg "aeq-sym" with
-          | Some (Sign.Sym_rec r) -> r
-          | _ -> Alcotest.fail "aeq-sym not found"
-        in
+        let sym = Lookup.find_rec sg "aeq-sym" in
         let h = Meta.hat_of_sctx psi in
         let b1 = (mk_root ((mk_proj ((mk_bvar 1)) 1)) []) in
         let b2 = (mk_root ((mk_proj ((mk_bvar 1)) 2)) []) in
@@ -100,21 +86,13 @@ let tests =
           | Meta.MOTerm (_, m) -> m
           | _ -> Alcotest.fail "expected a boxed term"
         in
-        let aeq =
-          match Sign.lookup_name sg "aeq" with
-          | Some (Sign.Sym_srt s) -> s
-          | _ -> Alcotest.fail "aeq not found"
-        in
+        let aeq = Lookup.find_srt sg "aeq" in
         ignore
           (Check_lfr.check_normal (Check_lfr.make_env sg []) psi res
              ((mk_satom aeq ([ b1; b1; Shift.shift_normal 1 0 i ])))));
     ok "typed aeq-sym terminates and is covered" (fun () ->
         let sg = Lazy.force tsg in
-        let sym =
-          match Sign.lookup_name sg "aeq-sym" with
-          | Some (Sign.Sym_rec r) -> r
-          | _ -> Alcotest.fail "aeq-sym not found"
-        in
+        let sym = Lookup.find_rec sg "aeq-sym" in
         Alcotest.(check bool)
           "covered" true
           (List.for_all (( = ) Coverage.DCovered)

@@ -21,21 +21,6 @@ let fails name thunk =
       | exception Error.Violation _ -> ()
       | _ -> Alcotest.failf "%s: expected failure" name)
 
-let find_c sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_const c) -> c
-  | _ -> Alcotest.failf "%s not found" n
-
-let find_s sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_srt s) -> s
-  | _ -> Alcotest.failf "%s not found" n
-
-let find_r sg n =
-  match Sign.lookup_name sg n with
-  | Some (Sign.Sym_rec r) -> r
-  | _ -> Alcotest.failf "%s not found" n
-
 let hat0 = { Meta.hat_var = None; Meta.hat_names = [] }
 
 let mapps f args = List.fold_left (fun e a -> Comp.MApp (e, a)) f args
@@ -46,8 +31,8 @@ let tests =
         ignore (Lazy.force vsg));
     ok "lam is a value, app is not" (fun () ->
         let sg = Lazy.force vsg in
-        let lam = find_c sg "lam" and app = find_c sg "app" in
-        let vs = find_s sg "val" in
+        let lam = Lookup.find_const sg "lam" and app = Lookup.find_const sg "app" in
+        let vs = Lookup.find_srt sg "val" in
         let idt = (mk_root ((mk_const lam)) ([ (mk_lam "x" ((mk_root ((mk_bvar 1)) []))) ])) in
         let env = Check_lfr.make_env sg [] in
         ignore (Check_lfr.check_normal env Ctxs.empty_sctx idt ((mk_satom vs [])));
@@ -61,17 +46,17 @@ let tests =
         | Error _ -> ());
     ok "evalv's refinement kind has a proper sort domain" (fun () ->
         let sg = Lazy.force vsg in
-        let evalv = find_s sg "evalv" in
+        let evalv = Lookup.find_srt sg "evalv" in
         match (Sign.srt_entry sg evalv).Sign.s_kind with
         | Kspi (_, SEmbed _, Kspi (_, SAtom _, Ksort)) -> ()
         | _ -> Alcotest.fail "unexpected refinement kind");
     ok "running both theorems on ((\\x.x) (\\x.x)) gives value results"
       (fun () ->
         let sg = Lazy.force vsg in
-        let lam = find_c sg "lam"
-        and app = find_c sg "app"
-        and ev_lam = find_c sg "ev-lam"
-        and ev_app = find_c sg "ev-app" in
+        let lam = Lookup.find_const sg "lam"
+        and app = Lookup.find_const sg "app"
+        and ev_lam = Lookup.find_const sg "ev-lam"
+        and ev_app = Lookup.find_const sg "ev-app" in
         let idf = (mk_lam "x" ((mk_root ((mk_bvar 1)) []))) in
         let idt = (mk_root ((mk_const lam)) ([ idf ])) in
         let appt = (mk_root ((mk_const app)) ([ idt; idt ])) in
@@ -82,16 +67,12 @@ let tests =
           (mk_root ((mk_const ev_app)) ([ idt; idf; idt; idt; idt; ev_id; ev_id; ev_id ]))
         in
         let env = Check_lfr.make_env sg [] in
-        let eval_a =
-          match Sign.lookup_name sg "eval" with
-          | Some (Sign.Sym_typ a) -> a
-          | _ -> Alcotest.fail "eval not found"
-        in
+        let eval_a = Lookup.find_typ sg "eval" in
         ignore
           (Check_lfr.check_normal env Ctxs.empty_sctx d
              ((mk_sembed eval_a ([ appt; idt ]))));
         (* conventional: isval V *)
-        let rv = find_r sg "result-val" in
+        let rv = Lookup.find_rec sg "result-val" in
         let call1 =
           Comp.App
             ( mapps (Comp.RecConst rv)
@@ -105,7 +86,7 @@ let tests =
               (Sign.const_entry sg c).Sign.c_name
         | _ -> Alcotest.fail "expected a v-lam derivation");
         (* refinement: evalv M V with the result checked at the sort *)
-        let st = find_r sg "strengthen" in
+        let st = Lookup.find_rec sg "strengthen" in
         let call2 =
           Comp.App
             ( mapps (Comp.RecConst st)
@@ -117,15 +98,15 @@ let tests =
           | Meta.MOTerm (_, m) -> m
           | _ -> Alcotest.fail "expected a boxed term"
         in
-        let evalv = find_s sg "evalv" in
+        let evalv = Lookup.find_srt sg "evalv" in
         ignore
           (Check_lfr.check_normal env Ctxs.empty_sctx res
              ((mk_satom evalv ([ appt; idt ])))));
     ok "the refinement statement is smaller than the predicate one"
       (fun () ->
         let sg = Lazy.force vsg in
-        let s1 = Stats.rec_stats sg (find_r sg "strengthen") in
-        let s2 = Stats.rec_stats sg (find_r sg "result-val") in
+        let s1 = Stats.rec_stats sg (Lookup.find_rec sg "strengthen") in
+        let s2 = Stats.rec_stats sg (Lookup.find_rec sg "result-val") in
         (* same inductive structure; no extra predicate declaration is the
            point — statements have comparable size *)
         Alcotest.(check bool)
@@ -133,9 +114,9 @@ let tests =
           (s1.Stats.rs_args = s2.Stats.rs_args));
     fails "an ill-kinded refinement application is rejected" (fun () ->
         let sg = Lazy.force vsg in
-        let evalv = find_s sg "evalv" in
-        let app = find_c sg "app" in
-        let lam = find_c sg "lam" in
+        let evalv = Lookup.find_srt sg "evalv" in
+        let app = Lookup.find_const sg "app" in
+        let lam = Lookup.find_const sg "lam" in
         let idt = (mk_root ((mk_const lam)) ([ (mk_lam "x" ((mk_root ((mk_bvar 1)) []))) ])) in
         let appt = (mk_root ((mk_const app)) ([ idt; idt ])) in
         (* evalv _ (app …): the second index must be a value *)

@@ -171,23 +171,21 @@ let example_tests =
 (** A ceq call evaluating a [deq] chain of length [n] (as in bench E10):
     enough steps to trip a tiny fuel budget. *)
 let long_eval () =
-  let dev = Equal_dev.make () in
-  let du = dev.Equal_dev.ulam in
+  let sg = Surface.load () in
+  let c name = mk_const (Lookup.find_const sg name) in
   let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
-  let id_tm = Ulam.id_tm du in
-  let refl = mk_root (mk_const du.Ulam.e_refl) [ id_tm ] in
-  let sym = mk_root (mk_const du.Ulam.e_sym) [ id_tm; id_tm; refl ] in
+  let id_tm = mk_root (c "lam") [ mk_lam "x" (mk_root (mk_bvar 1) []) ] in
+  let refl = mk_root (c "e-refl") [ id_tm ] in
+  let sym = mk_root (c "e-sym") [ id_tm; id_tm; refl ] in
   let rec chain n acc =
     if n = 0 then acc
-    else
-      chain (n - 1)
-        (mk_root (mk_const du.Ulam.e_trans) [ id_tm; id_tm; id_tm; acc; sym ])
+    else chain (n - 1) (mk_root (c "e-trans") [ id_tm; id_tm; id_tm; acc; sym ])
   in
   let call =
     Comp.App
       ( List.fold_left
           (fun e a -> Comp.MApp (e, a))
-          (Comp.RecConst dev.Equal_dev.ceq)
+          (Comp.RecConst (Lookup.find_rec sg "ceq"))
           [
             Meta.MOCtx Ctxs.empty_sctx;
             Meta.MOTerm (hat0, id_tm);
@@ -198,7 +196,7 @@ let long_eval () =
   fun () ->
     ignore
       (Belr_comp.Eval.as_box
-         (Belr_comp.Eval.eval (Belr_comp.Eval.make_env du.Ulam.sg) call))
+         (Belr_comp.Eval.eval (Belr_comp.Eval.make_env sg) call))
 
 (** Restore the global fuel budget even if the test fails. *)
 let with_eval_fuel n f =
