@@ -66,16 +66,29 @@ and branch_t (sg : Sign.t) (b : Comp.branch_t) : Comp.branch =
 let cctx_t (sg : Sign.t) (phi : Comp.cctx_t) : Comp.cctx =
   List.map (fun (x, t) -> (x, ctyp_t sg t)) phi
 
+(** The functions an expression references, each once. *)
+let rec_refs (e : Comp.exp_t) : Lf.cid_rec list =
+  let rec go acc = function
+    | Comp.TVar _ | Comp.TBoxE _ -> acc
+    | Comp.TRecConst r -> if List.mem r acc then acc else r :: acc
+    | Comp.TFn (_, _, e) | Comp.TMLam (_, e) | Comp.TMApp (e, _) -> go acc e
+    | Comp.TApp (e1, e2) | Comp.TLetBox (_, e1, e2) -> go (go acc e1) e2
+    | Comp.TCase (_, e, brs) ->
+        List.fold_left (fun acc b -> go acc b.Comp.tbr_body) (go acc e) brs
+  in
+  go [] e
+
 (** Type-level computation checking [Δ; Ξ ⊢ e : τ], as the embedded
     fragment of the unified checker. *)
 let check_exp_t (sg : Sign.t) (delta : Meta.mctx_t) (xi : Comp.cctx_t)
     (e : Comp.exp_t) (tau : Comp.ctyp_t) : unit =
   (* in the type-level run, references to declared functions must carry
-     their (embedded) erased types, not their sorts *)
+     their (embedded) erased types, not their sorts; only the functions
+     [e] references are embedded *)
   let recs =
     List.map
-      (fun (id, (re : Sign.rec_entry)) -> (id, ctyp_t sg re.Sign.r_typ))
-      (Sign.all_recs sg)
+      (fun id -> (id, ctyp_t sg (Sign.rec_entry sg id).Sign.r_typ))
+      (rec_refs e)
   in
   let env = Check_comp.make_env ~recs sg (mctx_t sg delta) (cctx_t sg xi) in
   Check_comp.check_exp env (exp_t sg e) (ctyp_t sg tau)

@@ -38,6 +38,10 @@ let c_problems = Telemetry.counter "unify.problems"
 
 let c_solved = Telemetry.counter "unify.solved_vars"
 
+(* builds of the solution meta-substitution θ: at most one per solved
+   variable, none for a problem that solves nothing *)
+let c_substs = Telemetry.counter "unify.solution_substs"
+
 let c_occurs = Telemetry.counter "unify.occurs_checks"
 
 let c_failures = Telemetry.counter "unify.failures"
@@ -55,12 +59,33 @@ type state = {
   sg : Sign.t;
   omega : Meta.mctx;  (** the full problem meta-context, innermost first *)
   flex : int -> bool;  (** which Ω-indices may be instantiated *)
-  sol : Meta.mobj option array;  (** partial solution, index i ↦ sol.(i-1) *)
+  sol : Meta.mobj option array;
+      (** partial solution, index i ↦ sol.(i-1); written only by
+          {!set_sol} *)
+  decls : Meta.mdecl Lazy.t array;
+      (** index i ↦ Ω(i) transported into full Ω space, shifted once *)
+  mutable outermost : int;
+      (** the largest solved index; 0 while nothing is solved *)
+  mutable theta : Meta.msub option;
+      (** {!sol_msub} of the current [sol]; [None] until built, and again
+          after every {!set_sol} *)
 }
 
 let make ~sg ~omega ~flex =
   Telemetry.bump c_problems;
-  { sg; omega; flex; sol = Array.make (List.length omega) None }
+  let decls =
+    Array.of_list
+      (List.mapi (fun k d -> lazy (Shift.mshift_mdecl (k + 1) 0 d)) omega)
+  in
+  {
+    sg;
+    omega;
+    flex;
+    sol = Array.make (Array.length decls) None;
+    decls;
+    outermost = 0;
+    theta = None;
+  }
 
 let lookup_sol st i = if i <= Array.length st.sol then st.sol.(i - 1) else None
 
@@ -68,71 +93,80 @@ let set_sol st i o =
   if not (st.flex i) then
     Error.violation "unify: attempt to solve a rigid variable";
   Telemetry.bump c_solved;
-  st.sol.(i - 1) <- Some o
+  st.sol.(i - 1) <- Some o;
+  if i > st.outermost then st.outermost <- i;
+  st.theta <- None
 
 let decl st i =
-  match Shift.mctx_lookup_shifted st.omega i with
-  | Some d -> d
-  | None -> Error.violation "unify: unbound meta-variable %d" i
+  if i >= 1 && i <= Array.length st.decls then Lazy.force st.decls.(i - 1)
+  else Error.violation "unify: unbound meta-variable %d" i
 
 (* --- resolution: apply the current partial solution --------------------- *)
 
-(** A meta-substitution view of the current solution (identity on
-    unsolved variables). *)
+(** A meta-substitution view of the current solution: identity fronts at
+    the unsolved variables inside the outermost solved one, then the
+    identity shift past it.  Built once per solution state. *)
 let sol_msub st : Meta.msub =
-  let n = Array.length st.sol in
-  let rec build i =
-    if i > n then Meta.MShift 0
-    else
-      let tail = build (i + 1) in
-      match st.sol.(i - 1) with
-      | Some o -> Meta.MDot (o, tail)
-      | None ->
+  match st.theta with
+  | Some theta -> theta
+  | None ->
+      Telemetry.bump c_substs;
+      let rec build i =
+        if i > st.outermost then Meta.MShift st.outermost
+        else
           let front =
-            match decl st i with
-            | Meta.MDTerm (_, psi, _) ->
-                Meta.MOTerm
-                  (Meta.hat_of_sctx psi, mk_root (mk_mvar i (mk_shift 0)) [])
-            | Meta.MDParam (_, psi, _, _) ->
-                Meta.MOParam (Meta.hat_of_sctx psi, mk_pvar i (mk_shift 0))
-            | Meta.MDCtx _ ->
-                Meta.MOCtx
-                  {
-                    Ctxs.s_var = Some i;
-                    Ctxs.s_promoted = false;
-                    Ctxs.s_decls = [];
-                  }
-            | Meta.MDSub (_, psi1, _) ->
-                Meta.MOSub (Meta.hat_of_sctx psi1, mk_shift 0)
+            match st.sol.(i - 1) with
+            | Some o -> o
+            | None -> (
+                match decl st i with
+                | Meta.MDTerm (_, psi, _) ->
+                    Meta.MOTerm
+                      ( Meta.hat_of_sctx psi,
+                        mk_root (mk_mvar i (mk_shift 0)) [] )
+                | Meta.MDParam (_, psi, _, _) ->
+                    Meta.MOParam
+                      (Meta.hat_of_sctx psi, mk_pvar i (mk_shift 0))
+                | Meta.MDCtx _ ->
+                    Meta.MOCtx
+                      {
+                        Ctxs.s_var = Some i;
+                        Ctxs.s_promoted = false;
+                        Ctxs.s_decls = [];
+                      }
+                | Meta.MDSub (_, psi1, _) ->
+                    Meta.MOSub (Meta.hat_of_sctx psi1, mk_shift 0))
           in
-          Meta.MDot (front, tail)
-  in
-  build 1
+          Meta.MDot (front, build (i + 1))
+      in
+      let theta = build 1 in
+      st.theta <- Some theta;
+      theta
 
-(** Fully resolve a term's solved meta-variables (to fixpoint: solutions
-    may mention other solved variables). *)
-let rec resolve_normal st (m : normal) : normal =
-  let m' = Msub.normal 0 (sol_msub st) m in
-  if Equal.normal m m' then m
-  else Limits.guard depth (fun () -> resolve_normal st m')
+(** Fully resolve an object's solved meta-variables: apply θ to a
+    fixpoint (solutions may mention other solved variables).  While
+    nothing is solved θ is the identity, so the object is returned as
+    is. *)
+let resolve apply equal st x =
+  if st.outermost = 0 then x
+  else
+    let theta = sol_msub st in
+    let rec go x =
+      let x' = apply 0 theta x in
+      if equal x x' then x else Limits.guard depth (fun () -> go x')
+    in
+    go x
 
-let rec resolve_srt st (s : srt) : srt =
-  let s' = Msub.srt 0 (sol_msub st) s in
-  if Equal.srt s s' then s else Limits.guard depth (fun () -> resolve_srt st s')
+let resolve_normal st = resolve Msub.normal Equal.normal st
 
-let rec resolve_sctx st (psi : Ctxs.sctx) : Ctxs.sctx =
-  let psi' = Msub.sctx 0 (sol_msub st) psi in
-  if Equal.sctx psi psi' then psi
-  else Limits.guard depth (fun () -> resolve_sctx st psi')
+let resolve_srt st = resolve Msub.srt Equal.srt st
 
-let rec resolve_mobj st (o : Meta.mobj) : Meta.mobj =
-  let o' = Msub.mobj 0 (sol_msub st) o in
-  if Equal.mobj o o' then o
-  else Limits.guard depth (fun () -> resolve_mobj st o')
+let resolve_sctx st = resolve Msub.sctx Equal.sctx st
 
-let rec resolve_sub st (s : sub) : sub =
-  let s' = Msub.sub 0 (sol_msub st) s in
-  if Equal.sub s s' then s else Limits.guard depth (fun () -> resolve_sub st s')
+let resolve_mobj st = resolve Msub.mobj Equal.mobj st
+
+let resolve_sub st = resolve Msub.sub Equal.sub st
+
+let resolve_msrt st = resolve Msub.msrt Equal.msrt st
 
 (** Weak-head resolution (PR 9): splice in the solution of a {e head}
     meta-variable and hereditarily reduce it against the spine, repeating
@@ -153,11 +187,6 @@ let rec head_unfold st (m : normal) : normal =
       | Some _ -> raise (Unify "term meta-variable solved by a non-term")
       | None -> m)
   | _ -> m
-
-let rec resolve_msrt st (s : Meta.msrt) : Meta.msrt =
-  let s' = Msub.msrt 0 (sol_msub st) s in
-  if Equal.msrt s s' then s
-  else Limits.guard depth (fun () -> resolve_msrt st s')
 
 (* --- occurs check ------------------------------------------------------- *)
 
@@ -524,69 +553,69 @@ let decl_deps (d : Meta.mdecl) : int list =
       List.iter h_normal ms);
   !acc
 
-(** Extract [(ρ, Ω′)] after unification succeeded. *)
+(** Declaration of variable [i], transported into full Ω space and
+    resolved. *)
+let resolved_decl st i : Meta.mdecl =
+  match decl st i with
+  | Meta.MDTerm (nm, psi, q) ->
+      Meta.MDTerm (nm, resolve_sctx st psi, resolve_srt st q)
+  | Meta.MDSub (nm, p1, p2) ->
+      Meta.MDSub (nm, resolve_sctx st p1, resolve_sctx st p2)
+  | Meta.MDCtx _ as d -> d
+  | Meta.MDParam (nm, psi, f, ms) ->
+      let f = if st.outermost = 0 then f else Msub.selem 0 (sol_msub st) f in
+      Meta.MDParam
+        (nm, resolve_sctx st psi, f, List.map (resolve_normal st) ms)
+
+(** Extract [(ρ, Ω′)] after unification succeeded.  Each solution and
+    each unsolved variable's declaration is resolved exactly once. *)
 let solve (st : state) : Meta.msub * Meta.mctx =
   let n = Array.length st.sol in
   (* 1. fully resolve solutions and declarations in Ω-space *)
-  let resolved_sol =
-    Array.init n (fun i ->
-        match st.sol.(i) with
-        | Some o -> Some (resolve_mobj st o)
-        | None -> None)
+  let resolved_sol = Array.map (Option.map (resolve_mobj st)) st.sol in
+  let is_unsolved j =
+    j >= 1 && j <= n && Option.is_none resolved_sol.(j - 1)
   in
-  let resolved_decl i =
-    (* declaration of variable i, transported into full Ω space and
-       resolved *)
-    let d = decl st i in
-    match d with
-    | Meta.MDTerm (nm, psi, q) ->
-        Meta.MDTerm (nm, resolve_sctx st psi, resolve_srt st q)
-    | Meta.MDSub (nm, p1, p2) ->
-        Meta.MDSub (nm, resolve_sctx st p1, resolve_sctx st p2)
-    | Meta.MDCtx _ -> d
-    | Meta.MDParam (nm, psi, f, ms) ->
-        Meta.MDParam
-          ( nm,
-            resolve_sctx st psi,
-            Msub.selem 0 (sol_msub st) f,
-            List.map (resolve_normal st) ms )
+  let rdecls =
+    Array.init n (fun i0 ->
+        if is_unsolved (i0 + 1) then Some (resolved_decl st (i0 + 1))
+        else None)
   in
-  let unsolved = ref [] in
-  for i = n downto 1 do
-    if resolved_sol.(i - 1) = None then unsolved := i :: !unsolved
-  done;
+  let rdecl i =
+    match rdecls.(i - 1) with
+    | Some d -> d
+    | None -> Error.violation "unify: declaration of a solved variable"
+  in
   (* 2. topologically order unsolved variables: a variable must come
-     after (outside) everything its declaration depends on.  We seed with
-     the original order (outermost = last) and iterate. *)
-  let deps = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      let ds = decl_deps (resolved_decl i) in
-      Hashtbl.replace deps i (List.filter (fun j -> List.mem j !unsolved) ds))
-    !unsolved;
-  (* order_out: outermost first *)
+     after (outside) everything its declaration depends on.  We visit in
+     the original outermost-to-innermost order for stability. *)
+  let deps = Array.make (n + 1) [] in
+  for i = 1 to n do
+    if is_unsolved i then
+      deps.(i) <- List.filter is_unsolved (decl_deps (rdecl i))
+  done;
+  (* order_out: innermost first once complete, as Ω′ stores it *)
   let order_out = ref [] in
-  let placed = Hashtbl.create 16 in
+  let placed = Array.make (n + 1) false in
   let rec place i =
-    if not (Hashtbl.mem placed i) then (
-      Hashtbl.replace placed i ();
+    if not placed.(i) then (
+      placed.(i) <- true;
       (* place dependencies first (they must be more outer) *)
-      List.iter place (try Hashtbl.find deps i with Not_found -> []);
+      List.iter place deps.(i);
       order_out := i :: !order_out)
   in
-  (* visit in original outermost-to-innermost order for stability *)
-  List.iter place (List.rev !unsolved);
-  let order_out = List.rev !order_out in
-  (* order_out: outermost first; Ω′ stores innermost first *)
-  let omega'_order = List.rev order_out in
+  for i = n downto 1 do
+    if is_unsolved i then place i
+  done;
+  let omega'_order = !order_out in
   let m = List.length omega'_order in
-  (* remap: Ω index ↦ Ω′ index (1-based innermost) *)
+  (* remap: Ω index ↦ Ω′ index (1-based innermost); 0 at solved ones *)
+  let remap_tbl = Array.make (n + 1) 0 in
+  List.iteri (fun k i -> remap_tbl.(i) <- k + 1) omega'_order;
   let remap i =
-    let rec go k = function
-      | [] -> Error.violation "unify: remap of a solved variable"
-      | j :: rest -> if i = j then k else go (k + 1) rest
-    in
-    go 1 omega'_order
+    if remap_tbl.(i) = 0 then
+      Error.violation "unify: remap of a solved variable"
+    else remap_tbl.(i)
   in
   (* 3. variable-renaming msub r : Ω → Ω′ (dummy fronts at solved
      positions; resolved solutions never mention solved variables).  The
@@ -598,7 +627,7 @@ let solve (st : state) : Meta.msub * Meta.mctx =
     | None -> h
   in
   let var_front i =
-    match resolved_decl i with
+    match rdecl i with
     | Meta.MDTerm (_, psi, _) ->
         Meta.MOTerm
           ( remap_hat (Meta.hat_of_sctx psi),
@@ -618,29 +647,26 @@ let solve (st : state) : Meta.msub * Meta.mctx =
   let dummy =
     Meta.MOCtx { Ctxs.s_var = None; Ctxs.s_promoted = false; Ctxs.s_decls = [] }
   in
-  let r =
-    let rec build i =
-      if i > n then Meta.MShift m
-      else
-        Meta.MDot
-          ( (if resolved_sol.(i - 1) = None then var_front i else dummy),
-            build (i + 1) )
-    in
-    build 1
+  let fronts =
+    Array.init n (fun i0 ->
+        if is_unsolved (i0 + 1) then var_front (i0 + 1) else dummy)
   in
-  (* 4. final ρ : Ω → Ω′ *)
-  let rho =
+  let msub_of front_at =
     let rec build i =
       if i > n then Meta.MShift m
       else
-        let front =
-          match resolved_sol.(i - 1) with
-          | None -> var_front i
-          | Some o -> Msub.mobj 0 r o
-        in
+        let front = front_at i in
         Meta.MDot (front, build (i + 1))
     in
     build 1
+  in
+  let r = msub_of (fun i -> fronts.(i - 1)) in
+  (* 4. final ρ : Ω → Ω′ *)
+  let rho =
+    msub_of (fun i ->
+        match resolved_sol.(i - 1) with
+        | Some o -> Msub.mobj 0 r o
+        | None -> fronts.(i - 1))
   in
   (* 5. Ω′ declarations: rename into Ω′ space, then relativize each to its
      own position *)
@@ -649,7 +675,7 @@ let solve (st : state) : Meta.msub * Meta.mctx =
       (fun k i ->
         (* k is 0-based from innermost; entry must be valid outside its
            position: shift down by (k + 1) *)
-        let d = Msub.mdecl 0 r (resolved_decl i) in
+        let d = Msub.mdecl 0 r (rdecl i) in
         Shift.mshift_mdecl (-(k + 1)) 0 d)
       omega'_order
   in

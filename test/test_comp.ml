@@ -48,6 +48,30 @@ let build_tests =
   [
     ok "the full §2 development sort-checks and erases (conservativity)"
       (fun () -> ignore (Lazy.force dev));
+    ok "the type-level run gives every referenced function its erased type"
+      (fun () ->
+        let sg = Lazy.force dev in
+        let id = Lookup.find_rec sg "aeq-refl" in
+        let re = Belr_lf.Sign.rec_entry sg id in
+        let body =
+          match re.Belr_lf.Sign.r_body with
+          | Some b -> Erase.exp sg b
+          | None -> Alcotest.fail "aeq-refl has no body"
+        in
+        Alcotest.(check bool)
+          "aeq-refl references itself" true
+          (List.mem id (Embed_t.rec_refs body));
+        Embed_t.check_exp_t sg [] [] body re.Belr_lf.Sign.r_typ;
+        (* without the erased types the recursive call synthesizes its
+           sort, and the type-level run rejects it *)
+        match
+          Check_comp.check_exp
+            (Check_comp.make_env sg [] [])
+            (Embed_t.exp_t sg body)
+            (Embed_t.ctyp_t sg re.Belr_lf.Sign.r_typ)
+        with
+        | exception Error.Belr_error _ -> ()
+        | () -> Alcotest.fail "the sort of aeq-refl passed for its type");
   ]
 
 (* helper: apply a rec function to a context and meta-objects, then boxes *)

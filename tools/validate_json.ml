@@ -2,7 +2,8 @@
     JSON, and recognized shapes get structural checks — a Chrome trace
     must carry a non-empty [traceEvents] array of complete/metadata
     events, a [belr-profile/1] report its [phases] and [counters]
-    sections plus the hash-consing [store] section (DESIGN.md §S21), an
+    sections plus the hash-consing [store] section (DESIGN.md §S21) and,
+    when it ran [check-comp], the unifier's cost bound (DESIGN.md §S8), an
     analysis report ([belr-lint/1], [belr-total/1], [belr-worlds/1],
     [belr-modes/1]) the shared envelope — [files], a [findings] array
     (code + severity per entry), [summary], [exit_code] — plus the own
@@ -142,6 +143,39 @@ let check_analysis_report sections (j : J.t) : string option =
     | Some (J.Int _) -> List.find_map (check_section j) (envelope @ sections)
     | _ -> Some "report lacks an integer \"exit_code\""
 
+(** A profile that ran [check-comp] must show branch unification at
+    work, and the unifier's cost bound: at most one solution
+    meta-substitution built per solved variable. *)
+let check_unify_cost (j : J.t) : string option =
+  let named k name e = J.member k e = Some (J.String name) in
+  let entries k =
+    Option.value ~default:[] (Option.bind (J.member k j) J.to_list)
+  in
+  if not (List.exists (named "name" "check-comp") (entries "phases")) then None
+  else
+    let total name =
+      match List.find_opt (named "name" name) (entries "counters") with
+      | Some c -> Option.bind (J.member "total" c) J.to_int
+      | None -> None
+    in
+    match
+      (total "unify.problems", total "unify.solved_vars",
+       total "unify.solution_substs")
+    with
+    | Some problems, Some solved, Some substs ->
+        if problems <= 0 then
+          Some "profile ran check-comp but counts no unify.problems"
+        else if substs > solved then
+          Some
+            (Printf.sprintf
+               "unify.solution_substs (%d) exceeds unify.solved_vars (%d)"
+               substs solved)
+        else None
+    | _ ->
+        Some
+          "profile ran check-comp but lacks the unify.problems, \
+           unify.solved_vars or unify.solution_substs counter"
+
 let check_structure (j : J.t) : string option =
   match J.member "traceEvents" j with
   | Some events -> (
@@ -195,7 +229,7 @@ let check_structure (j : J.t) : string option =
                     Some
                       (Printf.sprintf
                          "profile \"store\" section lacks %S" k)
-                | None -> None)
+                | None -> check_unify_cost j)
             | _ -> Some "profile report lacks its \"store\" object")
       | Some (J.String "belr-bench/1") -> (
           if J.member "depths" j = None then
