@@ -155,36 +155,12 @@ let families (t : t) : Lf.cid_typ list = Array.to_list t.so_ids
 
 (** Families downstream of [seeds]: every [b] with [a ≼ b] for some seed
     [a] (including the seeds themselves — the relation is reflexive).
-    When a seed declaration changes, these are exactly the families whose
-    terms or types can contain seed material, i.e. the invalidation
-    frontier of the incremental checker ([belr serve]). *)
+    These are exactly the families whose terms or types can contain seed
+    material. *)
 let dependents (t : t) (seeds : Lf.cid_typ list) : Lf.cid_typ list =
   List.filter
     (fun b -> List.exists (fun a -> leq t a b) seeds)
     (families t)
-
-(** [dependents] without the closure: forward reachability over
-    {!direct_edges} from the seed set, O(V+E) instead of the whole-relation
-    closure of {!analyze}.  Equivalent to [dependents (analyze sg) seeds];
-    this is the form the incremental checker calls once per request, which
-    needs the frontier of a few seeds, never the full relation. *)
-let dependents_of (sg : Sign.t) (seeds : Lf.cid_typ list) : Lf.cid_typ list
-    =
-  let succs : (Lf.cid_typ, Lf.cid_typ list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (a, b) ->
-      let old = Option.value (Hashtbl.find_opt succs a) ~default:[] in
-      Hashtbl.replace succs a (b :: old))
-    (direct_edges sg);
-  let seen : (Lf.cid_typ, unit) Hashtbl.t = Hashtbl.create 64 in
-  let rec visit a =
-    if not (Hashtbl.mem seen a) then begin
-      Hashtbl.replace seen a ();
-      List.iter visit (Option.value (Hashtbl.find_opt succs a) ~default:[])
-    end
-  in
-  List.iter visit seeds;
-  List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) seen [])
 
 (** The non-reflexive pairs [(a, b)] with [a ≼ b] and [a ≠ b], in a
     deterministic order. *)

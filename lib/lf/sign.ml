@@ -35,6 +35,9 @@ type const_entry = {
   c_typ : Lf.typ;
   c_implicit : int;
   c_family : Lf.cid_typ;  (** target family of [c_typ] *)
+  mutable c_sorts : Lf.cid_srt list;
+      (** the sort families giving this constant a sort ([csorts] keys
+          [(c, s)]), newest first — what retracting [c] must scrub *)
 }
 
 type schema_entry = {
@@ -168,6 +171,9 @@ let next sg =
   sg.fresh <- i + 1;
   i
 
+(** Bind [name], rejecting a duplicate.  Every [add_*] binds before it
+    creates its entry, so a rejected duplicate leaves no entry behind
+    (none that retraction, which goes by name, could reach). *)
 let bind_name sg name sym =
   if Hashtbl.mem sg.by_name name then
     Error.raise_msg "name %s is already declared" name;
@@ -203,13 +209,14 @@ let decl_loc sg name : Loc.t option = Hashtbl.find_opt sg.locs name
 
 let add_typ sg ~name ~kind ~implicit : Lf.cid_typ =
   let id = next sg in
+  bind_name sg name (Sym_typ id);
   Hashtbl.replace sg.typs id
     { t_name = name; t_kind = kind; t_implicit = implicit; t_consts = [] };
-  bind_name sg name (Sym_typ id);
   id
 
 let add_srt sg ~name ~refines ~skind ~implicit : Lf.cid_srt =
   let id = next sg in
+  bind_name sg name (Sym_srt id);
   Hashtbl.replace sg.srts id
     {
       s_name = name;
@@ -218,15 +225,20 @@ let add_srt sg ~name ~refines ~skind ~implicit : Lf.cid_srt =
       s_implicit = implicit;
       s_consts = [];
     };
-  bind_name sg name (Sym_srt id);
   id
 
 let add_const sg ~name ~typ ~implicit : Lf.cid_const =
   let id = next sg in
+  bind_name sg name (Sym_const id);
   let family = Lf.typ_target typ in
   Hashtbl.replace sg.consts id
-    { c_name = name; c_typ = typ; c_implicit = implicit; c_family = family };
-  bind_name sg name (Sym_const id);
+    {
+      c_name = name;
+      c_typ = typ;
+      c_implicit = implicit;
+      c_family = family;
+      c_sorts = [];
+    };
   (match Hashtbl.find_opt sg.typs family with
   | Some te -> te.t_consts <- te.t_consts @ [ id ]
   | None -> Error.violation "add_const: unknown target family");
@@ -244,44 +256,47 @@ let add_csort sg ~const ~srt ~implicit : unit =
   if Hashtbl.mem sg.csorts (const, family) then
     Error.raise_msg "constant already has a sort in this family";
   Hashtbl.replace sg.csorts (const, family) (srt, implicit);
+  (match Hashtbl.find_opt sg.consts const with
+  | Some ce -> ce.c_sorts <- family :: ce.c_sorts
+  | None -> ());
   match Hashtbl.find_opt sg.srts family with
   | Some se -> se.s_consts <- se.s_consts @ [ const ]
   | None -> Error.violation "add_csort: unknown sort family"
 
 let add_schema sg ~name ~elems : Lf.cid_schema =
   let id = next sg in
-  Hashtbl.replace sg.schemas id { g_name = name; g_elems = elems; g_trivial = -1 };
   bind_name sg name (Sym_schema id);
+  Hashtbl.replace sg.schemas id { g_name = name; g_elems = elems; g_trivial = -1 };
   (* auto-register the trivial refinement ⌈G⌉ under a hidden name *)
   let tid = next sg in
+  bind_name sg (name ^ "^") (Sym_sschema tid);
   let selems = (Embed.schema ~cid:id elems).Ctxs.h_elems in
   Hashtbl.replace sg.sschemas tid
     { h_name = name ^ "^"; h_refines = id; h_elems = selems; h_hidden = true };
-  bind_name sg (name ^ "^") (Sym_sschema tid);
   (Hashtbl.find sg.schemas id).g_trivial <- tid;
   id
 
 let add_sschema sg ~name ~refines ~elems : Lf.cid_sschema =
   let id = next sg in
+  bind_name sg name (Sym_sschema id);
   Hashtbl.replace sg.sschemas id
     { h_name = name; h_refines = refines; h_elems = elems; h_hidden = false };
-  bind_name sg name (Sym_sschema id);
   id
 
 let add_rec sg ~name ~styp ~typ : Lf.cid_rec =
   let id = next sg in
+  bind_name sg name (Sym_rec id);
   Hashtbl.replace sg.recs id
     { r_name = name; r_styp = styp; r_typ = typ; r_body = None; r_group = [] };
-  bind_name sg name (Sym_rec id);
   id
 
 (** Declare a [%block].  Fields are at the sort level (see
     {!type-block_entry}); the name lives in the shared namespace. *)
 let add_block sg ~name ~params ~fields : int =
   let id = next sg in
+  bind_name sg name (Sym_block id);
   Hashtbl.replace sg.blocks id
     { b_name = name; b_params = params; b_fields = fields };
-  bind_name sg name (Sym_block id);
   id
 
 (** Declare the [%worlds] of family [fam] — at most one per family,
@@ -355,35 +370,38 @@ let retract_name sg name =
       (match sym with
       | Sym_typ a -> Hashtbl.remove sg.typs a
       | Sym_srt s ->
-          Hashtbl.remove sg.srts s;
-          (* drop every sort assignment into the retracted family *)
-          let keys =
-            Hashtbl.fold
-              (fun (c, f) _ acc -> if f = s then (c, f) :: acc else acc)
-              sg.csorts []
-          in
-          List.iter (Hashtbl.remove sg.csorts) keys
+          (* drop every sort assignment into the retracted family: its
+             constants are exactly the family's [s_consts] *)
+          (match Hashtbl.find_opt sg.srts s with
+          | Some se ->
+              List.iter
+                (fun c ->
+                  Hashtbl.remove sg.csorts (c, s);
+                  match Hashtbl.find_opt sg.consts c with
+                  | Some ce ->
+                      ce.c_sorts <- List.filter (fun f -> f <> s) ce.c_sorts
+                  | None -> ())
+                se.s_consts
+          | None -> ());
+          Hashtbl.remove sg.srts s
       | Sym_const c ->
           (match Hashtbl.find_opt sg.consts c with
-          | Some ce -> (
-              match Hashtbl.find_opt sg.typs ce.c_family with
+          | Some ce ->
+              (match Hashtbl.find_opt sg.typs ce.c_family with
               | Some te ->
                   te.t_consts <- List.filter (fun id -> id <> c) te.t_consts
-              | None -> ())
+              | None -> ());
+              (* the constant's sort assignments, in any family *)
+              List.iter
+                (fun f ->
+                  Hashtbl.remove sg.csorts (c, f);
+                  match Hashtbl.find_opt sg.srts f with
+                  | Some se ->
+                      se.s_consts <- List.filter (fun id -> id <> c) se.s_consts
+                  | None -> ())
+                ce.c_sorts
           | None -> ());
-          Hashtbl.remove sg.consts c;
-          (* the constant's sort assignments, in any family *)
-          let keys =
-            Hashtbl.fold
-              (fun (c', f) _ acc -> if c' = c then (c', f) :: acc else acc)
-              sg.csorts []
-          in
-          List.iter (Hashtbl.remove sg.csorts) keys;
-          Hashtbl.iter
-            (fun _ se ->
-              if List.mem c se.s_consts then
-                se.s_consts <- List.filter (fun id -> id <> c) se.s_consts)
-            sg.srts
+          Hashtbl.remove sg.consts c
       | Sym_schema g -> Hashtbl.remove sg.schemas g
       | Sym_sschema h -> Hashtbl.remove sg.sschemas h
       | Sym_rec r -> Hashtbl.remove sg.recs r

@@ -179,6 +179,14 @@ let declared_names : decl -> string list = function
       List.map (fun (_, f) -> worlds_name f) ws_fams
   | Dmode { md_fam = _, f; _ } -> [ mode_name f ]
 
+(** The names of the worlds (schema elements) a declaration introduces.
+    They are not signature names — elaboration finds a world by scanning
+    the schemas — but a declaration mentioning one depends on the schema
+    that provides it. *)
+let world_names : decl -> string list = function
+  | Dschema { s_worlds; _ } -> List.map (fun w -> w.w_name) s_worlds
+  | _ -> []
+
 (* --- surface name references (incremental invalidation) ---------------- *)
 
 (** Every identifier a declaration {e mentions}, straight off the surface
@@ -275,3 +283,152 @@ let referenced_names (d : decl) : string list =
       List.iter (fun (_, f) -> add f) ws_fams
   | Dmode { md_fam = _, f; _ } -> add f);
   List.sort_uniq String.compare !acc
+
+(* --- relocation (incremental reparsing) --------------------------------- *)
+
+(** [d] moved [bytes] bytes and [lines] lines further down its source:
+    every location in it shifted, columns unchanged.  Exact for a
+    declaration whose text, from the start of its first line, moved as a
+    whole — the position a full reparse would give it. *)
+let shift_decl ~(bytes : int) ~(lines : int) (d : decl) : decl =
+  let pos (p : Loc.pos) =
+    { p with Loc.offset = p.Loc.offset + bytes; Loc.line = p.Loc.line + lines }
+  in
+  let loc (l : Loc.t) =
+    if Loc.is_ghost l then l
+    else
+      { l with Loc.start_pos = pos l.Loc.start_pos; end_pos = pos l.Loc.end_pos }
+  in
+  let rec term = function
+    | Ident (l, x) -> Ident (loc l, x)
+    | TypeKw l -> TypeKw (loc l)
+    | SortKw l -> SortKw (loc l)
+    | App (t1, t2) -> App (term t1, term t2)
+    | Arrow (t1, t2) -> Arrow (term t1, term t2)
+    | Pi (l, x, t1, t2) -> Pi (loc l, x, term t1, term t2)
+    | Lam (l, x, t) -> Lam (loc l, x, term t)
+    | Hash (l, x) -> Hash (loc l, x)
+    | Proj (l, t, k) -> Proj (loc l, term t, k)
+    | Sub (l, t, es) ->
+        Sub
+          ( loc l,
+            term t,
+            {
+              es with
+              es_fronts =
+                List.map
+                  (function
+                    | Fterm t -> Fterm (term t)
+                    | Ftuple (l, ts) -> Ftuple (loc l, List.map term ts))
+                  es.es_fronts;
+            } )
+  in
+  let named (x, t) = (x, term t) in
+  let ectx (c : ectx) =
+    {
+      c with
+      ec_loc = loc c.ec_loc;
+      ec_entries =
+        List.map
+          (fun e ->
+            {
+              e with
+              ce_class =
+                (match e.ce_class with
+                | Cworld (l, w, ts) -> Cworld (loc l, w, List.map term ts)
+                | Cblock (l, fields) -> Cblock (loc l, List.map named fields)
+                | Cterm t -> Cterm (term t));
+            })
+          c.ec_entries;
+    }
+  in
+  let rec csort = function
+    | SBox (l, c, t) -> SBox (loc l, ectx c, term t)
+    | SArr (z1, z2) -> SArr (csort z1, csort z2)
+    | SPi (l, x, b, dom, z) -> SPi (loc l, x, b, cdom dom, csort z)
+  and cdom = function
+    | DSchema (l, g) -> DSchema (loc l, g)
+    | DBox (l, c, t) -> DBox (loc l, ectx c, term t)
+    | DParam (l, c, w, ts) -> DParam (loc l, ectx c, w, List.map term ts)
+  in
+  let rec cexp = function
+    | EIdent (l, x) -> EIdent (loc l, x)
+    | EApp (l, e1, e2) -> EApp (loc l, cexp e1, cexp e2)
+    | EFn (l, x, e) -> EFn (loc l, x, cexp e)
+    | EMlam (l, x, e) -> EMlam (loc l, x, cexp e)
+    | ECase (l, e, bs) ->
+        ECase
+          ( loc l,
+            cexp e,
+            List.map
+              (fun b ->
+                {
+                  b_loc = loc b.b_loc;
+                  b_decls =
+                    List.map
+                      (fun (l, x, dom) -> (loc l, x, cdom dom))
+                      b.b_decls;
+                  b_ctx = ectx b.b_ctx;
+                  b_pat = term b.b_pat;
+                  b_body = cexp b.b_body;
+                })
+              bs )
+    | ELetBox (l, x, e1, e2) -> ELetBox (loc l, x, cexp e1, cexp e2)
+    | EBox (l, c, t) -> EBox (loc l, ectx c, term t)
+    | ECtx (l, c) -> ECtx (loc l, ectx c)
+  in
+  let world (w : world) =
+    {
+      w with
+      w_loc = loc w.w_loc;
+      w_params = List.map named w.w_params;
+      w_fields = List.map named w.w_fields;
+    }
+  in
+  let typ_decl (td : typ_decl) =
+    {
+      td with
+      d_loc = loc td.d_loc;
+      d_kind = term td.d_kind;
+      d_ctors =
+        List.map
+          (fun k -> { k with k_loc = loc k.k_loc; k_typ = term k.k_typ })
+          td.d_ctors;
+    }
+  in
+  let located (l, x) = (loc l, x) in
+  if bytes = 0 && lines = 0 then d
+  else
+    match d with
+    | Dtyp td -> Dtyp (typ_decl td)
+    | Dmutual tds -> Dmutual (List.map typ_decl tds)
+    | Dschema s ->
+        Dschema
+          { s with s_loc = loc s.s_loc; s_worlds = List.map world s.s_worlds }
+    | Drec ds ->
+        Drec
+          (List.map
+             (fun rd ->
+               {
+                 rd with
+                 r_loc = loc rd.r_loc;
+                 r_sort = csort rd.r_sort;
+                 r_body = cexp rd.r_body;
+               })
+             ds)
+    | Dblock b ->
+        Dblock { bl_loc = loc b.bl_loc; bl_world = world b.bl_world }
+    | Dworlds w ->
+        Dworlds
+          {
+            ws_loc = loc w.ws_loc;
+            ws_blocks = List.map located w.ws_blocks;
+            ws_fams = List.map located w.ws_fams;
+          }
+    | Dmode m ->
+        Dmode
+          {
+            md_loc = loc m.md_loc;
+            md_fam = located m.md_fam;
+            md_args = List.map (fun (l, b, x) -> (loc l, b, x)) m.md_args;
+          }

@@ -11,15 +11,27 @@ type lexeme = { tok : Token.t; loc : Loc.t }
 type state = {
   src : string;
   name : string;
+  stop : int;  (** lexing ends here: offsets from [stop] on read as EOF *)
   mutable pos : int;
   mutable line : int;
   mutable bol : int;  (** offset of the beginning of the current line *)
 }
 
-let make ?(name = "<string>") src = { src; name; pos = 0; line = 1; bol = 0 }
+(** Where lexing starts: a byte offset, its 1-based line, and the offset
+    of that line's first byte.  Starting at a line start [o] on line [l]
+    ([{ c_offset = o; c_line = l; c_bol = o }]) lexes [src] from [o] on
+    exactly as a whole-text lexer would, locations included. *)
+type cursor = { c_offset : int; c_line : int; c_bol : int }
+
+let origin = { c_offset = 0; c_line = 1; c_bol = 0 }
+
+let make ?(name = "<string>") ?(from = origin) ?stop src =
+  let n = String.length src in
+  let stop = match stop with Some s -> min s n | None -> n in
+  { src; name; stop; pos = from.c_offset; line = from.c_line; bol = from.c_bol }
 
 let peek_at st k =
-  if st.pos + k < String.length st.src then Some st.src.[st.pos + k] else None
+  if st.pos + k < st.stop then Some st.src.[st.pos + k] else None
 
 let peek st = peek_at st 0
 
@@ -209,9 +221,10 @@ let next (st : state) : lexeme =
               (Loc.make ~source:st.name ~start_pos:start ~end_pos:(here st))
               "unexpected character %c" c)
 
-(** Lex the whole input. *)
-let tokens ?name src : lexeme list =
-  let st = make ?name src in
+(** Lex the input, or its region from [from] to [stop] (default: all of
+    it).  The final [EOF] lexeme stands at [stop]. *)
+let tokens ?name ?from ?stop src : lexeme list =
+  let st = make ?name ?from ?stop src in
   let rec go acc =
     let l = next st in
     if l.tok = Token.EOF then List.rev (l :: acc) else go (l :: acc)

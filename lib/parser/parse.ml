@@ -661,29 +661,39 @@ let resync st =
   in
   go ()
 
+(** Lex [src] (or its region [from]–[stop], see {!Lexer.tokens}) under
+    error recovery: a lexical error is reported to [sink] (code [E0101])
+    and yields [None] — a text that does not lex has no declarations. *)
+let lex_tolerant (sink : Diagnostics.sink) ?name ?from ?stop (src : string) :
+    Lexer.lexeme list option =
+  Diagnostics.recover sink ~code:"E0101" (fun () ->
+      Lexer.tokens ?name ?from ?stop src)
+
+(** Parse a lexeme stream (ending in [EOF]) under error recovery: a
+    syntax error inside one declaration is reported to [sink] (code
+    [E0101]) and parsing resumes after the next [;]. *)
+let parse_lexemes_tolerant (sink : Diagnostics.sink)
+    (lexemes : Lexer.lexeme list) : Ext.program =
+  let st = make lexemes in
+  let rec go acc =
+    match Diagnostics.recover sink ~code:"E0101" (fun () -> parse_decl st) with
+    | Some (Some d) -> go (d :: acc)
+    | Some None -> List.rev acc
+    | None ->
+        if cur_tok st = EOF then List.rev acc
+        else begin
+          resync st;
+          go acc
+        end
+  in
+  go []
+
 (** Fault-tolerant variant of {!parse_program}: a syntax error inside one
     declaration is reported to [sink] (code [E0101]) and parsing resumes
     at the next [;], so one bad declaration does not hide errors in — or
     the contents of — the rest of the file. *)
 let parse_program_tolerant (sink : Diagnostics.sink) ?name (src : string) :
     Ext.program =
-  match
-    Diagnostics.recover sink ~code:"E0101" (fun () -> Lexer.tokens ?name src)
-  with
+  match lex_tolerant sink ?name src with
   | None -> []
-  | Some lexemes ->
-      let st = make lexemes in
-      let rec go acc =
-        match
-          Diagnostics.recover sink ~code:"E0101" (fun () -> parse_decl st)
-        with
-        | Some (Some d) -> go (d :: acc)
-        | Some None -> List.rev acc
-        | None ->
-            if cur_tok st = EOF then List.rev acc
-            else begin
-              resync st;
-              go acc
-            end
-      in
-      go []
+  | Some lexemes -> parse_lexemes_tolerant sink lexemes

@@ -285,13 +285,12 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
           Sign.set_rec_body sg id body)
         headers
 
-(** Process one declaration, under a "decl" telemetry span carrying the
-    first declared name (so traces show which declaration each phase
-    belongs to). *)
-let process_decl (sg : Sign.t) (d : Ext.decl) : unit =
-  (* coarse declaration spans for every bound name, before the finer
-     per-constructor spans recorded below; tooling over the checked
-     signature (belr lint) locates its findings with these *)
+(** Record where [d]'s names stand in its source: a coarse span per bound
+    name, then the finer per-constructor spans.  Tooling over the checked
+    signature ([belr lint]) locates its findings with these; the
+    incremental server re-records them for a reused declaration whose
+    text moved. *)
+let record_locs (sg : Sign.t) (d : Ext.decl) : unit =
   List.iter
     (fun n -> Sign.set_decl_loc sg n (Ext.decl_loc d))
     (Ext.declared_names d);
@@ -304,7 +303,7 @@ let process_decl (sg : Sign.t) (d : Ext.decl) : unit =
         (fun (c : Ext.ctor) -> Sign.set_decl_loc sg c.Ext.k_name c.Ext.k_loc)
         td.Ext.d_ctors
   in
-  (match d with
+  match d with
   | Ext.Dtyp td -> typ_decl_locs td
   | Ext.Dmutual tds -> List.iter typ_decl_locs tds
   | Ext.Drec defs ->
@@ -312,7 +311,13 @@ let process_decl (sg : Sign.t) (d : Ext.decl) : unit =
         (fun (def : Ext.rec_def) ->
           Sign.set_decl_loc sg def.Ext.r_name def.Ext.r_loc)
         defs
-  | Ext.Dschema _ | Ext.Dblock _ | Ext.Dworlds _ | Ext.Dmode _ -> ());
+  | Ext.Dschema _ | Ext.Dblock _ | Ext.Dworlds _ | Ext.Dmode _ -> ()
+
+(** Process one declaration, under a "decl" telemetry span carrying the
+    first declared name (so traces show which declaration each phase
+    belongs to). *)
+let process_decl (sg : Sign.t) (d : Ext.decl) : unit =
+  record_locs sg d;
   if Telemetry.enabled () then
     let arg =
       match Ext.declared_names d with name :: _ -> name | [] -> ""

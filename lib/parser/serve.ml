@@ -35,19 +35,21 @@
     on that name gets a fresh world).
 
     {b Incremental checking.}  A [check] re-submits a whole source text;
-    the engine diffs it against the session's previous text {e per
-    declaration} (content hash over the declaration's source slice) and
-    re-checks only the invalidation closure of the edited declarations:
-    the declarations themselves, everything referencing their names
-    (transitively, via surface references — {!Ext.referenced_names}),
-    everything downstream in the subordination order
-    ({!Belr_analysis.Subord.dependents} — [a ≼ b] means [a]-terms occur
-    in [b]-terms, so an edit to [a] can change [b]'s meaning), members of
-    the same [rec … and …] group (a group elaborates as one declaration),
-    and every declaration that previously failed (so an erroneous-then-
-    fixed edit fully recovers).  Unchanged declarations keep their
-    signature entries — ids are stable under {!Belr_lf.Sign.retract_names}
-    — so the work done is proportional to the edit, not the file. *)
+    the engine parses only the text between the unchanged prefix and
+    suffix of the previous one (reusing, relocated, the declarations
+    outside it), diffs the result against the session's previous text
+    {e per declaration} (content hash over the declaration's source
+    slice), and re-checks only the invalidation closure of the edited
+    declarations: the declarations themselves, every declaration that
+    mentions or declares a name one of them declares (transitively, via
+    surface references — {!Ext.referenced_names}), members of the same
+    [rec … and …] group (a group elaborates as one declaration), every
+    declaration whose scope a reorder changed, and every declaration that
+    previously failed (so an erroneous-then-fixed edit fully recovers).
+    Checking reads other declarations only by name, so this closure is
+    sound (DESIGN.md §S23).  Unchanged declarations keep their signature
+    entries — ids are stable under {!Belr_lf.Sign.retract_names} — so the
+    work done is proportional to the edit, not the file. *)
 
 open Belr_support
 open Belr_syntax
@@ -95,9 +97,11 @@ type session = {
   ss_core : Session.t;
   mutable ss_entries : entry list;  (** declaration order *)
   mutable ss_text : string;  (** the last submitted source text *)
+  mutable ss_source : string;
+      (** the source name of the last check, which its locations carry *)
   mutable ss_parse_ok : bool;
       (** the last parse was error-free (precondition for reusing its
-          declarations across the unchanged text prefix) *)
+          declarations across the unchanged prefix and suffix) *)
   mutable ss_checks : int;
       (** session checks run so far: the stamp source of [en_stamp] *)
   ss_caches : (string, analysis_cache) Hashtbl.t;
@@ -315,6 +319,7 @@ let find_session (t : t) (name : string) : session =
           ss_core = Session.create ();
           ss_entries = [];
           ss_text = "";
+          ss_source = "";
           ss_parse_ok = false;
           ss_checks = 0;
           ss_caches = Hashtbl.create 4;
@@ -325,78 +330,111 @@ let find_session (t : t) (name : string) : session =
 
 (* --- content hashing and slicing --------------------------------------- *)
 
-(* FNV-1a over the slice: [Hashtbl.hash] samples long strings, which
-   would make "no change" collide with "change past the sample window" —
-   unacceptable for an invalidation oracle. *)
-let content_hash (s : string) : int =
+(* FNV-1a over the bytes [o, e) of [src], read in place: [Hashtbl.hash]
+   samples long strings, which would make "no change" collide with
+   "change past the sample window" — unacceptable for an invalidation
+   oracle. *)
+let content_hash (src : string) (o : int) (e : int) : int =
   let h = ref (0xcbf29ce484222325L |> Int64.to_int) in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x100000001b3 land max_int)
-    s;
+  for i = o to e - 1 do
+    h :=
+      (!h lxor Char.code (String.unsafe_get src i)) * 0x100000001b3
+      land max_int
+  done;
   !h
 
-(** Pair each declaration with its source slice: from its start offset to
-    the next declaration's start (the last one runs to end-of-string), so
-    every byte of the text belongs to exactly one slice and any textual
-    edit lands in some declaration's hash.  A ghost location (only
-    possible for synthetic empty groups) degrades to offset 0 — its
-    holder then re-checks whenever anything before it changes, which is
-    sound. *)
-let decl_slices (src : string) (decls : Ext.decl list) :
-    (Ext.decl * string) list =
-  let n = String.length src in
-  let off d =
-    let l = Ext.decl_loc d in
-    if Loc.is_ghost l then 0 else min n l.Loc.start_pos.Loc.offset
-  in
-  let rec go = function
-    | [] -> []
-    | [ d ] ->
-        let o = off d in
-        [ (d, String.sub src o (n - o)) ]
-    | d :: (d2 :: _ as rest) ->
-        let o = off d and o2 = off d2 in
-        (d, String.sub src o (max 0 (o2 - o))) :: go rest
-  in
-  go decls
+(** Where a declaration's source slice starts in [src]: its anchor, the
+    start of {!Ext.decl_loc} (the declared name, or the keyword of a
+    [schema] or [%] directive).  A ghost location (only possible for
+    synthetic empty groups) degrades to offset 0 — its holder then
+    re-checks whenever anything before it changes, which is sound. *)
+let anchor (src : string) (d : Ext.decl) : int =
+  let l = Ext.decl_loc d in
+  if Loc.is_ghost l then 0
+  else min (String.length src) l.Loc.start_pos.Loc.offset
 
-(** Keys are [name#k] where [k] counts prior declarations with the same
-    primary name — so a legitimately re-declared name (an error, but one
-    the engine must survive) cannot alias two entries.  A declaration
-    reused from the previous parse ([olds] holds the previous entries)
-    keeps its cached reference list — the physical-equality check makes
-    the reuse exact, never heuristic. *)
-let entry_list ?(olds = []) (src : string) (decls : Ext.decl list) :
-    entry list =
-  let seen = Hashtbl.create 16 in
-  let old_tbl = Hashtbl.create 16 in
-  List.iter (fun o -> Hashtbl.replace old_tbl o.en_key o) olds;
-  List.map
-    (fun (d, slice) ->
-      let names = Ext.declared_names d in
-      let primary = match names with n :: _ -> n | [] -> "<empty>" in
-      let k =
-        match Hashtbl.find_opt seen primary with Some k -> k | None -> 0
-      in
-      Hashtbl.replace seen primary (k + 1);
-      let key = primary ^ "#" ^ string_of_int k in
-      let refs =
-        match Hashtbl.find_opt old_tbl key with
-        | Some o when o.en_decl == d -> o.en_refs
-        | _ -> Ext.referenced_names d
-      in
-      {
-        en_key = key;
-        en_names = names;
-        en_refs = refs;
-        en_hash = content_hash slice;
-        en_decl = d;
-        en_ok = true;
-        en_stamp = 0;
-      })
-    (decl_slices src decls)
+(** A check's declarations in three runs: [rp_prefix] reused from the
+    previous check as they were, [rp_middle] parsed by this check, and
+    [rp_suffix] reused with their locations shifted (each previous entry
+    with its relocated declaration). *)
+type reparse = {
+  rp_prefix : entry list;
+  rp_middle : Ext.decl list;
+  rp_suffix : (entry * Ext.decl) list;
+}
 
-(* --- prefix-stable incremental reparse ---------------------------------- *)
+(** The entries of [src]'s declarations, in order.  Keys are [name#k]
+    where [k] counts prior declarations with the same primary name — so a
+    legitimately re-declared name (an error, but one the engine must
+    survive) cannot alias two entries.
+
+    A declaration's content hash covers its source slice: from its
+    anchor to the next declaration's (the last one's runs to the end of
+    the text), so any edit from the first anchor on lands in some
+    declaration's hash.  The bytes before the first anchor — leading
+    trivia and the first declaration's keyword — belong to no slice; an
+    edit there changes no declaration ([LF] and [LFR] parse alike) unless
+    it changes the declaration list itself.  A reused entry keeps its
+    names, references and hash; only the last prefix entry, whose slice
+    now ends at a reparsed declaration, and the reparsed ones hash their
+    slices. *)
+let entries_of (src : string) (rp : reparse) : entry list =
+  let seen = Hashtbl.create 64 in
+  let entry d names refs hash =
+    let primary = match names with n :: _ -> n | [] -> "<empty>" in
+    let k = Option.value (Hashtbl.find_opt seen primary) ~default:0 in
+    Hashtbl.replace seen primary (k + 1);
+    {
+      en_key = primary ^ "#" ^ string_of_int k;
+      en_names = names;
+      en_refs = refs;
+      en_hash = hash;
+      en_decl = d;
+      en_ok = true;
+      en_stamp = 0;
+    }
+  in
+  let n_prefix = List.length rp.rp_prefix in
+  (* (declaration, the entry it is reused from, does that hash still
+     hold) *)
+  let items =
+    List.mapi (fun i o -> (o.en_decl, Some o, i < n_prefix - 1)) rp.rp_prefix
+    @ List.map (fun d -> (d, None, false)) rp.rp_middle
+    @ List.map (fun (o, d) -> (d, Some o, true)) rp.rp_suffix
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (d, from, keep) :: rest ->
+        let hash () =
+          let o = anchor src d in
+          let e =
+            match rest with
+            | (d2, _, _) :: _ -> anchor src d2
+            | [] -> String.length src
+          in
+          content_hash src o (max o e)
+        in
+        let e =
+          match from with
+          | Some o ->
+              entry d o.en_names o.en_refs (if keep then o.en_hash else hash ())
+          | None ->
+              entry d (Ext.declared_names d) (Ext.referenced_names d) (hash ())
+        in
+        go (e :: acc) rest
+  in
+  go [] items
+
+(** The entries of a full parse of [src]. *)
+let entry_list (src : string) (decls : Ext.decl list) : entry list =
+  entries_of src { rp_prefix = []; rp_middle = decls; rp_suffix = [] }
+
+(* --- incremental reparse -------------------------------------------------- *)
+
+(** The declarations the parser produced for a check — not the reused
+    or shifted ones; a unit test holds an edit in the middle of a large
+    session to two at most. *)
+let c_parsed_decls = Telemetry.counter "serve.parsed_decls"
 
 let common_prefix_len (a : string) (b : string) : int =
   let n = min (String.length a) (String.length b) in
@@ -406,176 +444,309 @@ let common_prefix_len (a : string) (b : string) : int =
   done;
   !i
 
-(** [src] with every non-newline byte before [cut] blanked out.  The
-    parser then skips the prefix as whitespace in one linear scan, and —
-    because newlines survive — every offset, line, and column of the
-    tail parse is identical to a full parse of [src]. *)
-let blank_prefix (src : string) (cut : int) : string =
-  let b = Bytes.of_string src in
-  for i = 0 to cut - 1 do
-    if Bytes.get b i <> '\n' then Bytes.set b i ' '
+(** The length of the longest common suffix of [a] and [b], at most
+    [bound]. *)
+let common_suffix_len (a : string) (b : string) (bound : int) : int =
+  let la = String.length a and lb = String.length b in
+  let i = ref 0 in
+  while
+    !i < bound
+    && String.unsafe_get a (la - 1 - !i) = String.unsafe_get b (lb - 1 - !i)
+  do
+    incr i
   done;
-  Bytes.to_string b
+  !i
 
-let decl_start (d : Ext.decl) : int =
+let count_newlines (src : string) (o : int) (e : int) : int =
+  let n = ref 0 in
+  for i = o to e - 1 do
+    if String.unsafe_get src i = '\n' then incr n
+  done;
+  !n
+
+(** The cut of [d] in [src]: the start of the line holding its first
+    token — the keyword introducing it — provided only blanks precede
+    that keyword on its line.  No token and no [%] comment spans a line
+    break, so lexing [src] up to the cut yields the tokens of everything
+    before [d], and lexing from it yields [d]'s and everything after.
+    [None] when the keyword shares its line with earlier text, or is not
+    where a declaration of [d]'s kind puts it (a comment between keyword
+    and name). *)
+let decl_cut (src : string) (d : Ext.decl) : int option =
   let l = Ext.decl_loc d in
-  if Loc.is_ghost l then 0 else l.Loc.start_pos.Loc.offset
-
-(** Declaration locations anchor at the declared {e name}; the
-    introducing keyword ([LF], [LFR], [schema], [rec]) sits just before
-    it.  Walk back over whitespace, then over the keyword's letters, so
-    the reparse cut keeps the keyword in the tail.  Only whitespace and
-    letters are crossed, so the scan can never escape past the previous
-    declaration's [;] terminator or into a [%] comment. *)
-let back_to_keyword (src : string) (off : int) : int =
-  let back pred i =
-    let j = ref (min i (String.length src)) in
-    while !j > 0 && pred src.[!j - 1] do
-      decr j
-    done;
-    !j
-  in
-  let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
-  let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
-  back is_letter (back is_ws off)
-
-(** Parse [src], reusing the session's previous parse for every
-    declaration whose source slice lies entirely inside the longest
-    common prefix of the old and new text.  Only the tail — from the
-    first changed declaration on — is re-lexed, so a warm re-check costs
-    O(edit), not O(text).  Falls back to a full parse when the previous
-    parse had errors (its declaration boundaries are untrustworthy). *)
-let parse_incremental (sink : Diagnostics.sink) (ses : session)
-    ~(name : string) (src : string) : Ext.decl list =
-  let old = ses.ss_text in
-  if (not ses.ss_parse_ok) || ses.ss_entries = [] then
-    Parse.parse_program_tolerant sink ~name src
-  else begin
-    let p = common_prefix_len old src in
-    (* a reused declaration must end (= next declaration's start) inside
-       the unchanged prefix, and starts must stay monotone (ghost
-       locations degrade to 0 and stop the reuse scan) *)
-    let rec take acc prev_end = function
-      | [] -> (List.rev acc, String.length old)
-      | [ o ] ->
-          if
-            decl_start o.en_decl >= prev_end
-            && String.length old <= p
-          then (List.rev (o :: acc), String.length old)
-          else (List.rev acc, decl_start o.en_decl)
-      | o :: (o2 :: _ as rest) ->
-          let s = decl_start o.en_decl and e = decl_start o2.en_decl in
-          if s >= prev_end && e > s && e <= p then
-            take (o :: acc) e rest
-          else (List.rev acc, s)
+  let a = l.Loc.start_pos.Loc.offset in
+  if Loc.is_ghost l || a > String.length src then None
+  else
+    let back pred i =
+      let j = ref i in
+      while !j > 0 && pred src.[!j - 1] do
+        decr j
+      done;
+      !j
     in
-    let reused, cut = take [] 0 ses.ss_entries in
-    (* reused entries always end <= p, but the empty-reuse stop case
-       returns the first old declaration's start, which can exceed p
-       (an edit in leading trivia, or an insertion before the first
-       declaration); blanking [p, cut) would erase bytes of the {e new}
-       text there, so fall back to a full parse instead *)
-    let cut = if cut > p then 0 else back_to_keyword src cut in
-    if cut = 0 then Parse.parse_program_tolerant sink ~name src
+    let is_blank c = c = ' ' || c = '\t' || c = '\r' in
+    let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') in
+    let keyword =
+      match d with
+      | Ext.Dtyp _ | Ext.Dmutual _ | Ext.Drec _ ->
+          (* anchored at the declared name: the keyword is the word
+             before it *)
+          let w = back (fun c -> is_blank c || c = '\n') a in
+          let k = back is_letter w in
+          let kw = String.sub src k (w - k) in
+          let expected =
+            match d with Ext.Drec _ -> [ "rec" ] | _ -> [ "LF"; "LFR" ]
+          in
+          if List.mem kw expected then Some k else None
+      | Ext.Dschema _ | Ext.Dblock _ | Ext.Dworlds _ | Ext.Dmode _ ->
+          (* anchored at the keyword itself *)
+          Some a
+    in
+    match keyword with
+    | None -> None
+    | Some k ->
+        let b = back is_blank k in
+        if b = 0 || src.[b - 1] = '\n' then Some b else None
+
+(** The lexer cursor at [d]'s cut [c] in [src]: [c] starts a line, whose
+    number is [d]'s line less the line breaks between cut and anchor. *)
+let cursor_at (src : string) (d : Ext.decl) (c : int) : Lexer.cursor =
+  let l = (Ext.decl_loc d).Loc.start_pos in
+  {
+    Lexer.c_offset = c;
+    c_line = l.Loc.line - count_newlines src c l.Loc.offset;
+    c_bol = c;
+  }
+
+(** The first index from [lo] on whose declaration's anchor in [text] is
+    at or past [off] ([Array.length olds] if none).  Binary search: the
+    anchors of an error-free parse increase. *)
+let first_from (text : string) (olds : entry array) (lo : int) (off : int) :
+    int =
+  let rec go lo hi =
+    if lo >= hi then lo
     else
-      let tail =
-        Parse.parse_program_tolerant sink ~name (blank_prefix src cut)
-      in
-      List.map (fun o -> o.en_decl) reused @ tail
+      let mid = (lo + hi) / 2 in
+      if anchor text olds.(mid).en_decl >= off then go lo mid
+      else go (mid + 1) hi
+  in
+  go lo (Array.length olds)
+
+(** Parse [src] against the session's previous parse, so a warm re-check
+    parses the edit, not the text.  The previous declarations split into
+    a prefix whose text, up to the cut (see {!decl_cut}) of the first
+    declaration not reused, lies in the longest common prefix of the old
+    and new text; a suffix whose text, from the cut of its first
+    declaration on, lies in the longest common suffix; and the middle
+    between them.  Only the middle is lexed, starting at the prefix cut's
+    offset and line; the suffix's declarations are reused shifted by the
+    byte and line distance their text moved (columns stay: the text moved
+    from a line start on).  Splicing is exact: every declaration ends in
+    [;] and no parse decision looks past it, so the tokens between two
+    cuts parse to the declarations a full parse finds there.
+
+    Falls back to a tail parse — lexing everything after the prefix
+    cut — when the middle parse reports any diagnostic, so parse errors
+    and resynchronization read exactly as in a full parse; a tail that
+    does not lex leaves no declarations at all, as a full parse would.
+    Parses everything when the previous parse had errors (its
+    declaration boundaries are untrustworthy) or the source name changed
+    (the reused declarations' locations name the old one). *)
+let parse_incremental (sink : Diagnostics.sink) (ses : session)
+    ~(name : string) (src : string) : reparse =
+  let parse ?from ?stop sink =
+    Option.map
+      (fun lexemes ->
+        let ds = Parse.parse_lexemes_tolerant sink lexemes in
+        Telemetry.add c_parsed_decls (List.length ds);
+        ds)
+      (Parse.lex_tolerant sink ~name ?from ?stop src)
+  in
+  let spliced prefix middle suffix =
+    { rp_prefix = prefix; rp_middle = middle; rp_suffix = suffix }
+  in
+  let whole () = spliced [] (Option.value (parse sink) ~default:[]) [] in
+  if (not ses.ss_parse_ok) || ses.ss_entries = [] || name <> ses.ss_source
+  then whole ()
+  else begin
+    let old = ses.ss_text in
+    let olds = Array.of_list ses.ss_entries in
+    let n = Array.length olds in
+    let p = common_prefix_len old src in
+    (* entries [0, k) are reused; the parse starts at entry [k]'s cut,
+       inside the common prefix (or at the top of the text) *)
+    let rec prefix_cut k =
+      if k < 0 then (0, Lexer.origin)
+      else
+        match decl_cut old olds.(k).en_decl with
+        | Some c when c <= p -> (k, cursor_at old olds.(k).en_decl c)
+        | _ -> prefix_cut (k - 1)
+    in
+    let k, from = prefix_cut (min (n - 1) (first_from old olds 0 (p + 1))) in
+    let prefix = Array.to_list (Array.sub olds 0 k) in
+    let tail () =
+      match parse ~from sink with
+      | Some ds -> spliced prefix ds []
+      | None -> spliced [] [] []
+    in
+    (* entries [m, n) are reused shifted: entry [m]'s cut lies in the
+       common suffix (which never overlaps the prefix) and starts a line
+       in the new text too *)
+    let lo = String.length old and ln = String.length src in
+    let s = common_suffix_len old src (min lo ln - p) in
+    let bytes = ln - lo in
+    let rec suffix_cut m =
+      if m >= n then None
+      else
+        match decl_cut old olds.(m).en_decl with
+        | Some e
+          when e >= lo - s && (e + bytes = 0 || src.[e + bytes - 1] = '\n') ->
+            Some (m, e)
+        | _ -> suffix_cut (m + 1)
+    in
+    match suffix_cut (first_from old olds k (lo - s)) with
+    | None -> tail ()
+    | Some (m, e) -> (
+        let probe = Diagnostics.sink () in
+        match parse ~from ~stop:(e + bytes) probe with
+        | Some middle when Diagnostics.all probe = [] ->
+            let first = olds.(m).en_decl in
+            let lines =
+              from.Lexer.c_line
+              + count_newlines src from.Lexer.c_offset (e + bytes)
+              - (cursor_at old first e).Lexer.c_line
+            in
+            spliced prefix middle
+              (List.map
+                 (fun o -> (o, Ext.shift_decl ~bytes ~lines o.en_decl))
+                 (Array.to_list (Array.sub olds m (n - m))))
+        | _ -> tail ())
   end
 
 (* --- invalidation ------------------------------------------------------- *)
 
-(** The subordination seed of a declaration: the type families its names
-    resolve to in the {e current} signature (a sort contributes its
-    refined family, a constant its target family).  Computed before
-    retraction, so edited/removed declarations still resolve. *)
-let entry_families (sg : Sign.t) (names : string list) : Lf.cid_typ list =
-  List.filter_map
-    (fun n ->
-      match Sign.sym_opt sg n with
-      | Some (Sign.Sym_typ a) -> Some a
-      | Some (Sign.Sym_srt s) -> Some (Sign.srt_entry sg s).Sign.s_refines
-      | Some (Sign.Sym_const c) -> Some (Sign.const_entry sg c).Sign.c_family
-      | _ -> None)
-    names
-
 module SS = Set.Make (String)
 
-(** Which new entries must re-check?  Returns the invalid subset of
-    [news] (as a key set), given the previous entries and the session's
-    pre-retraction signature. *)
-let invalid_keys (sg : Sign.t) (olds : entry list) (news : entry list) :
-    SS.t =
-  let old_by_key = Hashtbl.create 32 in
-  List.iter (fun e -> Hashtbl.replace old_by_key e.en_key e) olds;
-  let new_keys =
-    List.fold_left (fun s e -> SS.add e.en_key s) SS.empty news
-  in
-  let removed =
-    List.filter (fun e -> not (SS.mem e.en_key new_keys)) olds
-  in
-  (* directly changed: new/edited content, or a previous failure (always
-     retried so an erroneous-then-fixed declaration fully recovers) *)
-  let changed e =
-    match Hashtbl.find_opt old_by_key e.en_key with
-    | None -> true
-    | Some o -> o.en_hash <> e.en_hash || not o.en_ok
-  in
-  let seeds = List.filter changed news in
-  (* subordination frontier of the edit (and of removals) *)
-  let seed_fams =
-    List.concat_map (fun e -> entry_families sg e.en_names) seeds
-    @ List.concat_map (fun e -> entry_families sg e.en_names) removed
-  in
-  (* reachability over the direct subordination edges, not the full
-     closure — the O(n³) closure would dominate warm re-checks (E8);
-     with no seeds at all, don't even read the signature *)
-  let dep_fams =
-    if seed_fams = [] then []
-    else Belr_analysis.Subord.dependents_of sg seed_fams
-  in
-  let dep_set = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace dep_set f ()) dep_fams;
-  let in_dep_frontier e =
-    seed_fams <> []
-    && List.exists
-         (fun f -> Hashtbl.mem dep_set f)
-         (entry_families sg e.en_names)
-  in
-  (* fixpoint over surface references: an entry is invalid if it changed,
-     sits on the subordination frontier, or mentions a name declared by
-     an invalid or removed entry *)
-  let invalid_names =
-    ref
-      (List.fold_left
-         (fun s e -> List.fold_right SS.add e.en_names s)
-         SS.empty (seeds @ removed))
-  in
-  let invalid =
-    ref (List.fold_left (fun s e -> SS.add e.en_key s) SS.empty seeds)
-  in
-  let pass () =
-    let grew = ref false in
-    List.iter
-      (fun e ->
-        if not (SS.mem e.en_key !invalid) then
-          if
-            in_dep_frontier e
-            || List.exists (fun r -> SS.mem r !invalid_names) e.en_refs
-          then begin
-            invalid := SS.add e.en_key !invalid;
-            invalid_names :=
-              List.fold_right SS.add e.en_names !invalid_names;
-            grew := true
-          end)
-      news;
-    !grew
-  in
-  while pass () do
-    ()
+(** Which new entries must re-check?  [news.(i)] is invalid when:
+    - it changed: its key is new, its content hash differs, or its
+      previous check failed (always retried, so an erroneous-then-fixed
+      declaration fully recovers);
+    - its scope flipped: the first declaration of a name it mentions
+      moved from before it to after it, or the reverse;
+    - it mentions or declares a name that an invalid or removed entry
+      declares (retraction is by name), or mentions a world that an
+      invalid or removed schema provides ({!Ext.world_names});
+    - an invalid entry mentions a name that only later entries declare:
+      those re-check too, so the earlier one, re-checked first, does not
+      see the name — as a fresh check would not.
+    One walk from the changed, flipped and removed entries over
+    name → entries indexes built from [en_names], [en_refs] and the
+    schemas' worlds; DESIGN.md §S23 argues that this closure is sound. *)
+let invalidate (olds : entry list) (news : entry array) : bool array =
+  let nn = Array.length news in
+  let old_at = Hashtbl.create 64 in
+  List.iteri (fun j o -> Hashtbl.replace old_at o.en_key (j, o)) olds;
+  let new_at = Hashtbl.create 64 in
+  Array.iteri (fun i e -> Hashtbl.replace new_at e.en_key i) news;
+  (* name → positions of the entries declaring it, providing it as a
+     world, or mentioning it; ascending *)
+  let declarers = Hashtbl.create 256
+  and providers = Hashtbl.create 16
+  and users = Hashtbl.create 256 in
+  let at tbl x = Option.value (Hashtbl.find_opt tbl x) ~default:[] in
+  let add tbl i x = Hashtbl.replace tbl x (i :: at tbl x) in
+  for i = nn - 1 downto 0 do
+    List.iter (add declarers i) news.(i).en_names;
+    List.iter (add providers i) (Ext.world_names news.(i).en_decl);
+    List.iter (add users i) news.(i).en_refs
   done;
-  !invalid
+  (* the entries that put [x] in scope, ascending *)
+  let scope x =
+    match at providers x with
+    | [] -> at declarers x
+    | ps -> List.merge compare (at declarers x) ps
+  in
+  let invalid = Array.make nn false in
+  let work = Stack.create () in
+  let mark i =
+    if not invalid.(i) then begin
+      invalid.(i) <- true;
+      Stack.push i work
+    end
+  in
+  let taint (e : entry) =
+    List.iter
+      (fun x ->
+        List.iter mark (at declarers x);
+        List.iter mark (at users x))
+      e.en_names;
+    List.iter (fun w -> List.iter mark (at users w)) (Ext.world_names e.en_decl)
+  in
+  Array.iteri
+    (fun i e ->
+      match Hashtbl.find_opt old_at e.en_key with
+      | None -> mark i
+      | Some (_, o) -> if o.en_hash <> e.en_hash || not o.en_ok then mark i)
+    news;
+  List.iter (fun o -> if not (Hashtbl.mem new_at o.en_key) then taint o) olds;
+  (* a scope flip needs two surviving entries to swap, so compare scopes
+     only when the survivors' old positions no longer increase *)
+  let last = ref (-1) and reordered = ref false in
+  Array.iter
+    (fun e ->
+      match Hashtbl.find_opt old_at e.en_key with
+      | Some (j, _) ->
+          if j < !last then reordered := true;
+          last := j
+      | None -> ())
+    news;
+  if !reordered then begin
+    let first_old = Hashtbl.create 256 in
+    List.iteri
+      (fun j o ->
+        List.iter
+          (fun x ->
+            if not (Hashtbl.mem first_old x) then Hashtbl.replace first_old x j)
+          (o.en_names @ Ext.world_names o.en_decl))
+      olds;
+    Array.iteri
+      (fun i e ->
+        match Hashtbl.find_opt old_at e.en_key with
+        | Some (j, _) ->
+            let flipped r =
+              let was =
+                match Hashtbl.find_opt first_old r with
+                | Some f -> f < j
+                | None -> false
+              in
+              let is = match scope r with f :: _ -> f < i | [] -> false in
+              was <> is
+            in
+            if List.exists flipped e.en_refs then mark i
+        | None -> ())
+      news
+  end;
+  while not (Stack.is_empty work) do
+    let i = Stack.pop work in
+    taint news.(i);
+    List.iter
+      (fun r ->
+        match scope r with
+        | f :: _ as ds when f > i -> List.iter mark ds
+        | _ -> ())
+      news.(i).en_refs
+  done;
+  invalid
+
+(** {!invalidate} as a key set. *)
+let invalid_keys (olds : entry list) (news : entry list) : SS.t =
+  let news = Array.of_list news in
+  let invalid = invalidate olds news in
+  let keys = ref SS.empty in
+  Array.iteri
+    (fun i e -> if invalid.(i) then keys := SS.add e.en_key !keys)
+    news;
+  !keys
 
 (* --- whole-signature analysis caching ------------------------------------- *)
 
@@ -642,28 +813,29 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
     ?(name = "<serve>") (src : string) : J.t * int * int * bool =
   let sg = Session.sign ses.ss_core in
   let errs0 = Diagnostics.error_count sink in
-  let decls =
+  let rp =
     Telemetry.with_span "parse" (fun () ->
         parse_incremental sink ses ~name src)
   in
   ses.ss_text <- src;
+  ses.ss_source <- name;
   ses.ss_parse_ok <- Diagnostics.error_count sink = errs0;
   ses.ss_checks <- ses.ss_checks + 1;
   let stamp = ses.ss_checks in
   let olds = ses.ss_entries in
-  let news = entry_list ~olds src decls in
-  let invalid = invalid_keys sg olds news in
-  let new_keys =
-    List.fold_left (fun s e -> SS.add e.en_key s) SS.empty news
-  in
+  let news = Array.of_list (entries_of src rp) in
+  let invalid = invalidate olds news in
+  let new_at = Hashtbl.create 64 in
+  Array.iteri (fun i e -> Hashtbl.replace new_at e.en_key i) news;
   (* retract everything that is gone or about to be re-processed *)
+  let old_by_key = Hashtbl.create 64 in
   List.iter
     (fun o ->
-      if (not (SS.mem o.en_key new_keys)) || SS.mem o.en_key invalid then
-        Sign.retract_names sg o.en_names)
+      Hashtbl.replace old_by_key o.en_key o;
+      match Hashtbl.find_opt new_at o.en_key with
+      | Some i when not invalid.(i) -> ()
+      | _ -> Sign.retract_names sg o.en_names)
     olds;
-  let old_by_key = Hashtbl.create 32 in
-  List.iter (fun o -> Hashtbl.replace old_by_key o.en_key o) olds;
   let rechecked = ref 0 and reused = ref 0 in
   let deadline_hit = ref false in
   (* the sink's error cap can abort the loop below mid-way (Stop from
@@ -674,24 +846,30 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
      commit in a [finally]: entries the abort skipped then re-check on
      the next request instead of being reused as stale successes over an
      older text.  A reused (non-invalid) entry always has an old entry
-     under its key, whose verdict and stamp it carries over. *)
-  List.iter
-    (fun e ->
-      if SS.mem e.en_key invalid then begin
+     under its key, whose verdict and stamp it carries over — and whose
+     recorded locations it refreshes when its text moved. *)
+  Array.iteri
+    (fun i e ->
+      if invalid.(i) then begin
         e.en_ok <- false;
         e.en_stamp <- stamp
       end
-      else
+      else begin
         let o = Hashtbl.find old_by_key e.en_key in
         e.en_ok <- o.en_ok;
-        e.en_stamp <- o.en_stamp)
+        e.en_stamp <- o.en_stamp;
+        if
+          e.en_decl != o.en_decl
+          && Ext.decl_loc e.en_decl <> Ext.decl_loc o.en_decl
+        then Process.record_locs sg e.en_decl
+      end)
     news;
   Fun.protect
-    ~finally:(fun () -> ses.ss_entries <- news)
+    ~finally:(fun () -> ses.ss_entries <- Array.to_list news)
     (fun () ->
-      List.iter
-        (fun e ->
-          if SS.mem e.en_key invalid then
+      Array.iteri
+        (fun i e ->
+          if invalid.(i) then
             if !deadline_hit || Limits.expired () then begin
               (* out of time: leave the rest unchecked-but-marked-failed
                  so the next request re-checks them; poison their names
@@ -711,9 +889,11 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
     J.Obj
       [
         ("summary", sign_summary_json sg);
-        ("decls", J.Int (List.length news));
+        ("decls", J.Int (Array.length news));
         ( "failed",
-          J.Int (List.length (List.filter (fun e -> not e.en_ok) news)) );
+          J.Int
+            (Array.fold_left (fun n e -> if e.en_ok then n else n + 1) 0 news)
+        );
       ]
   in
   (result, !rechecked, !reused, !deadline_hit)
@@ -1039,6 +1219,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
           Session.reset ses.ss_core;
           ses.ss_entries <- [];
           ses.ss_text <- "";
+          ses.ss_source <- "";
           ses.ss_parse_ok <- false;
           Hashtbl.reset ses.ss_caches;
           finish

@@ -141,9 +141,9 @@ let subord_tests =
           (has "tm =< deq"));
   ]
 
-(* --- dependents_of: the O(V+E) invalidation frontier --------------------- *)
+(* --- dependents: the closure against plain reachability -------------------- *)
 
-(** Reference implementation of {!Subord.dependents_of}: plain forward
+(** Reference implementation of {!Subord.dependents}: plain forward
     reachability over {!Subord.direct_edges}, one DFS per seed. *)
 let brute_dependents sg seeds =
   let edges = Subord.direct_edges sg in
@@ -209,8 +209,8 @@ let dependents_qcheck =
   [
     QCheck.Test.make ~count:200
       ~name:
-        "dependents_of agrees with brute-force reachability and with the \
-         bitset closure on random signatures"
+        "the bitset closure's dependents agree with brute-force \
+         reachability on random signatures"
       (QCheck.make ~print:graph_print graph_gen)
       (fun (n, edges) ->
         with_graph_sig (n, edges) (fun sg ->
@@ -218,32 +218,14 @@ let dependents_qcheck =
             List.for_all
               (fun i ->
                 let seed = Belr_kits.Lookup.find_typ sg (Printf.sprintf "f%d" i) in
-                let fast = Subord.dependents_of sg [ seed ] in
-                fast = brute_dependents sg [ seed ]
-                && fast
-                   = List.sort compare (Subord.dependents sub [ seed ]))
+                List.sort compare (Subord.dependents sub [ seed ])
+                = brute_dependents sg [ seed ])
               (List.init n Fun.id)));
-    QCheck.Test.make ~count:100
-      ~name:"dependents_of of a seed set is the union of the singletons"
-      (QCheck.make ~print:graph_print graph_gen)
-      (fun (n, edges) ->
-        with_graph_sig (n, edges) (fun sg ->
-            let seeds =
-              List.init n (fun i ->
-                  Belr_kits.Lookup.find_typ sg (Printf.sprintf "f%d" i))
-            in
-            let union =
-              List.sort_uniq compare
-                (List.concat_map
-                   (fun s -> Subord.dependents_of sg [ s ])
-                   seeds)
-            in
-            Subord.dependents_of sg seeds = union));
   ]
 
 let dependents_tests =
   [
-    test "a mutual group is its own invalidation frontier" (fun () ->
+    test "a mutual group's families depend on each other" (fun () ->
         let _, sg =
           check
             [
@@ -255,17 +237,16 @@ let dependents_tests =
         let fam = Belr_kits.Lookup.find_typ sg in
         let a = fam "a" and bf = fam "b" in
         let both = List.sort compare [ a; bf ] in
-        Alcotest.(check bool) "from a" true
-          (Subord.dependents_of sg [ a ] = both);
-        Alcotest.(check bool) "from b" true
-          (Subord.dependents_of sg [ bf ] = both);
         let sub = Subord.analyze sg in
+        let deps seed = List.sort compare (Subord.dependents sub [ seed ]) in
+        Alcotest.(check bool) "from a" true (deps a = both);
+        Alcotest.(check bool) "from b" true (deps bf = both);
         Alcotest.(check bool) "mutual" true (Subord.mutual sub a bf));
     test "an isolated family depends only on itself" (fun () ->
         let _, sg = check [ ("iso.bel", nat ^ "LF tm : type = | c : tm;\n") ] in
         let tm = Belr_kits.Lookup.find_typ sg "tm" in
         Alcotest.(check bool) "singleton" true
-          (Subord.dependents_of sg [ tm ] = [ tm ]));
+          (Subord.dependents (Subord.analyze sg) [ tm ] = [ tm ]));
   ]
   @ List.map QCheck_alcotest.to_alcotest dependents_qcheck
 

@@ -597,19 +597,14 @@ let health_gauge_tests =
 (* --- query accounting from check stamps ---------------------------------- *)
 
 (** Check [src] on session ["s"] and return the invalidation closure the
-    check processes: [invalid_keys] of the session's entries and [src]'s,
-    over the signature as it stands before the check. *)
+    check processes: [invalid_keys] of the session's entries and [src]'s. *)
 let check_closure t id src =
   let ses = Serve.find_session t "s" in
   let closure =
-    Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
-        let decls =
-          Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>"
-            src
-        in
-        Serve.invalid_keys
-          (Belr_lf.Session.sign ses.Serve.ss_core)
-          ses.Serve.ss_entries (Serve.entry_list src decls))
+    let decls =
+      Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>" src
+    in
+    Serve.invalid_keys ses.Serve.ss_entries (Serve.entry_list src decls)
   in
   ignore (round t (request ~source:src id));
   closure
@@ -684,12 +679,8 @@ let stamp_tests =
         Alcotest.(check int) "union again"
           (Serve.SS.cardinal (Serve.SS.union c3 c4))
           (tele_field "rechecked" q);
-        let ses = Serve.find_session t "s" in
         let net =
-          Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
-              Serve.invalid_keys
-                (Belr_lf.Session.sign ses.Serve.ss_core)
-                cached ses.Serve.ss_entries)
+          Serve.invalid_keys cached (Serve.find_session t "s").Serve.ss_entries
         in
         (* nat is back to its cached text, so only exp differs *)
         Alcotest.(check (list string)) "the net diff is exp alone"
@@ -726,6 +717,506 @@ let stamp_tests =
         Alcotest.(check int) "none reused" 0 (tele_field "reused" q));
   ]
 
+(* --- splice reparse and the name-reference closure ------------------------- *)
+
+(** [(code, loc)] of every diagnostic in a reply, in order. *)
+let diag_locs j =
+  List.map
+    (fun d ->
+      let s k =
+        Option.value (Option.bind (J.member k d) J.to_str) ~default:""
+      in
+      (s "code", s "loc"))
+    (Option.value
+       (Option.bind (J.member "diagnostics" j) J.to_list)
+       ~default:[])
+
+(** A fresh server's reply to a check of [src] (or, with [meth], to that
+    query after the check). *)
+let fresh_reply ?(meth = "check") src =
+  let t = Serve.create () in
+  let r = round t (request ~source:src 1) in
+  if meth = "check" then r else round t (request ~meth 2)
+
+let parsed_decls () =
+  Telemetry.counter_total (Telemetry.counter "serve.parsed_decls")
+
+let fam name = Printf.sprintf "LF %s : type =\n| c%s : %s;\n" name name name
+
+let splice_tests =
+  [
+    test "a reorder that puts a use before its declaration re-checks it"
+      (fun () ->
+        let a = fam "a" and x = fam "x" and y = fam "y" in
+        let b = "LF b : type =\n| cb : a -> b;\n" in
+        let t = Serve.create () in
+        let r1 = round t (request ~source:(a ^ x ^ b ^ y) 1) in
+        Alcotest.(check int) "in order: exit 0" 0 (int_field "exit_code" r1);
+        (* every slice hash is unchanged: only the order says b now
+           precedes the declaration of the a it mentions *)
+        let swapped = b ^ x ^ a ^ y in
+        let r2 = round t (request ~source:swapped 2) in
+        let fresh = fresh_reply swapped in
+        Alcotest.(check int) "exit 1, as fresh" (int_field "exit_code" fresh)
+          (int_field "exit_code" r2);
+        Alcotest.(check int) "exit 1" 1 (int_field "exit_code" r2);
+        Alcotest.(check (list (pair string string))) "diagnostics as fresh"
+          (diag_locs fresh) (diag_locs r2);
+        Alcotest.(check bool) "b is not in scope" true
+          (List.exists
+             (fun d ->
+               J.member "message" d
+               = Some (J.String "a is not a type or sort family"))
+             (Option.value
+                (Option.bind (J.member "diagnostics" r2) J.to_list)
+                ~default:[]));
+        (* b re-checks (flipped), and a with it: b's re-check must not
+           see the a declared after it *)
+        Alcotest.(check int) "rechecked a and b" 2 (tele_field "rechecked" r2);
+        (* swapping back recovers *)
+        let r3 = round t (request ~source:(a ^ x ^ b ^ y) 3) in
+        Alcotest.(check int) "back in order: exit 0" 0
+          (int_field "exit_code" r3);
+        Alcotest.(check (list string)) "no diagnostics" [] (codes r3));
+    test "warm analyses report the locations a fresh session does" (fun () ->
+        let src =
+          "LF nat : type =\n| z : nat\n| s : nat -> nat;\n\n\
+           LF unused : type =\n| u : unused;\n"
+        in
+        let moved =
+          "LF nat : type =\n| z : nat\n\n\n\n| s : nat -> nat;\n\n\
+           LF unused : type =\n| u : unused;\n"
+        in
+        let t = Serve.create () in
+        ignore (round t (request ~source:src 1));
+        ignore (round t (request ~meth:"lint" 2));
+        let r = round t (request ~source:moved 3) in
+        Alcotest.(check int) "unused is reused" 1 (tele_field "reused" r);
+        let warm = round t (request ~meth:"lint" 4) in
+        let fresh = fresh_reply ~meth:"lint" moved in
+        let sorted j = List.sort compare (diag_locs j) in
+        Alcotest.(check (list (pair string string))) "same (code, loc) multiset"
+          (sorted fresh) (sorted warm);
+        Alcotest.(check bool) "u's W0704 at its moved line" true
+          (List.mem ("W0704", "<serve>:9.2-3") (diag_locs warm)));
+    test "a refinement-sort edit re-checks the sort alone" (fun () ->
+        let nat_le =
+          "LF nat : type =\n| z : nat\n| s : nat -> nat;\n\n\
+           LF le : nat -> nat -> type =\n| le-z : le z N\n\
+           | le-s : le N M -> le (s N) (s M);\n\n"
+        in
+        let src = nat_le ^ "LFR pos <| nat : sort =\n| s : nat -> pos;\n" in
+        let edited = nat_le ^ "LFR pos <| nat : sort =\n| s : pos -> pos;\n" in
+        let t = Serve.create () in
+        ignore (round t (request ~source:src 1));
+        let ses = Serve.find_session t "s" in
+        let olds = ses.Serve.ss_entries in
+        let news =
+          Serve.entry_list edited
+            (Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>"
+               edited)
+        in
+        (* the subordination frontier re-checked nat, le and pos *)
+        let reference =
+          Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
+              Ref_invalidate.invalid_keys
+                (Belr_lf.Session.sign ses.Serve.ss_core)
+                olds news)
+        in
+        Alcotest.(check (list string)) "the reference's closure"
+          [ "le#0"; "nat#0"; "pos#0" ] (Serve.SS.elements reference);
+        let r = round t (request ~source:edited 2) in
+        Alcotest.(check int) "exit 0" 0 (int_field "exit_code" r);
+        Alcotest.(check int) "rechecked pos alone" 1 (tele_field "rechecked" r);
+        Alcotest.(check int) "reused nat and le" 2 (tele_field "reused" r));
+    test "an edit in the middle of a large session parses only the edit"
+      (fun () ->
+        let src k =
+          String.concat ""
+            (List.init 300 (fun i ->
+                 Printf.sprintf
+                   "LF f%d : type =\n| c%d : f%d%s\n| d%d : f%d -> f%d;\n\n" i
+                   i i
+                   (if i = 150 then k else "")
+                   i i i))
+        in
+        let t = Serve.create () in
+        let p0 = parsed_decls () in
+        ignore (round t (request ~source:(src "") 1));
+        Alcotest.(check int) "the cold check parses everything" 300
+          (parsed_decls () - p0);
+        let p1 = parsed_decls () in
+        let r = round t (request ~source:(src "\n| e150 : f150") 2) in
+        Alcotest.(check int) "exit 0" 0 (int_field "exit_code" r);
+        Alcotest.(check int) "rechecked the edited family" 1
+          (tele_field "rechecked" r);
+        Alcotest.(check bool) "at most 2 declarations parsed" true
+          (parsed_decls () - p1 <= 2));
+    test "a text that does not lex has no declarations, warm or fresh"
+      (fun () ->
+        let t = Serve.create () in
+        let src = src3 nat in
+        ignore (round t (request ~source:src 1));
+        let bad = src ^ "\n\nLF q$ : type;\n" in
+        let r = round t (request ~source:bad 2) in
+        let fresh = fresh_reply bad in
+        Alcotest.(check (list (pair string string))) "diagnostics as fresh"
+          (diag_locs fresh) (diag_locs r);
+        Alcotest.(check int) "no declarations" 0
+          (List.length (Serve.find_session t "s").Serve.ss_entries);
+        let r2 = round t (request ~source:src 3) in
+        Alcotest.(check (list string)) "recovers" [] (codes r2));
+    test "a duplicate declaration fails alike on every re-check" (fun () ->
+        (* found by the edit-sequence property below: the failed duplicate
+           retries on every check, and each retry used to leave one more
+           orphan entry (and took the original's name binding with it) *)
+        let src =
+          String.concat "\n\n" [ nat; "LF d : type;"; "LF d : type;" ]
+        in
+        let t = Serve.create () in
+        let fresh = fresh_reply src in
+        List.iter
+          (fun id ->
+            let r = round t (request ~source:src id) in
+            Alcotest.(check bool) "result as fresh" true
+              (J.member "result" r = J.member "result" fresh);
+            Alcotest.(check (list (pair string string))) "diagnostics as fresh"
+              (diag_locs fresh) (diag_locs r))
+          [ 1; 2; 3 ];
+        Alcotest.(check bool) "one d" true
+          (Option.bind (J.member "result" fresh) (fun r ->
+               Option.bind (J.member "summary" r) (J.member "typs"))
+          = Some (J.Int 2)));
+    test "retracting a constant sorted in two families leaves the \
+          signature a fresh one would have" (fun () ->
+        let open Belr_lf in
+        let src =
+          "LF nat : type =\n| z : nat\n| s : nat -> nat;\n\n\
+           LFR even <| nat : sort =\n| z : even\n| s : odd -> even\n\
+           and odd <| nat : sort =\n| s : even -> odd;\n"
+        in
+        let fresh = Process.program src in
+        let warm = Process.program src in
+        let c name = Belr_kits.Lookup.find_const warm name in
+        let srt sg name = Belr_kits.Lookup.find_srt sg name in
+        let s = c "s" in
+        let ce = Sign.const_entry warm s in
+        let sorts =
+          List.map
+            (fun f -> (f, Option.get (Sign.csort warm ~const:s ~family:f)))
+            [ srt warm "even"; srt warm "odd" ]
+        in
+        Sign.retract_name warm "s";
+        List.iter
+          (fun (f, _) ->
+            Alcotest.(check bool) "no sort left" true
+              (Sign.csort warm ~const:s ~family:f = None);
+            Alcotest.(check bool) "not a member" false
+              (List.mem s (Sign.constants_of_srt warm f)))
+          sorts;
+        let s' =
+          Sign.add_const warm ~name:"s" ~typ:ce.Sign.c_typ
+            ~implicit:ce.Sign.c_implicit
+        in
+        List.iter
+          (fun (_, (srt, implicit)) ->
+            Sign.add_csort warm ~const:s' ~srt ~implicit)
+          sorts;
+        let view sg =
+          let name c = (Sign.const_entry sg c).Sign.c_name in
+          List.map
+            (fun f ->
+              let fid = srt sg f in
+              ( f,
+                List.map name (Sign.constants_of_srt sg fid),
+                List.map
+                  (fun c ->
+                    let cid = Belr_kits.Lookup.find_const sg c in
+                    Option.map
+                      (fun (st, i) ->
+                        (Fmt.str "%a" (Belr_syntax.Pp.pp_srt (Sign.pp_env sg)) st, i))
+                      (Sign.csort sg ~const:cid ~family:fid))
+                  [ "z"; "s" ] ))
+            [ "even"; "odd" ]
+        in
+        Alcotest.(check bool) "same sorts and members as fresh" true
+          (view fresh = view warm));
+  ]
+
+(* --- the incremental engine against a fresh session, over edit sequences -- *)
+
+(** The shipped developments the property edits, each one source. *)
+let developments =
+  lazy
+    (let read path = In_channel.with_open_bin path In_channel.input_all in
+     [
+       Belr_kits.Surface.full_src;
+       Belr_kits.Typed_equal.full_src;
+       Belr_kits.Parity.src;
+       Belr_kits.Values.src;
+       read "../examples/quickstart.blr"
+       ^ "\n"
+       ^ read "../examples/totality.blr";
+     ])
+
+(** A development as its declaration texts, each from the start of its
+    first line (leading trivia stays with the first). *)
+let chunks (src : string) : string list =
+  let decls = Parse.parse_program_tolerant (Diagnostics.sink ()) src in
+  let cuts =
+    List.filter_map (Serve.decl_cut src) decls |> List.filter (fun c -> c > 0)
+  in
+  let rec go start = function
+    | [] -> [ String.sub src start (String.length src - start) ]
+    | c :: rest -> String.sub src start (c - start) :: go c rest
+  in
+  go 0 cuts
+
+type edit =
+  | Insert of int * int  (** a fresh family at a position *)
+  | Delete of int
+  | Duplicate of int * int
+  | Swap of int * int
+  | Blank of int * bool  (** blank lines inside (or before) a declaration *)
+  | Comment of int * bool
+  | Ctor of int  (** copy one constructor line under a new name *)
+  | Sort of int  (** touch a refinement sort declaration *)
+  | Break of int  (** insert a declaration that does not parse *)
+  | Fix  (** remove the broken declarations *)
+  | Join of int  (** the next declaration starts on this one's last line *)
+  | Split of int  (** a comment between keyword and name *)
+
+let show_edit = function
+  | Insert (i, k) -> Printf.sprintf "insert q%d at %d" k i
+  | Delete i -> Printf.sprintf "delete %d" i
+  | Duplicate (i, j) -> Printf.sprintf "duplicate %d to %d" i j
+  | Swap (i, j) -> Printf.sprintf "swap %d %d" i j
+  | Blank (i, inside) -> Printf.sprintf "blank %d inside=%b" i inside
+  | Comment (i, inside) -> Printf.sprintf "comment %d inside=%b" i inside
+  | Ctor i -> Printf.sprintf "ctor %d" i
+  | Sort i -> Printf.sprintf "sort %d" i
+  | Break i -> Printf.sprintf "break %d" i
+  | Fix -> "fix"
+  | Join i -> Printf.sprintf "join %d" i
+  | Split i -> Printf.sprintf "split %d" i
+
+let broken = "LF oops : = ;\n"
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+(** [s] with [ins] after its first line break (at its end if none). *)
+let after_first_line s ins =
+  match String.index_opt s '\n' with
+  | Some i ->
+      String.sub s 0 (i + 1) ^ ins
+      ^ String.sub s (i + 1) (String.length s - i - 1)
+  | None -> s ^ ins
+
+(** [c] with its first one-line constructor (one followed by another)
+    copied under a new name. *)
+let copy_ctor step c =
+  let rec go = function
+    | l :: (l2 :: _ as rest)
+      when has_prefix "| " l && has_prefix "|" l2
+           && not (String.contains l ';') -> (
+        match String.index_opt l ':' with
+        | Some colon ->
+            let name = String.trim (String.sub l 2 (colon - 2)) in
+            let typ = String.sub l colon (String.length l - colon) in
+            l :: Printf.sprintf "| %s%d %s" name step typ :: rest
+        | None -> l :: go rest)
+    | l :: rest -> l :: go rest
+    | [] -> []
+  in
+  String.concat "\n" (go (String.split_on_char '\n' c))
+
+(** [e] applied to the declaration texts [cs]; positions wrap around. *)
+let apply (step : int) (cs : string list) (e : edit) : string list =
+  let n = List.length cs in
+  let arr = Array.of_list cs in
+  let at i = i mod n in
+  let insert i c =
+    List.filteri (fun j _ -> j < i) cs @ (c :: List.filteri (fun j _ -> j >= i) cs)
+  in
+  let map_at i f = List.mapi (fun j c -> if j = at i then f c else c) cs in
+  let comment what = Printf.sprintf "%% %s %d\n" what step in
+  if n = 0 then cs
+  else
+    match e with
+    | Insert (i, k) ->
+        insert (at i) (Printf.sprintf "LF q%d : type =\n| qc%d : q%d;\n" k k k)
+    | Delete i -> List.filteri (fun j _ -> j <> at i) cs
+    | Duplicate (i, j) -> insert (at j) arr.(at i)
+    | Swap (i, j) ->
+        let i = at i and j = at j in
+        List.mapi
+          (fun k c -> if k = i then arr.(j) else if k = j then arr.(i) else c)
+          cs
+    | Blank (i, inside) ->
+        map_at i (fun c ->
+            if inside then after_first_line c "\n\n" else "\n\n" ^ c)
+    | Comment (i, inside) ->
+        map_at i (fun c ->
+            if inside then after_first_line c (comment "note")
+            else comment "note" ^ c)
+    | Ctor i -> map_at i (copy_ctor step)
+    | Sort i -> (
+        (* the first refinement declaration from [i] on *)
+        let is_sort k = has_prefix "LFR" (String.trim arr.(k)) in
+        match List.find_opt is_sort (List.init n (fun k -> (at i + k) mod n)) with
+        | Some j ->
+            List.mapi
+              (fun k c -> if k = j then after_first_line c (comment "sort") else c)
+              cs
+        | None -> cs)
+    | Break i -> insert (at i) broken
+    | Fix -> List.filter (fun c -> c <> broken) cs
+    | Join i ->
+        map_at i (fun c ->
+            let n = String.length c in
+            if n > 0 && c.[n - 1] = '\n' then String.sub c 0 (n - 1) ^ " "
+            else c)
+    | Split i ->
+        map_at i (fun c ->
+            if has_prefix "LF " c then
+              "LF " ^ comment "kw" ^ String.sub c 3 (String.length c - 3)
+            else c)
+
+let edit_gen =
+  QCheck.Gen.(
+    let pos = int_bound 40 in
+    frequency
+      [
+        (2, map2 (fun i k -> Insert (i, k)) pos (int_bound 3));
+        (2, map (fun i -> Delete i) pos);
+        (1, map2 (fun i j -> Duplicate (i, j)) pos pos);
+        (2, map2 (fun i j -> Swap (i, j)) pos pos);
+        (1, map2 (fun i b -> Blank (i, b)) pos bool);
+        (1, map2 (fun i b -> Comment (i, b)) pos bool);
+        (2, map (fun i -> Ctor i) pos);
+        (1, map (fun i -> Sort i) pos);
+        (1, map (fun i -> Break i) pos);
+        (1, return Fix);
+        (1, map (fun i -> Join i) pos);
+        (1, map (fun i -> Split i) pos);
+      ])
+
+let session_gen =
+  QCheck.Gen.(pair (int_bound 4) (list_size (int_range 1 6) edit_gen))
+
+let show_session (dev, edits) =
+  Printf.sprintf "development %d: %s" dev
+    (String.concat "; " (List.map show_edit edits))
+
+(** Names two entries declare, survivors whose order changed, or a name
+    used before its first declaration: the shared-name, reorder and
+    forward-reference rules reach past the reference closure. *)
+let beyond_reference olds news =
+  let dup es =
+    let seen = Hashtbl.create 64 in
+    List.exists
+      (fun e ->
+        List.exists
+          (fun x ->
+            Hashtbl.mem seen x || (Hashtbl.replace seen x (); false))
+          e.Serve.en_names)
+      es
+  in
+  let old_at = Hashtbl.create 64 in
+  List.iteri (fun j o -> Hashtbl.replace old_at o.Serve.en_key j) olds;
+  let positions =
+    List.filter_map (fun e -> Hashtbl.find_opt old_at e.Serve.en_key) news
+  in
+  let first = Hashtbl.create 64 in
+  List.iteri
+    (fun i e ->
+      List.iter
+        (fun x -> if not (Hashtbl.mem first x) then Hashtbl.replace first x i)
+        e.Serve.en_names)
+    news;
+  let forward =
+    List.exists Fun.id
+      (List.mapi
+         (fun i e ->
+           List.exists
+             (fun r ->
+               match Hashtbl.find_opt first r with
+               | Some f -> f > i
+               | None -> false)
+             e.Serve.en_refs)
+         news)
+  in
+  dup olds || dup news || forward || positions <> List.sort compare positions
+
+(** Check a development on a warm session, then put it through [edits]:
+    after each, the session's declarations are a full parse of the text
+    (locations included), its reply matches a fresh session's, and its
+    invalidation closure stays inside the reference's. *)
+let warm_equals_fresh (dev, edits) =
+  let t = Serve.create () in
+  let cs = ref (chunks (List.nth (Lazy.force developments) dev)) in
+  ignore (round t (request ~source:(String.concat "" !cs) 0));
+  List.iteri
+    (fun step e ->
+      cs := apply step !cs e;
+      let src = String.concat "" !cs in
+      let fail what =
+        QCheck.Test.fail_reportf "after %s (step %d): %s@.%s" (show_edit e)
+          step what src
+      in
+      let ses = Serve.find_session t "s" in
+      let olds = ses.Serve.ss_entries in
+      let full =
+        Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>" src
+      in
+      let news = Serve.entry_list src full in
+      let reference =
+        Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
+            Ref_invalidate.invalid_keys
+              (Belr_lf.Session.sign ses.Serve.ss_core)
+              olds news)
+      in
+      let invalid = Serve.invalid_keys olds news in
+      let warm = round t (request ~source:src (step + 1)) in
+      let fresh = fresh_reply src in
+      let entries = (Serve.find_session t "s").Serve.ss_entries in
+      let summary e = (e.Serve.en_key, e.Serve.en_hash, e.Serve.en_refs) in
+      if List.map (fun e -> e.Serve.en_decl) entries <> full then
+        fail "the spliced parse differs from a full parse";
+      if List.map summary entries <> List.map summary news then
+        fail "the entries differ from a full parse's";
+      if diag_locs warm <> diag_locs fresh then fail "diagnostics differ";
+      if J.member "result" warm <> J.member "result" fresh then
+        fail
+          (Printf.sprintf "summary or failed count differs: warm %s, fresh %s"
+             (J.to_string ~compact:true (Option.get (J.member "result" warm)))
+             (J.to_string ~compact:true
+                (Option.get (J.member "result" fresh))));
+      if int_field "exit_code" warm <> int_field "exit_code" fresh then
+        fail "exit code differs";
+      if
+        (not (beyond_reference olds news))
+        && not (Serve.SS.subset invalid reference)
+      then
+        fail
+          (Printf.sprintf "the closure is not inside the reference's: %s"
+             (String.concat ", "
+                (Serve.SS.elements (Serve.SS.diff invalid reference)))))
+    edits;
+  true
+
+let property_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~count:25
+        ~name:
+          "edit sequences on the shipped developments: warm replies equal \
+           fresh ones"
+        (QCheck.make ~print:show_session session_gen)
+        warm_equals_fresh;
+    ]
+
 let suites =
   [
     ("serve incremental", incremental_tests);
@@ -733,4 +1224,6 @@ let suites =
     ("serve observability", observability_tests);
     ("serve health gauges", health_gauge_tests);
     ("serve stamp accounting", stamp_tests);
+    ("serve splice", splice_tests);
+    ("serve properties", property_tests);
   ]
