@@ -479,7 +479,8 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
       modes
   in
   (* a judgment family a rec induction appeals to should carry a
-     mode too — but only nag signatures that opted into modes *)
+     mode too — but only nag signatures that opted into modes, and only
+     at the first such rec in source order *)
   Telemetry.with_span "modes:recs" (fun () ->
       if modes <> [] then
         List.iter
@@ -507,7 +508,9 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
                       a
                 | _ -> ())
               re.Sign.r_styp)
-          (List.sort compare (Sign.all_recs sg)));
+          (Sign.in_source_order sg
+             (fun re -> re.Sign.r_name)
+             (Sign.all_recs sg)));
   { mr_fams = fams; mr_modes = List.length modes; mr_missing = !missing }
 
 (* --- report ------------------------------------------------------------- *)

@@ -87,17 +87,18 @@ let find_world (sg : Sign.t) (name : string) : world_ref option =
       g.Sign.g_elems
   in
   (* user-declared refinement schemas shadow the auto-registered trivial
-     ones, which in turn shadow raw schemas *)
+     ones, which in turn shadow raw schemas; within each, the first in
+     source order provides the world *)
   let user, auto =
     List.partition
       (fun (_, (e : Sign.sschema_entry)) -> not (Sign.is_hidden_sschema e))
-      (List.sort compare (Sign.all_sschemas sg))
+      (Sign.in_source_order sg (fun e -> e.Sign.h_name) (Sign.all_sschemas sg))
   in
   List.iter (fun (_, e) -> if !found = None then scan_s e) user;
   List.iter (fun (_, e) -> if !found = None then scan_s e) auto;
   List.iter
     (fun (_, e) -> if !found = None then scan_t e)
-    (List.sort compare (Sign.all_schemas sg));
+    (Sign.in_source_order sg (fun e -> e.Sign.g_name) (Sign.all_schemas sg));
   !found
 
 (* ------------------------------------------------------------------ *)

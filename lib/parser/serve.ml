@@ -39,17 +39,19 @@
     suffix of the previous one (reusing, relocated, the declarations
     outside it), diffs the result against the session's previous text
     {e per declaration} (content hash over the declaration's source
-    slice), and re-checks only the invalidation closure of the edited
-    declarations: the declarations themselves, every declaration that
-    mentions or declares a name one of them declares (transitively, via
-    surface references — {!Ext.referenced_names}), members of the same
-    [rec … and …] group (a group elaborates as one declaration), every
-    declaration whose scope a reorder changed, and every declaration that
-    previously failed (so an erroneous-then-fixed edit fully recovers).
-    Checking reads other declarations only by name, so this closure is
-    sound (DESIGN.md §S23).  Unchanged declarations keep their signature
-    entries — ids are stable under {!Belr_lf.Sign.retract_names} — so the
-    work done is proportional to the edit, not the file. *)
+    slice), and finds the candidates for re-checking: the edited, new and
+    previously failed declarations, every declaration that mentions or
+    declares a name one of them declares (transitively, via surface
+    references — {!Ext.referenced_names}), and every declaration whose
+    scope a reorder changed.  Candidates are retired from the signature
+    ({!Belr_lf.Sign.retire}) and walked in order: a re-checked
+    declaration takes its old ids back wherever its payload is α-equal
+    to the old one, and a candidate none of whose mentioned names
+    changed meaning is restored untouched instead of re-checked — the
+    early cutoff, sound because checking reads other declarations only
+    through the names it mentions (DESIGN.md §S23).  Unchanged
+    declarations keep their signature entries and ids, so the work done
+    tracks how far the edit's meaning reaches, not the file. *)
 
 open Belr_support
 open Belr_syntax
@@ -71,14 +73,16 @@ type entry = {
   mutable en_ok : bool;  (** did its last (re-)check succeed? *)
   mutable en_stamp : int;
       (** the sequence number ([ss_checks]) of the session check that
-          last found it invalid — and re-checked it, or left it marked
-          failed when a deadline or the error cap cut the check short *)
+          last re-checked it — or left it marked failed when a deadline
+          or the error cap cut the check short *)
 }
 
 type analysis_cache = {
-  ac_sig : (string * int * bool) list;
-      (** (key, content hash, last-check verdict) per declaration when
-          the analysis ran — the cache is valid iff this still matches *)
+  ac_sig : (string * int * bool * Loc.t) list;
+      (** (key, content hash, last-check verdict, location) per
+          declaration when the analysis ran — the cache is valid iff this
+          still matches: text in no declaration's slice moves every
+          location without changing any hash *)
   ac_stamp : int;
       (** [ss_checks] when the analysis ran: the entries stamped later
           are the ones a miss reports as re-analyzed *)
@@ -627,22 +631,28 @@ let parse_incremental (sink : Diagnostics.sink) (ses : session)
 
 module SS = Set.Make (String)
 
-(** Which new entries must re-check?  [news.(i)] is invalid when:
+(** Which new entries are candidates for re-checking, and which of them
+    are seeds that re-check whatever happens?  [news.(i)] is a seed when:
     - it changed: its key is new, its content hash differs, or its
       previous check failed (always retried, so an erroneous-then-fixed
       declaration fully recovers);
     - its scope flipped: the first declaration of a name it mentions
-      moved from before it to after it, or the reverse;
-    - it mentions or declares a name that an invalid or removed entry
-      declares (retraction is by name), or mentions a world that an
-      invalid or removed schema provides ({!Ext.world_names});
-    - an invalid entry mentions a name that only later entries declare:
-      those re-check too, so the earlier one, re-checked first, does not
-      see the name — as a fresh check would not.
-    One walk from the changed, flipped and removed entries over
-    name → entries indexes built from [en_names], [en_refs] and the
-    schemas' worlds; DESIGN.md §S23 argues that this closure is sound. *)
-let invalidate (olds : entry list) (news : entry array) : bool array =
+      moved from before it to after it, or the reverse, or is now
+      another declaration before it;
+    - a candidate mentions a name that only later entries declare: those
+      re-check too, retired while the earlier one re-checks, so it does
+      not see the name — as a fresh check would not.
+    It is a candidate when it is a seed, or it mentions or declares a
+    name that a candidate or removed entry declares (retraction is by
+    name), or mentions a world that a candidate or removed schema
+    provides ({!Ext.world_names}).  A candidate that is no seed re-checks
+    only if a name it mentions changed meaning ({!check_in_session}).
+    One walk from the seeds and the removed entries over name → entries
+    indexes built from [en_names], [en_refs] and the schemas' worlds;
+    DESIGN.md §S23 argues that this is sound.  Returns
+    [(candidates, seeds)]. *)
+let invalidate (olds : entry list) (news : entry array) :
+    bool array * bool array =
   let nn = Array.length news in
   let old_at = Hashtbl.create 64 in
   List.iteri (fun j o -> Hashtbl.replace old_at o.en_key (j, o)) olds;
@@ -666,13 +676,17 @@ let invalidate (olds : entry list) (news : entry array) : bool array =
     | [] -> at declarers x
     | ps -> List.merge compare (at declarers x) ps
   in
-  let invalid = Array.make nn false in
+  let invalid = Array.make nn false and seed = Array.make nn false in
   let work = Stack.create () in
   let mark i =
     if not invalid.(i) then begin
       invalid.(i) <- true;
       Stack.push i work
     end
+  in
+  let mark_seed i =
+    seed.(i) <- true;
+    mark i
   in
   let taint (e : entry) =
     List.iter
@@ -685,8 +699,9 @@ let invalidate (olds : entry list) (news : entry array) : bool array =
   Array.iteri
     (fun i e ->
       match Hashtbl.find_opt old_at e.en_key with
-      | None -> mark i
-      | Some (_, o) -> if o.en_hash <> e.en_hash || not o.en_ok then mark i)
+      | None -> mark_seed i
+      | Some (_, o) ->
+          if o.en_hash <> e.en_hash || not o.en_ok then mark_seed i)
     news;
   List.iter (fun o -> if not (Hashtbl.mem new_at o.en_key) then taint o) olds;
   (* a scope flip needs two surviving entries to swap, so compare scopes
@@ -701,12 +716,14 @@ let invalidate (olds : entry list) (news : entry array) : bool array =
       | None -> ())
     news;
   if !reordered then begin
+    (* name → (position, key) of its first old declarer or provider *)
     let first_old = Hashtbl.create 256 in
     List.iteri
       (fun j o ->
         List.iter
           (fun x ->
-            if not (Hashtbl.mem first_old x) then Hashtbl.replace first_old x j)
+            if not (Hashtbl.mem first_old x) then
+              Hashtbl.replace first_old x (j, o.en_key))
           (o.en_names @ Ext.world_names o.en_decl))
       olds;
     Array.iteri
@@ -716,13 +733,17 @@ let invalidate (olds : entry list) (news : entry array) : bool array =
             let flipped r =
               let was =
                 match Hashtbl.find_opt first_old r with
-                | Some f -> f < j
-                | None -> false
+                | Some (f, k) when f < j -> Some k
+                | _ -> None
               in
-              let is = match scope r with f :: _ -> f < i | [] -> false in
+              let is =
+                match scope r with
+                | f :: _ when f < i -> Some news.(f).en_key
+                | _ -> None
+              in
               was <> is
             in
-            if List.exists flipped e.en_refs then mark i
+            if List.exists flipped e.en_refs then mark_seed i
         | None -> ())
       news
   end;
@@ -732,16 +753,16 @@ let invalidate (olds : entry list) (news : entry array) : bool array =
     List.iter
       (fun r ->
         match scope r with
-        | f :: _ as ds when f > i -> List.iter mark ds
+        | f :: _ as ds when f > i -> List.iter mark_seed ds
         | _ -> ())
       news.(i).en_refs
   done;
-  invalid
+  (invalid, seed)
 
-(** {!invalidate} as a key set. *)
+(** The candidates of {!invalidate} as a key set. *)
 let invalid_keys (olds : entry list) (news : entry list) : SS.t =
   let news = Array.of_list news in
-  let invalid = invalidate olds news in
+  let invalid, _ = invalidate olds news in
   let keys = ref SS.empty in
   Array.iteri
     (fun i e -> if invalid.(i) then keys := SS.add e.en_key !keys)
@@ -750,21 +771,23 @@ let invalid_keys (olds : entry list) (news : entry list) : SS.t =
 
 (* --- whole-signature analysis caching ------------------------------------- *)
 
-let cache_sig (entries : entry list) : (string * int * bool) list =
-  List.map (fun e -> (e.en_key, e.en_hash, e.en_ok)) entries
+let cache_sig (entries : entry list) : (string * int * bool * Loc.t) list =
+  List.map
+    (fun e -> (e.en_key, e.en_hash, e.en_ok, Ext.decl_loc e.en_decl))
+    entries
 
 (** Run [analyze] (a whole-signature analysis reporting through [sink])
-    under the session's per-declaration content-hash cache for [name].
-    On a hit — every declaration's (key, content hash, check verdict)
+    under the session's per-declaration cache for [name].  On a hit —
+    every declaration's (key, content hash, check verdict, location)
     unchanged since the cached run — the cached findings are replayed
     into [sink] and the cached result returned without re-running the
-    analysis, so a warm reply is indistinguishable from a cold one.  On a miss the
-    analysis re-runs over the whole signature (the passes are signature
-    folds, not per-declaration ones); the reported [rechecked] counts the
-    declarations some session check has processed since the cached run
-    (stamped later than it) — the union of those checks' invalidation
-    closures, so the declarations whose findings could actually have
-    changed — and [reused] the rest, mirroring the [check] method's
+    analysis, so a warm reply is indistinguishable from a cold one.  On a
+    miss the analysis re-runs over the whole signature (the passes are
+    signature folds, not per-declaration ones); the reported [rechecked]
+    counts the declarations some session check has re-checked since the
+    cached run (stamped later than it) — the union of what those checks
+    re-checked, a measure of the edits in between, not of the analysis's
+    own work — and [reused] the rest, mirroring the [check] method's
     accounting.  With no cached run every declaration counts. *)
 let with_analysis_cache (ses : session) (sink : Diagnostics.sink)
     (name : string) (analyze : unit -> J.t) : J.t * int * int =
@@ -824,33 +847,44 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
   let stamp = ses.ss_checks in
   let olds = ses.ss_entries in
   let news = Array.of_list (entries_of src rp) in
-  let invalid = invalidate olds news in
+  let candidate, seed = invalidate olds news in
   let new_at = Hashtbl.create 64 in
   Array.iteri (fun i e -> Hashtbl.replace new_at e.en_key i) news;
-  (* retract everything that is gone or about to be re-processed *)
+  (* retire everything that is gone or a candidate: the walk below puts
+     back, or re-binds to its old id, whatever keeps its meaning *)
   let old_by_key = Hashtbl.create 64 in
   List.iter
     (fun o ->
       Hashtbl.replace old_by_key o.en_key o;
       match Hashtbl.find_opt new_at o.en_key with
-      | Some i when not invalid.(i) -> ()
-      | _ -> Sign.retract_names sg o.en_names)
+      | Some i when not candidate.(i) -> ()
+      | _ -> Sign.retire sg o.en_names)
     olds;
+  (* world lookup and the modes analysis read schemas and functions in
+     source order *)
+  Array.iteri
+    (fun i e ->
+      match e.en_decl with
+      | Ext.Dschema _ | Ext.Drec _ ->
+          List.iter (fun n -> Sign.set_rank sg n i) e.en_names
+      | _ -> ())
+    news;
   let rechecked = ref 0 and reused = ref 0 in
   let deadline_hit = ref false in
   (* the sink's error cap can abort the loop below mid-way (Stop from
-     [Diagnostics.emit]) — but the old entries are already retracted and
+     [Diagnostics.emit]) — but the old entries are already retired and
      [ss_text] updated, so [news] must be committed regardless.
-     Pre-mark every to-re-check entry failed and stamped with this check
-     (the loop overwrites the verdict when it actually processes one) and
-     commit in a [finally]: entries the abort skipped then re-check on
-     the next request instead of being reused as stale successes over an
-     older text.  A reused (non-invalid) entry always has an old entry
-     under its key, whose verdict and stamp it carries over — and whose
-     recorded locations it refreshes when its text moved. *)
+     Pre-mark every candidate failed and stamped with this check (the
+     loop overwrites the verdict when it actually processes one) and
+     commit in a [finally], after {!Sign.settle} retracts whatever is
+     still retired: candidates the abort skipped then re-check on the
+     next request instead of being reused as stale successes over an
+     older text.  A reused entry always has an old entry under its key,
+     whose verdict and stamp it carries over — and whose recorded
+     locations it refreshes when its text moved. *)
   Array.iteri
     (fun i e ->
-      if invalid.(i) then begin
+      if candidate.(i) then begin
         e.en_ok <- false;
         e.en_stamp <- stamp
       end
@@ -864,26 +898,43 @@ let check_in_session (sink : Diagnostics.sink) (ses : session)
         then Process.record_locs sg e.en_decl
       end)
     news;
+  (* early cutoff: a candidate that is no seed, and none of whose
+     mentioned names changed meaning, reads exactly what it read before *)
+  let unaffected e =
+    Sign.restorable sg e.en_names
+    && not
+         (List.exists
+            (fun r -> (not (List.mem r e.en_names)) && Sign.changed sg r)
+            e.en_refs)
+  in
   Fun.protect
-    ~finally:(fun () -> ses.ss_entries <- Array.to_list news)
+    ~finally:(fun () ->
+      Sign.settle sg;
+      ses.ss_entries <- Array.to_list news)
     (fun () ->
       Array.iteri
         (fun i e ->
-          if invalid.(i) then
-            if !deadline_hit || Limits.expired () then begin
-              (* out of time: leave the rest unchecked-but-marked-failed
-                 so the next request re-checks them; poison their names
-                 so survivors that reference them degrade gracefully *)
-              deadline_hit := true;
-              List.iter (Sign.poison sg) e.en_names
-            end
-            else begin
-              incr rechecked;
-              Process.process_decl_tolerant sink sg e.en_decl;
-              e.en_ok <-
-                not (List.exists (Sign.is_poisoned sg) e.en_names)
-            end
-          else incr reused)
+          if not candidate.(i) then incr reused
+          else if !deadline_hit || Limits.expired () then begin
+            (* out of time: leave the rest unchecked-but-marked-failed
+               so the next request re-checks them; poison their names
+               so survivors that reference them degrade gracefully *)
+            deadline_hit := true;
+            List.iter (Sign.poison sg) e.en_names
+          end
+          else if (not seed.(i)) && unaffected e then begin
+            let o = Hashtbl.find old_by_key e.en_key in
+            Sign.restore sg e.en_names;
+            Process.record_locs sg e.en_decl;
+            e.en_ok <- o.en_ok;
+            e.en_stamp <- o.en_stamp;
+            incr reused
+          end
+          else begin
+            incr rechecked;
+            Process.process_decl_tolerant sink sg e.en_decl;
+            e.en_ok <- not (List.exists (Sign.is_poisoned sg) e.en_names)
+          end)
         news);
   let result =
     J.Obj

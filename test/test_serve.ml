@@ -84,12 +84,14 @@ let incremental_tests =
         let r = round t (request ~source:(src3 nat') 2) in
         Alcotest.(check string) "status" "ok" (str_field "status" r);
         Alcotest.(check int) "exit" 0 (int_field "exit_code" r);
-        (* nat (edited) and vec (references nat); exp is untouched *)
-        Alcotest.(check int) "rechecked" 2 (tele_field "rechecked" r);
-        Alcotest.(check int) "reused" 1 (tele_field "reused" r);
+        (* nat (edited); vec references nat, but nat, z and s keep their
+           kinds and types, so vec reads what it read before; exp is
+           untouched *)
+        Alcotest.(check int) "rechecked" 1 (tele_field "rechecked" r);
+        Alcotest.(check int) "reused" 2 (tele_field "reused" r);
         (* the telemetry decl spans are the ground truth: exactly the
            re-checked declarations went through the checking pipeline *)
-        Alcotest.(check int) "decl spans" 2 (tele_field "decl_spans" r));
+        Alcotest.(check int) "decl spans" 1 (tele_field "decl_spans" r));
     test "an erroneous declaration recovers fully once fixed" (fun () ->
         let t = Serve.create () in
         let broken = "LF vec : type =\n| cons : natt -> vec -> vec;" in
@@ -405,12 +407,13 @@ let observability_tests =
         Alcotest.(check int) "same exit code" (int_field "exit_code" l1)
           (int_field "exit_code" l2);
         (* a nat edit dirties the cache; the reported recheck count is
-           the invalidation closure (nat + vec), not the whole file *)
+           what the check re-checked (nat: vec reads nothing new), not
+           the whole file *)
         ignore (round t (request ~source:(src3 nat') 4));
         let l3 = round t (request ~meth:"lint" 5) in
-        Alcotest.(check int) "edited lint re-analyzes the closure" 2
+        Alcotest.(check int) "edited lint re-analyzes the re-checked" 1
           (tele_field "rechecked" l3);
-        Alcotest.(check int) "the rest reused" 1 (tele_field "reused" l3));
+        Alcotest.(check int) "the rest reused" 2 (tele_field "reused" l3));
     test "warm total replies replay the cached analysis" (fun () ->
         let t = Serve.create () in
         ignore (round t (request ~source:(src3 nat) 1));
@@ -596,18 +599,17 @@ let health_gauge_tests =
 
 (* --- query accounting from check stamps ---------------------------------- *)
 
-(** Check [src] on session ["s"] and return the invalidation closure the
-    check processes: [invalid_keys] of the session's entries and [src]'s. *)
+(** Check [src] on session ["s"] and return the keys the check actually
+    re-checked: the entries it stamped. *)
 let check_closure t id src =
-  let ses = Serve.find_session t "s" in
-  let closure =
-    let decls =
-      Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>" src
-    in
-    Serve.invalid_keys ses.Serve.ss_entries (Serve.entry_list src decls)
-  in
   ignore (round t (request ~source:src id));
-  closure
+  let ses = Serve.find_session t "s" in
+  List.fold_left
+    (fun keys e ->
+      if e.Serve.en_stamp = ses.Serve.ss_checks then
+        Serve.SS.add e.Serve.en_key keys
+      else keys)
+    Serve.SS.empty ses.Serve.ss_entries
 
 let exp' =
   "LF exp : type =\n| lam : (exp -> exp) -> exp\n| app : exp -> exp -> exp\n\
@@ -652,9 +654,10 @@ let stamp_tests =
               n)
             steps
         in
-        (* edit: nat + vec; insert: bool; delete: vec (now failing);
-           re-insert: nat + vec; failing edit: vec; fix: vec *)
-        Alcotest.(check (list int)) "closure sizes" [ 2; 1; 1; 2; 1; 1 ] sizes);
+        (* edit: nat (vec reads nothing new); insert: bool; delete: vec
+           (now failing); re-insert: nat + the failed vec; failing edit:
+           vec; fix: vec *)
+        Alcotest.(check (list int)) "closure sizes" [ 1; 1; 1; 2; 1; 1 ] sizes);
     test "after two edits, a query counts the union of both closures"
       (fun () ->
         let t = Serve.create () in
@@ -668,7 +671,7 @@ let stamp_tests =
         Alcotest.(check int) "union of the closures"
           (Serve.SS.cardinal (Serve.SS.union c1 c2))
           (tele_field "rechecked" q);
-        Alcotest.(check int) "nat, vec and exp" 3 (tele_field "rechecked" q);
+        Alcotest.(check int) "nat and exp" 2 (tele_field "rechecked" q);
         (* the deliberate difference from a net diff against the cached
            entries: when a later check reverts an earlier edit, the
            stamps still count what both checks processed *)
@@ -685,7 +688,7 @@ let stamp_tests =
         (* nat is back to its cached text, so only exp differs *)
         Alcotest.(check (list string)) "the net diff is exp alone"
           [ "exp#0" ] (Serve.SS.elements net);
-        Alcotest.(check int) "the stamps count nat, vec and exp" 3
+        Alcotest.(check int) "the stamps count nat and exp" 2
           (tele_field "rechecked" q));
     test "a declaration failing in every check is counted on every miss"
       (fun () ->
@@ -906,7 +909,9 @@ let splice_tests =
             (fun f -> (f, Option.get (Sign.csort warm ~const:s ~family:f)))
             [ srt warm "even"; srt warm "odd" ]
         in
-        Sign.retract_name warm "s";
+        (* a retire pass in which s does not come back *)
+        Sign.retire warm [ "s" ];
+        Sign.settle warm;
         List.iter
           (fun (f, _) ->
             Alcotest.(check bool) "no sort left" true
@@ -941,6 +946,224 @@ let splice_tests =
         in
         Alcotest.(check bool) "same sorts and members as fresh" true
           (view fresh = view warm));
+  ]
+
+(* --- early cutoff: re-check only what reads a changed meaning ------------ *)
+
+(** Check [src] on [t] and on a fresh server: the replies must agree on
+    the exit code, the diagnostics with their locations, the summary and
+    the failed count.  Returns the warm reply. *)
+let check_as_fresh t id src =
+  let warm = round t (request ~source:src id) in
+  let fresh = fresh_reply src in
+  Alcotest.(check int) "exit as fresh" (int_field "exit_code" fresh)
+    (int_field "exit_code" warm);
+  Alcotest.(check (list (pair string string))) "diagnostics as fresh"
+    (diag_locs fresh) (diag_locs warm);
+  Alcotest.(check bool) "result as fresh" true
+    (J.member "result" warm = J.member "result" fresh);
+  warm
+
+(** A development whose users read [nat], [le] and [pos] in every way a
+    check can: by a constructor, by a family, by a function's sort, and
+    through a function's sort alone ([h] reaches [pos] only through [g]). *)
+let cutoff_src ?(le_z = "le z N") ?(le_s = "le N M -> le (s N) (s M)")
+    ?(pos = "nat -> pos") ?(pred_body = "[ |- N]")
+    ?(pred_sort = "[ |- pos] -> [ |- nat]") ?(nat = nat) () =
+  lines
+    [
+      nat;
+      Printf.sprintf "LF le : nat -> nat -> type =\n| le-z : %s\n| le-s : %s;"
+        le_z le_s;
+      "LF zle : type =\n| zle-c : le z z -> zle;";
+      "rec lz : [ |- le z z] = [ |- le-z z];";
+      "rec l1 : [ |- le (s z) (s z)] = [ |- le-s z z (le-z z)];";
+      Printf.sprintf "LFR pos <| nat : sort =\n| s : %s;" pos;
+      "rec g : [ |- pos] -> [ |- pos] = fn x => x;";
+      "rec h : [ |- nat] = case g [ |- s z] of\n\
+       | {N : [ |- nat]}\n\
+      \  [ |- s N] => [ |- N];";
+      Printf.sprintf
+        "rec pred : %s =\n\
+         fn d => case d of\n\
+         | {N : [ |- nat]}\n\
+        \  [ |- s N] => %s;"
+        pred_sort pred_body;
+      "rec pp : [ |- pos] -> [ |- nat] = fn d => pred d;";
+    ]
+
+(** Check [cutoff_src ()], then [edited]; the edit's re-check count. *)
+let cutoff_rechecks edited =
+  let t = Serve.create () in
+  let r0 = round t (request ~source:(cutoff_src ()) 1) in
+  Alcotest.(check int) "the development checks" 0 (int_field "exit_code" r0);
+  (t, tele_field "rechecked" (check_as_fresh t 2 edited))
+
+(** [n] families in a chain: family [i]'s constructor takes family
+    [i - 1]; family 0 has the kind [kind0] and, with [extra], a second
+    constructor. *)
+let chain ?(kind0 = "type") ?(extra = false) n =
+  String.concat ""
+    (List.init n (fun i ->
+         if i = 0 then
+           Printf.sprintf "LF f0 : %s =\n| c0 : f0%s;\n\n" kind0
+             (if extra then "\n| e0 : f0" else "")
+         else
+           Printf.sprintf "LF f%d : type =\n| c%d : f%d -> f%d;\n\n" i i
+             (i - 1) i))
+
+let cutoff_tests =
+  [
+    test "adding a constructor re-checks the family alone" (fun () ->
+        let _, n =
+          cutoff_rechecks
+            (cutoff_src ~nat:nat' ())
+        in
+        Alcotest.(check int) "rechecked nat" 1 n);
+    test "changing a constructor's type re-checks its users" (fun () ->
+        let _, n = cutoff_rechecks (cutoff_src ~le_z:"le N N" ()) in
+        (* le, and lz and l1, which mention le-z; zle mentions le alone *)
+        Alcotest.(check int) "rechecked le, lz and l1" 3 n);
+    test "changing a constructor's implicit count re-checks its users"
+      (fun () ->
+        let _, n = cutoff_rechecks (cutoff_src ~le_z:"{N : nat} le z N" ()) in
+        Alcotest.(check int) "rechecked le, lz and l1" 3 n);
+    test "renaming a binder re-checks nothing else" (fun () ->
+        let _, n =
+          cutoff_rechecks (cutoff_src ~le_s:"le N2 M -> le (s N2) (s M)" ())
+        in
+        Alcotest.(check int) "rechecked le" 1 n);
+    test "a function body edit leaves its callers alone" (fun () ->
+        let _, n = cutoff_rechecks (cutoff_src ~pred_body:"[ |- s N]" ()) in
+        Alcotest.(check int) "rechecked pred" 1 n);
+    test "a function sort edit re-checks its callers" (fun () ->
+        let _, n =
+          cutoff_rechecks (cutoff_src ~pred_sort:"[ |- nat] -> [ |- nat]" ())
+        in
+        Alcotest.(check int) "rechecked pred and pp" 2 n);
+    test "a refinement keeps its sort assignments through its family's \
+          re-check" (fun () ->
+        let edited =
+          cutoff_src ~nat:nat' ()
+        in
+        let t, n = cutoff_rechecks edited in
+        Alcotest.(check int) "rechecked nat" 1 n;
+        List.iteri
+          (fun i meth ->
+            let warm = round t (request ~meth (10 + i)) in
+            let fresh = fresh_reply ~meth edited in
+            let sorted j = List.sort compare (diag_locs j) in
+            Alcotest.(check (list (pair string string)))
+              (meth ^ ": findings as fresh") (sorted fresh) (sorted warm);
+            Alcotest.(check int) (meth ^ ": exit as fresh")
+              (int_field "exit_code" fresh) (int_field "exit_code" warm))
+          [ "lint"; "total" ]);
+    test "a changed sort assignment re-checks what reaches the sort" (fun () ->
+        (* h mentions neither pos nor anything re-bound to a new id: it
+           reaches pos through g's sort, which keeps its id *)
+        let _, n = cutoff_rechecks (cutoff_src ~pos:"pos -> pos" ()) in
+        (* pos, g and pred mention pos; pp calls the failing pred; h now
+           fails as it does fresh (E0201: z has no sort in pos) *)
+        Alcotest.(check int) "pos, g, h, pred and pp" 5 n);
+    test "a new name re-checks the declarations that mention it" (fun () ->
+        (* le's implicit N now resolves to the family N *)
+        let t = Serve.create () in
+        ignore (round t (request ~source:(cutoff_src ()) 1));
+        let r =
+          check_as_fresh t 2 ("LF N : type;\n\n" ^ cutoff_src ())
+        in
+        Alcotest.(check int) "exit 1" 1 (int_field "exit_code" r));
+    test "a failing duplicate poisons a name its original put back" (fun () ->
+        let d = "LF d : type;" in
+        let user u = Printf.sprintf "LF %s : type =\n| %sc : d -> %s;" u u u in
+        let t = Serve.create () in
+        let before = lines [ nat; d; user "u1"; user "u2" ] in
+        ignore (round t (request ~source:before 1));
+        let r =
+          check_as_fresh t 2 (lines [ nat; d; user "u1"; d; user "u2" ])
+        in
+        Alcotest.(check int) "exit 1" 1 (int_field "exit_code" r);
+        (* the duplicate, and u2, which reads the poisoned d; the original
+           d and u1, before the duplicate, are put back *)
+        Alcotest.(check int) "rechecked the duplicate and u2" 2
+          (tele_field "rechecked" r);
+        ignore (check_as_fresh t 3 before));
+    test "a deadline cutting the walk short leaves a consistent session"
+      (fun () ->
+        let t = Serve.create () in
+        ignore (round t (request ~source:(cutoff_src ()) 1));
+        let edited = cutoff_src ~le_z:"le N N" () in
+        let r = round t (request ~deadline_ms:0 ~source:edited 2) in
+        Alcotest.(check string) "degraded" "degraded" (str_field "status" r);
+        Alcotest.(check bool) "E0903" true (List.mem "E0903" (codes r));
+        ignore (check_as_fresh t 3 edited);
+        ignore (check_as_fresh t 4 (cutoff_src ()));
+        (* a deadline that passes somewhere inside a long walk *)
+        let t = Serve.create ~max_errors:0 () in
+        ignore (round t (request ~source:(chain 300) 5));
+        let r =
+          round t
+            (request ~deadline_ms:1
+               ~source:(chain ~kind0:"nat -> type" 300)
+               6)
+        in
+        Alcotest.(check bool) "ok or degraded" true
+          (List.mem (str_field "status" r) [ "ok"; "degraded" ]);
+        ignore (check_as_fresh t 7 (chain ~kind0:"nat -> type" 300));
+        ignore (check_as_fresh t 8 (chain 300)));
+    test "warm analyses replay the locations of moved declarations" (fun () ->
+        let nat = "LF nat : type =\n| z : nat\n| s : nat -> nat;\n\n" in
+        let pred =
+          "rec pred : [ |- nat] -> [ |- nat] =\n\
+           fn d => case d of\n\
+           | {N : [ |- nat]}\n\
+          \  [ |- s N] => [ |- N];\n"
+        in
+        let src = nat ^ pred in
+        let moved = "% a header comment\n" ^ src in
+        let t = Serve.create () in
+        ignore (round t (request ~source:src 1));
+        ignore (round t (request ~meth:"total" 2));
+        (* the comment is in no declaration's slice: every hash stays *)
+        let r = round t (request ~source:moved 3) in
+        Alcotest.(check int) "nothing re-checked" 0 (tele_field "rechecked" r);
+        let warm = round t (request ~meth:"total" 4) in
+        let fresh = fresh_reply ~meth:"total" moved in
+        Alcotest.(check (list (pair string string))) "findings as fresh"
+          (diag_locs fresh) (diag_locs warm);
+        Alcotest.(check bool) "W0711 on its moved line" true
+          (List.mem ("W0711", "<serve>:6.4-8") (diag_locs warm)));
+    test "a world resolves to its first schema in source order" (fun () ->
+        let a g1 =
+          lines
+            [
+              "LF tm : type =\n| c : tm;";
+              "schema g1 = " ^ g1 ^ ";";
+              "schema g2 = | w : block (x : tm, y : tm);";
+              "rec f : (Psi : g1) [Psi, b : w |- tm] =\n\
+               mlam Psi => [Psi, b : w |- b.2];";
+            ]
+        in
+        let t = Serve.create () in
+        ignore (check_as_fresh t 1 (a "| w : block (x : tm)"));
+        (* g1 re-checks under a new id, above g2's: the world w must still
+           be g1's, whose block has no second field *)
+        let r =
+          check_as_fresh t 2
+            (a "| w : block (x : tm) | v : block (z : tm, q : tm, r : tm)")
+        in
+        Alcotest.(check int) "exit 1" 1 (int_field "exit_code" r);
+        Alcotest.(check (list string)) "E0201" [ "E0201" ] (codes r));
+    test "a 300-family chain re-checks the edit's meaning, not its names"
+      (fun () ->
+        let t = Serve.create ~max_errors:0 () in
+        ignore (round t (request ~source:(chain 300) 1));
+        let r = round t (request ~source:(chain ~extra:true 300) 2) in
+        Alcotest.(check int) "a new constructor: the family alone" 1
+          (tele_field "rechecked" r);
+        let r = round t (request ~source:(chain ~kind0:"f0 -> type" 300) 3) in
+        Alcotest.(check int) "a new kind: every family" 300
+          (tele_field "rechecked" r));
   ]
 
 (* --- the incremental engine against a fresh session, over edit sequences -- *)
@@ -985,6 +1208,8 @@ type edit =
   | Fix  (** remove the broken declarations *)
   | Join of int  (** the next declaration starts on this one's last line *)
   | Split of int  (** a comment between keyword and name *)
+  | Reformat of int
+      (** whitespace inside a declaration: a new hash, the same payload *)
 
 let show_edit = function
   | Insert (i, k) -> Printf.sprintf "insert q%d at %d" k i
@@ -999,6 +1224,7 @@ let show_edit = function
   | Fix -> "fix"
   | Join i -> Printf.sprintf "join %d" i
   | Split i -> Printf.sprintf "split %d" i
+  | Reformat i -> Printf.sprintf "reformat %d" i
 
 let broken = "LF oops : = ;\n"
 
@@ -1012,6 +1238,17 @@ let after_first_line s ins =
       String.sub s 0 (i + 1) ^ ins
       ^ String.sub s (i + 1) (String.length s - i - 1)
   | None -> s ^ ins
+
+(** [s] with a blank doubled before its first [" : "], if any. *)
+let widen_colon s =
+  let n = String.length s in
+  let rec find i =
+    if i + 3 > n then s
+    else if String.sub s i 3 = " : " then
+      String.sub s 0 i ^ " " ^ String.sub s i (n - i)
+    else find (i + 1)
+  in
+  find 0
 
 (** [c] with its first one-line constructor (one followed by another)
     copied under a new name. *)
@@ -1082,6 +1319,7 @@ let apply (step : int) (cs : string list) (e : edit) : string list =
             if has_prefix "LF " c then
               "LF " ^ comment "kw" ^ String.sub c 3 (String.length c - 3)
             else c)
+    | Reformat i -> map_at i widen_colon
 
 let edit_gen =
   QCheck.Gen.(
@@ -1100,6 +1338,7 @@ let edit_gen =
         (1, return Fix);
         (1, map (fun i -> Join i) pos);
         (1, map (fun i -> Split i) pos);
+        (2, map (fun i -> Reformat i) pos);
       ])
 
 let session_gen =
@@ -1151,8 +1390,10 @@ let beyond_reference olds news =
 
 (** Check a development on a warm session, then put it through [edits]:
     after each, the session's declarations are a full parse of the text
-    (locations included), its reply matches a fresh session's, and its
-    invalidation closure stays inside the reference's. *)
+    (locations included), its reply and its [lint]/[total]/[worlds]/
+    [modes] replies match a fresh session's (findings as multisets of
+    code and location, and exit codes), and its invalidation closure
+    stays inside the reference's. *)
 let warm_equals_fresh (dev, edits) =
   let t = Serve.create () in
   let cs = ref (chunks (List.nth (Lazy.force developments) dev)) in
@@ -1179,7 +1420,8 @@ let warm_equals_fresh (dev, edits) =
       in
       let invalid = Serve.invalid_keys olds news in
       let warm = round t (request ~source:src (step + 1)) in
-      let fresh = fresh_reply src in
+      let ft = Serve.create () in
+      let fresh = round ft (request ~source:src 1) in
       let entries = (Serve.find_session t "s").Serve.ss_entries in
       let summary e = (e.Serve.en_key, e.Serve.en_hash, e.Serve.en_refs) in
       if List.map (fun e -> e.Serve.en_decl) entries <> full then
@@ -1195,6 +1437,22 @@ let warm_equals_fresh (dev, edits) =
                 (Option.get (J.member "result" fresh))));
       if int_field "exit_code" warm <> int_field "exit_code" fresh then
         fail "exit code differs";
+      List.iteri
+        (fun k meth ->
+          let w = round t (request ~meth (100 * (step + 1) + k)) in
+          let f = round ft (request ~meth (2 + k)) in
+          let sorted j = List.sort compare (diag_locs j) in
+          let show j =
+            String.concat " "
+              (List.map (fun (code, loc) -> code ^ "@" ^ loc) (sorted j))
+          in
+          if sorted w <> sorted f then
+            fail
+              (Printf.sprintf "%s findings differ: warm %s, fresh %s" meth
+                 (show w) (show f));
+          if int_field "exit_code" w <> int_field "exit_code" f then
+            fail (meth ^ ": exit code differs"))
+        [ "lint"; "total"; "worlds"; "modes" ];
       if
         (not (beyond_reference olds news))
         && not (Serve.SS.subset invalid reference)
@@ -1206,6 +1464,13 @@ let warm_equals_fresh (dev, edits) =
     edits;
   true
 
+(** Edit sequences the property once failed on, kept as fixtures: a
+    swap re-checked [strengthen] under a new id, and [modes] reported its
+    once-per-family W0732 at the first function by id, not in source
+    order. *)
+let failing_sessions =
+  [ (3, [ Insert (21, 1); Ctor 15; Insert (40, 1); Delete 37; Swap (12, 22) ]) ]
+
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1216,6 +1481,10 @@ let property_tests =
         (QCheck.make ~print:show_session session_gen)
         warm_equals_fresh;
     ]
+  @ [
+      test "edit sequences the property once failed on" (fun () ->
+          List.iter (fun s -> ignore (warm_equals_fresh s)) failing_sessions);
+    ]
 
 let suites =
   [
@@ -1225,5 +1494,6 @@ let suites =
     ("serve health gauges", health_gauge_tests);
     ("serve stamp accounting", stamp_tests);
     ("serve splice", splice_tests);
+    ("serve cutoff", cutoff_tests);
     ("serve properties", property_tests);
   ]
