@@ -16,9 +16,6 @@
           spine-append micro-benchmark (the store-off rows are frozen in
           [BENCH_pr4.json])
     - E8  warm vs cold re-check in the belr serve engine (PR 6)
-    - E9  observability overhead: baseline vs fully instrumented warm
-          serve (metrics registry + structured log),
-          with the production serve.check latency quantiles (PR 7)
     - E10 lazy whnf normalization (PR 9): cold-path sort checking,
           weak-head queries on delayed closures, telescope checking, and
           running [ceq] on deep [deq] derivation chains (the eager-kernel
@@ -546,137 +543,6 @@ let e8 () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* E9 — observability overhead on the warm serve path (PR 7)           *)
-
-(** The acceptance gate of DESIGN.md §S24: full production observability
-    (metrics registry on, structured Info log to /dev/null; the gauges
-    are sampled only when read) must cost < 2% on the warm incremental
-    re-check path that E8 measures.  Two long-lived servers run the same
-    one-edit workload; the closures toggle the global instrumentation
-    so each measured request runs fully baseline or fully instrumented.
-    The instrumented rounds also populate the [serve.check] latency
-    histogram, whose p50/p99 go into the report — the same numbers the
-    [metrics] method serves in production. *)
-let e9 () =
-  let module M = Belr_support.Metrics in
-  let module L = Belr_support.Log in
-  let n = 80 in
-  Fmt.pr
-    "@.== E9: observability overhead — baseline vs instrumented warm \
-     serve@.   (%d-decl chained signature, one edited declaration per \
-     request) ==@."
-    n;
-  let variants = [| e8_chain n; e8_chain ~variant:1 n |] in
-  (* Serve.create turns the registry on; warm both servers, then let
-     each closure pick the instrumentation state it measures. *)
-  let base_server = Belr_parser.Serve.create () in
-  let instr_server = Belr_parser.Serve.create () in
-  e8_round base_server (e8_request ~id:0 variants.(0));
-  e8_round instr_server (e8_request ~id:0 variants.(0));
-  let devnull = open_out "/dev/null" in
-  let base_flip = ref 0 and instr_flip = ref 0 in
-  (* steady-state warm-up: drive both servers through the same edit
-     stream so memo tables and the major heap reach their resting size
-     before either label is measured *)
-  for _ = 1 to 50 do
-    M.set_enabled false;
-    L.set_output None;
-    base_flip := 1 - !base_flip;
-    e8_round base_server (e8_request ~id:1 variants.(!base_flip));
-    M.set_enabled true;
-    L.set_output (Some devnull);
-    instr_flip := 1 - !instr_flip;
-    e8_round instr_server (e8_request ~id:2 variants.(!instr_flip))
-  done;
-  (* The labels share the process heap and allocator state, so
-     measuring one label's whole quota before the other (as the
-     bechamel harness does) hands the later label a warmer world —
-     observed as a spurious ±10% either way.  Instead, interleave:
-     each round times one baseline and one instrumented request
-     back-to-back, alternating which goes first, and the label summary
-     is the per-round median — drift cancels pairwise.  Medians, not
-     means: a major-GC slice lands on whichever request is running and
-     would otherwise dominate the comparison. *)
-  let rounds = if fast then 500 else 2500 in
-  let base_ns = Array.make rounds 0. in
-  let instr_ns = Array.make rounds 0. in
-  let time_one f =
-    let t0 = Belr_support.Limits.now_ns () in
-    f ();
-    Int64.to_float (Int64.sub (Belr_support.Limits.now_ns ()) t0)
-  in
-  let one_baseline () =
-    M.set_enabled false;
-    L.set_output None;
-    base_flip := 1 - !base_flip;
-    time_one (fun () ->
-        e8_round base_server (e8_request ~id:1 variants.(!base_flip)))
-  in
-  let one_instrumented () =
-    M.set_enabled true;
-    L.set_output (Some devnull);
-    instr_flip := 1 - !instr_flip;
-    time_one (fun () ->
-        e8_round instr_server (e8_request ~id:2 variants.(!instr_flip)))
-  in
-  for k = 0 to rounds - 1 do
-    if k land 1 = 0 then begin
-      base_ns.(k) <- one_baseline ();
-      instr_ns.(k) <- one_instrumented ()
-    end
-    else begin
-      instr_ns.(k) <- one_instrumented ();
-      base_ns.(k) <- one_baseline ()
-    end
-  done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let rows =
-    [
-      (Fmt.str "e9/baseline/%d-decls" n, median base_ns);
-      (Fmt.str "e9/instrumented/%d-decls" n, median instr_ns);
-    ]
-  in
-  let rows =
-    print_results
-      (Fmt.str
-         "baseline (registry off, no log) vs instrumented (metrics + \
-          JSON log to /dev/null); per-request medians over %d \
-          interleaved rounds:"
-         rounds)
-      rows
-  in
-  L.set_output None;
-  close_out_noerr devnull;
-  M.set_enabled true;
-  let get lbl =
-    try List.assoc (Fmt.str "e9/%s/%d-decls" lbl n) rows
-    with Not_found -> nan
-  in
-  let overhead = (get "instrumented" /. get "baseline") -. 1.0 in
-  let h = M.histogram "serve.check" in
-  let p50 = M.quantile h 0.5 and p99 = M.quantile h 0.99 in
-  Fmt.pr
-    "  instrumented overhead over baseline = %.2f%% (acceptance \
-     ceiling: 2%%)@.  serve.check latency: p50 <= %a, p99 <= %a (%d \
-     observations)@."
-    (overhead *. 100.) pp_ns (float_of_int p50) pp_ns (float_of_int p99)
-    (M.histogram_count h);
-  record "e9"
-    (J.Obj
-       [
-         ("times_ns", json_rows rows);
-         ("decls", J.Int n);
-         ("overhead_fraction", J.Float overhead);
-         ("serve_check_p50_ns", J.Int p50);
-         ("serve_check_p99_ns", J.Int p99);
-         ("serve_check_count", J.Int (M.histogram_count h));
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* E10 — lazy whnf normalization (PR 9)                                 *)
 
 (** A linear [deq] derivation chain of length [n] over the term [t],
@@ -855,7 +721,6 @@ let () =
   e6 ();
   e7 ();
   e8 ();
-  e9 ();
   e10 ();
   (match json_file with
   | None -> ()

@@ -51,37 +51,20 @@ let write_report sink path json =
 (** Write the Prometheus-style metrics exposition ([--metrics FILE]),
     with the same I/O-failure story as {!write_report}. *)
 let write_metrics sink path =
-  try Metrics.write_exposition path
+  try Telemetry.write_exposition path
   with Sys_error msg ->
     Diagnostics.emit sink
       (Diagnostics.make ~code:"E0701" Diagnostics.Error
          "cannot write metrics %s: %s" path msg)
 
-(** One-line kernel summary for [--kernel-stats].  Reads the always-on
-    integer counters of the term store, the hereditary-substitution memo
-    table, the weak-head normalizer, and the equality fast path — no
-    [--stats] instrumentation required, so the line is accurate even on
-    plain runs. *)
+(** [--kernel-stats]: the telemetry ["store"] section — the always-on
+    counters of the term store, the hereditary-substitution and whnf memo
+    tables, and the equality fast path — printed as [--stats] prints it,
+    so it is accurate even on plain runs without instrumentation. *)
 let print_kernel_stats () =
-  let st = Belr_syntax.Lf.store_stats () in
-  let ms = Belr_lf.Hsub.memo_stats () in
-  let ws = Belr_lf.Whnf.stats () in
-  let ps = Belr_syntax.Equal.phys_stats () in
-  Fmt.epr
-    "kernel: store (live %d, interned %d, dedup hits %d, ratio %.2f); \
-     hsub memo %d hit / %d miss (rate %.2f), mfi skips %d; whnf memo %d \
-     hit / %d miss (rate %.2f), forced %d, eager %d; equal phys-eq %d hit \
-     / %d miss@."
-    st.Belr_syntax.Lf.st_live st.Belr_syntax.Lf.st_interned
-    st.Belr_syntax.Lf.st_dedup_hits
-    (Belr_syntax.Lf.dedup_ratio ())
-    ms.Belr_lf.Hsub.ms_hits ms.Belr_lf.Hsub.ms_misses
-    (Belr_lf.Hsub.memo_hit_rate ())
-    ms.Belr_lf.Hsub.ms_mfi_skips
-    ws.Belr_lf.Whnf.ws_hits ws.Belr_lf.Whnf.ws_misses
-    (Belr_lf.Whnf.hit_rate ())
-    ws.Belr_lf.Whnf.ws_forced ws.Belr_lf.Whnf.ws_eager
-    ps.Belr_syntax.Equal.ps_hits ps.Belr_syntax.Equal.ps_misses
+  Option.iter
+    (fun fields -> Fmt.epr "%a@?" Telemetry.pp_section ("store", fields))
+    (List.assoc_opt "store" (Telemetry.section_reports ()))
 
 let run_serve deadline_ms max_live_nodes max_errors max_depth max_eval_steps
     log_file log_level slow_ms metrics =
@@ -115,7 +98,7 @@ let run_serve deadline_ms max_live_nodes max_errors max_depth max_eval_steps
   | Some path -> (
       (* the exposition reads the gauges: sample them first *)
       Belr_parser.Serve.sample_gauges t;
-      try Metrics.write_exposition path
+      try Telemetry.write_exposition path
       with Sys_error msg ->
         Fmt.epr "belr serve: cannot write metrics %s: %s@." path msg)
   | None -> ());
@@ -268,23 +251,25 @@ let kernel_stats_arg =
     value & flag
     & info [ "kernel-stats" ]
         ~doc:
-          "print a one-line summary of the hash-consing term store \
-           (DESIGN.md S21) on stderr after checking: live/interned node \
-           counts, dedup ratio, hereditary-substitution memo hit rate, \
-           weak-head normalization memo/forcing counters (DESIGN.md \
-           S26), and equality fast-path hits; unlike $(b,--stats) this \
-           reads always-on counters and needs no instrumentation")
+          "print the telemetry store section on stderr after checking, \
+           as $(b,--stats) prints it: live/interned node counts and \
+           dedup ratio of the hash-consing term store (DESIGN.md S21), \
+           hereditary-substitution memo hits, weak-head normalization \
+           memo/forcing counters (DESIGN.md S26), and equality fast-path \
+           hits; unlike $(b,--stats) this reads always-on counters and \
+           needs no instrumentation")
 
 let metrics_arg =
   Arg.(
     value & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "write a Prometheus-style text exposition of the metrics \
-           registry (counters, gauges, latency histograms; all series \
-           carry the belr_ prefix) to $(docv) on exit; the same data is \
-           available as JSON (schema belr-metrics/1) from the serve \
-           $(b,metrics) method")
+          "write a Prometheus-style text exposition of the telemetry \
+           registry (every counter — kernel, analyzer, check and serve — \
+           plus gauges and latency histograms; all series carry the \
+           belr_ prefix) to $(docv) on exit; the same data is available \
+           as JSON (schema belr-metrics/1) from the serve $(b,metrics) \
+           method")
 
 (* --- the pipeline subcommands ------------------------------------------- *)
 
@@ -325,12 +310,13 @@ let common_term =
 let run_analysis ?primary ?json ?metrics analyses files verbose c =
   Limits.set_max_depth c.max_depth;
   Limits.set_eval_fuel c.max_eval_steps;
-  let telemetry = c.stats || c.trace <> None || c.profile <> None in
+  let telemetry =
+    c.stats || c.trace <> None || c.profile <> None || metrics <> None
+  in
   if telemetry then begin
     Telemetry.reset ();
     Telemetry.set_enabled true
   end;
-  if metrics <> None then Metrics.set_enabled true;
   let sink = Diagnostics.sink ~max_errors:c.max_errors ~werror:c.werror () in
   let sg = Belr_parser.Driver.check_files sink files in
   let outcomes = Belr_parser.Driver.run_analyses analyses sink sg in

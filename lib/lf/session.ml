@@ -1,12 +1,13 @@
 (** A session: one isolated checking world.
 
-    The kernel keeps four pieces of ambient mutable state — the
+    The kernel keeps five pieces of ambient mutable state — the
     hash-consing store ({!Belr_syntax.Store.state}), the hereditary
     substitution memo tables ({!Hsub.tables}), the weak-head
-    normalization memo tables ({!Whnf.tables}), and the
+    normalization memo tables ({!Whnf.tables}), the equality fast-path
+    counts ([Belr_syntax.Equal.phys_hits]/[phys_misses]), and the
     {!Belr_support.Limits} depth counters — plus the signature Σ, which
     is already a first-class value ({!Sign.t}).  A [Session.t] packs all
-    five, and {!with_} brackets a computation so that world is installed
+    six, and {!with_} brackets a computation so that world is installed
     for its duration and restored afterwards (exceptions included).
 
     Invariants (DESIGN.md §S23):
@@ -34,6 +35,8 @@ type t = {
   mutable sn_store : Store.state;
   mutable sn_hsub : Hsub.tables;
   mutable sn_whnf : Whnf.tables;
+  mutable sn_phys_hits : int;
+  mutable sn_phys_misses : int;
   sn_limits : Limits.state;
 }
 
@@ -43,14 +46,16 @@ let create () =
     sn_store = Store.fresh_state ();
     sn_hsub = Hsub.fresh_tables ();
     sn_whnf = Whnf.fresh_tables ();
+    sn_phys_hits = 0;
+    sn_phys_misses = 0;
     sn_limits = Limits.fresh_state ();
   }
 
 let sign s = s.sn_sign
 
-(** Run [f] inside session [s]: install its store, memo tables, and limit
-    counters; on the way out (normal or exceptional), save the counters
-    back into [s] and restore the previous world. *)
+(** Run [f] inside session [s]: install its store, memo tables, and
+    equality and limit counters; on the way out (normal or exceptional),
+    save the counters back into [s] and restore the previous world. *)
 let with_ (s : t) (f : unit -> 'a) : 'a =
   let prev_store = Store.current_state () in
   let prev_hsub = Hsub.current_tables () in
@@ -60,10 +65,17 @@ let with_ (s : t) (f : unit -> 'a) : 'a =
   Store.use_state s.sn_store;
   Hsub.use_tables s.sn_hsub;
   Whnf.use_tables s.sn_whnf;
+  let outer_hits = !Equal.phys_hits and outer_misses = !Equal.phys_misses in
+  Equal.phys_hits := s.sn_phys_hits;
+  Equal.phys_misses := s.sn_phys_misses;
   Limits.install s.sn_limits;
   Fun.protect
     ~finally:(fun () ->
       Limits.capture s.sn_limits;
+      s.sn_phys_hits <- !Equal.phys_hits;
+      s.sn_phys_misses <- !Equal.phys_misses;
+      Equal.phys_hits := outer_hits;
+      Equal.phys_misses := outer_misses;
       Store.use_state prev_store;
       Hsub.use_tables prev_hsub;
       Whnf.use_tables prev_whnf;
@@ -78,6 +90,8 @@ let reset (s : t) : unit =
   s.sn_store <- Store.fresh_state ();
   s.sn_hsub <- Hsub.fresh_tables ();
   s.sn_whnf <- Whnf.fresh_tables ();
+  s.sn_phys_hits <- 0;
+  s.sn_phys_misses <- 0;
   Limits.clear_state s.sn_limits
 
 (** Drop the session's kernel caches but keep its signature (the serve

@@ -23,25 +23,25 @@ let read_file (sink : Diagnostics.sink) (path : string) : string option =
             Error.raise_msg "file %s changed while being read" path))
 
 (* Batch-pipeline metrics (one histogram observation and one counter
-   bump per file — negligible next to checking, a flag check when the
-   registry is off): what [belr check --metrics] exposes. *)
+   bump per file — negligible next to checking, a flag check when
+   recording is off): what [belr check --metrics] exposes. *)
 let m_files =
-  Metrics.counter ~help:"source files checked by the batch pipeline"
+  Telemetry.counter ~help:"source files checked by the batch pipeline"
     "check.files"
 
 let m_file_hist =
-  Metrics.histogram ~help:"per-file end-to-end checking latency (ns)"
+  Telemetry.histogram ~help:"per-file end-to-end checking latency (ns)"
     "check.file"
 
 let with_file_metrics : 'a. (unit -> 'a) -> 'a =
  fun f ->
-  if not (Metrics.enabled ()) then f ()
+  if not (Telemetry.enabled ()) then f ()
   else begin
     let t0 = Limits.now_ns () in
     Fun.protect
       ~finally:(fun () ->
-        Metrics.inc m_files;
-        Metrics.observe m_file_hist
+        Telemetry.bump m_files;
+        Telemetry.observe m_file_hist
           (Int64.to_int (Int64.sub (Limits.now_ns ()) t0)))
       f
   end

@@ -54,7 +54,6 @@
     tracks how far the edit's meaning reaches, not the file. *)
 
 open Belr_support
-open Belr_syntax
 open Belr_lf
 module J = Json
 
@@ -128,32 +127,34 @@ type t = {
       (** requests degraded by a deadline or step budget (E0903) *)
 }
 
-(* --- the metrics registry (DESIGN.md §S24) ------------------------------ *)
+(* --- serve metrics (DESIGN.md §S24) -------------------------------------- *)
 
-(* Registered once at module load (the registry is idempotent anyway);
-   recording is a flag check when metrics are off. *)
+(* Registered once at module load in the one Telemetry registry; they
+   record while [handle_line] has recording on. *)
 let m_requests =
-  Metrics.counter ~help:"serve requests handled (all methods)"
+  Telemetry.counter ~help:"serve requests handled (all methods)"
     "serve.requests"
 
 let m_protocol_errors =
-  Metrics.counter ~help:"malformed or rejected serve requests (E0904)"
+  Telemetry.counter ~help:"malformed or rejected serve requests (E0904)"
     "serve.protocol_errors"
 
-let m_replies_ok = Metrics.counter ~help:"replies with status ok" "serve.replies.ok"
+let m_replies_ok =
+  Telemetry.counter ~help:"replies with status ok" "serve.replies.ok"
 
 let m_replies_degraded =
-  Metrics.counter ~help:"replies with status degraded" "serve.replies.degraded"
+  Telemetry.counter ~help:"replies with status degraded"
+    "serve.replies.degraded"
 
 let m_replies_error =
-  Metrics.counter ~help:"replies with status error" "serve.replies.error"
+  Telemetry.counter ~help:"replies with status error" "serve.replies.error"
 
 let m_decls_rechecked =
-  Metrics.counter ~help:"declarations re-checked by the incremental engine"
+  Telemetry.counter ~help:"declarations re-checked by the incremental engine"
     "serve.decls.rechecked"
 
 let m_decls_reused =
-  Metrics.counter ~help:"declarations reused by the incremental engine"
+  Telemetry.counter ~help:"declarations reused by the incremental engine"
     "serve.decls.reused"
 
 (** Every serve method: [check], one per {!Driver.analyses} entry, then
@@ -169,72 +170,76 @@ let expected_methods =
   | [] -> ""
 
 (** Per-method latency histograms; the [serve.check] p50/p99 is the
-    headline number the bench overhead gate (E9) reads back. *)
-let m_method_hist : (string * Metrics.histogram) list =
+    headline latency the [metrics] method serves. *)
+let m_method_hist : (string * Telemetry.histogram) list =
   List.map
     (fun m ->
       ( m,
-        Metrics.histogram
+        Telemetry.histogram
           ~help:(Printf.sprintf "latency of serve %s requests (ns)" m)
           ("serve." ^ m) ))
     methods
 
-let g_sessions = Metrics.gauge ~help:"live serve sessions" "serve.sessions"
+let g_sessions = Telemetry.gauge ~help:"live serve sessions" "serve.sessions"
 
 let g_pressure_resets =
-  Metrics.gauge ~help:"watermark-triggered session store resets"
+  Telemetry.gauge ~help:"watermark-triggered session store resets"
     "serve.pressure_resets"
 
 let g_deadline_overruns =
-  Metrics.gauge ~help:"requests degraded by a deadline or step budget"
+  Telemetry.gauge ~help:"requests degraded by a deadline or step budget"
     "serve.deadline_overruns"
 
-let g_store_live = Metrics.gauge ~help:"live interned store nodes" "store.live"
+(** The integer fields of the telemetry ["store"] section (store,
+    substitution memo, whnf memo, equality fast path) of the installed
+    world, in section order. *)
+let store_ints () : (string * int) list =
+  List.filter_map
+    (fun (field, v) ->
+      match (v : J.t) with J.Int n -> Some (field, n) | _ -> None)
+    (Option.value ~default:[]
+       (List.assoc_opt "store" (Telemetry.section_reports ())))
 
-let g_store_interned =
-  Metrics.gauge ~help:"total interned store nodes" "store.interned"
+(** One [store.<field>] gauge per integer field of the section. *)
+let g_store : (string * Telemetry.gauge) list =
+  List.map
+    (fun (field, _) ->
+      ( field,
+        Telemetry.gauge
+          ~help:
+            (Printf.sprintf "store section %s, summed over live sessions"
+               field)
+          ("store." ^ field) ))
+    (store_ints ())
 
 let g_store_dedup =
-  Metrics.gauge ~help:"store dedup ratio (hits / lookups)" "store.dedup_ratio"
+  Telemetry.gauge ~help:"store dedup ratio (hits / lookups)"
+    "store.dedup_ratio"
 
-let g_whnf_hits =
-  Metrics.gauge ~help:"whnf memo hits" "whnf.memo_hits"
-
-let g_whnf_misses =
-  Metrics.gauge ~help:"whnf memo misses" "whnf.memo_misses"
-
-let g_whnf_forced =
-  Metrics.gauge ~help:"delayed substitutions forced by whnf" "whnf.forced"
-
-let g_whnf_eager =
-  Metrics.gauge ~help:"whnf eager fallbacks to full substitution"
-    "whnf.eager"
-
-let g_gc_heap = Metrics.gauge ~help:"GC heap words" "gc.heap_words"
+let g_gc_heap = Telemetry.gauge ~help:"GC heap words" "gc.heap_words"
 
 let g_gc_top_heap =
-  Metrics.gauge ~help:"GC top heap words (peak)" "gc.top_heap_words"
+  Telemetry.gauge ~help:"GC top heap words (peak)" "gc.top_heap_words"
 
 let g_gc_minor =
-  Metrics.gauge ~help:"GC minor collections" "gc.minor_collections"
+  Telemetry.gauge ~help:"GC minor collections" "gc.minor_collections"
 
 let g_gc_major =
-  Metrics.gauge ~help:"GC major collections" "gc.major_collections"
+  Telemetry.gauge ~help:"GC major collections" "gc.major_collections"
 
 let g_limit_trips =
-  Metrics.gauge ~help:"resource-guard trips (depth/deadline/budget)"
+  Telemetry.gauge ~help:"resource-guard trips (depth/deadline/budget)"
     "limits.trips"
 
 let g_tele_dropped =
-  Metrics.gauge ~help:"telemetry span events dropped by the ring buffer"
+  Telemetry.gauge ~help:"telemetry span events dropped by the ring buffer"
     "telemetry.events_dropped"
 
 let g_log_dropped =
-  Metrics.gauge ~help:"log lines dropped by the rate bound" "log.dropped"
+  Telemetry.gauge ~help:"log lines dropped by the rate bound" "log.dropped"
 
 let create ?deadline_ms ?(max_depth = Limits.default_max_depth)
     ?(max_errors = 64) ?watermark ?slow_ms () : t =
-  Metrics.set_enabled true;
   {
     sv_sessions = Hashtbl.create 8;
     sv_deadline_ms = deadline_ms;
@@ -262,56 +267,54 @@ let live_nodes (t : t) : int =
   each_session t (fun () -> n := !n + Session.store_live ());
   !n
 
-(** Sample the point-in-time gauges: GC; the store and whnf counts
-    summed over the live sessions; the {!Limits} peak watermarks
-    (exported per subsystem), the maximum over the live sessions; and
-    the server's own degradation counters.  Called only where the gauges
-    are read — the [metrics] method, and [belr serve --metrics] before it
-    writes the exposition — because the store census is O(store): it
-    counts every arena of every session. *)
+(** Sample the point-in-time gauges: GC; every integer field of the
+    telemetry ["store"] section (store, substitution memo, whnf memo,
+    equality fast path) summed over the live sessions as [store.<field>],
+    with [store.dedup_ratio] recomputed from the sums; the {!Limits} peak
+    watermarks (exported per subsystem), the maximum over the live
+    sessions; and the server's own degradation counters.  Called only
+    where the gauges are read — the [metrics] method, and [belr serve
+    --metrics] before it writes the exposition — because the store
+    census is O(store): it counts every arena of every session. *)
 let sample_gauges (t : t) : unit =
   let gc = Gc.quick_stat () in
-  Metrics.set_int g_gc_heap gc.Gc.heap_words;
-  Metrics.set_int g_gc_top_heap gc.Gc.top_heap_words;
-  Metrics.set_int g_gc_minor gc.Gc.minor_collections;
-  Metrics.set_int g_gc_major gc.Gc.major_collections;
-  let live = ref 0 and interned = ref 0 and dedup_hits = ref 0 in
-  let hits = ref 0 and misses = ref 0 and forced = ref 0 and eager = ref 0 in
+  Telemetry.set_int g_gc_heap gc.Gc.heap_words;
+  Telemetry.set_int g_gc_top_heap gc.Gc.top_heap_words;
+  Telemetry.set_int g_gc_minor gc.Gc.minor_collections;
+  Telemetry.set_int g_gc_major gc.Gc.major_collections;
+  let store = ref (List.map (fun (field, _) -> (field, 0)) g_store) in
   let peaks = ref (List.map (fun (name, _) -> (name, 0)) (Limits.peaks ())) in
   each_session t (fun () ->
-      let st = Lf.store_stats () and ws = Whnf.stats () in
-      live := !live + st.Lf.st_live;
-      interned := !interned + st.Lf.st_interned;
-      dedup_hits := !dedup_hits + st.Lf.st_dedup_hits;
-      hits := !hits + ws.Whnf.ws_hits;
-      misses := !misses + ws.Whnf.ws_misses;
-      forced := !forced + ws.Whnf.ws_forced;
-      eager := !eager + ws.Whnf.ws_eager;
+      let ses_store = store_ints () in
+      store :=
+        List.map
+          (fun (field, n) -> (field, n + List.assoc field ses_store))
+          !store;
       let ses_peaks = Limits.peaks () in
       peaks :=
         List.map
           (fun (name, p) -> (name, max p (List.assoc name ses_peaks)))
           !peaks);
-  Metrics.set_int g_store_live !live;
-  Metrics.set_int g_store_interned !interned;
+  List.iter2
+    (fun (_, g) (_, n) -> Telemetry.set_int g n)
+    g_store !store;
   (* [Lf.dedup_ratio] over the summed counts *)
-  Metrics.set g_store_dedup
-    (if !interned = 0 then 0.0
-     else float_of_int (!interned + !dedup_hits) /. float_of_int !interned);
-  Metrics.set_int g_whnf_hits !hits;
-  Metrics.set_int g_whnf_misses !misses;
-  Metrics.set_int g_whnf_forced !forced;
-  Metrics.set_int g_whnf_eager !eager;
+  let sum field = List.assoc field !store in
+  Telemetry.set g_store_dedup
+    (if sum "interned" = 0 then 0.0
+     else
+       float_of_int (sum "interned" + sum "dedup_hits")
+       /. float_of_int (sum "interned"));
   List.iter
     (fun (name, peak) ->
-      Metrics.set_int (Metrics.gauge ("limits.peak." ^ name)) peak)
+      Telemetry.set_int (Telemetry.gauge ("limits.peak." ^ name)) peak)
     !peaks;
-  Metrics.set_int g_sessions (Hashtbl.length t.sv_sessions);
-  Metrics.set_int g_pressure_resets t.sv_pressure_resets;
-  Metrics.set_int g_deadline_overruns t.sv_deadline_overruns;
-  Metrics.set_int g_limit_trips (Limits.trip_count ());
-  Metrics.set_int g_tele_dropped (Telemetry.events_dropped ());
-  Metrics.set_int g_log_dropped (Log.dropped ())
+  Telemetry.set_int g_sessions (Hashtbl.length t.sv_sessions);
+  Telemetry.set_int g_pressure_resets t.sv_pressure_resets;
+  Telemetry.set_int g_deadline_overruns t.sv_deadline_overruns;
+  Telemetry.set_int g_limit_trips (Limits.trip_count ());
+  Telemetry.set_int g_tele_dropped (Telemetry.events_dropped ());
+  Telemetry.set_int g_log_dropped (Log.dropped ())
 
 let find_session (t : t) (name : string) : session =
   match Hashtbl.find_opt t.sv_sessions name with
@@ -986,9 +989,9 @@ let parse_request (j : J.t) : (request, string) result =
 let reply ~id ~rid ~session ~status ~exit_code ?(result = J.Null) ~diags
     ~telemetry () : J.t =
   (match status with
-  | "ok" -> Metrics.inc m_replies_ok
-  | "degraded" -> Metrics.inc m_replies_degraded
-  | _ -> Metrics.inc m_replies_error);
+  | "ok" -> Telemetry.bump m_replies_ok
+  | "degraded" -> Telemetry.bump m_replies_degraded
+  | _ -> Telemetry.bump m_replies_error);
   J.Obj
     [
       ("schema", J.String schema_id);
@@ -1005,7 +1008,7 @@ let reply ~id ~rid ~session ~status ~exit_code ?(result = J.Null) ~diags
 (** A protocol-level rejection: stable [E0904], nothing touched (but
     counted, logged, and carrying the request id like any reply). *)
 let protocol_error ?(id = J.Null) ?(session = "-") ~rid msg : J.t =
-  Metrics.inc m_protocol_errors;
+  Telemetry.bump m_protocol_errors;
   let d =
     Diagnostics.make ~code:"E0904" Diagnostics.Error
       "malformed serve request: %s" msg
@@ -1046,10 +1049,11 @@ let span_tree_json (mark : int) : J.t =
 
 (** Handle one parsed request.  Everything that can raise runs inside the
     session bracket with a sink; exceptions escaping {e this} function
-    are engine bugs handled by {!handle_line}'s crash-only wrapper. *)
+    are engine bugs handled by {!reply_to_line}'s crash-only wrapper;
+    {!handle_line} owns the recording flag and the request id. *)
 let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
   t.sv_requests <- t.sv_requests + 1;
-  Metrics.inc m_requests;
+  Telemetry.bump m_requests;
   Limits.set_max_depth
     (Option.value rq.rq_max_depth ~default:t.sv_max_depth);
   (* clear first, unconditionally: protocol-error paths below return
@@ -1064,14 +1068,9 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
   Option.iter Limits.set_step_budget rq.rq_step_budget;
   let sink = Diagnostics.sink ~max_errors:t.sv_max_errors () in
   let t0 = Limits.now_ns () in
-  let telemetry_was = Telemetry.enabled () in
-  if not telemetry_was then Telemetry.set_enabled true;
-  Telemetry.set_request_id rid;
   let decl_spans0 = Telemetry.phase_count "decl" in
   let ring_mark = Telemetry.events_recorded () in
   let finish ?result ?(degraded = false) ?(extra_telemetry = []) () =
-    Telemetry.clear_request_id ();
-    if not telemetry_was then Telemetry.set_enabled false;
     Limits.clear_deadline ();
     (* memory watermark: an oversized session store is cleared in place —
        sharing (not soundness) is lost, and the reply says so *)
@@ -1100,7 +1099,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
     let elapsed_ns = Int64.sub (Limits.now_ns ()) t0 in
     let elapsed_ms = Int64.to_float elapsed_ns /. 1e6 in
     (match List.assoc_opt rq.rq_method m_method_hist with
-    | Some h -> Metrics.observe h (Int64.to_int elapsed_ns)
+    | Some h -> Telemetry.observe h (Int64.to_int elapsed_ns)
     | None -> ());
     let exit_code = Diagnostics.exit_code sink in
     let log_counts =
@@ -1146,34 +1145,19 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
         @ extra_telemetry)
       ()
   in
-  (* protocol rejections return without [finish]: restore the telemetry
-     flag and the ambient request id here too, or a rejected request
-     would leak both into the next one *)
   let reject msg =
-    Telemetry.clear_request_id ();
-    if not telemetry_was then Telemetry.set_enabled false;
     protocol_error ~id:rq.rq_id ~session:rq.rq_session ~rid msg
   in
-  (* an exception escaping the dispatch below is an engine bug headed for
-     the crash-only B0002 wrapper in [handle_line]: restore the ambient
-     telemetry state here, where [telemetry_was] is known — or the
-     enabled flag (and with it process-wide span recording) leaks into
-     every later request.  The [serve-dispatch] fault site makes this
-     path testable end-to-end (every kernel site is absorbed by
-     per-declaration recovery long before it could escape here). *)
-  let crash_restore exn =
-    Telemetry.clear_request_id ();
-    if not telemetry_was then Telemetry.set_enabled false;
-    raise exn
-  in
-  try
-    Fault.hit "serve-dispatch";
-    (* [metrics] and [health] are server-wide: they read every live
-       session and create none *)
-    match rq.rq_method with
+  (* the [serve-dispatch] fault site makes the crash-only path of
+     [reply_to_line] testable end-to-end (every kernel site is absorbed by
+     per-declaration recovery long before it could escape here) *)
+  Fault.hit "serve-dispatch";
+  (* [metrics] and [health] are server-wide: they read every live session
+     and create none *)
+  match rq.rq_method with
   | "metrics" ->
       sample_gauges t;
-      finish ~result:(Metrics.to_json ()) ()
+      finish ~result:(Telemetry.metrics_json ()) ()
   | "health" ->
       finish
         ~result:
@@ -1250,8 +1234,8 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                       ms
                       (List.length
                          (List.filter (fun e -> not e.en_ok) ses.ss_entries))));
-              Metrics.add m_decls_rechecked !rechecked;
-              Metrics.add m_decls_reused !reused;
+              Telemetry.add m_decls_rechecked !rechecked;
+              Telemetry.add m_decls_reused !reused;
               finish ~result:!result ~degraded:!degraded
                 ~extra_telemetry:
                   [
@@ -1291,14 +1275,43 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
           reject
             (Printf.sprintf "unknown method %S (expected %s)" m
                expected_methods))
-  with exn -> crash_restore exn
 
-(** Handle one input line, total: whatever happens, the caller gets a
-    reply string (or [None] for blank lines) and the loop keeps going.
-    An exception escaping the handler is an engine bug: the session is
+(** The reply to one non-blank input line, minted [rid]: a protocol
+    error for a malformed request, else {!handle_request}'s reply.  An
+    exception escaping the handler is an engine bug: the session is
     discarded (crash-only — its world is unreachable from any other
     session, so dropping it is safe) and reported as a [B0002]-class
     error reply. *)
+let reply_to_line (t : t) ~(rid : string) (line : string) : J.t =
+  match J.parse line with
+  | Result.Error msg -> protocol_error ~rid msg
+  | Ok j -> (
+      match parse_request j with
+      | Result.Error msg -> protocol_error ~rid msg
+      | Ok rq -> (
+          try handle_request t ~rid rq
+          with exn ->
+            Limits.clear_deadline ();
+            Limits.reset ();
+            Hashtbl.remove t.sv_sessions rq.rq_session;
+            Log.event ~level:Log.Error "serve.engine_fault"
+              [
+                ("request_id", J.String rid);
+                ("session", J.String rq.rq_session);
+                ("method", J.String rq.rq_method);
+                ("detail", J.String (Printexc.to_string exn));
+              ];
+            let d =
+              Diagnostics.make ~code:"B0002" Diagnostics.Bug
+                "unexpected exception in the serve engine (session %s \
+                 discarded): %s"
+                rq.rq_session (Printexc.to_string exn)
+            in
+            reply ~id:rq.rq_id ~rid ~session:rq.rq_session ~status:"error"
+              ~exit_code:2 ~diags:[ d ] ~telemetry:[] ()))
+
+(** Handle one input line, total: whatever happens, the caller gets a
+    reply string (or [None] for blank lines) and the loop keeps going. *)
 let handle_line (t : t) (line : string) : string option =
   let line = String.trim line in
   if line = "" then None
@@ -1307,37 +1320,23 @@ let handle_line (t : t) (line : string) : string option =
        rejected line is correlatable across reply, log, and trace *)
     t.sv_rid <- t.sv_rid + 1;
     let rid = "r" ^ string_of_int t.sv_rid in
-    let reply_json =
-      match J.parse line with
-      | Result.Error msg -> protocol_error ~rid msg
-      | Ok j -> (
-          match parse_request j with
-          | Result.Error msg -> protocol_error ~rid msg
-          | Ok rq -> (
-              try handle_request t ~rid rq
-              with exn ->
-                Telemetry.clear_request_id ();
-                Limits.clear_deadline ();
-                Limits.reset ();
-                Hashtbl.remove t.sv_sessions rq.rq_session;
-                Log.event ~level:Log.Error "serve.engine_fault"
-                  [
-                    ("request_id", J.String rid);
-                    ("session", J.String rq.rq_session);
-                    ("method", J.String rq.rq_method);
-                    ("detail", J.String (Printexc.to_string exn));
-                  ];
-                let d =
-                  Diagnostics.make ~code:"B0002" Diagnostics.Bug
-                    "unexpected exception in the serve engine (session %s \
-                     discarded): %s"
-                    rq.rq_session (Printexc.to_string exn)
-                in
-                reply ~id:rq.rq_id ~rid ~session:rq.rq_session
-                  ~status:"error" ~exit_code:2 ~diags:[ d ] ~telemetry:[]
-                  ()))
-    in
-    Some (J.to_string ~compact:true reply_json)
+    (* the one place serve turns recording on: for the whole line, so a
+       malformed line still counts, and restored on every path — reply,
+       rejection, or crash — so nothing leaks into the next line or into
+       code the process runs between lines (no [Fun.protect]: its
+       closures would cost every request) *)
+    let was_enabled = Telemetry.enabled () in
+    Telemetry.set_enabled true;
+    Telemetry.set_request_id rid;
+    match reply_to_line t ~rid line with
+    | reply_json ->
+        Telemetry.clear_request_id ();
+        Telemetry.set_enabled was_enabled;
+        Some (J.to_string ~compact:true reply_json)
+    | exception exn ->
+        Telemetry.clear_request_id ();
+        Telemetry.set_enabled was_enabled;
+        raise exn
   end
 
 (** The stdin/stdout loop: read lines until EOF, one reply per request

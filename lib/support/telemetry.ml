@@ -1,5 +1,6 @@
-(** The telemetry layer: hierarchical spans, named counters, and three
-    renderers over the same recorded state.
+(** The telemetry layer: the one registry every observability view reads
+    — named counters, gauges, latency histograms, and hierarchical spans
+    — and the renderers over it.
 
     The checking pipeline is instrumented at two granularities:
 
@@ -8,20 +9,44 @@
       check → conservativity re-check) — timed with a monotonic clock and
       recorded into a bounded ring buffer;
     - {e counters} ({!counter}/{!bump}) in the hot kernels (hereditary
-      substitution, η-expansion, unification), plus the peak-depth
-      watermarks already tracked by {!Limits}.
+      substitution, η-expansion, unification) and the serve loop, plus
+      the peak-depth watermarks already tracked by {!Limits}.
 
-    Renderers (all pure over the recorded state):
+    Beside them sit {e histograms} ({!observe}: per-request and per-file
+    latencies, log-scale and fixed-memory) and {e gauges} ({!set}:
+    point-in-time samples such as GC and store sizes, taken by whoever
+    renders a view — never on a hot path).
 
-    - {!pp_stats} — the human [--stats] summary table (stderr);
+    Renderers (all pure over the registry):
+
+    - {!pp_stats} — the human [--stats] summary table (stderr), whose
+      section renderer {!pp_section} also prints [--kernel-stats];
     - {!trace_json} — Chrome trace-event JSON ([--trace FILE]), loadable
       in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto};
     - {!profile_json} — the machine-readable [--profile FILE] report
       (per-phase wall time, counter totals, watermarks), the format the
-      committed [BENCH_*.json] trajectory uses.
+      committed [BENCH_*.json] trajectory uses;
+    - {!metrics_json} — the [belr-metrics/1] report (the serve [metrics]
+      method) and {!exposition}, its Prometheus-style text form
+      ([--metrics FILE]).
+
+    Invariants (DESIGN.md §S24):
+
+    - {e one flag}: counters, histograms and spans record only while
+      {!enabled}; gauges are samples, so {!set} stores regardless.
+    - {e one reset}: {!reset} zeroes everything.  It runs only at the
+      start of a run (the CLI, tests, a benchmark's traced segment) and
+      never inside [serve], so a server's counters are monotone.
+    - {e monotone counters}: {!bump}/{!add} only ever grow a counter
+      ([add] clamps negative deltas), so rates over scrapes are valid.
+    - {e registry idempotence}: registering a name that exists returns
+      the existing metric, so two modules naming the same quantity share
+      one cell instead of splitting it across duplicate rows.
+    - {e bounded memory}: a histogram is {!num_buckets} power-of-two
+      buckets plus four scalars; spans live in a fixed-size ring.
 
     {b Zero-cost when disabled.}  All state is pre-registered; the
-    recording paths check a single [enabled] flag and allocate nothing
+    recording paths check the single [enabled] flag and allocate nothing
     when it is off.  Span call sites do build a closure for the scoped
     body, so spans belong on phase boundaries (per file / declaration),
     never in per-node recursions — those use {!bump}, which is a flag
@@ -38,33 +63,149 @@ let enabled () = !on
     call {!reset} first for a fresh run. *)
 let set_enabled b = on := b
 
-(* --- counters ----------------------------------------------------------- *)
+(** The registration rule every metric kind shares: [name] returns the
+    metric already registered under it, or registers [make ()] last. *)
+let register (registry : 'a list ref) (name_of : 'a -> string) name make =
+  match List.find_opt (fun m -> name_of m = name) !registry with
+  | Some m -> m
+  | None ->
+      let m = make () in
+      registry := !registry @ [ m ];
+      m
 
-type counter = { ct_name : string; mutable ct_total : int }
+(* --- counters (monotone) ------------------------------------------------ *)
+
+type counter = { ct_name : string; ct_help : string; mutable ct_total : int }
 
 let counters : counter list ref = ref []
 
-(** Register a named counter (module-initialization time, one per
-    operation of interest).  Idempotent: re-registering a name returns
-    the existing counter, so two modules naming the same quantity share
-    one total instead of splitting it across duplicate rows. *)
-let counter name =
-  match List.find_opt (fun c -> c.ct_name = name) !counters with
-  | Some c -> c
-  | None ->
-      let c = { ct_name = name; ct_total = 0 } in
-      counters := c :: !counters;
-      c
+(** Register (or fetch) the counter named [name] (module-initialization
+    time, one per operation of interest). *)
+let counter ?(help = "") name : counter =
+  register counters
+    (fun c -> c.ct_name)
+    name
+    (fun () -> { ct_name = name; ct_help = help; ct_total = 0 })
 
 let bump c = if !on then c.ct_total <- c.ct_total + 1
 
-let add c n = if !on then c.ct_total <- c.ct_total + n
+let add c n = if !on && n > 0 then c.ct_total <- c.ct_total + n
 
 let counter_total c = c.ct_total
 
 (** All registered counters as [(name, total)], sorted by name. *)
 let counter_totals () =
   List.sort compare (List.map (fun c -> (c.ct_name, c.ct_total)) !counters)
+
+(* --- gauges (point-in-time samples) ------------------------------------- *)
+
+(* The value sits in a float-only record, stored flat, so a sample is an
+   unboxed store rather than a boxed-float allocation. *)
+type sample = { mutable value : float }
+
+type gauge = { g_name : string; g_help : string; g_v : sample }
+
+let gauges : gauge list ref = ref []
+
+(** Register (or fetch) the gauge named [name]. *)
+let gauge ?(help = "") name : gauge =
+  register gauges
+    (fun g -> g.g_name)
+    name
+    (fun () -> { g_name = name; g_help = help; g_v = { value = 0. } })
+
+let set g v = g.g_v.value <- v
+
+let set_int g v = g.g_v.value <- float_of_int v
+
+let gauge_value g = g.g_v.value
+
+(* --- histograms (log-scale, fixed memory) ------------------------------- *)
+
+(** Bucket [i] counts observations [v] with [le i-1 < v <= le i], where
+    [le i = 2^i] — so bucket 0 holds [v <= 1], bucket 1 holds [2], bucket
+    2 holds [3..4], and so on up to [2^62].  Power-of-two boundaries keep
+    {!bucket_index} at a handful of integer ops (no floating point on the
+    record path) and give ~2× resolution, plenty for latency steering. *)
+let num_buckets = 63
+
+(** Upper (inclusive) boundary of bucket [i]: [2^i]. *)
+let bucket_le (i : int) : int = 1 lsl i
+
+(** The bucket holding observation [v] (values [< 1] land in bucket 0,
+    values beyond [2^62] in the last bucket). *)
+let bucket_index (v : int) : int =
+  if v <= 1 then 0
+  else begin
+    (* number of significant bits of v-1 = ceil(log2 v) for v >= 2 *)
+    let x = ref (v - 1) and b = ref 0 in
+    while !x > 0 do
+      incr b;
+      x := !x lsr 1
+    done;
+    min !b (num_buckets - 1)
+  end
+
+type histogram = {
+  h_name : string;
+  h_help : string;
+  h_buckets : int array;  (** length {!num_buckets}; non-cumulative *)
+  mutable h_count : int;
+  mutable h_sum : int;
+  mutable h_min : int;
+  mutable h_max : int;
+}
+
+let histograms : histogram list ref = ref []
+
+(** Register (or fetch) the histogram named [name].  Observations are
+    nanoseconds by convention (rendered fields carry the [_ns] suffix). *)
+let histogram ?(help = "") name : histogram =
+  register histograms
+    (fun h -> h.h_name)
+    name
+    (fun () ->
+      {
+        h_name = name;
+        h_help = help;
+        h_buckets = Array.make num_buckets 0;
+        h_count = 0;
+        h_sum = 0;
+        h_min = max_int;
+        h_max = 0;
+      })
+
+let observe h v =
+  if !on then begin
+    let v = max 0 v in
+    let i = bucket_index v in
+    h.h_buckets.(i) <- h.h_buckets.(i) + 1;
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum + v;
+    if v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v
+  end
+
+let histogram_count h = h.h_count
+
+let histogram_sum h = h.h_sum
+
+(** [quantile h q] is the {!bucket_le} boundary of the bucket holding the
+    [⌈q·count⌉]-th smallest observation — the least power-of-two [u] such
+    that at least a [q] fraction of observations are [<= u] — or [0] for
+    an empty histogram.  Exact on synthetic samples (the test suite's
+    contract) and within 2× of the true quantile always. *)
+let quantile (h : histogram) (q : float) : int =
+  if h.h_count = 0 then 0
+  else begin
+    let rank = max 1 (int_of_float (ceil (q *. float_of_int h.h_count))) in
+    let i = ref 0 and cum = ref 0 in
+    while !cum < rank && !i < num_buckets do
+      cum := !cum + h.h_buckets.(!i);
+      if !cum < rank then incr i
+    done;
+    bucket_le (min !i (num_buckets - 1))
+  end
 
 (* --- extension sections ------------------------------------------------- *)
 
@@ -143,8 +284,10 @@ let ensure_ring () =
           { ev_name = ""; ev_arg = ""; ev_start_ns = 0L; ev_dur_ns = 0L;
             ev_depth = 0; ev_rid = "" })
 
-(** Clear all recorded state: events, aggregates, counter totals, and the
-    {!Limits} peak-depth watermarks; re-stamps the trace epoch. *)
+(** Clear all recorded state: events, aggregates, every counter, gauge
+    and histogram (the registry itself — names, order — is kept), and the
+    {!Limits} peak-depth watermarks; re-stamps the trace epoch.  Called
+    only at the start of a run, never inside [serve]. *)
 let reset () =
   ensure_ring ();
   ring_next := 0;
@@ -152,6 +295,15 @@ let reset () =
   Hashtbl.reset aggregates;
   root_total_ns := 0L;
   List.iter (fun c -> c.ct_total <- 0) !counters;
+  List.iter (fun g -> g.g_v.value <- 0.) !gauges;
+  List.iter
+    (fun h ->
+      Array.fill h.h_buckets 0 num_buckets 0;
+      h.h_count <- 0;
+      h.h_sum <- 0;
+      h.h_min <- max_int;
+      h.h_max <- 0)
+    !histograms;
   Limits.reset_peaks ();
   epoch := now_ns ()
 
@@ -267,9 +419,24 @@ let pp_ns ppf (ns : int64) =
   else if f >= 1e3 then Fmt.pf ppf "%8.2f µs" (f /. 1e3)
   else Fmt.pf ppf "%8Ld ns" ns
 
+(** One report section as a titled table of its scalar fields: how
+    [--stats] renders every section, and [--kernel-stats] the ["store"]
+    one. *)
+let pp_section ppf ((section, fields) : string * (string * Json.t) list) =
+  Fmt.pf ppf "-- %s --@." section;
+  List.iter
+    (fun (name, v) ->
+      match (v : Json.t) with
+      | Json.Int i -> Fmt.pf ppf "   %-42s %12d@." name i
+      | Json.Float f -> Fmt.pf ppf "   %-42s %12.3f@." name f
+      | Json.String s -> Fmt.pf ppf "   %-42s %12s@." name s
+      | Json.Bool b -> Fmt.pf ppf "   %-42s %12b@." name b
+      | _ -> ())
+    fields
+
 (** The human [--stats] table: per-phase wall time (exclusive of nothing —
-    parent spans include their children), counter totals, and the
-    {!Limits} peak-depth watermarks. *)
+    parent spans include their children), counter totals, the {!Limits}
+    peak-depth watermarks, and the sections. *)
 let pp_stats ppf () =
   Fmt.pf ppf "== telemetry ==@.";
   Fmt.pf ppf "-- spans (wall time; parents include children) --@.";
@@ -299,19 +466,7 @@ let pp_stats ppf () =
     (fun (name, peak) ->
       if peak > 0 then Fmt.pf ppf "   %-42s %12d@." name peak)
     (List.sort compare (Limits.peaks ()));
-  List.iter
-    (fun (section, fields) ->
-      Fmt.pf ppf "-- %s --@." section;
-      List.iter
-        (fun (name, v) ->
-          match (v : Json.t) with
-          | Json.Int i -> Fmt.pf ppf "   %-42s %12d@." name i
-          | Json.Float f -> Fmt.pf ppf "   %-42s %12.3f@." name f
-          | Json.String s -> Fmt.pf ppf "   %-42s %12s@." name s
-          | Json.Bool b -> Fmt.pf ppf "   %-42s %12b@." name b
-          | _ -> ())
-        fields)
-    (section_reports ())
+  List.iter (pp_section ppf) (section_reports ())
 
 let us_of_ns (ns : int64) : float = Int64.to_float ns /. 1e3
 
@@ -437,3 +592,133 @@ let profile_json () : Json.t =
     @ List.map
         (fun (section, fields) -> (section, Json.Obj fields))
         (section_reports ()))
+
+
+(** Schema identifier of {!metrics_json}; bump on incompatible changes. *)
+let metrics_schema = "belr-metrics/1"
+
+(** The [belr-metrics/1] report (the serve [metrics] method's result):
+    every counter, gauge, and histogram, with p50/p90/p99 extracted and
+    only non-empty buckets listed. *)
+let metrics_json () : Json.t =
+  let hist h =
+    let buckets = ref [] in
+    for i = num_buckets - 1 downto 0 do
+      if h.h_buckets.(i) > 0 then
+        buckets :=
+          Json.Obj
+            [
+              ("le", Json.Int (bucket_le i));
+              ("count", Json.Int h.h_buckets.(i));
+            ]
+          :: !buckets
+    done;
+    Json.Obj
+      [
+        ("name", Json.String h.h_name);
+        ("count", Json.Int h.h_count);
+        ("sum_ns", Json.Int h.h_sum);
+        ("min_ns", Json.Int (if h.h_count = 0 then 0 else h.h_min));
+        ("max_ns", Json.Int h.h_max);
+        ("p50_ns", Json.Int (quantile h 0.50));
+        ("p90_ns", Json.Int (quantile h 0.90));
+        ("p99_ns", Json.Int (quantile h 0.99));
+        ("buckets", Json.List !buckets);
+      ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.String metrics_schema);
+      ( "counters",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("name", Json.String c.ct_name);
+                   ("value", Json.Int c.ct_total);
+                 ])
+             !counters) );
+      ( "gauges",
+        Json.List
+          (List.map
+             (fun g ->
+               Json.Obj
+                 [
+                   ("name", Json.String g.g_name);
+                   ("value", Json.Float g.g_v.value);
+                 ])
+             !gauges) );
+      ("histograms", Json.List (List.map hist !histograms));
+    ]
+
+(** [belr_foo_bar] from [foo.bar-baz]: Prometheus-legal metric names. *)
+let prom_name (name : string) : string =
+  "belr_"
+  ^ String.map
+      (fun c ->
+        match c with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
+        | _ -> '_')
+      name
+
+let prom_float (v : float) : string =
+  if Float.is_integer v && Float.abs v < 1e15 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%g" v
+
+(** The Prometheus-style text exposition ([--metrics FILE]): counters as
+    [_total]-suffixed counters, gauges as gauges, histograms in the
+    standard cumulative [_bucket{le="…"}]/[_sum]/[_count] form. *)
+let exposition () : string =
+  let buf = Buffer.create 4096 in
+  let header name kind help =
+    if help <> "" then
+      Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
+    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
+  in
+  List.iter
+    (fun c ->
+      let n = prom_name c.ct_name in
+      let n = if Filename.check_suffix n "_total" then n else n ^ "_total" in
+      header n "counter" c.ct_help;
+      Buffer.add_string buf (Printf.sprintf "%s %d\n" n c.ct_total))
+    !counters;
+  List.iter
+    (fun g ->
+      let n = prom_name g.g_name in
+      header n "gauge" g.g_help;
+      Buffer.add_string buf
+        (Printf.sprintf "%s %s\n" n (prom_float g.g_v.value)))
+    !gauges;
+  List.iter
+    (fun h ->
+      let n = prom_name h.h_name in
+      header n "histogram" h.h_help;
+      let cum = ref 0 in
+      let top =
+        (* last non-empty bucket; emitting 63 zero rows per histogram
+           would drown the exposition *)
+        let t = ref (-1) in
+        Array.iteri (fun i c -> if c > 0 then t := i) h.h_buckets;
+        !t
+      in
+      for i = 0 to top do
+        cum := !cum + h.h_buckets.(i);
+        Buffer.add_string buf
+          (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n (bucket_le i) !cum)
+      done;
+      Buffer.add_string buf
+        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n h.h_count);
+      Buffer.add_string buf (Printf.sprintf "%s_sum %d\n" n h.h_sum);
+      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n h.h_count))
+    !histograms;
+  Buffer.contents buf
+
+(** Write the exposition to [path] (truncating); [Sys_error] escapes to
+    the caller, which reports it as [E0701]. *)
+let write_exposition (path : string) : unit =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc (exposition ()))

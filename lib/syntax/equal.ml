@@ -29,7 +29,10 @@ open Lf
 
 (** O(1) pointer-equality short-circuits taken / missed.  Plain ints so
     they work without [--stats]; surfaced in the ["store"] telemetry
-    section and [belr check --kernel-stats]. *)
+    section and [belr check --kernel-stats].  Like the store's intern
+    counts they belong to a world: [Session.with_] saves and restores
+    them around a session, so the serve gauges can sum them over
+    sessions. *)
 let phys_hits = ref 0
 
 let phys_misses = ref 0

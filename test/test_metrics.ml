@@ -1,10 +1,10 @@
-(** The production metrics registry and structured log (DESIGN.md §S24):
-    log-scale bucket boundaries and exact quantile extraction on
-    synthetic samples, registry idempotence, the [belr-metrics/1] JSON
-    roundtrip through the in-tree parser, the disabled-path
-    no-allocation guarantee, the log's level gate and rate bound, and
-    request-id presence/uniqueness across a multi-request serve
-    script. *)
+(** The metrics half of the one telemetry registry, and the structured
+    log (DESIGN.md §S24): log-scale bucket boundaries and exact quantile
+    extraction on synthetic samples, registry idempotence, the
+    [belr-metrics/1] JSON roundtrip through the in-tree parser, the
+    disabled-path no-allocation guarantee, every view reading the one
+    registry, the log's level gate and rate bound, and request-id
+    presence/uniqueness across a multi-request serve script. *)
 
 open Belr_support
 open Belr_parser
@@ -12,12 +12,12 @@ module J = Json
 
 let test name f = Alcotest.test_case name `Quick f
 
-(** Run [f] with the registry enabled, restoring the previous state even
-    if the test fails (the registry is process-global). *)
+(** Run [f] with recording on, restoring the previous state even if the
+    test fails (the registry is process-global). *)
 let with_metrics (f : unit -> 'a) : 'a =
-  let saved = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled saved) f
+  let saved = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled saved) f
 
 (* --- histograms --------------------------------------------------------- *)
 
@@ -29,46 +29,46 @@ let histogram_tests =
           (fun (v, want) ->
             Alcotest.(check int)
               (Fmt.str "bucket_index %d" v)
-              want (Metrics.bucket_index v))
+              want (Telemetry.bucket_index v))
           [
             (-5, 0); (0, 0); (1, 0); (2, 1); (3, 2); (4, 2); (5, 3);
             (8, 3); (9, 4); (1024, 10); (1025, 11); (max_int, 62);
           ];
-        Alcotest.(check int) "le of bucket 0" 1 (Metrics.bucket_le 0);
-        Alcotest.(check int) "le of bucket 10" 1024 (Metrics.bucket_le 10));
+        Alcotest.(check int) "le of bucket 0" 1 (Telemetry.bucket_le 0);
+        Alcotest.(check int) "le of bucket 10" 1024 (Telemetry.bucket_le 10));
     test "quantiles are exact on synthetic samples" (fun () ->
         with_metrics (fun () ->
-            let h = Metrics.histogram "test.quantiles" in
+            let h = Telemetry.histogram "test.quantiles" in
             (* 90 observations in bucket 2 (le 4), 10 in bucket 10
                (le 1024): ranks 1..90 resolve to 4, ranks 91..100 to
                1024 *)
             for _ = 1 to 90 do
-              Metrics.observe h 3
+              Telemetry.observe h 3
             done;
             for _ = 1 to 10 do
-              Metrics.observe h 1000
+              Telemetry.observe h 1000
             done;
-            Alcotest.(check int) "count" 100 (Metrics.histogram_count h);
+            Alcotest.(check int) "count" 100 (Telemetry.histogram_count h);
             Alcotest.(check int) "sum" ((90 * 3) + (10 * 1000))
-              (Metrics.histogram_sum h);
-            Alcotest.(check int) "p50" 4 (Metrics.quantile h 0.50);
-            Alcotest.(check int) "p90" 4 (Metrics.quantile h 0.90);
-            Alcotest.(check int) "p99" 1024 (Metrics.quantile h 0.99);
-            Alcotest.(check int) "p100" 1024 (Metrics.quantile h 1.0)));
+              (Telemetry.histogram_sum h);
+            Alcotest.(check int) "p50" 4 (Telemetry.quantile h 0.50);
+            Alcotest.(check int) "p90" 4 (Telemetry.quantile h 0.90);
+            Alcotest.(check int) "p99" 1024 (Telemetry.quantile h 0.99);
+            Alcotest.(check int) "p100" 1024 (Telemetry.quantile h 1.0)));
     test "an empty histogram reports zero quantiles" (fun () ->
-        let h = Metrics.histogram "test.empty" in
-        Alcotest.(check int) "p50" 0 (Metrics.quantile h 0.5);
-        Alcotest.(check int) "count" 0 (Metrics.histogram_count h));
+        let h = Telemetry.histogram "test.empty" in
+        Alcotest.(check int) "p50" 0 (Telemetry.quantile h 0.5);
+        Alcotest.(check int) "count" 0 (Telemetry.histogram_count h));
     test "a single observation is its own every-quantile" (fun () ->
         with_metrics (fun () ->
-            let h = Metrics.histogram "test.single" in
-            Metrics.observe h 100;
+            let h = Telemetry.histogram "test.single" in
+            Telemetry.observe h 100;
             (* 100 lands in bucket 7 (64 < 100 <= 128) *)
             List.iter
               (fun q ->
                 Alcotest.(check int)
                   (Fmt.str "q=%.2f" q)
-                  128 (Metrics.quantile h q))
+                  128 (Telemetry.quantile h q))
               [ 0.01; 0.5; 0.99; 1.0 ]));
   ]
 
@@ -79,53 +79,60 @@ let registry_tests =
     test "creating a metric under an existing name returns the existing \
           metric" (fun () ->
         with_metrics (fun () ->
-            let c1 = Metrics.counter "test.idem.counter" in
-            Metrics.inc c1;
-            let c2 = Metrics.counter "test.idem.counter" in
+            let c1 = Telemetry.counter "test.idem.counter" in
+            Telemetry.bump c1;
+            let c2 = Telemetry.counter "test.idem.counter" in
             Alcotest.(check bool) "same counter cell" true (c1 == c2);
-            Metrics.inc c2;
-            Alcotest.(check int) "shared count" 2 (Metrics.counter_value c1);
-            let g1 = Metrics.gauge "test.idem.gauge" in
-            let g2 = Metrics.gauge "test.idem.gauge" in
+            Telemetry.bump c2;
+            Alcotest.(check int) "shared count" 2 (Telemetry.counter_total c1);
+            let g1 = Telemetry.gauge "test.idem.gauge" in
+            let g2 = Telemetry.gauge "test.idem.gauge" in
             Alcotest.(check bool) "same gauge cell" true (g1 == g2);
-            let h1 = Metrics.histogram "test.idem.hist" in
-            let h2 = Metrics.histogram "test.idem.hist" in
+            let h1 = Telemetry.histogram "test.idem.hist" in
+            let h2 = Telemetry.histogram "test.idem.hist" in
             Alcotest.(check bool) "same histogram cell" true (h1 == h2)));
     test "counters are monotone: add clamps negative deltas" (fun () ->
         with_metrics (fun () ->
-            let c = Metrics.counter "test.monotone" in
-            Metrics.add c 5;
-            Metrics.add c (-3);
+            let c = Telemetry.counter "test.monotone" in
+            Telemetry.add c 5;
+            Telemetry.add c (-3);
             Alcotest.(check int) "negative add ignored" 5
-              (Metrics.counter_value c)));
+              (Telemetry.counter_total c)));
     test "disabled, recording is inert" (fun () ->
-        let saved = Metrics.enabled () in
-        Metrics.set_enabled false;
+        let saved = Telemetry.enabled () in
+        Telemetry.set_enabled false;
         Fun.protect
-          ~finally:(fun () -> Metrics.set_enabled saved)
+          ~finally:(fun () -> Telemetry.set_enabled saved)
           (fun () ->
-            let c = Metrics.counter "test.disabled.counter" in
-            let h = Metrics.histogram "test.disabled.hist" in
-            Metrics.inc c;
-            Metrics.observe h 42;
+            let c = Telemetry.counter "test.disabled.counter" in
+            let h = Telemetry.histogram "test.disabled.hist" in
+            let g = Telemetry.gauge "test.disabled.gauge" in
+            Telemetry.bump c;
+            Telemetry.add c 3;
+            Telemetry.observe h 42;
+            Telemetry.set_int g 7;
             Alcotest.(check int) "counter still 0" 0
-              (Metrics.counter_value c);
+              (Telemetry.counter_total c);
             Alcotest.(check int) "histogram still empty" 0
-              (Metrics.histogram_count h)));
+              (Telemetry.histogram_count h);
+            (* a gauge is a sample a view takes when it reads, as [belr
+               serve --metrics] does after its loop, outside any line *)
+            Alcotest.(check (float 0.)) "gauge sampled" 7.
+              (Telemetry.gauge_value g)));
     test "disabled, recording does not allocate" (fun () ->
-        let saved = Metrics.enabled () in
-        Metrics.set_enabled false;
+        let saved = Telemetry.enabled () in
+        Telemetry.set_enabled false;
         Fun.protect
-          ~finally:(fun () -> Metrics.set_enabled saved)
+          ~finally:(fun () -> Telemetry.set_enabled saved)
           (fun () ->
-            let c = Metrics.counter "test.noalloc.counter" in
-            let g = Metrics.gauge "test.noalloc.gauge" in
-            let h = Metrics.histogram "test.noalloc.hist" in
+            let c = Telemetry.counter "test.noalloc.counter" in
+            let g = Telemetry.gauge "test.noalloc.gauge" in
+            let h = Telemetry.histogram "test.noalloc.hist" in
             let w0 = Gc.minor_words () in
             for i = 1 to 10_000 do
-              Metrics.inc c;
-              Metrics.set_int g i;
-              Metrics.observe h i
+              Telemetry.bump c;
+              Telemetry.set_int g i;
+              Telemetry.observe h i
             done;
             let w1 = Gc.minor_words () in
             (* the two [Gc.minor_words] calls themselves may box floats;
@@ -144,11 +151,11 @@ let json_tests =
   [
     test "to_json roundtrips through the in-tree parser" (fun () ->
         with_metrics (fun () ->
-            let h = Metrics.histogram "test.json.hist" in
-            Metrics.observe h 3;
-            Metrics.observe h 1000;
-            Metrics.inc (Metrics.counter "test.json.counter");
-            let j = Metrics.to_json () in
+            let h = Telemetry.histogram "test.json.hist" in
+            Telemetry.observe h 3;
+            Telemetry.observe h 1000;
+            Telemetry.bump (Telemetry.counter "test.json.counter");
+            let j = Telemetry.metrics_json () in
             let j' =
               match J.parse (J.to_string ~compact:true j) with
               | Ok j' -> j'
@@ -156,7 +163,7 @@ let json_tests =
             in
             Alcotest.(check bool) "roundtrip equal" true (j = j');
             Alcotest.(check bool) "schema" true
-              (J.member "schema" j' = Some (J.String Metrics.schema));
+              (J.member "schema" j' = Some (J.String Telemetry.metrics_schema));
             let hist =
               match Option.bind (J.member "histograms" j') J.to_list with
               | Some hs ->
@@ -183,11 +190,11 @@ let json_tests =
     test "the exposition names the serve request counter and emits \
           cumulative buckets" (fun () ->
         with_metrics (fun () ->
-            let h = Metrics.histogram "test.prom.hist" in
-            Metrics.observe h 3;
-            Metrics.observe h 3;
-            Metrics.observe h 1000;
-            let text = Metrics.exposition () in
+            let h = Telemetry.histogram "test.prom.hist" in
+            Telemetry.observe h 3;
+            Telemetry.observe h 3;
+            Telemetry.observe h 1000;
+            let text = Telemetry.exposition () in
             let has sub =
               let n = String.length sub and m = String.length text in
               let rec go i =
@@ -361,11 +368,65 @@ let rid_tests =
         Alcotest.(check bool) "a span renders args.request_id" true tagged);
   ]
 
+(* --- one registry behind every view --------------------------------------- *)
+
+let counter_value (report : J.t) (name : string) : int =
+  match Option.bind (J.member "counters" report) J.to_list with
+  | None -> Alcotest.fail "report lacks counters"
+  | Some cs -> (
+      match
+        List.find_opt (fun c -> J.member "name" c = Some (J.String name)) cs
+      with
+      | None -> Alcotest.failf "report lacks counter %s" name
+      | Some c -> (
+          (* belr-metrics/1 says "value", belr-profile/1 "total" *)
+          match (J.member "value" c, J.member "total" c) with
+          | Some (J.Int n), _ | _, Some (J.Int n) -> n
+          | _ -> Alcotest.failf "counter %s lacks its value" name))
+
+(* a dependent constructor application: checking it substitutes *)
+let dependent_src =
+  "LF nat : type =\n| z : nat\n| s : nat -> nat;\n\n\
+   LF vec : nat -> type =\n| vnil : vec z\n\
+   | vcons : {N : nat} vec N -> vec (s N);\n\n\
+   LF one : vec (s z) -> type =\n| mk : one (vcons z vnil);"
+
+let view_tests =
+  [
+    test "a serve metrics reply lists kernel and serve counters" (fun () ->
+        let t = Serve.create () in
+        let r = round t (request ~meth:"check" ~source:dependent_src 1) in
+        Alcotest.(check bool) "check ok" true
+          (J.member "status" r = Some (J.String "ok"));
+        let m =
+          match J.member "result" (round t (request ~meth:"metrics" 2)) with
+          | Some res -> res
+          | None -> Alcotest.fail "metrics reply lacks result"
+        in
+        Alcotest.(check bool) "hsub.substitutions > 0" true
+          (counter_value m "hsub.substitutions" > 0);
+        Alcotest.(check bool) "serve.requests >= 1" true
+          (counter_value m "serve.requests" >= 1));
+    test "a flag-on batch check lists check.files in the profile" (fun () ->
+        let saved = Telemetry.enabled () in
+        Telemetry.reset ();
+        Telemetry.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Telemetry.set_enabled saved)
+          (fun () ->
+            let sink = Diagnostics.sink () in
+            ignore (Driver.check_sources sink [ ("dep.blr", dependent_src) ]);
+            Alcotest.(check int) "clean" 0 (Diagnostics.exit_code sink));
+        Alcotest.(check bool) "check.files >= 1" true
+          (counter_value (Telemetry.profile_json ()) "check.files" >= 1));
+  ]
+
 let suites =
   [
     ("metrics histograms", histogram_tests);
     ("metrics registry", registry_tests);
     ("metrics json", json_tests);
+    ("metrics views", view_tests);
     ("metrics log", log_tests);
     ("metrics request ids", rid_tests);
   ]

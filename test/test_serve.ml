@@ -296,7 +296,42 @@ let robustness_tests =
            the same name starts from a fresh world and re-checks all *)
         let r2 = round t (request ~source:(src3 nat) 3) in
         Alcotest.(check string) "fresh world ok" "ok" (str_field "status" r2);
-        Alcotest.(check int) "re-checks all" 3 (tele_field "rechecked" r2));
+        Alcotest.(check int) "re-checks all" 3 (tele_field "rechecked" r2);
+        (* every other path restores the flag too, from either state: a
+           malformed line (which never reaches the request handler, yet
+           still counts, since recording is on for the whole line), an
+           unknown method, and a normal check *)
+        let protocol_errors () =
+          Telemetry.counter_total (Telemetry.counter "serve.protocol_errors")
+        in
+        Fun.protect
+          ~finally:(fun () -> Telemetry.set_enabled was_enabled)
+          (fun () ->
+            List.iter
+              (fun before ->
+                Telemetry.set_enabled before;
+                let after what =
+                  Alcotest.(check bool)
+                    (Fmt.str "flag %b restored after %s" before what)
+                    before (Telemetry.enabled ())
+                in
+                let e0 = protocol_errors () in
+                let r = round t "{\"method\": \"check\", oops" in
+                after "a malformed line";
+                Alcotest.(check (list string)) "malformed: E0904" [ "E0904" ]
+                  (codes r);
+                Alcotest.(check int) "malformed line counted" (e0 + 1)
+                  (protocol_errors ());
+                let r = round t (request ~meth:"frobnicate" 4) in
+                after "an unknown method";
+                Alcotest.(check (list string)) "unknown: E0904" [ "E0904" ]
+                  (codes r);
+                Alcotest.(check int) "unknown method counted" (e0 + 2)
+                  (protocol_errors ());
+                let r = round t (request ~source:(src3 nat) 5) in
+                after "a check";
+                Alcotest.(check string) "check ok" "ok" (str_field "status" r))
+              [ false; true ]));
     test "lint and health answer on a checked session; stats is gone"
       (fun () ->
         let t = Serve.create () in
@@ -533,7 +568,7 @@ let result_of r =
   | Some res -> res
   | None -> Alcotest.fail "reply lacks result"
 
-let gauge name = Metrics.gauge_value (Metrics.gauge name)
+let gauge name = Telemetry.gauge_value (Telemetry.gauge name)
 
 (** Run [f] inside the world of [t]'s session [name]. *)
 let in_session t name f =

@@ -59,6 +59,18 @@ let isolation_tests =
         in
         Alcotest.(check bool) "s1 memo touched" true (touches s1 > 0);
         Alcotest.(check int) "s2 memo untouched" 0 (touches s2));
+    test "per-session equality fast-path counts" (fun () ->
+        let s1 = Session.create () and s2 = Session.create () in
+        ignore (check_in s1 Belr_kits.Surface.signature_src);
+        let compared ses =
+          Session.with_ ses (fun () ->
+              let p = Belr_syntax.Equal.phys_stats () in
+              p.Belr_syntax.Equal.ps_hits + p.Belr_syntax.Equal.ps_misses)
+        in
+        (* the serve gauges sum these over sessions: a process-wide
+           count would be summed once per session *)
+        Alcotest.(check bool) "s1 compared terms" true (compared s1 > 0);
+        Alcotest.(check int) "s2 compared none" 0 (compared s2));
     test "per-session limit counters: peaks stay with their session"
       (fun () ->
         let s1 = Session.create () and s2 = Session.create () in

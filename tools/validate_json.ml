@@ -27,15 +27,18 @@
     streams must satisfy the [@metrics] observability contract: unique
     [request_id]s on every reply, an [error] reply from the injected
     fault, a [belr-metrics/1] reply with a populated [serve.check]
-    latency histogram, and an [up] health reply that counts no more
-    sessions than the [check] replies name and sees live store nodes.
+    latency histogram and a positive kernel counter
+    ([hsub.substitutions]: the reply reads the one registry the kernel
+    records into), and an [up] health reply that counts no more sessions
+    than the [check] replies name and sees live store nodes.
 
     A [belr-metrics/1] document must carry its [counters]/[gauges]/
     [histograms] arrays (histogram entries: name, count, quantiles,
     buckets), and a [.prom] argument is checked as a Prometheus text
     exposition (every sample [belr_]-prefixed and numeric, the serve
     request counter present, at least one [_bucket{le=...}] series;
-    after [--serve-metrics], a positive [belr_store_live] gauge).
+    after [--serve-metrics], a positive [belr_store_live] gauge and the
+    [belr_hsub_substitutions_total] kernel counter).
     Exit 0 iff every file passes; the [@smoke], [@analyses], [@serve],
     [@metrics], and [@bench-json] dune aliases fail the build
     otherwise. *)
@@ -415,9 +418,10 @@ let check_health_gauges (replies : J.t list) (res : J.t) : string option =
 (** The observability contract (see [examples/dune], alias [@metrics]):
     the scripted stream must show the injected fault as an [error]
     reply, a [metrics] reply whose [belr-metrics/1] payload has a
-    populated [serve.check] latency histogram, a [health] reply that is
-    [up] and passes {!check_health_gauges}, and a distinct [request_id]
-    on every reply. *)
+    populated [serve.check] latency histogram and a positive
+    [hsub.substitutions] counter, a [health] reply that is [up] and
+    passes {!check_health_gauges}, and a distinct [request_id] on every
+    reply. *)
 let check_metrics_contract (replies : J.t list) : string option =
   let rids =
     List.filter_map
@@ -443,8 +447,25 @@ let check_metrics_contract (replies : J.t list) : string option =
           | None -> false)
         replies
     in
+    let kernel_counter r =
+      Option.bind (J.member "result" r) (fun res ->
+          Option.bind (J.member "counters" res) (fun cs ->
+              Option.bind (J.to_list cs) (fun cs ->
+                  List.find_map
+                    (fun c ->
+                      if
+                        J.member "name" c
+                        = Some (J.String "hsub.substitutions")
+                      then Option.bind (J.member "value" c) J.to_int
+                      else None)
+                    cs)))
+    in
     match metrics_reply with
     | None -> Some "metrics stream has no belr-metrics/1 reply"
+    | Some r when Option.value (kernel_counter r) ~default:0 <= 0 ->
+        Some
+          "metrics reply lacks a positive \"hsub.substitutions\" counter \
+           (kernel counters must share the one registry)"
     | Some r -> (
         let check_hist =
           Option.bind (J.member "result" r) (fun res ->
@@ -525,13 +546,15 @@ let check_jsonl ~abuse ~metrics (src : string) : string option =
     name and a numeric value; the file must expose the serve request
     counter and at least one histogram bucket series.  With [metrics]
     (the [@metrics] script's exposition, written after real checks) the
-    [belr_store_live] gauge must also be positive. *)
+    [belr_store_live] gauge must also be positive, and the kernel's
+    [belr_hsub_substitutions_total] counter present. *)
 let check_prom ~metrics (src : string) : string option =
   let err = ref None in
   let samples = ref 0 in
   let has_requests = ref false in
   let has_bucket = ref false in
   let store_live = ref 0.0 in
+  let has_kernel = ref false in
   List.iteri
     (fun i line ->
       let line = String.trim line in
@@ -565,6 +588,8 @@ let check_prom ~metrics (src : string) : string option =
                 has_requests := true;
               if name = "belr_store_live" then
                 store_live := float_of_string (String.trim value);
+              if name = "belr_hsub_substitutions_total" then
+                has_kernel := true;
               let is_sub sub s =
                 let n = String.length sub and m = String.length s in
                 let rec go i =
@@ -585,6 +610,8 @@ let check_prom ~metrics (src : string) : string option =
         Some "exposition has no _bucket{le=...} histogram series"
       else if metrics && !store_live <= 0.0 then
         Some "exposition's belr_store_live is not positive"
+      else if metrics && not !has_kernel then
+        Some "exposition lacks belr_hsub_substitutions_total"
       else None
 
 let () =
