@@ -251,6 +251,7 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
       (fun (m1 : Sign.mode_entry) m2 -> compare m1.m_fam m2.m_fam)
       (Sign.all_modes sg)
   in
+  let mode_loc me = Option.value ~default:Loc.ghost (Sign.mode_loc sg me) in
   (* W0732, deduplicated: a family missing its %mode is reported at
      its first appeal, wherever that is *)
   let missing_warned : (Lf.cid_typ, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -271,7 +272,7 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
     let clause_loc cname =
       match Sign.decl_loc sg cname with
       | Some l -> l
-      | None -> me.Sign.m_loc
+      | None -> mode_loc me
     in
     let views =
       Telemetry.with_span "modes:clauses" (fun () ->
@@ -474,7 +475,7 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
   let fams =
     List.filter_map
       (fun (me : Sign.mode_entry) ->
-        Diagnostics.recover sink ~loc:me.Sign.m_loc ~code:"E0201"
+        Diagnostics.recover sink ~loc:(mode_loc me) ~code:"E0201"
           (fun () -> check_family me))
       modes
   in

@@ -102,15 +102,6 @@ let iter_selem f (e : Ctxs.selem) =
   List.iter (fun (_, s) -> iter_srt f s) e.Ctxs.f_params;
   List.iter (fun (_, s) -> iter_srt f s) e.Ctxs.f_block
 
-let iter_ctx f (g : Ctxs.ctx) =
-  List.iter
-    (function
-      | Ctxs.CDecl (_, t) -> iter_typ f t
-      | Ctxs.CBlock (_, e, ms) ->
-          iter_elem f e;
-          List.iter (iter_normal f) ms)
-    g.Ctxs.c_decls
-
 let iter_sctx f (psi : Ctxs.sctx) =
   List.iter
     (function
@@ -134,20 +125,6 @@ let iter_msrt f (ms : Meta.msrt) =
   | Meta.MSParam (psi, e, ms) ->
       iter_sctx f psi;
       iter_selem f e;
-      List.iter (iter_normal f) ms
-
-let iter_mtyp f (mt : Meta.mtyp) =
-  match mt with
-  | Meta.MTTerm (g, t) ->
-      iter_ctx f g;
-      iter_typ f t
-  | Meta.MTSub (g1, g2) ->
-      iter_ctx f g1;
-      iter_ctx f g2
-  | Meta.MTCtx g -> f (RSchema g)
-  | Meta.MTParam (g, e, ms) ->
-      iter_ctx f g;
-      iter_elem f e;
       List.iter (iter_normal f) ms
 
 let iter_mobj f (mo : Meta.mobj) =

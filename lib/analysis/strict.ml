@@ -109,13 +109,6 @@ let rec strict_normal (note : int -> unit) (m : Lf.normal) : unit =
           | _ -> ())
       | Lf.PVar _ -> ())
 
-let strict_typ (note : int -> unit) (ty : Lf.typ) : unit =
-  let rec typ = function
-    | Lf.Atom (_, sp) -> List.iter (strict_normal note) sp
-    | Lf.Pi (_, a, b) -> typ a; typ b
-  in
-  typ ty
-
 let strict_srt (note : int -> unit) (s : Lf.srt) : unit =
   let rec srt = function
     | Lf.SAtom (_, sp) | Lf.SEmbed (_, sp) ->

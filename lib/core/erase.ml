@@ -20,12 +20,6 @@ let rec srt (sg : Sign.t) : Lf.srt -> Lf.typ = function
   | Lf.SEmbed (a, sp) -> Lf.mk_atom a sp
   | Lf.SPi (x, s1, s2) -> Lf.mk_pi x (srt sg s1) (srt sg s2)
 
-(** Erase a weak-head sort closure to a type closure without forcing it:
-    erasure only renames sort families and shares spines, so it commutes
-    with (hereditary) substitution — [⟦σ⟧⌊S⌋ = ⌊⟦σ⟧S⌋] — and the pending
-    substitution can simply be carried across. *)
-let srt_clo (sg : Sign.t) ((q, s) : Whnf.sclo) : Whnf.tclo = (srt sg q, s)
-
 let rec skind (sg : Sign.t) : Lf.skind -> Lf.kind = function
   | Lf.Ksort -> Lf.Ktype
   | Lf.Kspi (x, s, l) -> Lf.Kpi (x, srt sg s, skind sg l)

@@ -16,9 +16,6 @@ let promote_srt (sg : Sign.t) (s : srt) : srt = Embed.typ (Erase.srt sg s)
 let promote_selem (sg : Sign.t) (f : Ctxs.selem) : Ctxs.selem =
   Embed.elem ~refines:f.Ctxs.f_refines (Erase.selem sg f)
 
-let promote_sblock (sg : Sign.t) (b : Ctxs.sblock) : Ctxs.sblock =
-  Embed.block (Erase.sblock sg b)
-
 (** Sort of an ordinary variable, honoring promotion, transported into the
     whole context. *)
 let srt_of_bvar (sg : Sign.t) (psi : Ctxs.sctx) (i : int) : srt =

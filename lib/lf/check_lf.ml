@@ -123,9 +123,6 @@ and infer_neutral e g (m : normal) : typ =
       Whnf.norm_tclo (check_spine_c e g sp c_h)
   | Lam _ -> Error.raise_msg "cannot synthesize a type for an abstraction"
 
-and check_spine e g (sp : spine) (a : typ) : typ =
-  Whnf.norm_tclo (check_spine_c e g sp (a, Lf.id))
-
 and check_spine_c e g (sp : spine) ((a, sa) : Whnf.tclo) : Whnf.tclo =
   match (sp, a) with
   | [], _ -> (a, sa)
@@ -133,8 +130,6 @@ and check_spine_c e g (sp : spine) ((a, sa) : Whnf.tclo) : Whnf.tclo =
       check_normal_c e g m (a1, sa);
       check_spine_c e g sp' (Whnf.clo_inst (a2, sa) m)
   | _ :: _, Atom _ -> Error.raise_msg "term is over-applied"
-
-and infer_head e g (h : head) : typ = Whnf.norm_tclo (infer_head_c e g h)
 
 and infer_head_c e g (h : head) : Whnf.tclo =
   match h with

@@ -24,15 +24,6 @@ let rec approx_srt : srt -> aty = function
   | SAtom _ | SEmbed _ -> Aatom
   | SPi (_, s1, s2) -> Aarr (approx_srt s1, approx_srt s2)
 
-(** Skeletons of weak-head closures.  A pending explicit substitution
-    never changes the arrow structure of a type or sort (substitution is
-    simple-type-preserving), so a closure's skeleton is its node's
-    skeleton — η-expansion against a {!Whnf.tclo}/{!Whnf.sclo} needs no
-    forcing at all. *)
-let approx_tclo ((a, _) : Whnf.tclo) : aty = approx_typ a
-
-let approx_sclo ((s, _) : Whnf.sclo) : aty = approx_srt s
-
 (** [expand_head t h] is the η-long form of head [h] at skeleton [t]:
     [λx₁…xₙ. h (η x₁) … (η xₙ)]. *)
 let rec expand_head (t : aty) (h : head) : normal =
@@ -66,16 +57,6 @@ and expand_head_arr (t : aty) (h : head) : normal =
 (** η-long occurrence of a variable at a (dependent) type. *)
 let expand_var_typ (a : typ) (i : int) : normal =
   expand_head (approx_typ a) (mk_bvar i)
-
-let expand_var_srt (s : srt) (i : int) : normal =
-  expand_head (approx_srt s) (mk_bvar i)
-
-(** η-long variables at weak-head (closure) classifiers. *)
-let expand_var_tclo (c : Whnf.tclo) (i : int) : normal =
-  expand_head (approx_tclo c) (mk_bvar i)
-
-let expand_var_sclo (c : Whnf.sclo) (i : int) : normal =
-  expand_head (approx_sclo c) (mk_bvar i)
 
 (** Is [m] exactly the η-long form of head [h] at skeleton [t]?  Used to
     recognize identity substitutions and pattern variables. *)

@@ -46,10 +46,6 @@ let c_proj = Telemetry.counter "hsub.tuple_projections"
 
 let c_inst = Telemetry.counter "hsub.instantiations"
 
-(** Kept as an alias of {!Belr_syntax.Store.mk_dot} for callers that
-    normalize fronts directly (e.g. [Belr_meta.Msub]). *)
-let norm_dot (f : front) (s : sub) : sub = mk_dot f s
-
 (* --- substitution memo table ------------------------------------------ *)
 
 (* Direct-mapped cache: (sub id, normal id) ↦ result.  Collisions
@@ -311,10 +307,6 @@ let rec sub_skind (s : sub) : skind -> skind = function
 let inst_normal (body : normal) (n : normal) : normal =
   Telemetry.bump c_inst;
   sub_normal (dot_obj n (mk_shift 0)) body
-
-let inst_typ (body : typ) (n : normal) : typ =
-  Telemetry.bump c_inst;
-  sub_typ (dot_obj n (mk_shift 0)) body
 
 let inst_srt (body : srt) (n : normal) : srt =
   Telemetry.bump c_inst;

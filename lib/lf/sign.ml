@@ -1,16 +1,3 @@
-(** The global signature Σ.
-
-    Holds every declared atomic type family, atomic sort family, constant,
-    sort assignment ([c :: S] for an already-declared constant), schema,
-    refinement schema, and computation-level function.  Ids handed out are
-    dense integers; name lookup goes through a single namespace, as in
-    Beluga.
-
-    Implicit arguments: a declaration elaborated from the surface syntax
-    may have [implicit] leading Π-quantifiers that were inserted for free
-    capitalized variables; checkers ignore the flag (terms are fully
-    explicit internally) but printers and the elaborator use it. *)
-
 open Belr_support
 open Belr_syntax
 
@@ -18,7 +5,7 @@ type typ_entry = {
   t_name : string;
   t_kind : Lf.kind;
   t_implicit : int;
-  mutable t_consts : Lf.cid_const list;  (** constructors, in declaration order *)
+  mutable t_consts : Lf.cid_const list;
 }
 
 type srt_entry = {
@@ -27,26 +14,20 @@ type srt_entry = {
   s_kind : Lf.skind;
   s_implicit : int;
   mutable s_consts : Lf.cid_const list;
-      (** constants given a sort in this family, in declaration order *)
 }
 
 type const_entry = {
   c_name : string;
   c_typ : Lf.typ;
   c_implicit : int;
-  c_family : Lf.cid_typ;  (** target family of [c_typ] *)
+  c_family : Lf.cid_typ;
   mutable c_sorts : Lf.cid_srt list;
-      (** the sort families giving this constant a sort ([csorts] keys
-          [(c, s)]), newest first — what retracting [c] must scrub *)
 }
 
 type schema_entry = {
   g_name : string;
   g_elems : Ctxs.schema;
   mutable g_trivial : Lf.cid_sschema;
-      (** the auto-registered trivial refinement [⌈G⌉ ⊑ G]; the type level
-          is the embedded fragment of the refinement level, so every
-          schema needs its embedding to be nameable *)
 }
 
 type sschema_entry = {
@@ -54,59 +35,30 @@ type sschema_entry = {
   h_refines : Lf.cid_schema;
   h_elems : Ctxs.selem list;
   h_hidden : bool;
-      (** auto-registered trivial refinement [⌈G⌉ ⊑ G] (named [G^]): not a
-          user declaration, so tooling (summaries, name resolution
-          priority) treats it as hidden *)
 }
 
 type rec_entry = {
   r_name : string;
-  r_styp : Comp.ctyp;  (** declared comp sort ζ *)
-  r_typ : Comp.ctyp_t;  (** its erasure τ (conservativity output) *)
+  r_styp : Comp.ctyp;
+  r_typ : Comp.ctyp_t;
   mutable r_body : Comp.exp option;
-      (** filled after the body is checked, enabling recursion *)
   mutable r_group : Lf.cid_rec list;
-      (** the mutual-recursion group this function was declared in
-          ([rec f … and g …;]), in declaration order; [[]] until recorded
-          (read it through {!rec_group}, which defaults to the singleton) *)
 }
 
 type block_entry = {
   b_name : string;
-  b_params : (Name.t * Lf.srt) list;  (** Π-bound block parameters *)
+  b_params : (Name.t * Lf.srt) list;
   b_fields : Ctxs.sblock;
-      (** block components, first first; a field may refer to earlier
-          fields by de Bruijn index (1 = immediately preceding) *)
 }
-(** A [%block] declaration: a named context block usable in [%worlds]
-    declarations.  Fields are stored at the refinement (sort) level —
-    type-level families arrive embedded — so one representation covers
-    both LF and LFR blocks. *)
 
-type worlds_entry = {
-  w_fam : Lf.cid_typ;  (** the bounded family *)
-  w_blocks : int list;  (** [%block] ids, in declaration order *)
-  w_loc : Loc.t;  (** where the [%worlds] declaration stands *)
-}
-(** A [%worlds (b₁ | … | bₙ) fam] declaration: contexts at uses of [fam]
-    may only extend by instances of the listed blocks. *)
+type worlds_entry = { w_fam : Lf.cid_typ; w_blocks : int list }
 
 type mode_entry = {
   m_fam : Lf.cid_typ;
-      (** the moded family, resolved through [s_refines] when the
-          declaration named a sort family *)
   m_srt : Lf.cid_srt option;
-      (** when the declaration named a sort family: the analyzer checks
-          that family's (sharper) clauses instead of the type family's *)
-  m_name : string;  (** the family name as written in the declaration *)
+  m_name : string;
   m_args : (bool * string) list;
-      (** one (polarity, argument name) per explicit argument position,
-          in order; [true] = input ([+]) *)
-  m_loc : Loc.t;  (** where the [%mode] declaration stands *)
 }
-(** A [%mode fam +M … -N] declaration: input ([+]) positions must be
-    ground for the judgment to be invoked, output ([-]) positions are
-    ground when it succeeds. *)
 
 type sym =
   | Sym_typ of Lf.cid_typ
@@ -117,11 +69,7 @@ type sym =
   | Sym_rec of Lf.cid_rec
   | Sym_block of int
   | Sym_worlds of Lf.cid_typ
-      (** bound under the synthetic name [fam ^ "%worlds"], keyed by the
-          family — one [%worlds] per family, enforced by [bind_name] *)
   | Sym_mode of Lf.cid_typ
-      (** bound under [fam ^ "%mode"], keyed by the resolved family — one
-          [%mode] per (erased) family, enforced by [bind_name] *)
 
 type t = {
   typs : (int, typ_entry) Hashtbl.t;
@@ -228,39 +176,28 @@ let next sg =
   sg.fresh <- i + 1;
   i
 
-(** Bind [name], rejecting a duplicate.  Every [add_*] binds before it
-    creates its entry, so a rejected duplicate leaves no entry behind
-    (none that retraction, which goes by name, could reach). *)
 let bind_name sg name sym =
   if Hashtbl.mem sg.by_name name then
     Error.raise_msg "name %s is already declared" name;
   Hashtbl.replace sg.by_name name sym
 
-(** Mark [name] as declared by a failed declaration (fault-tolerant
-    checking); subsequent lookups raise {!Error.Depends_on_failed}. *)
 let poison sg name = Hashtbl.replace sg.poisoned name ()
 
 let is_poisoned sg name = Hashtbl.mem sg.poisoned name
-
-(** Remove [name] from the poisoned set (it is about to be retried). *)
-let unpoison sg name = Hashtbl.remove sg.poisoned name
 
 let lookup_name sg name =
   if Hashtbl.mem sg.poisoned name then raise (Error.Depends_on_failed name);
   Hashtbl.find_opt sg.by_name name
 
-(** Like {!lookup_name}, but poison-blind: tooling that inspects the
-    signature (the incremental invalidation pass of [belr serve]) needs
-    to see failed declarations too, without raising. *)
 let sym_opt sg name = Hashtbl.find_opt sg.by_name name
 
-(** Record where [name] was declared.  Ghost spans are not recorded, so a
-    later real span (e.g. a per-constructor location refining the whole
-    declaration's) can still land. *)
 let set_decl_loc sg name (loc : Loc.t) =
   if not (Loc.is_ghost loc) then Hashtbl.replace sg.locs name loc
 
 let decl_loc sg name : Loc.t option = Hashtbl.find_opt sg.locs name
+
+let mode_loc sg (me : mode_entry) : Loc.t option =
+  decl_loc sg (me.m_name ^ "%mode")
 
 (* --- retire passes (incremental re-checking) ------------------------------ *)
 
@@ -329,11 +266,6 @@ let same_list eq xs ys =
 let same_params xs ys = same_list (fun (_, s1) (_, s2) -> Equal.srt s1 s2) xs ys
 
 (* --- declaration ---------------------------------------------------- *)
-
-(* Every [add_*] below binds [name] to the id of the entry a retire pass
-   retired under it when the new payload is α-equal to that entry's
-   ({!retire}); otherwise, and always outside a pass, to a fresh id.  The
-   name is bound first, so a rejected duplicate reclaims nothing. *)
 
 let add_typ sg ~name ~kind ~implicit : Lf.cid_typ =
   let old =
@@ -441,8 +373,6 @@ let add_const sg ~name ~typ ~implicit : Lf.cid_const =
   | None -> Error.violation "add_const: unknown target family");
   id
 
-(** Record the sort assignment [c :: S] where [S]'s target is the sort
-    family [s]; used when an [LFR s ⊑ a] declaration lists [c]. *)
 let add_csort sg ~const ~srt ~implicit : unit =
   let family =
     match Lf.srt_target srt with
@@ -530,8 +460,6 @@ let add_rec sg ~name ~styp ~typ : Lf.cid_rec =
     { r_name = name; r_styp = styp; r_typ = typ; r_body = None; r_group = [] };
   id
 
-(** Declare a [%block].  Fields are at the sort level (see
-    {!type-block_entry}); the name lives in the shared namespace. *)
 let add_block sg ~name ~params ~fields : int =
   let old =
     match retired_entry sg name with
@@ -548,23 +476,14 @@ let add_block sg ~name ~params ~fields : int =
     { b_name = name; b_params = params; b_fields = fields };
   id
 
-(** Declare the [%worlds] of family [fam] — at most one per family,
-    enforced through the synthetic name binding [fam ^ "%worlds"] (the
-    ["%"] cannot occur in a surface identifier, so no collision with user
-    declarations is possible). *)
-let add_worlds sg ~fam ~fam_name ~blocks ~loc : unit =
+let add_worlds sg ~fam ~fam_name ~blocks : unit =
   if Hashtbl.mem sg.worlds fam then
     Error.raise_msg "the worlds of %s are already declared" fam_name;
   bind_name sg (fam_name ^ "%worlds") (Sym_worlds fam);
   reclaim sg (fam_name ^ "%worlds");
-  Hashtbl.replace sg.worlds fam { w_fam = fam; w_blocks = blocks; w_loc = loc }
+  Hashtbl.replace sg.worlds fam { w_fam = fam; w_blocks = blocks }
 
-(** Declare the [%mode] of a family — at most one per resolved family,
-    enforced through the synthetic name binding [fam ^ "%mode"] exactly
-    like {!add_worlds}.  [name] is the surface name the declaration used
-    (a sort family keeps its own name even though it keys under its
-    refined type family). *)
-let add_mode sg ~fam ~srt ~name ~args ~loc : unit =
+let add_mode sg ~fam ~srt ~name ~args : unit =
   if Hashtbl.mem sg.modes fam then
     Error.raise_msg "the mode of %s is already declared"
       (match Hashtbl.find_opt sg.typs fam with
@@ -573,15 +492,13 @@ let add_mode sg ~fam ~srt ~name ~args ~loc : unit =
   bind_name sg (name ^ "%mode") (Sym_mode fam);
   reclaim sg (name ^ "%mode");
   Hashtbl.replace sg.modes fam
-    { m_fam = fam; m_srt = srt; m_name = name; m_args = args; m_loc = loc }
+    { m_fam = fam; m_srt = srt; m_name = name; m_args = args }
 
 let set_rec_body sg id body =
   match Hashtbl.find_opt sg.recs id with
   | Some e -> e.r_body <- Some body
   | None -> Error.violation "set_rec_body: unknown function"
 
-(** Record that [ids] (in declaration order) form one [rec … and …;]
-    group; every member gets the full list. *)
 let set_rec_group sg (ids : Lf.cid_rec list) =
   List.iter
     (fun id ->
@@ -590,8 +507,6 @@ let set_rec_group sg (ids : Lf.cid_rec list) =
       | None -> Error.violation "set_rec_group: unknown function")
     ids
 
-(** The mutual-recursion group of [id], defaulting to the singleton for
-    functions declared alone (or predating group tracking). *)
 let rec_group sg (id : Lf.cid_rec) : Lf.cid_rec list =
   match Hashtbl.find_opt sg.recs id with
   | Some { r_group = _ :: _ as g; _ } -> g
@@ -653,15 +568,6 @@ let scrub sg (sym : sym) (h : hidden) : unit =
         ce.c_sorts
   | _ -> ()
 
-(** Start or extend a retire pass over a declaration's names: unbind each
-    one, clear its poison mark and span, and hide its entry — keeping the
-    links refinement declarations wrote into it ([c_sorts], [csorts]).
-    During the pass an [add_*] of a retired name with an α-equal payload
-    takes the old id back, so an entry that mentions the name reads
-    exactly what it read before.  Ids are otherwise never reused ([fresh]
-    keeps counting), so a reused id always denotes an α-equal entry and
-    every memo key over ids stays sound.  {!restore} puts back the names
-    of a declaration that need not re-check, and {!settle} ends the pass. *)
 let retire sg (names : string list) : unit =
   let p = incremental sg in
   p.passing <- true;
@@ -681,10 +587,6 @@ let retire sg (names : string list) : unit =
             (detach sg sym))
     names
 
-(** Can a declaration binding [names] be put back as it was?  Only if no
-    other declaration bound or poisoned any of them since the pass
-    retired them, nor took the family slot of its [%worlds] or [%mode]
-    (a sort family's declaration keys under the refined family). *)
 let restorable sg (names : string list) : bool =
   List.for_all
     (fun n ->
@@ -696,7 +598,6 @@ let restorable sg (names : string list) : bool =
       | _ -> true)
     names
 
-(** Put back the retired entries of [names], exactly as they were. *)
 let restore sg (names : string list) : unit =
   List.iter
     (fun name ->
@@ -734,14 +635,6 @@ let settle_sorts sg (p : incremental) =
     p.reassigned;
   p.reassigned <- []
 
-(** Does an entry mentioning [name] need to re-check in this pass?  Yes
-    when the name is retired and not (yet) back under its old id (removed,
-    re-bound to a new id, or declared later), was bound to a new id by the
-    pass, is poisoned, or is a world some retired or newly added
-    (refinement) schema provides — or once a re-bound sort family changed
-    its assignments (see {!settle_sorts}).
-    Call it only between declarations: it settles the pending sort
-    comparisons of the ones before. *)
 let changed sg (name : string) : bool =
   Hashtbl.mem sg.poisoned name
   ||
@@ -754,9 +647,6 @@ let changed sg (name : string) : bool =
       || Hashtbl.mem p.added name
       || Hashtbl.mem p.retired_worlds name
 
-(** End a retire pass: retract what is still retired — drop its entry
-    and scrub the links into it — keeping poison marks set during the
-    pass. *)
 let settle sg : unit =
   match sg.incr with
   | None -> ()
@@ -773,10 +663,6 @@ let settle sg : unit =
       p.widened <- false;
       p.passing <- false
 
-(** Record the source position of the declaration binding [name].  The
-    incremental server ranks schemas and functions: their ids stop
-    following the source once it re-checks some of them, and world
-    lookup and the modes analysis read their source order. *)
 let set_rank sg name (r : int) = Hashtbl.replace (incremental sg).ranks name r
 
 let rank sg name : int =
@@ -784,9 +670,6 @@ let rank sg name : int =
   | None -> -1
   | Some p -> Option.value (Hashtbl.find_opt p.ranks name) ~default:(-1)
 
-(** [(id, entry)] pairs in source order: by recorded rank, then by id
-    (which follows the source in a batch check, where no rank is
-    recorded). *)
 let in_source_order sg (name : 'a -> string) (entries : (int * 'a) list) :
     (int * 'a) list =
   List.sort
@@ -827,7 +710,6 @@ let rec_entry sg id =
 
 let rec_entry_opt sg id = Hashtbl.find_opt sg.recs id
 
-(** The sort assigned to constant [c] in sort family [s], if any. *)
 let csort sg ~const ~family : (Lf.srt * int) option =
   Hashtbl.find_opt sg.csorts (const, family)
 
@@ -836,11 +718,9 @@ let block_entry sg id =
   | Some e -> e
   | None -> fail_unknown "block" id
 
-(** The declared worlds of a family, if any. *)
 let worlds_of sg (fam : Lf.cid_typ) : worlds_entry option =
   Hashtbl.find_opt sg.worlds fam
 
-(** All declared computation-level functions (unordered). *)
 let all_recs sg : (Lf.cid_rec * rec_entry) list =
   Hashtbl.fold (fun id e acc -> (id, e) :: acc) sg.recs []
 
@@ -850,8 +730,6 @@ let all_blocks sg : (int * block_entry) list =
 let all_worlds sg : worlds_entry list =
   Hashtbl.fold (fun _ e acc -> e :: acc) sg.worlds []
 
-(** The declared mode of a family (resolved through [s_refines] for sort
-    families at declaration time), if any. *)
 let mode_of sg (fam : Lf.cid_typ) : mode_entry option =
   Hashtbl.find_opt sg.modes fam
 
@@ -873,20 +751,13 @@ let all_schemas sg : (Lf.cid_schema * schema_entry) list =
 let all_sschemas sg : (Lf.cid_sschema * sschema_entry) list =
   Hashtbl.fold (fun id e acc -> (id, e) :: acc) sg.sschemas []
 
-(** Every recorded sort assignment
-    [(constant, sort family) → (sort, implicits)] (unordered). *)
 let all_csorts sg : ((Lf.cid_const * Lf.cid_srt) * (Lf.srt * int)) list =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) sg.csorts []
 
-(** Is this refinement-schema entry the auto-registered trivial refinement
-    (hidden from user-facing summaries)? *)
 let is_hidden_sschema (e : sschema_entry) = e.h_hidden
 
 (* --- summary ---------------------------------------------------------- *)
 
-(** Declaration counts by kind, as user-facing tooling reports them:
-    [n_sschemas] counts only user-declared refinement schemas, not the
-    trivial [⌈G⌉] auto-registered per schema. *)
 type summary = {
   n_typs : int;
   n_srts : int;
@@ -909,14 +780,10 @@ let summary sg : summary =
     n_recs = Hashtbl.length sg.recs;
   }
 
-(** Constructors of a type family, in declaration order. *)
 let constants_of_typ sg a = (typ_entry sg a).t_consts
 
-(** Constants carrying a sort in family [s], in declaration order. *)
 let constants_of_srt sg s = (srt_entry sg s).s_consts
 
-(** The trivial refinement [⌈G⌉] of a declared schema (every world
-    embedded); used for promotion [Ψ⊤]. *)
 let embed_schema sg (g : Lf.cid_schema) : Ctxs.sschema =
   Embed.schema ~cid:g (schema_entry sg g).g_elems
 

@@ -166,11 +166,6 @@ let memo_slot ks km =
 
 (* --- head unfolding and weak-head normalization --------------------------- *)
 
-(** Push a substitution into a head (the head-unfolding step): the result
-    is a genuine head, a normal term (a β-redex to contract), or a tuple
-    (a whole-block front). *)
-let whnf_head (s : sub) (h : head) : Hsub.head_result = Hsub.sub_head s h
-
 let rec whnf_normal ((m, s) : nclo) : nwhnf =
   match m with
   | Lam (x, body) -> WLam (x, body, s)

@@ -81,7 +81,7 @@ and front c theta = function
 and sub c theta (s : sub) : sub =
   match s with
   | Empty | Shift _ -> s
-  | Dot (f, s') -> Hsub.norm_dot (front c theta f) (sub c theta s')
+  | Dot (f, s') -> mk_dot (front c theta f) (sub c theta s')
 
 let rec typ c theta : typ -> typ = function
   | Atom (a, sp) -> mk_atom a (spine c theta sp)

@@ -1,17 +1,5 @@
-(** The fault-tolerant checking driver behind [belr check].
-
-    Lives in the library (rather than [bin/]) so the diagnostics story —
-    multi-error reporting, per-declaration recovery, resource guards, exit
-    codes — is testable without spawning the executable.  All diagnostics
-    flow through one {!Belr_support.Diagnostics.sink}; the caller renders
-    them (the CLI dumps to stderr, keeping stdout machine-readable) and
-    maps the sink to an exit code. *)
-
 open Belr_support
 
-(** Read a file, closing the channel even on exception.  A missing or
-    unreadable file becomes an [E0701] diagnostic naming the file, not an
-    uncaught [Sys_error]. *)
 let read_file (sink : Diagnostics.sink) (path : string) : string option =
   Diagnostics.recover sink ~code:"E0701" (fun () ->
       let ic = open_in_bin path in
@@ -46,9 +34,6 @@ let with_file_metrics : 'a. (unit -> 'a) -> 'a =
       f
   end
 
-(** Check named sources in order (later sources see the declarations of
-    earlier ones), recovering per declaration; always returns the
-    signature accumulated so far, even after the [--max-errors] cap. *)
 let check_sources (sink : Diagnostics.sink)
     (sources : (string * string) list) : Belr_lf.Sign.t =
   let sg = Belr_lf.Sign.create () in
@@ -61,7 +46,6 @@ let check_sources (sink : Diagnostics.sink)
         sources);
   sg
 
-(** Check files from disk; unreadable files are reported and skipped. *)
 let check_files (sink : Diagnostics.sink) (files : string list) :
     Belr_lf.Sign.t =
   let sg = Belr_lf.Sign.create () in
@@ -78,24 +62,16 @@ let check_files (sink : Diagnostics.sink) (files : string list) :
 
 (* --- the analysis registry ---------------------------------------------- *)
 
-(** What one analyzer run yields beyond its diagnostics (which go to the
-    shared sink): its own report sections, its serve reply payload, and
-    its [-v] listing — each built only when a caller asks for it. *)
 type outcome = {
   sections : (string * Json.t) list Lazy.t;
-      (** the [belr-<name>/1] report sections between [files] and
-          [findings] *)
-  reply : Json.t Lazy.t;  (** the serve reply's [result] *)
-  listing : unit Fmt.t;  (** the [-v] listing *)
+  reply : Json.t Lazy.t;
+  listing : unit Fmt.t;
 }
 
-(** One whole-signature analyzer.  [name] is at once the CLI subcommand,
-    the [check --<name>] flag, the serve method, the telemetry span, the
-    serve cache key and the [belr-<name>/1] schema id. *)
 type analysis = {
   name : string;
-  doc : string;  (** what the analyzer checks, for the CLI help *)
-  past : string;  (** the CLI's success line: "N file(s) <past>: …" *)
+  doc : string;
+  past : string;
   run : Belr_lf.Sign.t -> Belr_analysis.Facts.t -> Diagnostics.sink -> outcome;
 }
 
@@ -116,10 +92,6 @@ let analysis ~name ~doc ~past ~run ~empty ~sections ~reply ~listing =
   in
   { name; doc; past; run }
 
-(** The signature analyses (subordination, adequacy, sorts, unused
-    declarations, shadowing); [passes] selects them ([--only]/[--skip]).
-    The pass runner absorbs the error cap itself, so the per-pass counts
-    cover the passes that ran. *)
 let lint_analysis ?passes () =
   let module L = Belr_analysis.Lint in
   analysis ~name:"lint" ~past:"linted"
@@ -129,9 +101,6 @@ let lint_analysis ?passes () =
     ~run:(L.run ?passes) ~empty:L.empty_result ~sections:L.sections
     ~reply:L.reply_json ~listing:L.pp
 
-(** The totality analyzer (the paper's §6.1 future work): size-change
-    termination and deep coverage; [depth] bounds coverage splitting,
-    [budget] the size-change closure. *)
 let total_analysis ?depth ?budget () =
   let module T = Belr_comp.Totality in
   analysis ~name:"total" ~past:"totality-checked"
@@ -144,8 +113,6 @@ let total_analysis ?depth ?budget () =
     ~run:(T.run ?depth ?budget) ~empty:T.empty_result ~sections:T.sections
     ~reply:T.reply_json ~listing:(fun _ _ -> T.pp)
 
-(** The regular-worlds + strictness analyzer ([%block] / [%worlds],
-    DESIGN.md §S25); [check_strict] runs the strict-occurrence pass. *)
 let worlds_analysis ?check_strict () =
   let module W = Belr_analysis.Worlds in
   analysis ~name:"worlds" ~past:"worlds-checked"
@@ -161,7 +128,6 @@ let worlds_analysis ?check_strict () =
     ~run:(W.run ?check_strict) ~empty:W.empty_result ~sections:W.sections
     ~reply:W.reply_json ~listing:(fun _ _ -> W.pp)
 
-(** The mode & uniqueness analyzer ([%mode], DESIGN.md §S27). *)
 let modes_analysis () =
   let module M = Belr_analysis.Modes in
   analysis ~name:"modes" ~past:"mode-checked"
@@ -176,16 +142,9 @@ let modes_analysis () =
     ~run:M.run ~empty:M.empty_result ~sections:M.sections ~reply:M.reply_json
     ~listing:(fun _ _ -> M.pp)
 
-(** The registry, with default options, in the order [belr check] runs
-    its analyzers. *)
 let analyses =
   [ lint_analysis (); total_analysis (); worlds_analysis (); modes_analysis () ]
 
-(** Run [analyses] in order over a checked signature, reporting through
-    the {e same} sink the checking pipeline used — one diagnostic stream,
-    one exit code.  Each runs under its [name] span; the facts they read
-    (subordination, call graph) are computed at most once for all of
-    them. *)
 let run_analyses (analyses : analysis list) (sink : Diagnostics.sink)
     (sg : Belr_lf.Sign.t) : outcome list =
   let facts = Belr_analysis.Facts.make sg in
@@ -218,10 +177,6 @@ let finding_json (d : Diagnostics.t) : Json.t =
         ("loc", Json.String (Loc.to_string loc));
       ])
 
-(** The [belr-<name>/1] report of one run: the shared envelope (schema,
-    files, findings, summary, exit code) around the analyzer's own
-    sections.  [findings] carries {e every} diagnostic in the sink, the
-    checking ones included. *)
 let report_json ~(files : string list) (sink : Diagnostics.sink)
     (a : analysis) (o : outcome) : Json.t =
   Json.Obj
@@ -245,25 +200,10 @@ let report_json ~(files : string list) (sink : Diagnostics.sink)
 
 (* --- session-scoped entry points ---------------------------------------- *)
 
-(** The same entry points, but run inside an explicit
-    {!Belr_lf.Session.t} world: the session's own store arenas, memo
-    tables, and limit counters are installed for the duration of the call
-    and the result signature is recorded as the session's signature.
-    These are what [belr serve] and any embedding host should call;
-    the plain functions above keep the process-global world and remain
-    the batch CLI's path. *)
-
 let check_sources_in (ses : Belr_lf.Session.t) (sink : Diagnostics.sink)
     (sources : (string * string) list) : Belr_lf.Sign.t =
   Belr_lf.Session.with_ ses (fun () ->
       let sg = check_sources sink sources in
-      ses.Belr_lf.Session.sn_sign <- sg;
-      sg)
-
-let check_files_in (ses : Belr_lf.Session.t) (sink : Diagnostics.sink)
-    (files : string list) : Belr_lf.Sign.t =
-  Belr_lf.Session.with_ ses (fun () ->
-      let sg = check_files sink files in
       ses.Belr_lf.Session.sn_sign <- sg;
       sg)
 
@@ -272,7 +212,6 @@ let run_analysis_in (a : analysis) (ses : Belr_lf.Session.t)
   Belr_lf.Session.with_ ses (fun () ->
       run_analysis a sink (Belr_lf.Session.sign ses))
 
-(* One-line aliases of the runner, kept for the benchmark harness. *)
 let lint_in = run_analysis_in (lint_analysis ())
 let total_in = run_analysis_in (total_analysis ())
 let worlds_in = run_analysis_in (worlds_analysis ())

@@ -1,25 +1,3 @@
-(** Elaboration: external syntax → internal syntax.
-
-    Design notes (see also DESIGN.md §5):
-
-    - This front end is {e explicit}: every quantifier that exists
-      internally is written in the source, branch pattern variables are
-      declared in [{X : …}] prefixes, and constructors are fully applied
-      (including the arguments the declarations made implicit).  The one
-      inference performed is for {e declarations}: free capitalized
-      identifiers in a constructor's type are abstracted as leading Π's
-      whose types are reconstructed by Miller-pattern inversion (the
-      paper's listings rely on this).
-    - Elaboration produces internal syntax and relies on the checkers
-      ([Belr_core.Check_lfr], [Belr_core.Check_comp]) for the actual
-      type/sort discipline: the driver ({!Process}) re-checks everything
-      elaboration emits.  Elaboration itself only computes the sorts it
-      needs for {e direction}: binder domains, spine positions, and
-      η-expansion.
-    - A bare meta-variable occurrence [M] in a bigger context than its own
-      elaborates to [M[σ]] with [σ] the canonical weakening; explicit
-      substitutions [M\[.., t₁, …\]] fill the non-weakening part. *)
-
 open Belr_support
 open Belr_syntax
 open Belr_lf
@@ -34,12 +12,11 @@ let err loc fmt = Error.raise_at loc fmt
 
 type env = {
   sg : Sign.t;
-  omega : Meta.mctx;  (** innermost first *)
+  omega : Meta.mctx;
   omega_names : string list;
   comp : Comp.cctx;
   comp_names : string list;
   recs : (string * (Lf.cid_rec * Comp.ctyp)) list;
-      (** functions being defined (name → id, declared sort) *)
 }
 
 let make_env ?(recs = []) sg =
@@ -65,7 +42,6 @@ let find_index name names =
   in
   go 1 names
 
-(** Search every schema (refinement first) for a world by name. *)
 type world_ref =
   | Wsort of Ctxs.selem
   | Wtype of Ctxs.elem
@@ -104,7 +80,6 @@ let find_world (sg : Sign.t) (name : string) : world_ref option =
 (* ------------------------------------------------------------------ *)
 (* LF-level elaboration                                                 *)
 
-(** Local LF elaboration context: internal context + names. *)
 type lenv = { lctx : Ctxs.sctx; lnames : string list }
 
 let lpush (l : lenv) (name : string) (s : srt) =
@@ -258,7 +233,7 @@ and elab_esub e l ~holes loc (s : Ext.esub) (dom_concrete : int) : sub =
       in
       (* written left-to-right, outermost first: the last front replaces
          the innermost variable, so fold in written order *)
-      Hsub.norm_dot front acc)
+      mk_dot front acc)
     tail s.Ext.es_fronts
 
 and elab_front_term e l ~holes (t : Ext.term) : normal =
@@ -412,7 +387,6 @@ and elab_spine_kind e l ~holes loc args (k : kind) : spine =
   | [], Kpi _ -> err loc "type family is not fully applied"
   | _ :: _, Ktype -> err loc "type family is over-applied"
 
-(** General sort formation: arrows, Π's, atomic. *)
 and elab_srt e (l : lenv) ?(holes = None) (t : Ext.term) : srt =
   match t with
   | Ext.Arrow (a, b) ->
@@ -425,8 +399,6 @@ and elab_srt e (l : lenv) ?(holes = None) (t : Ext.term) : srt =
       mk_spi x s1 s2
   | _ -> elab_asrt e l ~holes t
 
-(** Type-level formation (LF declarations): like {!elab_srt} but requires
-    the result to be refinement-free. *)
 let elab_typ e l ?(holes = None) (t : Ext.term) : typ =
   let s = elab_srt e l ~holes t in
   let rec erase = function
@@ -505,10 +477,6 @@ let free_uppercase (sg : Sign.t) (t : Ext.term) : string list =
   go [] t;
   List.rev !seen
 
-(** Elaborate a constructor's classifier with implicit abstraction:
-    free capitalized identifiers become leading Π's whose classifiers are
-    reconstructed at their first use.  Returns the sort and the number of
-    abstracted arguments. *)
 let elab_decl_srt e (t : Ext.term) : srt * int =
   let names = free_uppercase e.sg t in
   let total = List.length names in

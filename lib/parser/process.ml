@@ -205,7 +205,7 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
                }));
       ignore (Sign.add_block sg ~name:w.Ext.w_name ~params:ps ~fields:blk);
       ignore bl_loc
-  | Ext.Dworlds { ws_loc; ws_blocks; ws_fams } ->
+  | Ext.Dworlds { ws_blocks; ws_fams; _ } ->
       let blocks =
         List.map
           (fun (bloc, b) ->
@@ -224,7 +224,7 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
                 Error.raise_at floc
                   "%s does not name a type or sort family" f
           in
-          Sign.add_worlds sg ~fam ~fam_name:f ~blocks ~loc:ws_loc)
+          Sign.add_worlds sg ~fam ~fam_name:f ~blocks)
         ws_fams
   | Ext.Dmode { md_loc; md_fam = floc, f; md_args } ->
       (* a sort family keys its mode under the refined type family (one
@@ -246,7 +246,7 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
            has %d"
           f n arity;
       let args = List.map (fun (_, input, x) -> (input, x)) md_args in
-      Sign.add_mode sg ~fam ~srt ~name:f ~args ~loc:md_loc
+      Sign.add_mode sg ~fam ~srt ~name:f ~args
   | Ext.Drec defs ->
       (* two-phase, like [Dmutual]: declare every header first so the
          bodies of a [rec … and …;] group can call any member *)

@@ -22,12 +22,6 @@ let is_ghost l = l.source = "<ghost>"
 
 let make ~source ~start_pos ~end_pos = { source; start_pos; end_pos }
 
-(** [span a b] covers from the start of [a] to the end of [b]. *)
-let span a b =
-  if is_ghost a then b
-  else if is_ghost b then a
-  else { a with end_pos = b.end_pos }
-
 let pp ppf l =
   if is_ghost l then Fmt.string ppf "<no location>"
   else if l.start_pos.line = l.end_pos.line then

@@ -58,11 +58,7 @@ let in_window = ref 0
 
 let n_dropped = ref 0
 
-let n_emitted = ref 0
-
 let dropped () = !n_dropped
-
-let emitted () = !n_emitted
 
 (** Install [oc] as the log destination (the caller owns opening it;
     {!close} flushes and forgets it without closing stdio channels it
@@ -123,6 +119,5 @@ let event ?(level = Info) (name : string) (fields : (string * Json.t) list)
         try
           output_string oc line;
           output_char oc '\n';
-          incr n_emitted;
           if rank level >= rank Warn then flush oc
         with Sys_error _ -> out := None)

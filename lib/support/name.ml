@@ -6,8 +6,6 @@
 
 type t = string
 
-let of_string s : t = s
-
 let to_string (n : t) = n
 
 (** Split a trailing decimal suffix: ["x12"] -> ("x", Some 12). *)
@@ -32,5 +30,3 @@ let fresh_for (used : t list) (hint : t) : t =
       if List.mem cand used then go (k + 1) else cand
     in
     go (match start with Some k -> k + 1 | None -> 1)
-
-let pp = Fmt.string

@@ -1,66 +1,9 @@
-(** The telemetry layer: the one registry every observability view reads
-    — named counters, gauges, latency histograms, and hierarchical spans
-    — and the renderers over it.
-
-    The checking pipeline is instrumented at two granularities:
-
-    - {e spans} ({!with_span}) around pipeline phases — per file, per
-      declaration, and per phase (parse → elaborate → LF check → sort
-      check → conservativity re-check) — timed with a monotonic clock and
-      recorded into a bounded ring buffer;
-    - {e counters} ({!counter}/{!bump}) in the hot kernels (hereditary
-      substitution, η-expansion, unification) and the serve loop, plus
-      the peak-depth watermarks already tracked by {!Limits}.
-
-    Beside them sit {e histograms} ({!observe}: per-request and per-file
-    latencies, log-scale and fixed-memory) and {e gauges} ({!set}:
-    point-in-time samples such as GC and store sizes, taken by whoever
-    renders a view — never on a hot path).
-
-    Renderers (all pure over the registry):
-
-    - {!pp_stats} — the human [--stats] summary table (stderr), whose
-      section renderer {!pp_section} also prints [--kernel-stats];
-    - {!trace_json} — Chrome trace-event JSON ([--trace FILE]), loadable
-      in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto};
-    - {!profile_json} — the machine-readable [--profile FILE] report
-      (per-phase wall time, counter totals, watermarks), the format the
-      committed [BENCH_*.json] trajectory uses;
-    - {!metrics_json} — the [belr-metrics/1] report (the serve [metrics]
-      method) and {!exposition}, its Prometheus-style text form
-      ([--metrics FILE]).
-
-    Invariants (DESIGN.md §S24):
-
-    - {e one flag}: counters, histograms and spans record only while
-      {!enabled}; gauges are samples, so {!set} stores regardless.
-    - {e one reset}: {!reset} zeroes everything.  It runs only at the
-      start of a run (the CLI, tests, a benchmark's traced segment) and
-      never inside [serve], so a server's counters are monotone.
-    - {e monotone counters}: {!bump}/{!add} only ever grow a counter
-      ([add] clamps negative deltas), so rates over scrapes are valid.
-    - {e registry idempotence}: registering a name that exists returns
-      the existing metric, so two modules naming the same quantity share
-      one cell instead of splitting it across duplicate rows.
-    - {e bounded memory}: a histogram is {!num_buckets} power-of-two
-      buckets plus four scalars; spans live in a fixed-size ring.
-
-    {b Zero-cost when disabled.}  All state is pre-registered; the
-    recording paths check the single [enabled] flag and allocate nothing
-    when it is off.  Span call sites do build a closure for the scoped
-    body, so spans belong on phase boundaries (per file / declaration),
-    never in per-node recursions — those use {!bump}, which is a flag
-    check and an integer store.  The layer is deliberately not
-    thread-safe; it observes the single-threaded checking pipeline. *)
-
 external now_ns : unit -> int64 = "belr_monotonic_clock_ns"
 
 let on = ref false
 
 let enabled () = !on
 
-(** Turn recording on or off.  Enabling does not clear previous state;
-    call {!reset} first for a fresh run. *)
 let set_enabled b = on := b
 
 (** The registration rule every metric kind shares: [name] returns the
@@ -79,8 +22,6 @@ type counter = { ct_name : string; ct_help : string; mutable ct_total : int }
 
 let counters : counter list ref = ref []
 
-(** Register (or fetch) the counter named [name] (module-initialization
-    time, one per operation of interest). *)
 let counter ?(help = "") name : counter =
   register counters
     (fun c -> c.ct_name)
@@ -93,7 +34,6 @@ let add c n = if !on && n > 0 then c.ct_total <- c.ct_total + n
 
 let counter_total c = c.ct_total
 
-(** All registered counters as [(name, total)], sorted by name. *)
 let counter_totals () =
   List.sort compare (List.map (fun c -> (c.ct_name, c.ct_total)) !counters)
 
@@ -107,7 +47,6 @@ type gauge = { g_name : string; g_help : string; g_v : sample }
 
 let gauges : gauge list ref = ref []
 
-(** Register (or fetch) the gauge named [name]. *)
 let gauge ?(help = "") name : gauge =
   register gauges
     (fun g -> g.g_name)
@@ -129,11 +68,8 @@ let gauge_value g = g.g_v.value
     record path) and give ~2× resolution, plenty for latency steering. *)
 let num_buckets = 63
 
-(** Upper (inclusive) boundary of bucket [i]: [2^i]. *)
 let bucket_le (i : int) : int = 1 lsl i
 
-(** The bucket holding observation [v] (values [< 1] land in bucket 0,
-    values beyond [2^62] in the last bucket). *)
 let bucket_index (v : int) : int =
   if v <= 1 then 0
   else begin
@@ -158,8 +94,6 @@ type histogram = {
 
 let histograms : histogram list ref = ref []
 
-(** Register (or fetch) the histogram named [name].  Observations are
-    nanoseconds by convention (rendered fields carry the [_ns] suffix). *)
 let histogram ?(help = "") name : histogram =
   register histograms
     (fun h -> h.h_name)
@@ -190,11 +124,6 @@ let histogram_count h = h.h_count
 
 let histogram_sum h = h.h_sum
 
-(** [quantile h q] is the {!bucket_le} boundary of the bucket holding the
-    [⌈q·count⌉]-th smallest observation — the least power-of-two [u] such
-    that at least a [q] fraction of observations are [<= u] — or [0] for
-    an empty histogram.  Exact on synthetic samples (the test suite's
-    contract) and within 2× of the true quantile always. *)
 let quantile (h : histogram) (q : float) : int =
   if h.h_count = 0 then 0
   else begin
@@ -209,20 +138,10 @@ let quantile (h : histogram) (q : float) : int =
 
 (* --- extension sections ------------------------------------------------- *)
 
-(** Layers below the pipeline (e.g. the hash-consing term store in
-    [Belr_syntax], whose library this module cannot depend on) register a
-    named section of report fields here at module-initialization time.
-    Providers registered under the same section name are merged into one
-    object, so the store and the substitution memo table — which live in
-    different libraries — can contribute to a single ["store"] section.
-    Providers are pure reads over always-on state: they are consulted only
-    when a report is rendered, never on the hot path. *)
-
 let sections : (string * (unit -> (string * Json.t) list)) list ref = ref []
 
 let register_section name provider = sections := !sections @ [ (name, provider) ]
 
-(** Sections with same-name providers merged, in registration order. *)
 let section_reports () : (string * (string * Json.t) list) list =
   List.fold_left
     (fun acc (name, provider) ->
@@ -236,23 +155,17 @@ let section_reports () : (string * (string * Json.t) list) list =
 
 type event = {
   mutable ev_name : string;
-  mutable ev_arg : string;  (** detail ("" = none): file path, declaration *)
+  mutable ev_arg : string;
   mutable ev_start_ns : int64;
   mutable ev_dur_ns : int64;
-  mutable ev_depth : int;  (** nesting depth at which the span ran *)
+  mutable ev_depth : int;
   mutable ev_rid : string;
-      (** request id the span ran under ("" = outside any request); set
-          by the serve layer via {!set_request_id}, surfaced as
-          [args.request_id] in the trace renderer so spans can be joined
-          to replies and log lines *)
 }
 
 (* --- request correlation ------------------------------------------------ *)
 
 let request_id = ref ""
 
-(** Stamp every span recorded from now on with [rid] (the serve layer
-    brackets each request with this; [""] clears it). *)
 let set_request_id rid = request_id := rid
 
 let clear_request_id () = request_id := ""
@@ -284,10 +197,6 @@ let ensure_ring () =
           { ev_name = ""; ev_arg = ""; ev_start_ns = 0L; ev_dur_ns = 0L;
             ev_depth = 0; ev_rid = "" })
 
-(** Clear all recorded state: events, aggregates, every counter, gauge
-    and histogram (the registry itself — names, order — is kept), and the
-    {!Limits} peak-depth watermarks; re-stamps the trace epoch.  Called
-    only at the start of a run, never inside [serve]. *)
 let reset () =
   ensure_ring ();
   ring_next := 0;
@@ -330,11 +239,6 @@ let record name arg start_ns dur_ns d =
    a.ag_total_ns <- Int64.add a.ag_total_ns dur_ns);
   if d = 0 then root_total_ns := Int64.add !root_total_ns dur_ns
 
-(** [with_span ?arg name f] times [f ()] as a span named [name] (with
-    optional detail [arg], e.g. the file or declaration being processed).
-    The span is closed — and recorded — even when [f] raises, so a failed
-    declaration under {!Diagnostics.recover} still contributes its time.
-    When telemetry is disabled this is [f ()] after one flag check. *)
 let with_span : 'a. ?arg:string -> string -> (unit -> 'a) -> 'a =
  fun ?(arg = "") name f ->
   if not !on then f ()
@@ -356,8 +260,6 @@ let with_span : 'a. ?arg:string -> string -> (unit -> 'a) -> 'a =
         raise e
   end
 
-(** Completed spans in completion order (oldest first), oldest events
-    dropped once the ring wraps. *)
 let events () : event list =
   let r = !ring in
   let cap = Array.length r in
@@ -376,12 +278,6 @@ let events_recorded () = !ring_next
 
 let events_dropped () = max 0 (!ring_next - Array.length !ring)
 
-(** [events_since mark] — completed spans recorded at or after position
-    [mark] (an earlier {!events_recorded} reading), oldest first, plus a
-    truncation flag: [true] when the ring wrapped past [mark], i.e. the
-    oldest spans of the interval were overwritten and the list is
-    partial.  This is how the serve layer extracts one request's span
-    tree for slow-request logging without re-scanning the whole ring. *)
 let events_since (mark : int) : event list * bool =
   let r = !ring in
   let cap = Array.length r in
@@ -399,9 +295,6 @@ let events_since (mark : int) : event list * bool =
 
 (* --- renderers ---------------------------------------------------------- *)
 
-(** Completed spans recorded under [name] since the last {!reset}.  The
-    serve layer reads deltas of this as its incremental-checking oracle
-    ("how many "decl" spans did this request run?"). *)
 let phase_count (name : string) : int =
   match Hashtbl.find_opt aggregates name with
   | Some a -> a.ag_count
@@ -419,9 +312,6 @@ let pp_ns ppf (ns : int64) =
   else if f >= 1e3 then Fmt.pf ppf "%8.2f µs" (f /. 1e3)
   else Fmt.pf ppf "%8Ld ns" ns
 
-(** One report section as a titled table of its scalar fields: how
-    [--stats] renders every section, and [--kernel-stats] the ["store"]
-    one. *)
 let pp_section ppf ((section, fields) : string * (string * Json.t) list) =
   Fmt.pf ppf "-- %s --@." section;
   List.iter
@@ -434,9 +324,6 @@ let pp_section ppf ((section, fields) : string * (string * Json.t) list) =
       | _ -> ())
     fields
 
-(** The human [--stats] table: per-phase wall time (exclusive of nothing —
-    parent spans include their children), counter totals, the {!Limits}
-    peak-depth watermarks, and the sections. *)
 let pp_stats ppf () =
   Fmt.pf ppf "== telemetry ==@.";
   Fmt.pf ppf "-- spans (wall time; parents include children) --@.";
@@ -470,10 +357,6 @@ let pp_stats ppf () =
 
 let us_of_ns (ns : int64) : float = Int64.to_float ns /. 1e3
 
-(** The Chrome trace-event form of the recorded spans: complete ("X")
-    events with microsecond timestamps relative to the {!reset} epoch,
-    wrapped in the [{"traceEvents": [...]}] envelope Perfetto and
-    [chrome://tracing] load directly. *)
 let trace_truncation_warned = ref false
 
 let trace_json () : Json.t =
@@ -553,9 +436,6 @@ let trace_json () : Json.t =
 (** Schema identifier of {!profile_json}; bump on incompatible changes. *)
 let profile_schema = "belr-profile/1"
 
-(** The machine-readable [--profile] report: per-phase totals, counter
-    totals, and peak-depth watermarks.  This is the stable format for the
-    committed [BENCH_*.json] performance trajectory. *)
 let profile_json () : Json.t =
   Json.Obj
     ([
@@ -594,12 +474,8 @@ let profile_json () : Json.t =
         (section_reports ()))
 
 
-(** Schema identifier of {!metrics_json}; bump on incompatible changes. *)
 let metrics_schema = "belr-metrics/1"
 
-(** The [belr-metrics/1] report (the serve [metrics] method's result):
-    every counter, gauge, and histogram, with p50/p90/p99 extracted and
-    only non-empty buckets listed. *)
 let metrics_json () : Json.t =
   let hist h =
     let buckets = ref [] in
@@ -667,9 +543,6 @@ let prom_float (v : float) : string =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-(** The Prometheus-style text exposition ([--metrics FILE]): counters as
-    [_total]-suffixed counters, gauges as gauges, histograms in the
-    standard cumulative [_bucket{le="…"}]/[_sum]/[_count] form. *)
 let exposition () : string =
   let buf = Buffer.create 4096 in
   let header name kind help =
@@ -715,8 +588,6 @@ let exposition () : string =
     !histograms;
   Buffer.contents buf
 
-(** Write the exposition to [path] (truncating); [Sys_error] escapes to
-    the caller, which reports it as [E0701]. *)
 let write_exposition (path : string) : unit =
   let oc = open_out path in
   Fun.protect

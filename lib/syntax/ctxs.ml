@@ -64,10 +64,6 @@ let empty_ctx = { c_var = None; c_decls = [] }
 
 let empty_sctx = { s_var = None; s_promoted = false; s_decls = [] }
 
-let ctx_length (g : ctx) = List.length g.c_decls
-
-let sctx_length (psi : sctx) = List.length psi.s_decls
-
 let ctx_push (g : ctx) (e : centry) = { g with c_decls = e :: g.c_decls }
 
 let sctx_push (psi : sctx) (e : scentry) =

@@ -21,11 +21,6 @@ type hat = { hat_var : int option; hat_names : Name.t list }
 let hat_of_sctx (psi : Ctxs.sctx) : hat =
   { hat_var = psi.Ctxs.s_var; hat_names = Ctxs.sctx_names psi }
 
-let hat_of_ctx (g : Ctxs.ctx) : hat =
-  { hat_var = g.Ctxs.c_var; hat_names = Ctxs.ctx_names g }
-
-let hat_length (h : hat) = List.length h.hat_names
-
 (** Contextual sorts [𝒮 ::= Ψ.Q | Ψ.Ψ' | H] plus the parameter-variable
     sort [#(Ψ ⊢ F·M⃗)]. *)
 type msrt =
@@ -82,27 +77,14 @@ type mctx_t = mdecl_t list
     the identity). *)
 type msub = MShift of int | MDot of mobj * msub
 
-let mid : msub = MShift 0
-
 let mdecl_name = function
   | MDTerm (n, _, _) -> n
   | MDSub (n, _, _) -> n
   | MDCtx (n, _) -> n
   | MDParam (n, _, _, _) -> n
 
-let mdecl_t_name = function
-  | TDTerm (n, _, _) -> n
-  | TDSub (n, _, _) -> n
-  | TDCtx (n, _) -> n
-  | TDParam (n, _, _, _) -> n
-
 let mctx_lookup (omega : mctx) (i : int) : mdecl option =
   List.nth_opt omega (i - 1)
 
 let mctx_t_lookup (delta : mctx_t) (i : int) : mdecl_t option =
   List.nth_opt delta (i - 1)
-
-(** The meta-variable [i ↦ i]-style eta-expansion of a meta-variable as a
-    contextual object: [u] of sort [Ψ.Q] becomes [Ψ̂. u[id]]. *)
-let mvar_mobj (i : int) (psi : Ctxs.sctx) : mobj =
-  MOTerm (hat_of_sctx psi, Lf.mk_root (Lf.mk_mvar i Lf.id) [])

@@ -340,36 +340,6 @@ let pp_mobj e ppf = function
   | Meta.MOParam (h, hd) ->
       Fmt.pf ppf "[%a |- %a]" (pp_hat e) h (pp_head (env_of_hat e h)) hd
 
-let pp_mdecl e ppf (d : Meta.mdecl) =
-  match d with
-  | Meta.MDTerm (n, psi, q) ->
-      Fmt.pf ppf "%s : [%a |- %a]" (Name.to_string n) (pp_sctx e) psi
-        (pp_srt (env_of_sctx e psi))
-        q
-  | Meta.MDSub (n, psi, psi') ->
-      Fmt.pf ppf "%s : [%a |- %a]" (Name.to_string n) (pp_sctx e) psi
-        (pp_sctx e) psi'
-  | Meta.MDCtx (n, h) ->
-      Fmt.pf ppf "%s : %s" (Name.to_string n) (e.res.r_sschema h)
-  | Meta.MDParam (n, psi, f, _) ->
-      Fmt.pf ppf "#%s : [%a |- %a]" (Name.to_string n) (pp_sctx e) psi
-        (pp_selem (env_of_sctx e psi))
-        f
-
-(** Print a meta-context outermost-first, threading binder names. *)
-let pp_mctx e ppf (omega : Meta.mctx) =
-  let rec go e = function
-    | [] -> e
-    | d :: rest ->
-        (* print outermost first: recurse on the tail first *)
-        let e' = go e rest in
-        if rest <> [] then Fmt.pf ppf ", ";
-        pp_mdecl e' ppf d;
-        fst (push_meta e' (Meta.mdecl_name d))
-  in
-  if omega = [] then Fmt.string ppf "."
-  else ignore (go e omega)
-
 (* Computation level ---------------------------------------------------- *)
 
 let rec pp_ctyp ?(paren = false) e ppf = function
@@ -455,25 +425,3 @@ let rec pp_exp ?(paren = false) e ~comp ppf (ex : Comp.exp) =
         Fmt.pf ppf "@]"
       in
       if paren then Fmt.parens b ppf () else b ppf ()
-
-(* Convenience to-string helpers ---------------------------------------- *)
-
-let str_of pp x = Fmt.str "%a" pp x
-
-let normal_to_string ?(res = raw_resolver) ?(names = []) m =
-  let e =
-    List.fold_left (fun env n -> fst (push_bound env n)) (env ~res ()) names
-  in
-  str_of (pp_normal e) m
-
-let typ_to_string ?(res = raw_resolver) ?(names = []) a =
-  let e =
-    List.fold_left (fun env n -> fst (push_bound env n)) (env ~res ()) names
-  in
-  str_of (pp_typ e) a
-
-let srt_to_string ?(res = raw_resolver) ?(names = []) s =
-  let e =
-    List.fold_left (fun env n -> fst (push_bound env n)) (env ~res ()) names
-  in
-  str_of (pp_srt e) s

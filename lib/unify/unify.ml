@@ -1,26 +1,3 @@
-(** Higher-order pattern unification (§4.1; Pientka–Pfenning style,
-    restricted to the decidable Miller-pattern fragment with block
-    projections treated as distinct variables).
-
-    A {e problem} fixes a meta-context [Ω] (innermost first) and a
-    predicate selecting which of its variables are {e flexible}
-    (solvable).  Unification instantiates flexible meta-, parameter-, and
-    nothing-else variables; on success {!solve} extracts
-
-    - the residual meta-context [Ω′] of still-unsolved flexible variables
-      (plus all rigid ones), topologically ordered, and
-    - the refining meta-substitution [ρ : Ω → Ω′],
-
-    which is exactly the [(ρ, Ω′)] of the paper's branch rule
-    [Ω ⊢ 𝒮 ≐ 𝒮₀ / (ρ, Ω′)].
-
-    Sort unification is subsumption-aware in one direction: the [got]
-    side may be a proper refinement of an embedding expected on the
-    [want] side (see [Belr_core.Check_lfr.atomic_leq]).
-
-    Outside the pattern fragment we fail with a diagnostic rather than
-    search, as Beluga's core does. *)
-
 open Belr_support
 open Belr_syntax
 open Belr_lf
@@ -50,25 +27,16 @@ let fail fmt =
   Telemetry.bump c_failures;
   Format.kasprintf (fun s -> raise (Unify s)) fmt
 
-(** Depth fuel for the term-level recursion and for the solution-resolution
-    fixpoints: outside the pattern fragment a cyclic partial solution could
-    otherwise loop or overflow the stack (see {!Belr_support.Limits}). *)
 let depth = Limits.counter "unification"
 
 type state = {
   sg : Sign.t;
-  omega : Meta.mctx;  (** the full problem meta-context, innermost first *)
-  flex : int -> bool;  (** which Ω-indices may be instantiated *)
+  omega : Meta.mctx;
+  flex : int -> bool;
   sol : Meta.mobj option array;
-      (** partial solution, index i ↦ sol.(i-1); written only by
-          {!set_sol} *)
   decls : Meta.mdecl Lazy.t array;
-      (** index i ↦ Ω(i) transported into full Ω space, shifted once *)
   mutable outermost : int;
-      (** the largest solved index; 0 while nothing is solved *)
   mutable theta : Meta.msub option;
-      (** {!sol_msub} of the current [sol]; [None] until built, and again
-          after every {!set_sol} *)
 }
 
 let make ~sg ~omega ~flex =
@@ -256,9 +224,6 @@ let is_identity (s : sub) : bool =
   | Shift 0 -> true
   | _ -> false
 
-(** Invert a pattern substitution on a term: [invert σ m] computes
-    [σ⁻¹ m], failing when [m] mentions a variable outside the image of
-    [σ].  For the common identity case this is the identity. *)
 let invert_term (s : sub) (m : normal) : normal =
   if is_identity s then m
   else
@@ -413,8 +378,6 @@ let unify_sub st (s1 : sub) (s2 : sub) : unit =
   in
   go s1 s2
 
-(** Unify sorts; [~leq] allows the left (got) side to be a proper
-    refinement of an embedding on the right (want). *)
 let rec unify_srt ?(leq = false) st (s1 : srt) (s2 : srt) : unit =
   let s1 = resolve_srt st s1 and s2 = resolve_srt st s2 in
   match (s1, s2) with
@@ -471,10 +434,6 @@ let unify_mobj st (o1 : Meta.mobj) (o2 : Meta.mobj) : unit =
       fail "cannot unify a term with a parameter object"
   | _ -> fail "contextual object mismatch"
 
-(** After matching, propagate world instantiations: a parameter variable
-    solved to a concrete block variable determines the parameters of its
-    declared world from the context entry (needed to ground pattern
-    variables like the [A₀] of [#b : #\[Ψ ⊢ xeW A₀\]]). *)
 let refine_solved_params (st : state) : unit =
   Array.iteri
     (fun i0 sol ->
@@ -497,7 +456,6 @@ let refine_solved_params (st : state) : unit =
 
 (* --- extraction ----------------------------------------------------------- *)
 
-(** Dependencies of a declaration on other Ω-variables. *)
 let decl_deps (d : Meta.mdecl) : int list =
   let acc = ref [] in
   let add i = if not (List.mem i !acc) then acc := i :: !acc in
@@ -567,8 +525,6 @@ let resolved_decl st i : Meta.mdecl =
       Meta.MDParam
         (nm, resolve_sctx st psi, f, List.map (resolve_normal st) ms)
 
-(** Extract [(ρ, Ω′)] after unification succeeded.  Each solution and
-    each unsolved variable's declaration is resolved exactly once. *)
 let solve (st : state) : Meta.msub * Meta.mctx =
   let n = Array.length st.sol in
   (* 1. fully resolve solutions and declarations in Ω-space *)

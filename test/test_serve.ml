@@ -783,6 +783,28 @@ let fam name = Printf.sprintf "LF %s : type =\n| c%s : %s;\n" name name name
 
 let splice_tests =
   [
+    test "lines inserted above a %mode move its location as a fresh \
+          check places it" (fun () ->
+        let moded pad = src3 nat ^ "\n\n" ^ pad ^ "%mode nat;" in
+        let mode_loc t =
+          let ses = Serve.find_session t "s" in
+          Option.map Loc.to_string
+            (Belr_lf.Sign.decl_loc
+               (Belr_lf.Session.sign ses.Serve.ss_core)
+               "nat%mode")
+        in
+        let t = Serve.create () in
+        ignore (round t (request ~source:(moded "") 1));
+        let before = mode_loc t in
+        let moved = moded "% a note\n\n" in
+        let r2 = round t (request ~source:moved 2) in
+        Alcotest.(check int) "still clean" 0 (int_field "exit_code" r2);
+        let fresh = Serve.create () in
+        ignore (round fresh (request ~source:moved 1));
+        Alcotest.(check bool) "recorded" true (before <> None);
+        Alcotest.(check bool) "moved" true (mode_loc t <> before);
+        Alcotest.(check (option string)) "as fresh" (mode_loc fresh)
+          (mode_loc t));
     test "a reorder that puts a use before its declaration re-checks it"
       (fun () ->
         let a = fam "a" and x = fam "x" and y = fam "y" in
