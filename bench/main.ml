@@ -574,7 +574,7 @@ let tele_check n =
   let c0 = Sign.add_const sg ~name:"c0" ~typ:tm_t ~implicit:0 in
   let f =
     Sign.add_const sg ~name:"f"
-      ~typ:(mk_pi "x" tm_t (Shift.shift_typ 1 0 tm_t))
+      ~typ:(mk_pi "x" tm_t (Hsub.sub_typ (mk_shift 1) tm_t))
       ~implicit:0
   in
   let deq =

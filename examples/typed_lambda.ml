@@ -123,7 +123,7 @@ let () =
   in
   ignore
     (Check_lfr.check_normal env psi d
-       ((mk_sembed oft_a ([ m; Shift.shift_normal 0 0 b ]))));
+       ((mk_sembed oft_a ([ m; b ]))));
   Fmt.pr "f : base → base, y : base ⊢ f y : base  (derivation checks)@.";
   let h = Meta.hat_of_sctx psi in
   let call =

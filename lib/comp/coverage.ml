@@ -108,7 +108,7 @@ let variable_candidates (sg : Sign.t) (omega : Meta.mctx) (psi : Ctxs.sctx)
     match psi.Ctxs.s_var with
     | None -> []
     | Some i -> (
-        match Shift.mctx_lookup_shifted omega i with
+        match Msub.mctx_lookup_shifted omega i with
         | Some (Meta.MDCtx (_, h)) ->
             let entry = Sign.sschema_entry sg h in
             let elems =

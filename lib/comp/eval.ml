@@ -28,7 +28,6 @@
 open Belr_support
 open Belr_syntax
 open Belr_lf
-open Belr_meta
 open Belr_unify
 
 type value =
@@ -145,7 +144,7 @@ and match_branch (e : env) (scrut : Meta.mobj) (br : Comp.branch) :
   let omega0 = Msub.mctx_local 0 theta br.Comp.br_mctx in
   let pat = Msub.mobj n0 theta br.Comp.br_pat in
   let st = Unify.make ~sg:e.sg ~omega:omega0 ~flex:(fun i -> i <= n0) in
-  match Unify.unify_mobj st pat (Shift.mshift_mobj n0 0 scrut) with
+  match Unify.unify_mobj st pat (Msub.mobj 0 (Meta.MShift n0) scrut) with
   | exception Unify.Unify _ -> None
   | () -> (
       (* parameter variables solved to concrete blocks determine their

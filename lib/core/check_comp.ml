@@ -18,7 +18,6 @@
 open Belr_support
 open Belr_syntax
 open Belr_lf
-open Belr_meta
 open Belr_unify
 
 type env = {
@@ -41,7 +40,7 @@ let push_meta (e : env) (d : Meta.mdecl) : env =
   {
     e with
     omega = d :: e.omega;
-    phi = List.map (fun (x, t) -> (x, Shift.mshift_ctyp 1 0 t)) e.phi;
+    phi = List.map (fun (x, t) -> (x, Msub.ctyp 0 (Meta.MShift 1) t)) e.phi;
   }
 
 let push_comp (e : env) (x : Name.t) (t : Comp.ctyp) : env =
@@ -116,7 +115,7 @@ let rec check_exp (e : env) (f : Comp.exp) (zeta : Comp.ctyp) : unit =
               (Name.to_string x) (pp_ctyp e) t
       in
       let e' = push_meta e (mdecl_of_msrt x ms) in
-      check_exp e' f2 (Shift.mshift_ctyp 1 0 zeta)
+      check_exp e' f2 (Msub.ctyp 0 (Meta.MShift 1) zeta)
   | Comp.Case (inv, scrut, branches), _ ->
       check_case e inv scrut branches zeta
   | (Comp.Var _ | Comp.RecConst _ | Comp.App _ | Comp.MApp _), _ ->
@@ -230,8 +229,8 @@ and pattern_srt (e_all : env) (pat : Meta.mobj) (ms_s : Meta.msrt) : Meta.msrt
             | Lf.BVar i -> (
                 match Ctxs.sctx_lookup psi_s i with
                 | Some (Ctxs.SCBlock (_, f, ms)) ->
-                    ( Shift.shift_selem i 0 f,
-                      List.map (Shift.shift_normal i 0) ms )
+                    ( Hsub.sub_selem (Lf.mk_shift i) f,
+                      List.map (Hsub.sub_normal (Lf.mk_shift i)) ms )
                 | _ -> Error.raise_msg "pattern block not found")
             | _ -> assert false
           in
@@ -249,7 +248,7 @@ and check_branch (e : env) (br : Comp.branch) (inv : Comp.inv)
   (* Ω, Ω₀ must be well-formed *)
   ignore (Check_meta.wf_mctx e.sg omega_all);
   let e_all = { e with omega = omega_all } in
-  let ms_shift = Shift.mshift_msrt n0 0 inv.Comp.inv_msrt in
+  let ms_shift = Msub.msrt 0 (Meta.MShift n0) inv.Comp.inv_msrt in
   (* synthesize the pattern's sort and unify with the scrutinee's *)
   let ms_pat = pattern_srt e_all br.Comp.br_pat ms_shift in
   let st = Unify.make ~sg:e.sg ~omega:omega_all ~flex:(fun _ -> true) in
@@ -262,18 +261,18 @@ and check_branch (e : env) (br : Comp.branch) (inv : Comp.inv)
      aeq-refl, go through) *)
   (match scrut_obj with
   | Some mo -> (
-      try Unify.unify_mobj st (Shift.mshift_mobj n0 0 mo) br.Comp.br_pat
+      try Unify.unify_mobj st (Msub.mobj 0 (Meta.MShift n0) mo) br.Comp.br_pat
       with Unify.Unify msg ->
         Error.raise_msg "branch pattern does not match the scrutinee: %s" msg)
   | None -> ());
   let rho, omega' = Unify.solve st in
   (* the body's expected sort: ⟦ρ⟧⟦𝒩₀/X₀⟧ζ₀ *)
-  let inv_body_shifted = Shift.mshift_ctyp n0 1 inv.Comp.inv_body in
+  let inv_body_shifted = Msub.ctyp 1 (Meta.MShift n0) inv.Comp.inv_body in
   let t0 = Msub.ctyp 0 (Msub.inst1 br.Comp.br_pat) inv_body_shifted in
   let t_final = Msub.ctyp 0 rho t0 in
   let phi' =
     List.map
-      (fun (x, t) -> (x, Msub.ctyp 0 rho (Shift.mshift_ctyp n0 0 t)))
+      (fun (x, t) -> (x, Msub.ctyp 0 rho (Msub.ctyp 0 (Meta.MShift n0) t)))
       e.phi
   in
   let body' = Msub.exp 0 rho br.Comp.br_body in

@@ -49,19 +49,19 @@ let pp_normal e psi ppf m =
 (* --- meta-context lookups (sort level) -------------------------------- *)
 
 let mvar_decl e (u : int) : Ctxs.sctx * srt =
-  match Shift.mctx_lookup_shifted e.omega u with
+  match Msub.mctx_lookup_shifted e.omega u with
   | Some (Meta.MDTerm (_, psi, q)) -> (psi, q)
   | Some _ -> Error.raise_msg "meta-variable %d is not a term variable" u
   | None -> Error.raise_msg "unbound meta-variable %d" u
 
 let pvar_decl e (p : int) : Ctxs.sctx * Ctxs.selem * normal list =
-  match Shift.mctx_lookup_shifted e.omega p with
+  match Msub.mctx_lookup_shifted e.omega p with
   | Some (Meta.MDParam (_, psi, f, ms)) -> (psi, f, ms)
   | Some _ -> Error.raise_msg "meta-variable %d is not a parameter variable" p
   | None -> Error.raise_msg "unbound parameter variable %d" p
 
 let cvar_sschema e (i : int) : Lf.cid_sschema =
-  match Shift.mctx_lookup_shifted e.omega i with
+  match Msub.mctx_lookup_shifted e.omega i with
   | Some (Meta.MDCtx (_, h)) -> h
   | Some _ -> Error.raise_msg "meta-variable %d is not a context variable" i
   | None -> Error.raise_msg "unbound context variable %d" i

@@ -58,8 +58,8 @@ let check_mobj (e : Check_lfr.env) (mo : Meta.mobj) (ms : Meta.msrt) : unit =
       | Lf.BVar i -> (
           match Ctxs.sctx_lookup psi i with
           | Some (Ctxs.SCBlock (_, f', ms'')) ->
-              let f' = Shift.shift_selem i 0 f' in
-              let ms'' = List.map (Shift.shift_normal i 0) ms'' in
+              let f' = Hsub.sub_selem (Lf.mk_shift i) f' in
+              let ms'' = List.map (Hsub.sub_normal (Lf.mk_shift i)) ms'' in
               if not (Equal.selem f' f && Equal.spine ms'' ms') then
                 Error.raise_msg
                   "parameter instantiation has a mismatched world"
@@ -118,6 +118,6 @@ let rec check_msub (e : Check_lfr.env) (theta : Meta.msub)
         Error.raise_msg "meta-shift does not match the expected meta-context"
   | Meta.MDot (o, theta'), d :: rest ->
       check_msub e theta' rest;
-      check_mobj e o (Belr_meta.Msub.msrt 0 theta' (msrt_of_mdecl d))
+      check_mobj e o (Msub.msrt 0 theta' (msrt_of_mdecl d))
   | Meta.MDot _, [] ->
       Error.raise_msg "meta-substitution is longer than its domain"

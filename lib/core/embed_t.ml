@@ -9,7 +9,7 @@
     check it — the run is a type-level derivation by construction.
     (The LF and contextual layers additionally have hand-written
     independent type-level checkers in [Belr_lf.Check_lf] and
-    [Belr_meta.Check_meta_t], exercised by the conservativity tests.) *)
+    [Belr_lf.Check_meta_t], exercised by the conservativity tests.) *)
 
 open Belr_syntax
 open Belr_lf

@@ -22,7 +22,7 @@ let srt_of_bvar (sg : Sign.t) (psi : Ctxs.sctx) (i : int) : srt =
   match Ctxs.sctx_lookup psi i with
   | Some (Ctxs.SCDecl (_, s)) ->
       let s = if psi.Ctxs.s_promoted then promote_srt sg s else s in
-      Shift.shift_srt i 0 s
+      Hsub.sub_srt (mk_shift i) s
   | Some (Ctxs.SCBlock _) ->
       Error.raise_msg
         "variable %d is a block variable and must be used under a projection" i
@@ -34,8 +34,8 @@ let sblock_of_bvar (sg : Sign.t) (psi : Ctxs.sctx) (i : int) : Ctxs.sblock =
   match Ctxs.sctx_lookup psi i with
   | Some (Ctxs.SCBlock (_, f, ms)) ->
       let f = if psi.Ctxs.s_promoted then promote_selem sg f else f in
-      let ms' = List.map (Shift.shift_normal i 0) ms in
-      Hsub.inst_sblock (Shift.shift_selem i 0 f) ms'
+      let ms' = List.map (Hsub.sub_normal (mk_shift i)) ms in
+      Hsub.inst_sblock (Hsub.sub_selem (mk_shift i) f) ms'
   | Some (Ctxs.SCDecl _) ->
       Error.raise_msg "variable %d is not a block variable" i
   | None -> Error.raise_msg "unbound variable %d" i

@@ -38,11 +38,6 @@ let rec size_srt : Lf.srt -> int = function
       1 + List.fold_left (fun a m -> a + size_normal m) 0 sp
   | Lf.SPi (_, s1, s2) -> 1 + size_srt s1 + size_srt s2
 
-let rec size_typ : Lf.typ -> int = function
-  | Lf.Atom (_, sp) ->
-      1 + List.fold_left (fun a m -> a + size_normal m) 0 sp
-  | Lf.Pi (_, a, b) -> 1 + size_typ a + size_typ b
-
 let size_sctx (psi : Ctxs.sctx) : int =
   List.fold_left
     (fun a -> function

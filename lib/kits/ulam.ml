@@ -18,9 +18,9 @@ open Lf
 (* Shorthand *)
 let v i : normal = (mk_root ((mk_bvar i)) [])
 
-let arr a b = (mk_pi "_" a (Shift.shift_typ 1 0 b))
+let arr a b = (mk_pi "_" a (Hsub.sub_typ (mk_shift 1) b))
 
-let sarr s1 s2 = (mk_spi "_" s1 (Shift.shift_srt 1 0 s2))
+let sarr s1 s2 = (mk_spi "_" s1 (Hsub.sub_srt (mk_shift 1) s2))
 
 type t = {
   sg : Sign.t;

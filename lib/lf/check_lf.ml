@@ -42,25 +42,25 @@ let pp_normal e g ppf m =
 (* --- meta-context lookups ------------------------------------------- *)
 
 let mvar_decl e (u : int) : Ctxs.ctx * typ =
-  match Shift.mctx_t_lookup_shifted e.delta u with
+  match Msub.mctx_t_lookup_shifted e.delta u with
   | Some (Meta.TDTerm (_, g, a)) -> (g, a)
   | Some _ -> Error.raise_msg "meta-variable %d is not a term variable" u
   | None -> Error.raise_msg "unbound meta-variable %d" u
 
 let pvar_decl e (p : int) : Ctxs.ctx * Ctxs.elem * normal list =
-  match Shift.mctx_t_lookup_shifted e.delta p with
+  match Msub.mctx_t_lookup_shifted e.delta p with
   | Some (Meta.TDParam (_, g, el, ms)) -> (g, el, ms)
   | Some _ -> Error.raise_msg "meta-variable %d is not a parameter variable" p
   | None -> Error.raise_msg "unbound parameter variable %d" p
 
 let cvar_schema e (i : int) : Lf.cid_schema =
-  match Shift.mctx_t_lookup_shifted e.delta i with
+  match Msub.mctx_t_lookup_shifted e.delta i with
   | Some (Meta.TDCtx (_, g)) -> g
   | Some _ -> Error.raise_msg "meta-variable %d is not a context variable" i
   | None -> Error.raise_msg "unbound context variable %d" i
 
 let svar_decl e (i : int) : Ctxs.ctx * Ctxs.ctx =
-  match Shift.mctx_t_lookup_shifted e.delta i with
+  match Msub.mctx_t_lookup_shifted e.delta i with
   | Some (Meta.TDSub (_, range, dom)) -> (range, dom)
   | Some _ -> Error.raise_msg "meta-variable %d is not a substitution variable" i
   | None -> Error.raise_msg "unbound substitution variable %d" i

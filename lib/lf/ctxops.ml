@@ -11,7 +11,7 @@ open Lf
     declaration), transported to be valid in all of [Γ]. *)
 let typ_of_bvar (g : Ctxs.ctx) (i : int) : typ =
   match Ctxs.ctx_lookup g i with
-  | Some (Ctxs.CDecl (_, a)) -> Shift.shift_typ i 0 a
+  | Some (Ctxs.CDecl (_, a)) -> Hsub.sub_typ (mk_shift i) a
   | Some (Ctxs.CBlock _) ->
       Error.raise_msg
         "variable %d is a block variable and must be used under a projection" i
@@ -22,8 +22,8 @@ let typ_of_bvar (g : Ctxs.ctx) (i : int) : typ =
 let block_of_bvar (g : Ctxs.ctx) (i : int) : Ctxs.block =
   match Ctxs.ctx_lookup g i with
   | Some (Ctxs.CBlock (_, elem, ms)) ->
-      let ms' = List.map (Shift.shift_normal i 0) ms in
-      Hsub.inst_block (Shift.shift_elem i 0 elem) ms'
+      let ms' = List.map (Hsub.sub_normal (mk_shift i)) ms in
+      Hsub.inst_block (Hsub.sub_elem (mk_shift i) elem) ms'
   | Some (Ctxs.CDecl _) ->
       Error.raise_msg "variable %d is not a block variable" i
   | None -> Error.raise_msg "unbound variable %d" i

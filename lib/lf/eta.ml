@@ -46,7 +46,7 @@ and expand_head_arr (t : aty) (h : head) : normal =
       let n = List.length doms in
       (* Under n binders: the head is shifted by n; argument i (1-based,
          first domain) is the variable n - i + 1. *)
-      let h' = Shift.shift_head n 0 h in
+      let h' = Hsub.shift_head n h in
       let spine =
         List.mapi (fun i dom -> expand_head dom (mk_bvar (n - i))) doms
       in

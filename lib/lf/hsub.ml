@@ -233,6 +233,13 @@ and reduce (m : normal) (sp : spine) : normal =
       guard (fun () -> reduce (sub_normal (dot_obj n (mk_shift 0)) body) rest)
   | Root _, _ -> app_spine m sp
 
+(** [shift_head n h] renames [h] by [↑ⁿ]; a renaming never replaces a head
+    by a term. *)
+let shift_head n (h : head) : head =
+  match sub_head (mk_shift n) h with
+  | Rhead h' -> h'
+  | Rnorm _ | Rtup _ -> Error.violation "renaming replaced a head"
+
 (* --- types, sorts, kinds --------------------------------------------- *)
 
 let rec sub_typ (s : sub) (a : typ) : typ =

@@ -1,7 +1,6 @@
 open Belr_support
 open Belr_syntax
 open Belr_lf
-open Belr_meta
 open Belr_core
 open Lf
 
@@ -29,7 +28,7 @@ let push_omega e name decl =
     e with
     omega = decl :: e.omega;
     omega_names = name :: e.omega_names;
-    comp = List.map (fun (x, t) -> (x, Shift.mshift_ctyp 1 0 t)) e.comp;
+    comp = List.map (fun (x, t) -> (x, Msub.ctyp 0 (Meta.MShift 1) t)) e.comp;
   }
 
 let push_comp e name t =
@@ -102,7 +101,7 @@ let concrete_len (psi : Ctxs.sctx) = List.length psi.Ctxs.s_decls
 
 (** Number of concrete (non-ψ) entries in a declaration's context. *)
 let domain_concrete e (i : int) : int =
-  match Shift.mctx_lookup_shifted e.omega i with
+  match Msub.mctx_lookup_shifted e.omega i with
   | Some (Meta.MDTerm (_, psi, _)) -> concrete_len psi
   | Some (Meta.MDParam (_, psi, _, _)) -> concrete_len psi
   | _ -> 0
@@ -648,7 +647,7 @@ let abstract_normal (target : normal) (t : Comp.ctyp) : Comp.ctyp =
   let x0 d = mk_root (mk_mvar 1 (mk_shift d)) [] in
   ignore x0;
   let rec in_normal d m =
-    if Equal.normal m (Shift.shift_normal d 0 target) then
+    if Equal.normal m (Hsub.sub_normal (mk_shift d) target) then
       mk_root (mk_mvar 1 (mk_shift d)) []
     else
       match m with
@@ -701,7 +700,7 @@ let rec elab_cexp e (x : Ext.cexp) (expected : Comp.ctyp) : Comp.exp =
         | _ -> err loc "let [%s] = … requires a box" n
       in
       let e' = push_omega e n (Check_comp.mdecl_of_msrt n ms) in
-      Comp.LetBox (n, e1', elab_cexp e' e2 (Shift.mshift_ctyp 1 0 expected))
+      Comp.LetBox (n, e1', elab_cexp e' e2 (Msub.ctyp 0 (Meta.MShift 1) expected))
   | Ext.ECase (loc, scrut, branches), _ ->
       let scrut', ms_s =
         match scrut with
@@ -714,10 +713,10 @@ let rec elab_cexp e (x : Ext.cexp) (expected : Comp.ctyp) : Comp.exp =
             | _ -> err loc "case scrutinee must have a box sort")
       in
       let inv_body =
-        let shifted = Shift.mshift_ctyp 1 0 expected in
+        let shifted = Msub.ctyp 0 (Meta.MShift 1) expected in
         match scrut' with
         | Comp.Box (Meta.MOTerm (_, m)) ->
-            abstract_normal (Shift.mshift_normal 1 0 m) shifted
+            abstract_normal (Msub.normal 0 (Meta.MShift 1) m) shifted
         | _ -> shifted
       in
       let inv =
@@ -806,7 +805,7 @@ and elab_branch e (inv : Comp.inv) (b : Ext.branch) : Comp.branch =
     take n0 e_all.omega
   in
   let psi_s, q_s =
-    match Shift.mshift_msrt n0 0 inv.Comp.inv_msrt with
+    match Msub.msrt 0 (Meta.MShift n0) inv.Comp.inv_msrt with
     | Meta.MSTerm (psi, q) -> (psi, q)
     | _ -> err b.Ext.b_loc "only boxed-term scrutinees can be matched"
   in
@@ -821,7 +820,7 @@ and elab_branch e (inv : Comp.inv) (b : Ext.branch) : Comp.branch =
   let pat = Meta.MOTerm (Meta.hat_of_sctx psi_s, pat_m) in
   (* body expected: ⟦pat/X₀⟧ inv_body, pre-unification *)
   let body_expected =
-    Msub.ctyp 0 (Msub.inst1 pat) (Shift.mshift_ctyp n0 1 inv.Comp.inv_body)
+    Msub.ctyp 0 (Msub.inst1 pat) (Msub.ctyp 1 (Meta.MShift n0) inv.Comp.inv_body)
   in
   let body = elab_cexp e_all b.Ext.b_body body_expected in
   { Comp.br_mctx = omega0; Comp.br_pat = pat; Comp.br_body = body }

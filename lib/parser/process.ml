@@ -93,6 +93,21 @@ let process_family_ctors (sg : Sign.t) (d : Ext.typ_decl)
           Sign.add_csort sg ~const ~srt ~implicit)
         d.Ext.d_ctors
 
+(** Elaborate a world's parameters, then its fields, each entry under the
+    ones before it; [to_srt] is what the local context records for an
+    elaborated entry. *)
+let elab_world elab to_srt (w : Ext.world) =
+  let rec go l acc = function
+    | [] -> (l, List.rev acc)
+    | (x, t) :: rest ->
+        let a = elab l t in
+        go (Elab.lpush l x (to_srt a)) ((x, a) :: acc) rest
+  in
+  span "elaborate" (fun () ->
+      let l0 = { Elab.lctx = Ctxs.empty_sctx; Elab.lnames = [] } in
+      let l1, ps = go l0 [] w.Ext.w_params in
+      (ps, snd (go l1 [] w.Ext.w_fields)))
+
 let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
   let e = Elab.make_env sg in
   match d with
@@ -105,21 +120,9 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
       let elems =
         List.map
           (fun (w : Ext.world) ->
-            let rec params l acc = function
-              | [] -> (l, List.rev acc)
-              | (x, t) :: rest ->
-                  let ty = Elab.elab_typ e l t in
-                  params (Elab.lpush l x (Embed.typ ty)) ((x, ty) :: acc) rest
+            let ps, blk =
+              elab_world (fun l t -> Elab.elab_typ e l t) Embed.typ w
             in
-            let l0 = { Elab.lctx = Ctxs.empty_sctx; Elab.lnames = [] } in
-            let l1, ps = params l0 [] w.Ext.w_params in
-            let rec fields l acc = function
-              | [] -> List.rev acc
-              | (x, t) :: rest ->
-                  let ty = Elab.elab_typ e l t in
-                  fields (Elab.lpush l x (Embed.typ ty)) ((x, ty) :: acc) rest
-            in
-            let blk = fields l1 [] w.Ext.w_fields in
             { Ctxs.e_name = w.Ext.w_name; Ctxs.e_params = ps;
               Ctxs.e_block = blk })
           s_worlds
@@ -150,21 +153,9 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
               in
               find 0 g_elems
             in
-            let rec params l acc = function
-              | [] -> (l, List.rev acc)
-              | (x, t) :: rest ->
-                  let s = Elab.elab_srt e l t in
-                  params (Elab.lpush l x s) ((x, s) :: acc) rest
+            let ps, blk =
+              elab_world (fun l t -> Elab.elab_srt e l t) Fun.id w
             in
-            let l0 = { Elab.lctx = Ctxs.empty_sctx; Elab.lnames = [] } in
-            let l1, ps = params l0 [] w.Ext.w_params in
-            let rec fields l acc = function
-              | [] -> List.rev acc
-              | (x, t) :: rest ->
-                  let s = Elab.elab_srt e l t in
-                  fields (Elab.lpush l x s) ((x, s) :: acc) rest
-            in
-            let blk = fields l1 [] w.Ext.w_fields in
             { Ctxs.f_name = w.Ext.w_name; Ctxs.f_refines = refines;
               Ctxs.f_params = ps; Ctxs.f_block = blk })
           s_worlds
@@ -177,21 +168,7 @@ let process_decl_inner (sg : Sign.t) (d : Ext.decl) : unit =
       (* elaborate params and fields at the sort level: a type-level
          family arrives as its embedding, a refinement family as an
          atomic sort, so one path covers both LF and LFR blocks *)
-      let l0 = { Elab.lctx = Ctxs.empty_sctx; Elab.lnames = [] } in
-      let rec params l acc = function
-        | [] -> (l, List.rev acc)
-        | (x, t) :: rest ->
-            let s = span "elaborate" (fun () -> Elab.elab_srt e l t) in
-            params (Elab.lpush l x s) ((x, s) :: acc) rest
-      in
-      let l1, ps = params l0 [] w.Ext.w_params in
-      let rec fields l acc = function
-        | [] -> List.rev acc
-        | (x, t) :: rest ->
-            let s = span "elaborate" (fun () -> Elab.elab_srt e l t) in
-            fields (Elab.lpush l x s) ((x, s) :: acc) rest
-      in
-      let blk = fields l1 [] w.Ext.w_fields in
+      let ps, blk = elab_world (fun l t -> Elab.elab_srt e l t) Fun.id w in
       span "check-lfr" (fun () ->
           ignore
             (Check_lfr.wf_selem
@@ -348,21 +325,15 @@ let process_decl_tolerant (sink : Diagnostics.sink) (sg : Sign.t)
   | Some () -> ()
   | None -> List.iter (Sign.poison sg) (Ext.declared_names d)
 
-(** Process additional declarations into an existing signature.
-
-    Without [?diags] this is fail-fast, as before.  With [?diags] the
-    pipeline is fault-tolerant: syntax errors resynchronize at declaration
-    boundaries, and each declaration that fails to elaborate or check is
-    reported, skipped, and poisoned while checking continues with the rest
+(** Process additional declarations into an existing signature, fault-
+    tolerantly: syntax errors resynchronize at declaration boundaries, and
+    each declaration that fails to elaborate or check is reported into
+    [diags], skipped, and poisoned while checking continues with the rest
     of the input — so one pass reports every independent error in a
     file. *)
-let extend ?diags (sg : Sign.t) ?name (src : string) : unit =
-  match diags with
-  | None ->
-      let decls = span "parse" (fun () -> Parse.parse_program ?name src) in
-      List.iter (process_decl sg) decls
-  | Some sink ->
-      let decls =
-        span "parse" (fun () -> Parse.parse_program_tolerant sink ?name src)
-      in
-      List.iter (process_decl_tolerant sink sg) decls
+let extend ~(diags : Diagnostics.sink) (sg : Sign.t) ?name (src : string) :
+    unit =
+  let decls =
+    span "parse" (fun () -> Parse.parse_program_tolerant diags ?name src)
+  in
+  List.iter (process_decl_tolerant diags sg) decls

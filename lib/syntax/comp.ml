@@ -77,8 +77,3 @@ let rec ctyp_arity = function
   | CBox _ -> 0
   | CArr (_, t) -> 1 + ctyp_arity t
   | CPi (_, _, _, t) -> 1 + ctyp_arity t
-
-(** Number of leading implicit [Π]s of a comp sort. *)
-let rec ctyp_implicits = function
-  | CPi (_, true, _, t) -> 1 + ctyp_implicits t
-  | _ -> 0

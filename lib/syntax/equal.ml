@@ -41,15 +41,6 @@ type phys_stats = { ps_hits : int; ps_misses : int }
 
 let phys_stats () = { ps_hits = !phys_hits; ps_misses = !phys_misses }
 
-(** Interning-totality check: with [BELR_STORE_DEBUG=1], any normal that
-    reaches [Equal] without being the store's representative was built
-    around the smart constructors — a sharing leak. *)
-let assert_rep (m : normal) =
-  if store_debug && not (is_rep_normal m) then
-    Error.violation
-      "Equal: normal term is not the store representative (a constructor \
-       bypassed the hash-consing store)"
-
 (* --- deep (specification) equality -------------------------------------- *)
 
 let rec deep_head (h1 : head) (h2 : head) =
@@ -124,9 +115,6 @@ and normal (m1 : normal) (m2 : normal) =
     incr phys_hits;
     true)
   else (
-    if store_debug then (
-      assert_rep m1;
-      assert_rep m2);
     incr phys_misses;
     match (m1, m2) with
     | Lam (_, n1), Lam (_, n2) -> normal n1 n2

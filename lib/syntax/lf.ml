@@ -62,9 +62,3 @@ let rec srt_target = function
 let rec kind_arity = function Ktype -> 0 | Kpi (_, _, k) -> 1 + kind_arity k
 
 let rec skind_arity = function Ksort -> 0 | Kspi (_, _, l) -> 1 + skind_arity l
-
-let rec typ_arity = function Atom _ -> 0 | Pi (_, _, b) -> 1 + typ_arity b
-
-let rec srt_arity = function
-  | SAtom _ | SEmbed _ -> 0
-  | SPi (_, _, b) -> 1 + srt_arity b

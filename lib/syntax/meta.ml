@@ -77,12 +77,6 @@ type mctx_t = mdecl_t list
     the identity). *)
 type msub = MShift of int | MDot of mobj * msub
 
-let mdecl_name = function
-  | MDTerm (n, _, _) -> n
-  | MDSub (n, _, _) -> n
-  | MDCtx (n, _) -> n
-  | MDParam (n, _, _, _) -> n
-
 let mctx_lookup (omega : mctx) (i : int) : mdecl option =
   List.nth_opt omega (i - 1)
 

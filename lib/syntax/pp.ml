@@ -138,29 +138,7 @@ let rec pp_srt ?(paren = false) e ppf = function
       in
       if paren then Fmt.parens body ppf () else Fmt.box body ppf ()
 
-let rec pp_kind e ppf = function
-  | Ktype -> Fmt.string ppf "type"
-  | Kpi (x, a, k) ->
-      let e', x' = push_bound e x in
-      Fmt.pf ppf "{%s : %a} %a" x' (pp_typ e) a (pp_kind e') k
-
-let rec pp_skind e ppf = function
-  | Ksort -> Fmt.string ppf "sort"
-  | Kspi (x, s, l) ->
-      let e', x' = push_bound e x in
-      Fmt.pf ppf "{%s : %a} %a" x' (pp_srt e) s (pp_skind e') l
-
 (* Blocks / elements -------------------------------------------------- *)
-
-let pp_block e ppf (b : Ctxs.block) =
-  let rec go e = function
-    | [] -> []
-    | (x, a) :: rest ->
-        let s = Fmt.str "%s : %a" (snd (push_bound e x)) (pp_typ e) a in
-        let e', _ = push_bound e x in
-        s :: go e' rest
-  in
-  Fmt.pf ppf "block (%s)" (String.concat ", " (go e b))
 
 let pp_sblock e ppf (b : Ctxs.sblock) =
   let rec go e = function
@@ -171,19 +149,6 @@ let pp_sblock e ppf (b : Ctxs.sblock) =
         str :: go e' rest
   in
   Fmt.pf ppf "block (%s)" (String.concat ", " (go e b))
-
-let pp_elem e ppf (el : Ctxs.elem) =
-  let rec params env = function
-    | [] -> (env, [])
-    | (x, a) :: rest ->
-        let s = Fmt.str "{%s : %a}" (snd (push_bound env x)) (pp_typ env) a in
-        let env', _ = push_bound env x in
-        let env'', ss = params env' rest in
-        (env'', s :: ss)
-  in
-  let env', ps = params e el.Ctxs.e_params in
-  if ps = [] then pp_block env' ppf el.Ctxs.e_block
-  else Fmt.pf ppf "%s %a" (String.concat " " ps) (pp_block env') el.Ctxs.e_block
 
 let pp_selem e ppf (f : Ctxs.selem) =
   let rec params env = function
@@ -225,20 +190,6 @@ let pp_ctx_gen ~pp_entry ~var_name e ppf (var, decls_innermost_first) =
   if not !started then Fmt.string ppf ".";
   !env
 
-let pp_centry e ppf = function
-  | Ctxs.CDecl (x, a) ->
-      let e', x' = push_bound e x in
-      Fmt.pf ppf "%s : %a" x' (pp_typ e) a;
-      e'
-  | Ctxs.CBlock (x, el, ms) ->
-      let e', x' = push_bound e x in
-      Fmt.pf ppf "%s : %a" x' (pp_elem e) el;
-      (match ms with
-      | [] -> ()
-      | _ ->
-          Fmt.pf ppf " %a" (Fmt.list ~sep:Fmt.sp (pp_normal ~paren:true e)) ms);
-      e'
-
 let pp_scentry e ppf = function
   | Ctxs.SCDecl (x, s) ->
       let e', x' = push_bound e x in
@@ -252,13 +203,6 @@ let pp_scentry e ppf = function
       | _ ->
           Fmt.pf ppf " %a" (Fmt.list ~sep:Fmt.sp (pp_normal ~paren:true e)) ms);
       e'
-
-let pp_ctx e ppf (g : Ctxs.ctx) =
-  ignore
-    (pp_ctx_gen ~pp_entry:pp_centry
-       ~var_name:(fun i -> meta_name e i)
-       e ppf
-       (g.Ctxs.c_var, g.Ctxs.c_decls))
 
 let pp_sctx e ppf (psi : Ctxs.sctx) =
   let var_name i =
@@ -283,22 +227,7 @@ let env_of_ctx e (g : Ctxs.ctx) =
     e
     (List.rev (Ctxs.ctx_names g))
 
-let env_of_hat e (h : Meta.hat) =
-  List.fold_left
-    (fun env n -> fst (push_bound env n))
-    e
-    (List.rev h.Meta.hat_names)
-
 (* Meta level ---------------------------------------------------------- *)
-
-let pp_hat e ppf (h : Meta.hat) =
-  let parts =
-    (match h.Meta.hat_var with Some i -> [ meta_name e i ] | None -> [])
-    @ List.rev_map Name.to_string h.Meta.hat_names
-  in
-  match parts with
-  | [] -> Fmt.string ppf "."
-  | _ -> Fmt.string ppf (String.concat ", " parts)
 
 let pp_msrt e ppf = function
   | Meta.MSTerm (psi, q) ->
@@ -316,30 +245,6 @@ let pp_msrt e ppf = function
                 ms)
         ms
 
-let pp_mtyp e ppf = function
-  | Meta.MTTerm (g, a) ->
-      Fmt.pf ppf "[%a |- %a]" (pp_ctx e) g (pp_typ (env_of_ctx e g)) a
-  | Meta.MTSub (g, g') -> Fmt.pf ppf "[%a |- %a]" (pp_ctx e) g (pp_ctx e) g'
-  | Meta.MTCtx g -> Fmt.string ppf (e.res.r_schema g)
-  | Meta.MTParam (g, el, ms) ->
-      Fmt.pf ppf "#[%a |- %a%a]" (pp_ctx e) g (pp_elem (env_of_ctx e g)) el
-        (fun ppf -> function
-          | [] -> ()
-          | ms ->
-              Fmt.pf ppf " %a"
-                (Fmt.list ~sep:Fmt.sp (pp_normal ~paren:true (env_of_ctx e g)))
-                ms)
-        ms
-
-let pp_mobj e ppf = function
-  | Meta.MOTerm (h, m) ->
-      Fmt.pf ppf "[%a |- %a]" (pp_hat e) h (pp_normal (env_of_hat e h)) m
-  | Meta.MOSub (h, s) ->
-      Fmt.pf ppf "[%a |- %a]" (pp_hat e) h (pp_sub (env_of_hat e h)) s
-  | Meta.MOCtx psi -> Fmt.pf ppf "[%a]" (pp_sctx e) psi
-  | Meta.MOParam (h, hd) ->
-      Fmt.pf ppf "[%a |- %a]" (pp_hat e) h (pp_head (env_of_hat e h)) hd
-
 (* Computation level ---------------------------------------------------- *)
 
 let rec pp_ctyp ?(paren = false) e ppf = function
@@ -356,72 +261,3 @@ let rec pp_ctyp ?(paren = false) e ppf = function
         Fmt.pf ppf "%s%s : %a%s@ %a" l x' (pp_msrt e) ms r (pp_ctyp e') t
       in
       if paren then Fmt.parens body ppf () else Fmt.box body ppf ()
-
-let rec pp_ctyp_t ?(paren = false) e ppf = function
-  | Comp.TBox mt -> pp_mtyp e ppf mt
-  | Comp.TArr (t1, t2) ->
-      let body ppf () =
-        Fmt.pf ppf "%a ->@ %a" (pp_ctyp_t ~paren:true e) t1 (pp_ctyp_t e) t2
-      in
-      if paren then Fmt.parens body ppf () else Fmt.box body ppf ()
-  | Comp.TPi (x, imp, mt, t) ->
-      let e', x' = push_meta e x in
-      let l, r = if imp then ("(", ")") else ("{", "}") in
-      let body ppf () =
-        Fmt.pf ppf "%s%s : %a%s@ %a" l x' (pp_mtyp e) mt r (pp_ctyp_t e') t
-      in
-      if paren then Fmt.parens body ppf () else Fmt.box body ppf ()
-
-let rec pp_exp ?(paren = false) e ~comp ppf (ex : Comp.exp) =
-  let pc = pp_exp ~paren:true e ~comp in
-  match ex with
-  | Comp.Var i -> (
-      match List.nth_opt comp (i - 1) with
-      | Some n -> Fmt.string ppf n
-      | None -> Fmt.pf ppf "$%d" i)
-  | Comp.RecConst r -> Fmt.string ppf (e.res.r_rec r)
-  | Comp.Box mo -> pp_mobj e ppf mo
-  | Comp.Fn (x, _, body) ->
-      let x' = Name.fresh_for comp (Name.to_string x) in
-      let b ppf () =
-        Fmt.pf ppf "fn %s =>@ %a" x' (pp_exp e ~comp:(x' :: comp)) body
-      in
-      if paren then Fmt.parens b ppf () else Fmt.box b ppf ()
-  | Comp.App (e1, e2) ->
-      let b ppf () = Fmt.pf ppf "%a@ %a" (pp_exp ~paren:true e ~comp) e1 pc e2 in
-      if paren then Fmt.parens b ppf () else Fmt.box b ppf ()
-  | Comp.MLam (x, body) ->
-      let e', x' = push_meta e x in
-      let b ppf () =
-        Fmt.pf ppf "mlam %s =>@ %a" x' (pp_exp e' ~comp) body
-      in
-      if paren then Fmt.parens b ppf () else Fmt.box b ppf ()
-  | Comp.MApp (e1, mo) ->
-      let b ppf () =
-        Fmt.pf ppf "%a@ %a" (pp_exp ~paren:true e ~comp) e1 (pp_mobj e) mo
-      in
-      if paren then Fmt.parens b ppf () else Fmt.box b ppf ()
-  | Comp.LetBox (x, e1, e2) ->
-      let e', x' = push_meta e x in
-      let b ppf () =
-        Fmt.pf ppf "let [%s] = %a in@ %a" x' (pp_exp e ~comp) e1
-          (pp_exp e' ~comp) e2
-      in
-      if paren then Fmt.parens b ppf () else Fmt.vbox b ppf ()
-  | Comp.Case (_, scrut, branches) ->
-      let b ppf () =
-        Fmt.pf ppf "@[<v>case %a of" (pp_exp ~paren:true e ~comp) scrut;
-        List.iter
-          (fun (br : Comp.branch) ->
-            let e' =
-              List.fold_left
-                (fun env d -> fst (push_meta env (Meta.mdecl_name d)))
-                e
-                (List.rev br.Comp.br_mctx)
-            in
-            Fmt.pf ppf "@,| %a => %a" (pp_mobj e') br.Comp.br_pat
-              (pp_exp e' ~comp) br.Comp.br_body)
-          branches;
-        Fmt.pf ppf "@]"
-      in
-      if paren then Fmt.parens b ppf () else b ppf ()

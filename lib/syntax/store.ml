@@ -67,8 +67,6 @@ type skind = Ksort | Kspi of Name.t * srt * skind
 
 (* --- store state ------------------------------------------------------ *)
 
-let store_debug = Sys.getenv_opt "BELR_STORE_DEBUG" <> None
-
 let mfi_infinity = max_int
 
 (** Saturating decrement (leaving a binder). *)
@@ -568,11 +566,6 @@ let mfi_typ a = (meta_typ a).m_mfi
 let mfi_srt s = (meta_srt s).m_mfi
 
 let mfi_spine sp = snd (spine_meta sp)
-
-let is_rep_normal (m : normal) =
-  match NormalArena.find_opt (!cur_arena).ar_normal m with
-  | Some r -> r == m
-  | None -> false
 
 (* --- statistics -------------------------------------------------------- *)
 

@@ -212,16 +212,6 @@ val mfi_srt : srt -> int
 
 val mfi_spine : spine -> int
 
-(* --- debug ------------------------------------------------------------ *)
-
-val store_debug : bool
-(** [BELR_STORE_DEBUG=1]: [Equal] additionally asserts that deep-equal
-    interned representatives are physically equal (interning-leak check). *)
-
-val is_rep_normal : normal -> bool
-(** Is this node the arena's representative for its equivalence class?
-    (Debug-only; a linear-free hash lookup.) *)
-
 (* --- statistics ------------------------------------------------------- *)
 
 type store_stats = {

@@ -1,7 +1,6 @@
 open Belr_support
 open Belr_syntax
 open Belr_lf
-open Belr_meta
 open Lf
 
 exception Unify of string
@@ -43,7 +42,7 @@ let make ~sg ~omega ~flex =
   Telemetry.bump c_problems;
   let decls =
     Array.of_list
-      (List.mapi (fun k d -> lazy (Shift.mshift_mdecl (k + 1) 0 d)) omega)
+      (List.mapi (fun k d -> lazy (Msub.mdecl 0 (Meta.MShift (k + 1)) d)) omega)
   in
   {
     sg;
@@ -252,13 +251,12 @@ let invert_term (s : sub) (m : normal) : normal =
         let rec go_head c = function
           | Const _ as h -> h
           | BVar j as h ->
-              if j <= c then h else shift_entry c (invert_var (j - c))
+              if j <= c then h else Hsub.shift_head c (invert_var (j - c))
           | Proj (BVar j, k) as h ->
-              if j <= c then h else shift_entry c (invert_proj (j - c) k)
+              if j <= c then h else Hsub.shift_head c (invert_proj (j - c) k)
           | Proj (b, k) -> mk_proj (go_head c b) k
           | MVar (u, s') -> mk_mvar u (go_sub c s')
           | PVar (p, s') -> mk_pvar p (go_sub c s')
-        and shift_entry c h = Shift.shift_head c 0 h
         and go_normal c = function
           | Lam (x, m) -> mk_lam x (go_normal (c + 1) m)
           | Root (h, sp) -> mk_root (go_head c h) (List.map (go_normal c) sp)
@@ -445,7 +443,7 @@ let refine_solved_params (st : state) : unit =
               let psi = resolve_sctx st psi in
               match Ctxs.sctx_lookup psi j with
               | Some (Ctxs.SCBlock (_, _, ms_c)) -> (
-                  let ms_c = List.map (Shift.shift_normal j 0) ms_c in
+                  let ms_c = List.map (Hsub.sub_normal (mk_shift j)) ms_c in
                   try
                     unify_spine st (List.map (resolve_normal st) ms_p) ms_c
                   with Unify _ -> ())
@@ -632,7 +630,7 @@ let solve (st : state) : Meta.msub * Meta.mctx =
         (* k is 0-based from innermost; entry must be valid outside its
            position: shift down by (k + 1) *)
         let d = Msub.mdecl 0 r (rdecl i) in
-        Shift.mshift_mdecl (-(k + 1)) 0 d)
+        Msub.mdecl 0 (Meta.MShift (-(k + 1))) d)
       omega'_order
   in
   (rho, omega')

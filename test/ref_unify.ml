@@ -10,12 +10,12 @@
 
 open Belr_support
 open Belr_syntax
-open Belr_meta
+open Belr_lf
 open Belr_unify
 open Lf
 
 let decl (st : Unify.state) i =
-  match Shift.mctx_lookup_shifted st.Unify.omega i with
+  match Msub.mctx_lookup_shifted st.Unify.omega i with
   | Some d -> d
   | None -> failwith "Ref_unify: unbound meta-variable"
 
@@ -187,7 +187,7 @@ let solve (st : Unify.state) : Meta.msub * Meta.mctx =
     List.mapi
       (fun k i ->
         let d = Msub.mdecl 0 r (resolved_decl i) in
-        Shift.mshift_mdecl (-(k + 1)) 0 d)
+        Msub.mdecl 0 (Meta.MShift (-(k + 1))) d)
       omega'_order
   in
   (rho, omega')

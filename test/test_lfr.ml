@@ -111,12 +111,12 @@ let sorting_tests =
         in
         ignore
           (Check_lfr.check_normal env psi (v 1)
-             (Shift.shift_srt 1 0 deq_id_id_emb)));
+             (Hsub.sub_srt (mk_shift 1) deq_id_id_emb)));
     fails "no subsumption in the other direction" (fun () ->
         let psi =
           Ctxs.sctx_push Ctxs.empty_sctx (Ctxs.SCDecl ("d", deq_id_id_emb))
         in
-        Check_lfr.check_normal env psi (v 1) (Shift.shift_srt 1 0 aeq_id_id));
+        Check_lfr.check_normal env psi (v 1) (Hsub.sub_srt (mk_shift 1) aeq_id_id));
     ok "conservativity: sort-checked terms re-check at the erased type"
       (fun () ->
         let a = Check_lfr.check_normal env Ctxs.empty_sctx d_id aeq_id_id in

@@ -4,7 +4,6 @@
 open Belr_support
 open Belr_syntax
 open Belr_lf
-open Belr_meta
 open Belr_core
 open Lf
 
@@ -91,6 +90,126 @@ let msub_tests =
           (Msub.normal 0 (Msub.mcomp theta1 theta2) t));
   ]
 
+(* --- meta renaming: Msub at MShift ---------------------------------------- *)
+
+(** Random normals over meta-variables [1..5]: [MVar]s (with and without
+    spines, under shifts and under substitutions carrying more terms),
+    [PVar]s, projections out of parameter variables, and LF binders. *)
+let gen_mnormal : normal QCheck.Gen.t =
+  let open QCheck.Gen in
+  let midx = int_range 1 5 in
+  sized
+  @@ fix (fun self sz ->
+         let leaf =
+           frequency
+             [
+               (1, return (v 1));
+               (1, return (Fixtures.zero f));
+               (2, map (fun u -> mk_root (mk_mvar u (mk_shift 0)) []) midx);
+               (1, map (fun p -> mk_root (mk_pvar p (mk_shift 1)) []) midx);
+               ( 1,
+                 map2
+                   (fun p k -> mk_root (mk_proj (mk_pvar p (mk_shift 0)) k) [])
+                   midx (int_range 1 2) );
+             ]
+         in
+         if sz <= 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (2, map (Fixtures.succ f) (self (sz - 1)));
+               (1, map (mk_lam "x") (self (sz - 1)));
+               ( 2,
+                 map3
+                   (fun u m n -> mk_root (mk_mvar u (mk_dot (Obj m) (mk_shift 0))) [ n ])
+                   midx (self (sz / 2)) (self (sz / 2)) );
+             ])
+
+(** Random sorts whose spines are {!gen_mnormal}s, some under a [Π]. *)
+let gen_msrt_body : srt QCheck.Gen.t =
+  let open QCheck.Gen in
+  map3
+    (fun m n dep ->
+      let q = mk_satom f.Fixtures.aeq [ m; n ] in
+      if dep then mk_spi "x" (mk_sembed f.Fixtures.tm []) q else q)
+    gen_mnormal gen_mnormal bool
+
+(** A boxed sort [[ψ, x : S |- S']] over the context variable [ψ]. *)
+let gen_msrt : Meta.msrt QCheck.Gen.t =
+  let open QCheck.Gen in
+  map3
+    (fun i q q' ->
+      let psi =
+        { Ctxs.s_var = Some i; Ctxs.s_promoted = false; Ctxs.s_decls = [ Ctxs.SCDecl ("x", q) ] }
+      in
+      Meta.MSTerm (psi, q'))
+    (int_range 1 5) gen_msrt_body gen_msrt_body
+
+(* The meta indices of a term, in traversal order. *)
+let rec mv_normal acc = function
+  | Lam (_, n) -> mv_normal acc n
+  | Root (h, sp) -> List.fold_left mv_normal (mv_head acc h) sp
+
+and mv_head acc = function
+  | Const _ | BVar _ -> acc
+  | MVar (u, s) | PVar (u, s) -> mv_sub (u :: acc) s
+  | Proj (b, _) -> mv_head acc b
+
+and mv_sub acc = function
+  | Empty | Shift _ -> acc
+  | Dot (Obj m, s) -> mv_sub (mv_normal acc m) s
+  | Dot (Tup t, s) -> mv_sub (List.fold_left mv_normal acc t) s
+  | Dot (Undef, s) -> mv_sub acc s
+
+let rec mv_srt acc = function
+  | SAtom (_, sp) | SEmbed (_, sp) -> List.fold_left mv_normal acc sp
+  | SPi (_, q, q') -> mv_srt (mv_srt acc q) q'
+
+let mv_msrt = function
+  | Meta.MSTerm (psi, q) ->
+      let acc = Option.to_list psi.Ctxs.s_var in
+      let acc =
+        List.fold_left
+          (fun acc -> function
+            | Ctxs.SCDecl (_, q) -> mv_srt acc q
+            | Ctxs.SCBlock _ -> acc)
+          acc psi.Ctxs.s_decls
+      in
+      mv_srt acc q
+  | _ -> []
+
+let gen_renaming = QCheck.Gen.(pair (int_bound 2) (int_range 1 3))
+
+let prop_rename_moves_exactly =
+  QCheck.Test.make ~count:300
+    ~name:"MShift d at cutoff c moves exactly the meta indices above c by d"
+    (QCheck.make QCheck.Gen.(triple gen_mnormal gen_msrt gen_renaming))
+    (fun (m, ms, (c, d)) ->
+      let move = List.map (fun i -> if i > c then i + d else i) in
+      let th = Meta.MShift d in
+      mv_normal [] (Msub.normal c th m) = move (mv_normal [] m)
+      && mv_msrt (Msub.msrt c th ms) = move (mv_msrt ms))
+
+let prop_rename_back =
+  QCheck.Test.make ~count:300
+    ~name:"renaming by d and back by -d is the identity"
+    (QCheck.make QCheck.Gen.(triple gen_mnormal gen_msrt_body gen_renaming))
+    (fun (m, q, (c, d)) ->
+      let there = Meta.MShift d and back = Meta.MShift (-d) in
+      Equal.deep_normal (Msub.normal c back (Msub.normal c there m)) m
+      && Equal.deep_srt (Msub.srt c back (Msub.srt c there q)) q)
+
+let prop_rename_zero_phys =
+  QCheck.Test.make ~count:100 ~name:"MShift 0 returns its input physically"
+    (QCheck.make QCheck.Gen.(triple gen_mnormal gen_msrt_body (int_bound 2)))
+    (fun (m, q, c) ->
+      (* in a fresh store state [m] and [q] are not representatives, so
+         a rebuild of them would be physically fresh *)
+      Store.with_state (Store.fresh_state ()) (fun () ->
+          Msub.normal c (Meta.MShift 0) m == m
+          && Msub.srt c (Meta.MShift 0) q == q))
+
 (* --- contextual sorting ------------------------------------------------ *)
 
 let sorting_tests =
@@ -152,4 +271,11 @@ let sorting_tests =
         ());
   ]
 
-let suites = [ ("meta.msub", msub_tests); ("meta.sorting", sorting_tests) ]
+let suites =
+  [
+    ("meta.msub", msub_tests);
+    ( "meta.renaming",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_rename_moves_exactly; prop_rename_back; prop_rename_zero_phys ] );
+    ("meta.sorting", sorting_tests);
+  ]

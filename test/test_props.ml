@@ -34,7 +34,7 @@ let gen_tm : normal QCheck.Gen.t =
               map
                 (fun m ->
                   (* lam \x. (shifted m) — keep it closed *)
-                  (mk_root ((mk_const f.Ulam.lam)) ([ (mk_lam "x" (Shift.shift_normal 1 0 m)) ])))
+                  (mk_root ((mk_const f.Ulam.lam)) ([ (mk_lam "x" (Hsub.sub_normal (mk_shift 1) m)) ])))
                 (self (n - 1)) );
           ])
 
@@ -170,7 +170,7 @@ let prop_unify_ground =
       Unify.unify_normal st ((mk_root ((mk_mvar 1 ((mk_shift 0)))) [])) t;
       let rho, omega' = Unify.solve st in
       omega' = []
-      && Equal.normal (Belr_meta.Msub.normal 0 rho ((mk_root ((mk_mvar 1 ((mk_shift 0)))) []))) t)
+      && Equal.normal (Belr_lf.Msub.normal 0 rho ((mk_root ((mk_mvar 1 ((mk_shift 0)))) []))) t)
 
 let prop_eta_wellformed =
   QCheck.Test.make ~count:100 ~name:"η-expansion checks at its type"
@@ -183,8 +183,8 @@ let prop_eta_wellformed =
       in
       let a = ty n in
       let g = Ctxs.ctx_push Ctxs.empty_ctx (Ctxs.CDecl ("h", a)) in
-      let m = Eta.expand_var_typ (Shift.shift_typ 1 0 a) 1 in
-      Check_lf.check_normal lf_env g m (Shift.shift_typ 1 0 a);
+      let m = Eta.expand_var_typ (Hsub.sub_typ (mk_shift 1) a) 1 in
+      Check_lf.check_normal lf_env g m (Hsub.sub_typ (mk_shift 1) a);
       true)
 
 let suites =

@@ -33,7 +33,7 @@ let gen_tm : normal QCheck.Gen.t =
                  map
                    (fun m ->
                      mk_root (mk_const f.Ulam.lam)
-                       [ mk_lam "x" (Shift.shift_normal 1 0 m) ])
+                       [ mk_lam "x" (Hsub.sub_normal (mk_shift 1) m) ])
                    (self (n - 1)) );
              ])
 
@@ -154,18 +154,24 @@ let gen_redex_src : normal QCheck.Gen.t =
 
 (** Substitutions for {!gen_redex_src}'s context: a [Lam] for the
     function variable, a term for the plain one, a two-component tuple
-    for the block, and a shift for the rest. *)
+    for the block, and a shift for the rest; or a bare shift [↑ⁿ]
+    ([n ∈ 1..3]), the renaming every LF weakening goes through. *)
 let gen_sub : sub QCheck.Gen.t =
   let open QCheck.Gen in
   let body = gen_nat_open 2 in
-  map
-    (fun (((fb, x), (p1, p2)), k) ->
-      mk_dot
-        (Obj (mk_lam "y" fb))
-        (mk_dot (Obj x) (mk_dot (Tup [ p1; p2 ]) (mk_shift k))))
-    (pair
-       (pair (pair body (gen_nat_open 1)) (pair (gen_nat_open 1) (gen_nat_open 1)))
-       (int_bound 2))
+  frequency
+    [
+      ( 3,
+        map
+          (fun (((fb, x), (p1, p2)), k) ->
+            mk_dot
+              (Obj (mk_lam "y" fb))
+              (mk_dot (Obj x) (mk_dot (Tup [ p1; p2 ]) (mk_shift k))))
+          (pair
+             (pair (pair body (gen_nat_open 1)) (pair (gen_nat_open 1) (gen_nat_open 1)))
+             (int_bound 2)) );
+      (1, map mk_shift (int_range 1 3));
+    ]
 
 let prop_hsub_matches_oracle =
   QCheck.Test.make ~count:300
@@ -183,7 +189,7 @@ let prop_hsub_typ_srt_match_oracle =
     (QCheck.make (QCheck.Gen.pair gen_redex_src gen_sub))
     (fun (m, s) ->
       (* dependent Π shapes, so substitution also goes under binders *)
-      let m1 = Shift.shift_normal 1 0 m in
+      let m1 = Hsub.sub_normal (mk_shift 1) m in
       let a =
         mk_pi "x" (mk_atom f.Ulam.deq [ m; m ]) (mk_atom f.Ulam.deq [ m1; bvar 1 ])
       in

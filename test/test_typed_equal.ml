@@ -50,7 +50,7 @@ let tests =
         match s_f with
         | SAtom (s, [ _; _; ty ]) when s = aeq ->
             Alcotest.(check bool) "f at arr i i" true
-              (Equal.normal ty (Shift.shift_normal 2 0 arr))
+              (Equal.normal ty (Belr_lf.Hsub.sub_normal (mk_shift 2) arr))
         | _ -> Alcotest.fail "unexpected sort for f.2");
     ok "typed aeq-sym runs in a parameterized context" (fun () ->
         let sg = Lazy.force tsg in
@@ -77,7 +77,7 @@ let tests =
                   Meta.MOCtx psi;
                   Meta.MOTerm (h, b1);
                   Meta.MOTerm (h, b1);
-                  Meta.MOTerm (h, Shift.shift_normal 1 0 i);
+                  Meta.MOTerm (h, Belr_lf.Hsub.sub_normal (mk_shift 1) i);
                 ],
               Comp.Box (Meta.MOTerm (h, b2)) )
         in
@@ -89,7 +89,7 @@ let tests =
         let aeq = Lookup.find_srt sg "aeq" in
         ignore
           (Check_lfr.check_normal (Check_lfr.make_env sg []) psi res
-             ((mk_satom aeq ([ b1; b1; Shift.shift_normal 1 0 i ])))));
+             ((mk_satom aeq ([ b1; b1; Belr_lf.Hsub.sub_normal (mk_shift 1) i ])))));
     ok "typed aeq-sym terminates and is covered" (fun () ->
         let sg = Lazy.force tsg in
         let sym = Lookup.find_rec sg "aeq-sym" in

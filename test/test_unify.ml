@@ -4,7 +4,7 @@
 
 open Belr_support
 open Belr_syntax
-open Belr_meta
+open Belr_lf
 open Belr_unify
 open Lf
 
@@ -109,7 +109,7 @@ let unify_tests =
         (* pattern M'(2) against rigid ground term: M' := lam \x.x,
            weakened to (ψ, x) *)
         let ground =
-          Shift.shift_normal 1 0 (Fixtures.id_tm f)
+          Hsub.sub_normal (mk_shift 1) (Fixtures.id_tm f)
         in
         Unify.unify_normal st (mvar 2) ground;
         let rho, _ = Unify.solve st in

@@ -72,7 +72,7 @@ let gen_open (nvars : int) : normal QCheck.Gen.t =
                  map
                    (fun m ->
                      mk_root (mk_const u.Ulam.lam)
-                       [ mk_lam "x" (Shift.shift_normal 1 0 m) ])
+                       [ mk_lam "x" (Hsub.sub_normal (mk_shift 1) m) ])
                    (self (n - 1)) );
              ])
 
@@ -83,7 +83,7 @@ let gen_clo : Whnf.nclo QCheck.Gen.t =
   let open QCheck.Gen in
   map2
     (fun m (b1, b2) ->
-      (m, mk_dot (Obj b1) (mk_dot (Obj (Shift.shift_normal 1 0 b2)) (mk_shift 1))))
+      (m, mk_dot (Obj b1) (mk_dot (Obj (Hsub.sub_normal (mk_shift 1) b2)) (mk_shift 1))))
     (gen_open 2)
     (pair (gen_open 0) (gen_open 1))
 
