@@ -11,15 +11,11 @@
     - E4  scaling of sort checking (near-linear, no intersection blow-up)
     - E5  hereditary substitution with tuple fronts / block projections
     - E6  ablation: unified single-pass judgment vs naive two-pass
-    - E7  the hash-consed term store (PR 4): sort checking and equality
-          on interned terms, plus the one-at-a-time vs batched
-          spine-append micro-benchmark (the store-off rows are frozen in
-          [BENCH_pr4.json])
-    - E8  warm vs cold re-check in the belr serve engine (PR 6)
-    - E10 lazy whnf normalization (PR 9): cold-path sort checking,
-          weak-head queries on delayed closures, telescope checking, and
-          running [ceq] on deep [deq] derivation chains (the eager-kernel
-          rows are frozen in [BENCH_pr9.json])
+
+    E7, E8 and E10 (the term store, the serve engine, lazy whnf) are
+    retired: [perfbench/] gates the paths they timed, and their last
+    numbers stay frozen in [BENCH_pr4.json], [BENCH_pr6.json] and
+    [BENCH_pr9.json].
 
     Run with: [dune exec bench/main.exe]  (add [--fast] for a quick pass).
 
@@ -400,315 +396,6 @@ let e6 () =
        [ ("times_ns", json_rows rows); ("two_pass_over_unified", J.Obj ratios) ])
 
 (* ------------------------------------------------------------------ *)
-(* E7 — the hash-consed term store (PR 4)                               *)
-
-let e7 () =
-  Fmt.pr
-    "@.== E7: hash-consed term store (DESIGN.md §S21; store-off rows \
-     frozen in BENCH_pr4.json) ==@.";
-  Hsub.clear_memo ();
-  let store_tests =
-    List.concat_map
-      (fun d ->
-        let drv = gen_drv d in
-        (* a second structurally identical build: physically shared with
-           [drv] by interning *)
-        let drv' = gen_drv d in
-        let s = aeq_srt d in
-        [
-          Test.make
-            ~name:(Fmt.str "on/sort-check/depth-%02d" d)
-            (Staged.stage (fun () ->
-                 ignore (Check_lfr.check_normal lfr_env Ctxs.empty_sctx drv s)));
-          Test.make
-            ~name:(Fmt.str "on/equal/depth-%02d" d)
-            (Staged.stage (fun () -> ignore (Equal.normal drv drv')));
-        ])
-      depths
-  in
-  (* satellite micro-benchmark: the pre-PR4 one-argument-at-a-time spine
-     append (O(n²) in the spine length) vs the batched [Lf.app_spine] *)
-  let spine_k = 256 in
-  let spine_args = List.init spine_k (fun _ -> id_tm) in
-  let spine_base = mk_root (mk_bvar 1) [] in
-  let spine_tests =
-    [
-      Test.make
-        ~name:(Fmt.str "spine-append/one-at-a-time/%d" spine_k)
-        (Staged.stage (fun () ->
-             ignore
-               (List.fold_left
-                  (fun m a -> app_spine m [ a ])
-                  spine_base spine_args)));
-      Test.make
-        ~name:(Fmt.str "spine-append/batched/%d" spine_k)
-        (Staged.stage (fun () -> ignore (app_spine spine_base spine_args)));
-    ]
-  in
-  let rows =
-    print_results "store (sort-check replicates the E2/E4 workload):"
-      (run_tests (Test.make_grouped ~name:"e7" (store_tests @ spine_tests)))
-  in
-  let spine_ratio =
-    let get lbl =
-      try List.assoc (Fmt.str "e7/spine-append/%s/%d" lbl spine_k) rows
-      with Not_found -> nan
-    in
-    let r = get "one-at-a-time" /. get "batched" in
-    Fmt.pr "  spine-append ×%d: one-at-a-time / batched = %.1fx@." spine_k r;
-    r
-  in
-  record "e7"
-    (J.Obj
-       [
-         ("times_ns", json_rows rows);
-         ("spine_one_at_a_time_over_batched", J.Float spine_ratio);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* E8 — warm vs cold re-check in the belr serve engine (PR 6)           *)
-
-(** A chained synthetic signature: [f0 : type] and
-    [fi = | ci : f(i-1) -> fi], so each family references (and is a
-    subordination successor of) its predecessor.  Editing the {e last}
-    declaration therefore invalidates exactly itself — the warm path of
-    the incremental checker re-checks 1 of [n] declarations. *)
-let e8_chain ?(variant = 0) n =
-  String.concat "\n"
-    (List.init n (fun i ->
-         if i = 0 then "LF f0 : type = | c0 : f0;"
-         else if i = n - 1 && variant = 1 then
-           Fmt.str "LF f%d : type = | c%d : f%d -> f%d | d%d : f%d;" i i
-             (i - 1) i i i
-         else Fmt.str "LF f%d : type = | c%d : f%d -> f%d;" i i (i - 1) i))
-
-let e8_request ~id src =
-  J.to_string ~compact:true
-    (J.Obj
-       [
-         ("id", J.Int id);
-         ("method", J.String "check");
-         ("session", J.String "bench");
-         ("source", J.String src);
-       ])
-
-let e8_round server line =
-  match Belr_parser.Serve.handle_line server line with
-  | Some _ -> ()
-  | None -> failwith "e8: serve returned no reply"
-
-let e8 () =
-  let n = 60 in
-  Fmt.pr
-    "@.== E8: warm vs cold re-check — belr serve incremental engine \
-     (%d-decl@.   chained signature; warm runs re-check exactly one \
-     edited declaration) ==@."
-    n;
-  let variants = [| e8_chain n; e8_chain ~variant:1 n |] in
-  (* warm: one long-lived server; each run toggles the last declaration,
-     so the engine diffs, reuses n-1 entries, and re-checks one *)
-  let warm_server = Belr_parser.Serve.create () in
-  e8_round warm_server (e8_request ~id:0 variants.(0));
-  let flip = ref 0 in
-  let tests =
-    [
-      Test.make
-        ~name:(Fmt.str "cold/%d-decls" n)
-        (Staged.stage (fun () ->
-             let server = Belr_parser.Serve.create () in
-             e8_round server (e8_request ~id:1 variants.(0))));
-      Test.make
-        ~name:(Fmt.str "warm/%d-decls" n)
-        (Staged.stage (fun () ->
-             flip := 1 - !flip;
-             e8_round warm_server (e8_request ~id:2 variants.(!flip))));
-    ]
-  in
-  let rows =
-    print_results "cold (fresh session, full check) vs warm (one edit):"
-      (run_tests (Test.make_grouped ~name:"e8" tests))
-  in
-  let get lbl =
-    try List.assoc (Fmt.str "e8/%s/%d-decls" lbl n) rows
-    with Not_found -> nan
-  in
-  let speedup = get "cold" /. get "warm" in
-  Fmt.pr "  warm speedup over cold = %.1fx (acceptance floor: 5x)@." speedup;
-  record "e8"
-    (J.Obj
-       [
-         ("times_ns", json_rows rows);
-         ("decls", J.Int n);
-         ("cold_over_warm", J.Float speedup);
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* E10 — lazy whnf normalization (PR 9)                                 *)
-
-(** A linear [deq] derivation chain of length [n] over the term [t],
-    built from the [e-*] constants of the §2 signature [sg]:
-    [chain 0 = e-refl t] and
-    [chain n = e-trans t t t (chain (n-1)) (e-sym t t (e-refl t))], so
-    [ceq] performs [n] pattern-matching steps — each carrying [t] in the
-    implicit arguments — to produce the [aeq] image. *)
-let deq_chain sg t n =
-  let c name = mk_const (Lookup.find_const sg name) in
-  let refl = mk_root (c "e-refl") [ t ] in
-  let sym = mk_root (c "e-sym") [ t; t; refl ] in
-  let trans = c "e-trans" in
-  let rec go n acc =
-    if n = 0 then acc else go (n - 1) (mk_root trans [ t; t; t; acc; sym ])
-  in
-  go n refl
-
-(** A dependent-telescope mini-signature scaled by [n]:
-    [tele : ΠM1..Mn:tm. deq M1 M1 → … → deq Mn Mn → deq M1 M1].  All 2n
-    binders are in one telescope, so the eager checker re-substitutes the
-    O(n)-node remainder at every spine step (O(n²) total) while the lazy
-    checker extends the delayed substitution in O(1) per step. *)
-let tele_check n =
-  let bv i = mk_root (mk_bvar i) [] in
-  let sg = Sign.create () in
-  let tm = Sign.add_typ sg ~name:"tm" ~kind:Ktype ~implicit:0 in
-  let tm_t = mk_atom tm [] in
-  let c0 = Sign.add_const sg ~name:"c0" ~typ:tm_t ~implicit:0 in
-  let f =
-    Sign.add_const sg ~name:"f"
-      ~typ:(mk_pi "x" tm_t (Hsub.sub_typ (mk_shift 1) tm_t))
-      ~implicit:0
-  in
-  let deq =
-    Sign.add_typ sg ~name:"deq"
-      ~kind:(Kpi ("m", tm_t, Kpi ("n", tm_t, Ktype)))
-      ~implicit:0
-  in
-  let dq m = mk_atom deq [ m; m ] in
-  let refl =
-    Sign.add_const sg ~name:"refl" ~typ:(mk_pi "M" tm_t (dq (bv 1))) ~implicit:0
-  in
-  (* in the j-th deq-domain the binders in scope are M1..Mn, d1..d(j-1),
-     so Mj is index n for every j — the domains are one shared node *)
-  let rec mk_ds j acc = if j = 0 then acc else mk_ds (j - 1) (mk_pi "d" (dq (bv n)) acc) in
-  let rec mk_ms i acc = if i = 0 then acc else mk_ms (i - 1) (mk_pi "M" tm_t acc) in
-  let tele_typ = mk_ms n (mk_ds n (dq (bv (2 * n)))) in
-  let tele = Sign.add_const sg ~name:"tele" ~typ:tele_typ ~implicit:0 in
-  let t1 = mk_root (mk_const f) [ mk_root (mk_const c0) [] ] in
-  let args =
-    List.init n (fun _ -> t1) @ List.init n (fun _ -> mk_root (mk_const refl) [ t1 ])
-  in
-  let root = mk_root (mk_const tele) args in
-  let env = Check_lf.make_env sg [] in
-  let target = dq t1 in
-  fun () -> Check_lf.check_normal env Ctxs.empty_ctx root target
-
-let e10 () =
-  Fmt.pr
-    "@.== E10: lazy whnf normalization (DESIGN.md §S26; eager-kernel rows \
-     frozen in BENCH_pr9.json) ==@.";
-  let dev = Surface.load () in
-  let dev_id =
-    mk_root (mk_const (Lookup.find_const dev "lam"))
-      [ mk_lam "x" (mk_root (mk_bvar 1) []) ]
-  in
-  let hat0 = { Meta.hat_var = None; Meta.hat_names = [] } in
-  let chains = if fast then [ 16; 32 ] else [ 16; 32; 64 ] in
-  let widths = if fast then [ 64; 128 ] else [ 64; 128; 256 ] in
-  let sizes = if fast then [ 1024; 4096 ] else [ 512; 1024; 4096 ] in
-  (* Each workload family runs as its own bechamel group, and the
-     family's test closures are dropped (and a major GC forced) before
-     the next family starts.  This matters: the deep self-similar terms
-     some families keep alive (the whnf-head combs in particular) all
-     collide into the same metadata-table buckets — [Hashtbl.hash]
-     samples a bounded prefix of the value and the suffixes of a comb
-     share theirs — so letting them survive into another family's run
-     would tax every [mk_*] there with long chain walks.  Row names keep
-     the "on/" prefix of [BENCH_pr9.json] so the two stay comparable. *)
-  let run_family banner tests =
-    let rows =
-      print_results banner (run_tests (Test.make_grouped ~name:"e10" tests))
-    in
-    Gc.full_major ();
-    rows
-  in
-  (* The sort-check and whnf-head workloads run the memo-cold path: the
-     measured closure clears the Hsub and whnf tables first (warm, both
-     degenerate to table reads). *)
-  let rows_sort =
-    run_family "sort-check (cold memo tables):"
-      (List.map
-         (fun d ->
-           let drv = gen_drv d in
-           let s = aeq_srt d in
-           Test.make
-             ~name:(Fmt.str "on/sort-check/depth-%02d" d)
-             (Staged.stage (fun () ->
-                  Hsub.clear_memo ();
-                  Whnf.clear_memo ();
-                  ignore (Check_lfr.check_normal lfr_env Ctxs.empty_sctx drv s))))
-         depths)
-  in
-  let rows_head =
-    run_family "whnf-head (cold memo tables):"
-      (List.map
-         (fun n ->
-           (* The primitive the lazy kernel rests on: "which constructor
-              heads ⟦σ⟧M?".  The comb below is an N-node right-spine of
-              applications over #1 (every suffix is a distinct store
-              node, so nothing collapses to a DAG); whnf answers in O(1)
-              where forcing the substitution costs O(N). *)
-           let rec comb k =
-             if k = 0 then mk_root (mk_bvar 1) []
-             else Ulam.app_tm u (mk_root (mk_bvar 1) []) (comb (k - 1))
-           in
-           let clo = (comb n, mk_dot (Obj id_tm) Lf.id) in
-           Test.make
-             ~name:(Fmt.str "on/whnf-head/size-%05d" n)
-             (Staged.stage (fun () ->
-                  Hsub.clear_memo ();
-                  Whnf.clear_memo ();
-                  ignore (Whnf.whnf_normal clo))))
-         sizes)
-  in
-  let rows_tele =
-    run_family "telescope checking:"
-      (List.map
-         (fun n ->
-           Test.make
-             ~name:(Fmt.str "on/telescope/width-%03d" n)
-             (Staged.stage (tele_check n)))
-         widths)
-  in
-  let rows_ceq =
-    run_family "ceq evaluation (the §2 proof as a program):"
-      (List.map
-         (fun n ->
-           let chain = deq_chain dev dev_id n in
-           let call =
-             Comp.App
-               ( List.fold_left
-                   (fun e a -> Comp.MApp (e, a))
-                   (Comp.RecConst (Lookup.find_rec dev "ceq"))
-                   [
-                     Meta.MOCtx Ctxs.empty_sctx;
-                     Meta.MOTerm (hat0, dev_id);
-                     Meta.MOTerm (hat0, dev_id);
-                   ],
-                 Comp.Box (Meta.MOTerm (hat0, chain)) )
-           in
-           Test.make
-             ~name:(Fmt.str "on/ceq-eval/chain-%02d" n)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Belr_comp.Eval.as_box
-                       (Belr_comp.Eval.eval
-                          (Belr_comp.Eval.make_env dev) call)))))
-         chains)
-  in
-  record "e10"
-    (J.Obj
-       [ ("times_ns", json_rows (rows_sort @ rows_head @ rows_tele @ rows_ceq)) ])
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Fmt.pr "belr benchmark harness (see DESIGN.md §3 and EXPERIMENTS.md)@.";
@@ -719,9 +406,6 @@ let () =
   e4 ();
   e5 ();
   e6 ();
-  e7 ();
-  e8 ();
-  e10 ();
   (match json_file with
   | None -> ()
   | Some path ->

@@ -106,6 +106,3 @@ and branch (sg : Sign.t) (b : Comp.branch) : Comp.branch_t =
     Comp.tbr_pat = mobj sg b.Comp.br_pat;
     Comp.tbr_body = exp sg b.Comp.br_body;
   }
-
-let cctx (sg : Sign.t) (phi : Comp.cctx) : Comp.cctx_t =
-  List.map (fun (x, t) -> (x, ctyp sg t)) phi

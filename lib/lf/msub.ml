@@ -313,9 +313,6 @@ and branch c theta (b : Comp.branch) : Comp.branch =
     Comp.br_body = exp (c + n) theta b.Comp.br_body;
   }
 
-let cctx c theta (phi : Comp.cctx) : Comp.cctx =
-  List.map (fun (x, t) -> (x, ctyp c theta t)) phi
-
 (** Instantiate the innermost meta-binder: [⟦𝒩/X⟧]. *)
 let inst1 (o : Meta.mobj) : Meta.msub = Meta.MDot (o, Meta.MShift 0)
 
@@ -389,6 +386,3 @@ and branch_t c theta (b : Comp.branch_t) : Comp.branch_t =
     Comp.tbr_pat = mobj (c + n) theta b.Comp.tbr_pat;
     Comp.tbr_body = exp_t (c + n) theta b.Comp.tbr_body;
   }
-
-let cctx_t c theta (phi : Comp.cctx_t) : Comp.cctx_t =
-  List.map (fun (x, t) -> (x, ctyp_t c theta t)) phi

@@ -644,8 +644,6 @@ let synth_box e (ctx : Ext.ectx) (t : Ext.term) : Meta.mobj * Meta.msrt =
 (** Replace occurrences of [target] (an LF normal, adjusted under LF
     binders) by [X₀] in a comp sort: dependent case invariants. *)
 let abstract_normal (target : normal) (t : Comp.ctyp) : Comp.ctyp =
-  let x0 d = mk_root (mk_mvar 1 (mk_shift d)) [] in
-  ignore x0;
   let rec in_normal d m =
     if Equal.normal m (Hsub.sub_normal (mk_shift d) target) then
       mk_root (mk_mvar 1 (mk_shift d)) []

@@ -34,28 +34,11 @@
     discarded (crash-only: the reply reports the fault, the next request
     on that name gets a fresh world).
 
-    {b Incremental checking.}  A [check] re-submits a whole source text;
-    the engine parses only the text between the unchanged prefix and
-    suffix of the previous one (reusing, relocated, the declarations
-    outside it), diffs the result against the session's previous text
-    {e per declaration} (content hash over the declaration's source
-    slice), and finds the candidates for re-checking: the edited, new and
-    previously failed declarations, every declaration that mentions or
-    declares a name one of them declares (transitively, via surface
-    references — {!Ext.referenced_names}), and every declaration whose
-    scope a reorder changed.  Candidates are retired from the signature
-    ({!Belr_lf.Sign.retire}) and walked in order: a re-checked
-    declaration takes its old ids back wherever its payload is α-equal
-    to the old one, and a candidate none of whose mentioned names
-    changed meaning is restored untouched instead of re-checked — the
-    early cutoff, sound because checking reads other declarations only
-    through the names it mentions (DESIGN.md §S23).  Unchanged
-    declarations keep their signature entries and ids, so the work done
-    tracks how far the edit's meaning reaches, not the file. *)
+    {b Incremental checking.}  A [check] re-submits a whole source text,
+    which the session's {!Incr.t} checks into the session's signature,
+    re-checking only what the edit reaches (DESIGN.md §S23). *)
 
 open Belr_lf
-
-(** {1 Protocol} *)
 
 type t = {
   sv_sessions : (string, session) Hashtbl.t;
@@ -76,35 +59,8 @@ type t = {
 and session = {
   ss_name : string;
   ss_core : Session.t;
-  mutable ss_entries : entry list;  (** declaration order *)
-  mutable ss_text : string;  (** the last submitted source text *)
-  mutable ss_source : string;
-      (** the source name of the last check, which its locations carry *)
-  mutable ss_parse_ok : bool;
-      (** the last parse was error-free (precondition for reusing its
-          declarations across the unchanged prefix and suffix) *)
-  mutable ss_checks : int;
-      (** session checks run so far: the stamp source of [en_stamp] *)
-  ss_caches : (string, analysis_cache) Hashtbl.t;
-      (** keyed by analysis name *)
+  ss_incr : Incr.t;  (** the session's text, checked incrementally *)
 }
-
-and entry = {
-  en_key : string;
-      (** primary declared name + occurrence index (stable across edits
-          of other declarations; duplicates get distinct keys) *)
-  en_names : string list;  (** every name the declaration binds *)
-  en_refs : string list;  (** every name it mentions (surface) *)
-  en_hash : int;  (** content hash of its source slice *)
-  en_decl : Ext.decl;
-  mutable en_ok : bool;  (** did its last (re-)check succeed? *)
-  mutable en_stamp : int;
-      (** the sequence number ([ss_checks]) of the session check that
-          last re-checked it — or left it marked failed when a deadline
-          or the error cap cut the check short *)
-}
-
-and analysis_cache
 
 val create :
   ?deadline_ms:int ->
@@ -139,45 +95,3 @@ val find_session : t -> string -> session
     --metrics] before it writes the exposition — because the store
     census is O(store): it counts every arena of every session. *)
 val sample_gauges : t -> unit
-
-(** {1 Incremental engine} *)
-
-module SS : Set.S with type elt = string
-
-(** The entries of a full parse of [src]. *)
-val entry_list : string -> Ext.decl list -> entry list
-
-(** Which new entries are candidates for re-checking, and which of them
-    are seeds that re-check whatever happens?  [news.(i)] is a seed when:
-    - it changed: its key is new, its content hash differs, or its
-      previous check failed (always retried, so an erroneous-then-fixed
-      declaration fully recovers);
-    - its scope flipped: the first declaration of a name it mentions
-      moved from before it to after it, or the reverse, or is now
-      another declaration before it;
-    - a candidate mentions a name that only later entries declare: those
-      re-check too, retired while the earlier one re-checks, so it does
-      not see the name — as a fresh check would not.
-    It is a candidate when it is a seed, or it mentions or declares a
-    name that a candidate or removed entry declares (retraction is by
-    name), or mentions a world that a candidate or removed schema
-    provides ({!Ext.world_names}).  A candidate that is no seed re-checks
-    only if a name it mentions changed meaning ({!check_in_session}).
-    One walk from the seeds and the removed entries over name → entries
-    indexes built from [en_names], [en_refs] and the schemas' worlds;
-    DESIGN.md §S23 argues that this is sound.  Returns
-    [(candidates, seeds)]. *)
-val invalidate : entry list -> entry array -> bool array * bool array
-
-(** The candidates of {!invalidate} as a key set. *)
-val invalid_keys : entry list -> entry list -> SS.t
-
-(** The cut of [d] in [src]: the start of the line holding its first
-    token — the keyword introducing it — provided only blanks precede
-    that keyword on its line.  No token and no [%] comment spans a line
-    break, so lexing [src] up to the cut yields the tokens of everything
-    before [d], and lexing from it yields [d]'s and everything after.
-    [None] when the keyword shares its line with earlier text, or is not
-    where a declaration of [d]'s kind puts it (a comment between keyword
-    and name). *)
-val decl_cut : string -> Ext.decl -> int option

@@ -1,6 +1,6 @@
 (** The invalidation rule of the incremental server before it dropped the
     subordination frontier, kept verbatim as a test oracle: the closure
-    {!Belr_parser.Serve.invalidate} computes must stay inside this one
+    {!Belr_parser.Incr.invalidate} computes must stay inside this one
     (up to the reorder and shared-name rules this one lacks).  Only the
     frontier's reachability, which the analysis library no longer
     provides, is inlined: [dependents_of] is its former
@@ -8,7 +8,8 @@
 
 open Belr_syntax
 open Belr_lf
-open Belr_parser.Serve
+open Belr_parser.Incr
+module SS = Set.Make (String)
 
 let dependents_of (sg : Sign.t) (seeds : Lf.cid_typ list) : Lf.cid_typ list
     =

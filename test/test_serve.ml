@@ -634,6 +634,18 @@ let health_gauge_tests =
 
 (* --- query accounting from check stamps ---------------------------------- *)
 
+module SS = Ref_invalidate.SS
+
+(** The candidates of {!Incr.invalidate} as a key set. *)
+let candidate_keys olds news =
+  let news = Array.of_list news in
+  let invalid, _ = Incr.invalidate olds news in
+  let keys = ref SS.empty in
+  Array.iteri
+    (fun i e -> if invalid.(i) then keys := SS.add e.Incr.en_key !keys)
+    news;
+  !keys
+
 (** Check [src] on session ["s"] and return the keys the check actually
     re-checked: the entries it stamped. *)
 let check_closure t id src =
@@ -641,10 +653,10 @@ let check_closure t id src =
   let ses = Serve.find_session t "s" in
   List.fold_left
     (fun keys e ->
-      if e.Serve.en_stamp = ses.Serve.ss_checks then
-        Serve.SS.add e.Serve.en_key keys
+      if e.Incr.en_stamp = Incr.checks ses.Serve.ss_incr then
+        SS.add e.Incr.en_key keys
       else keys)
-    Serve.SS.empty ses.Serve.ss_entries
+    SS.empty (Incr.entries ses.Serve.ss_incr)
 
 let exp' =
   "LF exp : type =\n| lam : (exp -> exp) -> exp\n| app : exp -> exp -> exp\n\
@@ -678,9 +690,10 @@ let stamp_tests =
             (fun i (what, src) ->
               let closure = check_closure t (10 + (2 * i)) src in
               let q = round t (request ~meth:"lint" (11 + (2 * i))) in
-              let n = Serve.SS.cardinal closure in
+              let n = SS.cardinal closure in
               let decls =
-                List.length (Serve.find_session t "s").Serve.ss_entries
+                List.length
+                  (Incr.entries (Serve.find_session t "s").Serve.ss_incr)
               in
               Alcotest.(check int) (what ^ ": rechecked") n
                 (tele_field "rechecked" q);
@@ -704,25 +717,26 @@ let stamp_tests =
         let c2 = check_closure t 4 (lines [ nat'; exp'; dep ]) in
         let q = round t (request ~meth:"lint" 5) in
         Alcotest.(check int) "union of the closures"
-          (Serve.SS.cardinal (Serve.SS.union c1 c2))
+          (SS.cardinal (SS.union c1 c2))
           (tele_field "rechecked" q);
         Alcotest.(check int) "nat and exp" 2 (tele_field "rechecked" q);
         (* the deliberate difference from a net diff against the cached
            entries: when a later check reverts an earlier edit, the
            stamps still count what both checks processed *)
-        let cached = (Serve.find_session t "s").Serve.ss_entries in
+        let cached = Incr.entries (Serve.find_session t "s").Serve.ss_incr in
         let c3 = check_closure t 6 (lines [ nat; exp'; dep ]) in
         let c4 = check_closure t 7 (lines [ nat'; exp; dep ]) in
         let q = round t (request ~meth:"lint" 8) in
         Alcotest.(check int) "union again"
-          (Serve.SS.cardinal (Serve.SS.union c3 c4))
+          (SS.cardinal (SS.union c3 c4))
           (tele_field "rechecked" q);
         let net =
-          Serve.invalid_keys cached (Serve.find_session t "s").Serve.ss_entries
+          candidate_keys cached
+            (Incr.entries (Serve.find_session t "s").Serve.ss_incr)
         in
         (* nat is back to its cached text, so only exp differs *)
         Alcotest.(check (list string)) "the net diff is exp alone"
-          [ "exp#0" ] (Serve.SS.elements net);
+          [ "exp#0" ] (SS.elements net);
         Alcotest.(check int) "the stamps count nat and exp" 2
           (tele_field "rechecked" q));
     test "a declaration failing in every check is counted on every miss"
@@ -870,9 +884,9 @@ let splice_tests =
         let t = Serve.create () in
         ignore (round t (request ~source:src 1));
         let ses = Serve.find_session t "s" in
-        let olds = ses.Serve.ss_entries in
+        let olds = Incr.entries ses.Serve.ss_incr in
         let news =
-          Serve.entry_list edited
+          Incr.entry_list edited
             (Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>"
                edited)
         in
@@ -884,7 +898,7 @@ let splice_tests =
                 olds news)
         in
         Alcotest.(check (list string)) "the reference's closure"
-          [ "le#0"; "nat#0"; "pos#0" ] (Serve.SS.elements reference);
+          [ "le#0"; "nat#0"; "pos#0" ] (SS.elements reference);
         let r = round t (request ~source:edited 2) in
         Alcotest.(check int) "exit 0" 0 (int_field "exit_code" r);
         Alcotest.(check int) "rechecked pos alone" 1 (tele_field "rechecked" r);
@@ -923,9 +937,43 @@ let splice_tests =
         Alcotest.(check (list (pair string string))) "diagnostics as fresh"
           (diag_locs fresh) (diag_locs r);
         Alcotest.(check int) "no declarations" 0
-          (List.length (Serve.find_session t "s").Serve.ss_entries);
+          (List.length (Incr.entries (Serve.find_session t "s").Serve.ss_incr));
         let r2 = round t (request ~source:src 3) in
         Alcotest.(check (list string)) "recovers" [] (codes r2));
+    test "the same text under a new source name reads as a fresh check"
+      (fun () ->
+        (* the reused declarations' locations would name the old source,
+           so a changed name parses the whole text again *)
+        let src =
+          lines
+            [ nat; "LF bad : type =\n| c : missing;";
+              "LF use : type =\n| u : bad -> use;";
+              "LF unused : type =\n| w : unused;" ]
+        in
+        let file = Filename.temp_file "belr_test_serve" ".blr" in
+        Out_channel.with_open_bin file (fun oc -> output_string oc src);
+        let t = Serve.create () in
+        ignore (round t (request ~source:src 1));
+        ignore (round t (request ~meth:"lint" 2));
+        let warm = round t (request ~file 3) in
+        let warm_lint = round t (request ~meth:"lint" 4) in
+        let ft = Serve.create () in
+        let fresh = round ft (request ~file 1) in
+        let fresh_lint = round ft (request ~meth:"lint" 2) in
+        Sys.remove file;
+        List.iter
+          (fun (what, code, w, f) ->
+            Alcotest.(check (list (pair string string)))
+              (what ^ ": diagnostics as fresh") (diag_locs f) (diag_locs w);
+            Alcotest.(check int) (what ^ ": exit as fresh")
+              (int_field "exit_code" f) (int_field "exit_code" w);
+            Alcotest.(check bool) (what ^ ": " ^ code ^ " in the file") true
+              (List.exists
+                 (fun (c, loc) ->
+                   c = code && String.starts_with ~prefix:(file ^ ":") loc)
+                 (diag_locs w)))
+          [ ("check", "E0201", warm, fresh); ("check", "E0801", warm, fresh);
+            ("lint", "W0704", warm_lint, fresh_lint) ]);
     test "a duplicate declaration fails alike on every re-check" (fun () ->
         (* found by the edit-sequence property below: the failed duplicate
            retries on every check, and each retry used to leave one more
@@ -1244,7 +1292,7 @@ let developments =
 let chunks (src : string) : string list =
   let decls = Parse.parse_program_tolerant (Diagnostics.sink ()) src in
   let cuts =
-    List.filter_map (Serve.decl_cut src) decls |> List.filter (fun c -> c > 0)
+    List.filter_map (Incr.decl_cut src) decls |> List.filter (fun c -> c > 0)
   in
   let rec go start = function
     | [] -> [ String.sub src start (String.length src - start) ]
@@ -1416,20 +1464,20 @@ let beyond_reference olds news =
         List.exists
           (fun x ->
             Hashtbl.mem seen x || (Hashtbl.replace seen x (); false))
-          e.Serve.en_names)
+          e.Incr.en_names)
       es
   in
   let old_at = Hashtbl.create 64 in
-  List.iteri (fun j o -> Hashtbl.replace old_at o.Serve.en_key j) olds;
+  List.iteri (fun j o -> Hashtbl.replace old_at o.Incr.en_key j) olds;
   let positions =
-    List.filter_map (fun e -> Hashtbl.find_opt old_at e.Serve.en_key) news
+    List.filter_map (fun e -> Hashtbl.find_opt old_at e.Incr.en_key) news
   in
   let first = Hashtbl.create 64 in
   List.iteri
     (fun i e ->
       List.iter
         (fun x -> if not (Hashtbl.mem first x) then Hashtbl.replace first x i)
-        e.Serve.en_names)
+        e.Incr.en_names)
     news;
   let forward =
     List.exists Fun.id
@@ -1440,7 +1488,7 @@ let beyond_reference olds news =
                match Hashtbl.find_opt first r with
                | Some f -> f > i
                | None -> false)
-             e.Serve.en_refs)
+             e.Incr.en_refs)
          news)
   in
   dup olds || dup news || forward || positions <> List.sort compare positions
@@ -1464,24 +1512,24 @@ let warm_equals_fresh (dev, edits) =
           step what src
       in
       let ses = Serve.find_session t "s" in
-      let olds = ses.Serve.ss_entries in
+      let olds = Incr.entries ses.Serve.ss_incr in
       let full =
         Parse.parse_program_tolerant (Diagnostics.sink ()) ~name:"<serve>" src
       in
-      let news = Serve.entry_list src full in
+      let news = Incr.entry_list src full in
       let reference =
         Belr_lf.Session.with_ ses.Serve.ss_core (fun () ->
             Ref_invalidate.invalid_keys
               (Belr_lf.Session.sign ses.Serve.ss_core)
               olds news)
       in
-      let invalid = Serve.invalid_keys olds news in
+      let invalid = candidate_keys olds news in
       let warm = round t (request ~source:src (step + 1)) in
       let ft = Serve.create () in
       let fresh = round ft (request ~source:src 1) in
-      let entries = (Serve.find_session t "s").Serve.ss_entries in
-      let summary e = (e.Serve.en_key, e.Serve.en_hash, e.Serve.en_refs) in
-      if List.map (fun e -> e.Serve.en_decl) entries <> full then
+      let entries = Incr.entries (Serve.find_session t "s").Serve.ss_incr in
+      let summary e = (e.Incr.en_key, e.Incr.en_hash, e.Incr.en_refs) in
+      if List.map (fun e -> e.Incr.en_decl) entries <> full then
         fail "the spliced parse differs from a full parse";
       if List.map summary entries <> List.map summary news then
         fail "the entries differ from a full parse's";
@@ -1512,12 +1560,12 @@ let warm_equals_fresh (dev, edits) =
         [ "lint"; "total"; "worlds"; "modes" ];
       if
         (not (beyond_reference olds news))
-        && not (Serve.SS.subset invalid reference)
+        && not (SS.subset invalid reference)
       then
         fail
           (Printf.sprintf "the closure is not inside the reference's: %s"
              (String.concat ", "
-                (Serve.SS.elements (Serve.SS.diff invalid reference)))))
+                (SS.elements (SS.diff invalid reference)))))
     edits;
   true
 
