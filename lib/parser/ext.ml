@@ -286,19 +286,22 @@ let referenced_names (d : decl) : string list =
 
 (* --- relocation (incremental reparsing) --------------------------------- *)
 
-(** [d] moved [bytes] bytes and [lines] lines further down its source:
-    every location in it shifted, columns unchanged.  Exact for a
-    declaration whose text, from the start of its first line, moved as a
-    whole — the position a full reparse would give it. *)
-let shift_decl ~(bytes : int) ~(lines : int) (d : decl) : decl =
+(** [l] moved [bytes] bytes and [lines] lines further down its source,
+    columns unchanged (a ghost stays put). *)
+let shift_loc ~(bytes : int) ~(lines : int) (l : Loc.t) : Loc.t =
   let pos (p : Loc.pos) =
     { p with Loc.offset = p.Loc.offset + bytes; Loc.line = p.Loc.line + lines }
   in
-  let loc (l : Loc.t) =
-    if Loc.is_ghost l then l
-    else
-      { l with Loc.start_pos = pos l.Loc.start_pos; end_pos = pos l.Loc.end_pos }
-  in
+  if Loc.is_ghost l || (bytes = 0 && lines = 0) then l
+  else
+    { l with Loc.start_pos = pos l.Loc.start_pos; end_pos = pos l.Loc.end_pos }
+
+(** [d] moved [bytes] bytes and [lines] lines further down its source:
+    every location in it shifted ({!shift_loc}).  Exact for a
+    declaration whose text, from the start of its first line, moved as a
+    whole — the position a full reparse would give it. *)
+let shift_decl ~(bytes : int) ~(lines : int) (d : decl) : decl =
+  let loc = shift_loc ~bytes ~lines in
   let rec term = function
     | Ident (l, x) -> Ident (loc l, x)
     | TypeKw l -> TypeKw (loc l)

@@ -2,31 +2,36 @@
     again and again as it is edited, into one signature.
 
     A {!check} re-submits the whole text.  The engine parses only the
-    text between the unchanged prefix and suffix of the previous one
-    (reusing, relocated, the declarations outside it), diffs the result
-    against the previous text {e per declaration} (content hash over the
-    declaration's source slice), and finds the candidates for
+    text between the unchanged prefix and suffix of the previous one,
+    and reuses the entries outside it: the prefix's as they are, the
+    suffix's relocated — each keeps its declaration as parsed plus a
+    (bytes, lines) displacement, which the splice adds to.  It diffs the
+    result against the previous text {e per declaration} (content hash
+    over the declaration's source slice), and finds the candidates for
     re-checking: the edited, new and previously failed declarations,
     every declaration that mentions or declares a name one of them
     declares (transitively, via surface references —
     {!Ext.referenced_names}), and every declaration whose scope a
-    reorder changed.  Candidates are retired from the signature
-    ({!Belr_lf.Sign.retire}) and walked in order: a re-checked
-    declaration takes its old ids back wherever its payload is α-equal
-    to the old one, and a candidate none of whose mentioned names
-    changed meaning is restored untouched instead of re-checked — the
-    early cutoff, sound because checking reads other declarations only
-    through the names it mentions (DESIGN.md §S23).  Unchanged
-    declarations keep their signature entries and ids, so the work done
-    tracks how far the edit's meaning reaches, not the file.
+    reorder changed.  The walk over the name indexes, which the engine
+    keeps and the splice updates, touches the candidates only.  The
+    removed declarations and the seeds are retired from the signature
+    ({!Belr_lf.Sign.retire}) and the candidates walked in order: a
+    re-checked declaration takes its old ids back wherever its payload
+    is α-equal to the old one, and a candidate none of whose mentioned
+    names changed meaning is left (or put back) untouched instead of
+    re-checked — the early cutoff, sound because checking reads other
+    declarations only through the names it mentions (DESIGN.md §S23).
+    Unchanged declarations keep their signature entries and ids, so the
+    work done, and the memory allocated, track how far the edit's
+    meaning reaches, not the file.
 
     {b Invariant.}  After [check t sink sg ~name src], the signature
-    [sg] (up to the ids it assigns), the diagnostics in [sink] and every
-    {!analysis} equal those of a fresh check of [src] under [name] (a
-    new [t] and an empty signature), whatever sequence of texts [t]
-    checked before.  The
-    edit-sequence property in [test/test_serve.ml] tests this after
-    every edit. *)
+    [sg] (up to the ids it assigns), the diagnostics in [sink], every
+    {!analysis}, and every entry's key, hash, references and relocated
+    declaration ({!decl}) equal those of a fresh check of [src] under
+    [name] (a new [t] and an empty signature), whatever sequence of
+    texts [t] checked before.  The edit-sequence property in
+    [test/test_serve.ml] tests this after every edit. *)
 
 open Belr_support
 open Belr_lf
@@ -37,17 +42,33 @@ type entry = private {
           of other declarations; duplicates get distinct keys) *)
   en_names : string list;  (** every name the declaration binds *)
   en_refs : string list;  (** every name it mentions (surface) *)
+  en_worlds : string list;  (** the worlds it provides ({!Ext.world_names}) *)
   en_hash : int;  (** content hash of its source slice *)
-  en_decl : Ext.decl;
+  en_parsed : Ext.decl;
+      (** the declaration as parsed, by this check or an earlier one: its
+          locations are those of the text it was parsed from *)
+  mutable en_bytes : int;
+  mutable en_lines : int;
+      (** how far its text moved since it was parsed: {!decl} *)
   mutable en_ok : bool;  (** did its last (re-)check succeed? *)
   mutable en_stamp : int;
       (** the number ({!checks}) of the check that last re-checked it —
           or left it marked failed when a deadline or the error cap cut
           the check short *)
+  mutable en_pos : int;  (** its position in the text's declarations *)
+  en_book : book;  (** what the engine keeps about it for itself *)
 }
 
+and book
+
+(** An entry's declaration where it stands now: {!en_parsed} relocated
+    by the displacement ({!Ext.shift_decl}), exactly what a full parse of
+    the current text gives. *)
+val decl : entry -> Ext.decl
+
 (** The engine state: the last checked text and source name, its
-    entries, and the analysis caches. *)
+    entries with their key table and name indexes, and the analysis
+    caches. *)
 type t
 
 val create : unit -> t
@@ -79,14 +100,18 @@ type report = {
 val check :
   t -> Diagnostics.sink -> Sign.t -> name:string -> string -> report
 
-(** Run [analyze] (a whole-signature analysis reporting through [sink])
-    under the per-declaration cache for the analysis [name].  On a hit —
-    every declaration's (key, content hash, check verdict, location)
-    unchanged since the cached run — the cached findings are replayed
-    into [sink] and the cached result returned without re-running the
-    analysis, so a warm reply is indistinguishable from a cold one.  On a
-    miss the analysis re-runs over the whole signature (the passes are
-    signature folds, not per-declaration ones).  Returns [(result,
+(** Run [analyze] (a whole-signature analysis of [sg], reporting through
+    [sink]) under the per-declaration cache for the analysis [name].  On
+    a hit — every declaration's (key, content hash, check verdict,
+    current location) unchanged since the cached run — the cached
+    findings are replayed into [sink] and the cached result returned
+    without re-running the analysis, so a warm reply is
+    indistinguishable from a cold one.  On a miss the analysis re-runs
+    over the whole signature (the passes are signature folds, not
+    per-declaration ones), after the locations [sg] records for the
+    names of every declaration that moved since they were recorded are
+    brought up to date: a check leaves them as they were, since only the
+    analyzers read them.  Returns [(result,
     rechecked, reused)]: on a miss [rechecked] counts the declarations
     some check has re-checked since the cached run (stamped later than
     it) — the union of what those checks re-checked, a measure of the
@@ -94,11 +119,18 @@ val check :
     rest, mirroring {!report}.  With no cached run every declaration
     counts; a hit counts all as reused. *)
 val analysis :
-  t -> Diagnostics.sink -> string -> (unit -> Json.t) -> Json.t * int * int
+  t ->
+  Diagnostics.sink ->
+  Sign.t ->
+  string ->
+  (unit -> Json.t) ->
+  Json.t * int * int
 
 (** {1 Inspection} *)
 
-(** The entries of the last check, in declaration order. *)
+(** The entries of the last check, in declaration order: the ones it
+    reused are the previous check's records, relocated — read their
+    declarations through {!decl}. *)
 val entries : t -> entry list
 
 (** The checks run so far: the last one stamped its re-checked entries
@@ -125,9 +157,16 @@ val entry_list : string -> Ext.decl list -> entry list
     provides ({!Ext.world_names}).  A candidate that is no seed re-checks
     only if a name it mentions changed meaning ({!check}).  One walk
     from the seeds and the removed entries over name → entries indexes
-    built from [en_names], [en_refs] and the schemas' worlds; DESIGN.md
-    §S23 argues that this is sound.  Returns [(candidates, seeds)]. *)
+    of [en_names], [en_refs] and [en_worlds]; DESIGN.md §S23 argues that
+    this is sound.  {!check} runs the same walk over the indexes it
+    keeps; this one builds them for [news] (renumbering their
+    [en_pos]).  Returns [(candidates, seeds)]. *)
 val invalidate : entry list -> entry array -> bool array * bool array
+
+(** The engine's own indexes and key table, as {!check} updates them,
+    equal to those built afresh from its entries: [Error] names the
+    first difference. *)
+val consistent : t -> (unit, string) result
 
 (** The cut of [d] in [src]: the start of the line holding its first
     token — the keyword introducing it — provided only blanks precede

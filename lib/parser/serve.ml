@@ -459,7 +459,8 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
       with
       | _, Some a ->
           let result, rechecked, reused =
-            Incr.analysis ses.ss_incr sink a.Driver.name (fun () ->
+            Incr.analysis ses.ss_incr sink (Session.sign ses.ss_core)
+              a.Driver.name (fun () ->
                 let o = Driver.run_analysis_in a ses.ss_core sink in
                 Lazy.force o.Driver.reply)
           in

@@ -110,31 +110,41 @@ exception Parse_error of int * string
 let parse_fail pos fmt =
   Format.kasprintf (fun m -> raise (Parse_error (pos, m))) fmt
 
+(* The parser scans [src] by index: it looks at bytes in place and
+   allocates only the values it returns.  A request line carrying a whole
+   source text is decoded in one copy of that text. *)
 type parser_state = { src : string; mutable pos : int }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let at_end st = st.pos >= String.length st.src
+
+(** The byte at the cursor; ['\000'] at the end of input (callers that
+    must tell the two apart test {!at_end}). *)
+let cur st = if at_end st then '\000' else String.unsafe_get st.src st.pos
 
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+let skip_ws st =
+  let n = String.length st.src in
+  while
+    st.pos < n
+    && match String.unsafe_get st.src st.pos with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    advance st
+  done
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> parse_fail st.pos "expected %c, found %c" c c'
-  | None -> parse_fail st.pos "expected %c, found end of input" c
+  if at_end st then parse_fail st.pos "expected %c, found end of input" c
+  else if cur st = c then advance st
+  else parse_fail st.pos "expected %c, found %c" c (cur st)
 
 let parse_literal st word (v : t) : t =
   let n = String.length word in
-  if
-    st.pos + n <= String.length st.src
-    && String.sub st.src st.pos n = word
-  then begin
+  let rec same i =
+    i = n || (String.unsafe_get st.src (st.pos + i) = word.[i] && same (i + 1))
+  in
+  if st.pos + n <= String.length st.src && same 0 then begin
     st.pos <- st.pos + n;
     v
   end
@@ -147,78 +157,110 @@ let hex_digit pos c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> parse_fail pos "invalid hex digit %c" c
 
+(** An upper bound on the decoded length of the string body starting at
+    [i]: its bytes up to the closing quote (or the end of input), less
+    one per escape ([\uXXXX] decodes to at most three bytes, so its six
+    count as three).  The decoder takes the same steps, so it writes at
+    most that many bytes before it succeeds or fails. *)
+let decoded_bound (src : string) (i : int) : int =
+  let n = String.length src in
+  let rec go i len =
+    if i >= n then len
+    else
+      match String.unsafe_get src i with
+      | '"' -> len
+      | '\\' ->
+          if i + 1 < n && String.unsafe_get src (i + 1) = 'u' then
+            go (i + 6) (len + 3)
+          else go (i + 2) (len + 1)
+      | _ -> go (i + 1) (len + 1)
+  in
+  go i 0
+
 let parse_string_body st : string =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> parse_fail st.pos "unterminated string"
-    | Some '"' ->
-        advance st;
-        Buffer.contents buf
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> parse_fail st.pos "unterminated escape"
-        | Some c ->
-            advance st;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if st.pos + 4 > String.length st.src then
-                  parse_fail st.pos "truncated \\u escape";
-                let code =
-                  let d i = hex_digit st.pos st.src.[st.pos + i] in
-                  (d 0 * 4096) + (d 1 * 256) + (d 2 * 16) + d 3
-                in
-                st.pos <- st.pos + 4;
-                Buffer.add_utf_8_uchar buf
-                  (if Uchar.is_valid code then Uchar.of_int code
-                   else Uchar.rep)
-            | c -> parse_fail st.pos "invalid escape \\%c" c);
-            go ())
-    | Some c when Char.code c < 0x20 ->
-        parse_fail st.pos "unescaped control character in string"
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        go ()
+  let src = st.src in
+  let n = String.length src in
+  let buf = Bytes.create (decoded_bound src st.pos) in
+  let len = ref 0 in
+  (* copy the run of plain bytes from the cursor *)
+  let run () =
+    let start = st.pos in
+    while
+      st.pos < n
+      && match String.unsafe_get src st.pos with
+         | '"' | '\\' -> false
+         | c -> Char.code c >= 0x20
+    do
+      advance st
+    done;
+    Bytes.blit_string src start buf !len (st.pos - start);
+    len := !len + (st.pos - start)
   in
-  go ()
+  let add c =
+    Bytes.unsafe_set buf !len c;
+    incr len
+  in
+  let rec go () =
+    run ();
+    if at_end st then parse_fail st.pos "unterminated string";
+    match cur st with
+    | '"' -> advance st
+    | '\\' ->
+        advance st;
+        if at_end st then parse_fail st.pos "unterminated escape";
+        let c = cur st in
+        advance st;
+        (match c with
+        | '"' -> add '"'
+        | '\\' -> add '\\'
+        | '/' -> add '/'
+        | 'n' -> add '\n'
+        | 't' -> add '\t'
+        | 'r' -> add '\r'
+        | 'b' -> add '\b'
+        | 'f' -> add '\012'
+        | 'u' ->
+            if st.pos + 4 > n then parse_fail st.pos "truncated \\u escape";
+            let code =
+              let d i = hex_digit st.pos src.[st.pos + i] in
+              (d 0 * 4096) + (d 1 * 256) + (d 2 * 16) + d 3
+            in
+            st.pos <- st.pos + 4;
+            let u =
+              if Uchar.is_valid code then Uchar.of_int code else Uchar.rep
+            in
+            len := !len + Bytes.set_utf_8_uchar buf !len u
+        | c -> parse_fail st.pos "invalid escape \\%c" c);
+        go ()
+    | _ -> parse_fail st.pos "unescaped control character in string"
+  in
+  go ();
+  if !len = Bytes.length buf then Bytes.unsafe_to_string buf
+  else Bytes.sub_string buf 0 !len
 
 let parse_number st : t =
   let start = st.pos in
   let is_float = ref false in
-  let consume () = advance st in
-  (match peek st with Some '-' -> consume () | _ -> ());
-  let rec digits () =
-    match peek st with
-    | Some '0' .. '9' ->
-        consume ();
-        digits ()
-    | _ -> ()
+  let n = String.length st.src in
+  let digits () =
+    while st.pos < n && cur st >= '0' && cur st <= '9' do
+      advance st
+    done
   in
+  if (not (at_end st)) && cur st = '-' then advance st;
   digits ();
-  (match peek st with
-  | Some '.' ->
-      is_float := true;
-      consume ();
-      digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      consume ();
-      (match peek st with Some ('+' | '-') -> consume () | _ -> ());
-      digits ()
-  | _ -> ());
+  if (not (at_end st)) && cur st = '.' then begin
+    is_float := true;
+    advance st;
+    digits ()
+  end;
+  if (not (at_end st)) && (cur st = 'e' || cur st = 'E') then begin
+    is_float := true;
+    advance st;
+    if (not (at_end st)) && (cur st = '+' || cur st = '-') then advance st;
+    digits ()
+  end;
   let text = String.sub st.src start (st.pos - start) in
   if !is_float then
     match float_of_string_opt text with
@@ -233,19 +275,22 @@ let parse_number st : t =
         | Some f -> Float f
         | None -> parse_fail start "invalid number %s" text)
 
+(** Is the next byte [c]?  (Never at the end of input.) *)
+let next_is st c = (not (at_end st)) && cur st = c
+
 let rec parse_value st : t =
   skip_ws st;
-  match peek st with
-  | None -> parse_fail st.pos "unexpected end of input"
-  | Some 'n' -> parse_literal st "null" Null
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some '"' -> String (parse_string_body st)
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some '[' ->
+  if at_end st then parse_fail st.pos "unexpected end of input";
+  match cur st with
+  | 'n' -> parse_literal st "null" Null
+  | 't' -> parse_literal st "true" (Bool true)
+  | 'f' -> parse_literal st "false" (Bool false)
+  | '"' -> String (parse_string_body st)
+  | '-' | '0' .. '9' -> parse_number st
+  | '[' ->
       advance st;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if next_is st ']' then begin
         advance st;
         List []
       end
@@ -253,20 +298,21 @@ let rec parse_value st : t =
         let rec items acc =
           let v = parse_value st in
           skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              items (v :: acc)
-          | Some ']' ->
-              advance st;
-              List (List.rev (v :: acc))
-          | _ -> parse_fail st.pos "expected , or ] in array"
+          if next_is st ',' then begin
+            advance st;
+            items (v :: acc)
+          end
+          else if next_is st ']' then begin
+            advance st;
+            List (List.rev (v :: acc))
+          end
+          else parse_fail st.pos "expected , or ] in array"
         in
         items []
-  | Some '{' ->
+  | '{' ->
       advance st;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if next_is st '}' then begin
         advance st;
         Obj []
       end
@@ -282,17 +328,18 @@ let rec parse_value st : t =
         let rec fields acc =
           let kv = field () in
           skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              fields (kv :: acc)
-          | Some '}' ->
-              advance st;
-              Obj (List.rev (kv :: acc))
-          | _ -> parse_fail st.pos "expected , or } in object"
+          if next_is st ',' then begin
+            advance st;
+            fields (kv :: acc)
+          end
+          else if next_is st '}' then begin
+            advance st;
+            Obj (List.rev (kv :: acc))
+          end
+          else parse_fail st.pos "expected , or } in object"
         in
         fields []
-  | Some c -> parse_fail st.pos "unexpected character %c" c
+  | c -> parse_fail st.pos "unexpected character %c" c
 
 (** Parse a complete JSON document (trailing whitespace allowed). *)
 let parse (src : string) : (t, string) result =

@@ -172,8 +172,19 @@ let clear_request_id () = request_id := ""
 
 let current_request_id () = !request_id
 
-(** Completed spans, oldest-first once the buffer wraps. *)
-let default_capacity = 1 lsl 16
+(** Completed spans, oldest-first once the buffer wraps.  The ring
+    starts small and doubles while it is full, up to {!max_capacity}
+    slots, from which on it wraps; a slot's record is allocated when it
+    is first written.  Until it wraps it holds every span, as a ring of
+    the full size would, so growing is invisible to the readers below. *)
+let max_capacity = 1 lsl 16
+
+let initial_capacity = 256
+
+(* the shared filler of the slots not written yet *)
+let blank =
+  { ev_name = ""; ev_arg = ""; ev_start_ns = 0L; ev_dur_ns = 0L; ev_depth = 0;
+    ev_rid = "" }
 
 let ring : event array ref = ref [||]
 
@@ -190,15 +201,19 @@ let aggregates : (string, agg) Hashtbl.t = Hashtbl.create 32
 
 let root_total_ns = ref 0L (* total time covered by depth-0 spans *)
 
+(** Make room for the span numbered [!ring_next]: allocate the ring on
+    first use, and double it while it is full and below the cap. *)
 let ensure_ring () =
-  if Array.length !ring = 0 then
-    ring :=
-      Array.init default_capacity (fun _ ->
-          { ev_name = ""; ev_arg = ""; ev_start_ns = 0L; ev_dur_ns = 0L;
-            ev_depth = 0; ev_rid = "" })
+  let cap = Array.length !ring in
+  if cap = 0 then ring := Array.make initial_capacity blank
+  else if !ring_next = cap && cap < max_capacity then begin
+    let r = Array.make (2 * cap) blank in
+    Array.blit !ring 0 r 0 cap;
+    ring := r
+  end
 
 let reset () =
-  ensure_ring ();
+  ring := [||];
   ring_next := 0;
   depth := 0;
   Hashtbl.reset aggregates;
@@ -219,7 +234,16 @@ let reset () =
 let record name arg start_ns dur_ns d =
   ensure_ring ();
   let r = !ring in
-  let ev = r.(!ring_next mod Array.length r) in
+  let i = !ring_next mod Array.length r in
+  let ev =
+    let ev = r.(i) in
+    if ev != blank then ev
+    else begin
+      let ev = { blank with ev_name = name } in
+      r.(i) <- ev;
+      ev
+    end
+  in
   ev.ev_name <- name;
   ev.ev_arg <- arg;
   ev.ev_start_ns <- start_ns;

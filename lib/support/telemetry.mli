@@ -156,7 +156,8 @@ val clear_request_id : unit -> unit
 
 val current_request_id : unit -> string
 
-(** Clear all recorded state: events, aggregates, every counter, gauge
+(** Clear all recorded state: events (the span ring is released and
+    grows again as spans are recorded), aggregates, every counter, gauge
     and histogram (the registry itself — names, order — is kept), and the
     {!Limits} peak-depth watermarks; re-stamps the trace epoch.  Called
     only at the start of a run, never inside [serve]. *)
@@ -170,7 +171,9 @@ val reset : unit -> unit
 val with_span : ?arg:string -> string -> (unit -> 'a) -> 'a
 
 (** Completed spans in completion order (oldest first), oldest events
-    dropped once the ring wraps. *)
+    dropped once the ring wraps.  The ring grows by doubling as spans are
+    recorded, up to 65,536 of them, and wraps from then on; until it
+    wraps it holds every span since the last {!reset}. *)
 val events : unit -> event list
 
 val events_recorded : unit -> int

@@ -143,6 +143,55 @@ let registry_tests =
                  (w1 -. w0))
               true
               (w1 -. w0 < 64.)));
+    test "the span ring grows on demand and reads as a full-size ring"
+      (fun () ->
+        let cap = 1 lsl 16 in
+        (* marks on both sides of every doubling, and past the cap *)
+        let marks =
+          0
+          :: List.concat_map
+               (fun k ->
+                 let c = 1 lsl k in
+                 [ c - 1; c ])
+               (List.init 10 (fun k -> k + 8))
+          @ [ cap + 1000; cap + 2999 ]
+        in
+        let check_at n =
+          Alcotest.(check int)
+            (Fmt.str "dropped at %d" n)
+            (max 0 (n - cap))
+            (Telemetry.events_dropped ());
+          List.iter
+            (fun m ->
+              if m <= n then begin
+                let spans, truncated = Telemetry.events_since m in
+                let oldest = max m (n - cap) in
+                Alcotest.(check bool)
+                  (Fmt.str "truncated at %d since %d" n m)
+                  (m < n - cap) truncated;
+                (* the spans numbered [oldest, n), in order *)
+                let next =
+                  List.fold_left
+                    (fun i e ->
+                      if e.Telemetry.ev_arg = string_of_int i then i + 1
+                      else -1)
+                    oldest spans
+                in
+                Alcotest.(check int)
+                  (Fmt.str "spans at %d since %d end at" n m)
+                  n next
+              end)
+            marks
+        in
+        Telemetry.reset ();
+        with_metrics (fun () ->
+            Fun.protect ~finally:Telemetry.reset (fun () ->
+                for i = 0 to cap + 2999 do
+                  Telemetry.with_span ~arg:(string_of_int i) "ring" ignore;
+                  let n = i + 1 in
+                  if List.mem n marks || n = 300 then
+                    check_at n
+                done)));
   ]
 
 (* --- belr-metrics/1 JSON ------------------------------------------------ *)

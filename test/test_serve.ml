@@ -797,6 +797,69 @@ let fam name = Printf.sprintf "LF %s : type =\n| c%s : %s;\n" name name name
 
 let splice_tests =
   [
+    test "displacements compose across edits above a block" (fun () ->
+        let block = Belr_kits.Surface.full_src in
+        let top note = "LF top : type =\n| t0 : top;\n" ^ note ^ "\n" in
+        (* the last edit: a line break inside a declaration mid-block *)
+        let inner =
+          let at = "| app : tm -> tm -> tm" in
+          let i =
+            let rec find i =
+              if String.sub block i (String.length at) = at then i
+              else find (i + 1)
+            in
+            find 0
+          in
+          String.sub block 0 i ^ "\n"
+          ^ String.sub block i (String.length block - i)
+        in
+        let steps =
+          [
+            (* lines added above the block *)
+            top "% a longer note\n\n\n" ^ block;
+            (* bytes removed within one line above it *)
+            top "% note\n\n\n" ^ block;
+            top "% note\n\n\n" ^ inner;
+          ]
+        in
+        let t = Serve.create () in
+        ignore (round t (request ~source:(top "" ^ block) 1));
+        List.iteri
+          (fun i src ->
+            let p0 = parsed_decls () in
+            ignore (round t (request ~source:src (10 * (i + 1))));
+            (* the block is reused, moved, not parsed again *)
+            Alcotest.(check bool)
+              (Printf.sprintf "step %d: at most 2 declarations parsed" i)
+              true
+              (parsed_decls () - p0 <= 2);
+            let full =
+              Parse.parse_program_tolerant (Diagnostics.sink ())
+                ~name:"<serve>" src
+            in
+            let entries =
+              Incr.entries (Serve.find_session t "s").Serve.ss_incr
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "step %d: relocated as a full parse" i)
+              true
+              (List.map Incr.decl entries = full))
+          steps;
+        let last = List.nth steps 2 in
+        let findings =
+          List.mapi
+            (fun k meth ->
+              let warm = round t (request ~meth (100 + k)) in
+              let fresh = fresh_reply ~meth last in
+              Alcotest.(check (list (pair string string)))
+                (meth ^ ": findings at a fresh session's locations")
+                (List.sort compare (diag_locs fresh))
+                (List.sort compare (diag_locs warm));
+              List.length (diag_locs warm))
+            [ "lint"; "total"; "worlds"; "modes" ]
+        in
+        Alcotest.(check bool) "some findings to place" true
+          (List.fold_left ( + ) 0 findings > 0));
     test "lines inserted above a %mode move its location as a fresh \
           check places it" (fun () ->
         let moded pad = src3 nat ^ "\n\n" ^ pad ^ "%mode nat;" in
@@ -807,12 +870,16 @@ let splice_tests =
                (Belr_lf.Session.sign ses.Serve.ss_core)
                "nat%mode")
         in
+        (* the analyzers are the readers of the recorded locations: a
+           check leaves them to the next analysis to bring up to date *)
         let t = Serve.create () in
         ignore (round t (request ~source:(moded "") 1));
+        ignore (round t (request ~meth:"modes" 2));
         let before = mode_loc t in
         let moved = moded "% a note\n\n" in
-        let r2 = round t (request ~source:moved 2) in
+        let r2 = round t (request ~source:moved 3) in
         Alcotest.(check int) "still clean" 0 (int_field "exit_code" r2);
+        ignore (round t (request ~meth:"modes" 4));
         let fresh = Serve.create () in
         ignore (round fresh (request ~source:moved 1));
         Alcotest.(check bool) "recorded" true (before <> None);
@@ -1193,6 +1260,16 @@ let cutoff_tests =
         Alcotest.(check int) "rechecked the duplicate and u2" 2
           (tele_field "rechecked" r);
         ignore (check_as_fresh t 3 before));
+    test "a declaration inserted before another takes the name they share"
+      (fun () ->
+        (* e keeps its key and text, so only the shared constructor name
+           makes it a candidate; it must give [c] up to f, as fresh *)
+        let e = "LF e : type =\n| c : e;" and f = "LF f : type =\n| c : f;" in
+        let t = Serve.create () in
+        ignore (check_as_fresh t 1 (lines [ nat; e ]));
+        let r = check_as_fresh t 2 (lines [ nat; f; e ]) in
+        Alcotest.(check int) "exit 1" 1 (int_field "exit_code" r);
+        ignore (check_as_fresh t 3 (lines [ nat; e ])));
     test "a deadline cutting the walk short leaves a consistent session"
       (fun () ->
         let t = Serve.create () in
@@ -1269,6 +1346,58 @@ let cutoff_tests =
         let r = round t (request ~source:(chain ~kind0:"f0 -> type" 300) 3) in
         Alcotest.(check int) "a new kind: every family" 300
           (tele_field "rechecked" r));
+    test "a serve edit allocates for the edit, not for the session" (fun () ->
+        (* the words one edit allocates in [Serve.handle_line], less the
+           one copy of the source text that decoding the request makes.
+           Every word counts, not only the minor heap's: a block as large
+           as the text is allocated directly in the major heap.  The edit
+           is made three times, undone in between, and the least count
+           kept: the first edits size the engine's tables, and the span
+           ring, which a server always records into, may double during
+           one of them *)
+        let allocated () =
+          let minor, promoted, major = Gc.counters () in
+          minor +. major -. promoted
+        in
+        let edit_words n edited =
+          let t = Serve.create ~max_errors:0 () in
+          ignore (round t (request ~source:(chain n) 1));
+          let once id =
+            let line = request ~source:edited id in
+            let w0 = allocated () in
+            let reply = Serve.handle_line t line in
+            let w1 = allocated () in
+            (match Option.map J.parse reply with
+            | Some (Ok r) ->
+                Alcotest.(check int) "the family alone" 1
+                  (tele_field "rechecked" r)
+            | _ -> Alcotest.fail "no reply");
+            ignore (round t (request ~source:(chain n) (id + 1)));
+            w1 -. w0 -. float_of_int ((String.length edited / 8) + 2)
+          in
+          List.fold_left Float.min Float.infinity
+            (List.map once [ 2; 4; 6 ])
+        in
+        (* a constructor added to the last family *)
+        let bottom n =
+          let src = chain n in
+          let last = Printf.sprintf "f%d -> f%d;\n\n" (n - 2) (n - 1) in
+          let cut = String.length src - String.length last in
+          String.sub src 0 cut
+          ^ Printf.sprintf "f%d -> f%d\n| e%d : f%d;\n\n" (n - 2) (n - 1)
+              (n - 1) (n - 1)
+        in
+        let small = edit_words 300 (chain ~extra:true 300) in
+        let top = edit_words 1200 (chain ~extra:true 1200) in
+        let low = edit_words 1200 (bottom 1200) in
+        let within what a b =
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.0f and %.0f words, within 1.5x" what a b)
+            true
+            (Float.max a b <= 1.5 *. Float.min a b)
+        in
+        within "300 and 1,200 families" small top;
+        within "top and bottom of 1,200 families" top low);
   ]
 
 (* --- the incremental engine against a fresh session, over edit sequences -- *)
@@ -1529,8 +1658,11 @@ let warm_equals_fresh (dev, edits) =
       let fresh = round ft (request ~source:src 1) in
       let entries = Incr.entries (Serve.find_session t "s").Serve.ss_incr in
       let summary e = (e.Incr.en_key, e.Incr.en_hash, e.Incr.en_refs) in
-      if List.map (fun e -> e.Incr.en_decl) entries <> full then
+      if List.map Incr.decl entries <> full then
         fail "the spliced parse differs from a full parse";
+      (match Incr.consistent (Serve.find_session t "s").Serve.ss_incr with
+      | Ok () -> ()
+      | Error what -> fail ("the engine's indexes: " ^ what));
       if List.map summary entries <> List.map summary news then
         fail "the entries differ from a full parse's";
       if diag_locs warm <> diag_locs fresh then fail "diagnostics differ";

@@ -90,7 +90,80 @@ let json_tests =
         Alcotest.(check bool)
           "nan is null" true
           (roundtrip (Json.Float Float.nan) = Json.Null));
+    test "parse: \\u escapes, invalid code points decode to U+FFFD" (fun () ->
+        List.iter
+          (fun (src, want) ->
+            match Json.parse src with
+            | Ok (Json.String s) -> Alcotest.(check string) src want s
+            | Ok _ -> Alcotest.failf "%s: expected a string" src
+            | Error msg -> Alcotest.failf "%s: %s" src msg)
+          [
+            ({|"\u0000"|}, "\x00");
+            ({|"\u001f "|}, "\x1f ");
+            ({|"\u00e9\u00E9"|}, "\xc3\xa9\xc3\xa9");
+            ({|"a\u20acb"|}, "a\xe2\x82\xacb");
+            ({|"\uffff"|}, "\xef\xbf\xbf");
+            ({|"\ud800"|}, "\xef\xbf\xbd");
+            ({|"\udfff\ud83d\ude00"|}, "\xef\xbf\xbd\xef\xbf\xbd\xef\xbf\xbd");
+            ({|"\"\\\/\b\f\n\r\t"|}, "\"\\/\b\012\n\r\t");
+          ]);
+    test "parse: the exact error of each malformed string" (fun () ->
+        List.iter
+          (fun (src, want) ->
+            match Json.parse src with
+            | Ok _ -> Alcotest.failf "accepted malformed %S" src
+            | Error msg -> Alcotest.(check string) src want msg)
+          [
+            ({|"abc|}, "offset 4: unterminated string");
+            ({|["a", "b|}, "offset 8: unterminated string");
+            ({|"ab\|}, "offset 4: unterminated escape");
+            ({|"a\q"|}, "offset 4: invalid escape \\q");
+            ({|"\u12|}, "offset 3: truncated \\u escape");
+            ({|"\u12g4"|}, "offset 3: invalid hex digit g");
+            ("\"a\x01b\"", "offset 2: unescaped control character in string");
+            ("\"a\nb\"", "offset 2: unescaped control character in string");
+            ({|{"k": "v"} x|}, "offset 11: trailing garbage after JSON value");
+            ({|1 2|}, "offset 2: trailing garbage after JSON value");
+            ({|{"k" 1}|}, "offset 5: expected :, found 1");
+            ({|[1, 2|}, "offset 5: expected , or ] in array");
+            ({|tru|}, "offset 0: invalid literal (expected true)");
+            ("", "offset 0: unexpected end of input");
+          ]);
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        (* quotes, backslashes, every control character, raw bytes and
+           multi-byte UTF-8, in runs and alone *)
+        (let piece =
+           QCheck.Gen.(
+             oneof
+               [
+                 map (String.make 1) char;
+                 map (String.make 1) (oneofl [ '"'; '\\'; '/'; '\127' ]);
+                 map (fun c -> String.make 1 (Char.chr c)) (int_bound 0x1f);
+                 oneofl [ "é"; "€"; "𝔸"; "\xff\xfe"; "\\u0041" ];
+                 string_size ~gen:printable (int_bound 40);
+               ])
+         in
+         QCheck.Test.make ~count:500
+           ~name:"parse (to_string (String s)) = String s, any bytes"
+           QCheck.(
+             make ~print:(Printf.sprintf "%S")
+               Gen.(map (String.concat "") (list_size (int_bound 12) piece)))
+           (fun s ->
+             Json.parse (Json.to_string (Json.String s)) = Ok (Json.String s)));
+        QCheck.Test.make ~count:500
+          ~name:"a \\u escape decodes to its code point, or U+FFFD"
+          QCheck.(make ~print:string_of_int Gen.(int_bound 0xffff))
+          (fun code ->
+            let u =
+              if Uchar.is_valid code then Uchar.of_int code else Uchar.rep
+            in
+            let want = Buffer.create 4 in
+            Buffer.add_utf_8_uchar want u;
+            Json.parse (Printf.sprintf {|"<\u%04x>"|} code)
+            = Ok (Json.String ("<" ^ Buffer.contents want ^ ">")));
+      ]
 
 (* --- spans and counters ------------------------------------------------- *)
 
