@@ -78,12 +78,15 @@ let run_serve deadline_ms max_live_nodes max_errors max_depth max_eval_steps
     | Some path -> (
         match open_out path with
         | oc ->
-            Log.set_output (Some oc);
-            (match Log.level_of_string log_level with
-            | Some l -> Log.set_level l
-            | None ->
-                Fmt.epr "belr serve: unknown log level %S (use debug, \
-                         info, warn, or error)@." log_level);
+            let level =
+              match Telemetry.level_of_string log_level with
+              | Some l -> l
+              | None ->
+                  Fmt.epr "belr serve: unknown log level %S (use debug, \
+                           info, warn, or error)@." log_level;
+                  Telemetry.Info
+            in
+            Telemetry.set_log ~level (Some oc);
             Some oc
         | exception Sys_error msg ->
             Fmt.epr "belr serve: cannot open log %s: %s@." path msg;
@@ -102,7 +105,7 @@ let run_serve deadline_ms max_live_nodes max_errors max_depth max_eval_steps
       with Sys_error msg ->
         Fmt.epr "belr serve: cannot write metrics %s: %s@." path msg)
   | None -> ());
-  Log.close ();
+  Telemetry.set_log None;
   Option.iter close_out_noerr log_oc;
   0
 

@@ -67,18 +67,6 @@ let c_clauses = Telemetry.counter "modes.clauses"
 let c_premises = Telemetry.counter "modes.premises"
 let c_pairs = Telemetry.counter "modes.checked_pairs"
 
-(* --- erasure ------------------------------------------------------------ *)
-
-(** Erase a clause sort to its type-level skeleton ([SAtom q ↦ Atom (q ⊑
-    a)], [SEmbed a ↦ Atom a]): a sort-level [%mode] is checked on the
-    sort family's clauses, but premise families resolve — like the mode
-    key itself — at the type level. *)
-let rec erase_srt (sg : Sign.t) (s : Lf.srt) : Lf.typ =
-  match s with
-  | Lf.SEmbed (a, sp) -> Lf.mk_atom a sp
-  | Lf.SAtom (q, sp) -> Lf.mk_atom (Sign.srt_entry sg q).Sign.s_refines sp
-  | Lf.SPi (x, s1, s2) -> Lf.mk_pi x (erase_srt sg s1) (erase_srt sg s2)
-
 (* --- free telescope variables ------------------------------------------- *)
 
 (** Free clause-telescope variables of a term, as absolute 0-based
@@ -279,12 +267,15 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
           let raw =
             match me.Sign.m_srt with
             | Some s ->
+                (* a sort-level %mode is checked on the sort family's
+                   clauses, erased: premise families resolve — like the
+                   mode key itself — at the type level *)
                 List.filter_map
                   (fun c ->
                     Option.map
                       (fun (srt, _) ->
                         ( (Sign.const_entry sg c).Sign.c_name,
-                          erase_srt sg srt ))
+                          Sign.erase_srt sg srt ))
                       (Sign.csort sg ~const:c ~family:s))
                   (Sign.constants_of_srt sg s)
             | None ->

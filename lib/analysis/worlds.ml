@@ -53,21 +53,15 @@ let c_pairs = Telemetry.counter "worlds.checked_pairs"
 
 (* --- erasure ------------------------------------------------------------ *)
 
-(** Erase a field sort to its type-level skeleton: subsumption for worlds
-    is up to refinement subsorting, so a sort field and its underlying
-    type stand for the same context shape. *)
-let rec erase_srt (sg : Sign.t) (s : Lf.srt) : Lf.typ =
-  match s with
-  | Lf.SEmbed (a, sp) -> Lf.mk_atom a sp
-  | Lf.SAtom (q, sp) -> Lf.mk_atom (Sign.srt_entry sg q).Sign.s_refines sp
-  | Lf.SPi (x, s1, s2) -> Lf.mk_pi x (erase_srt sg s1) (erase_srt sg s2)
-
+(** Erase field sorts to their type-level skeletons: subsumption for
+    worlds is up to refinement subsorting, so a sort field and its
+    underlying type stand for the same context shape. *)
 let erase_fields (sg : Sign.t) (fields : Ctxs.sblock) : Lf.typ list =
-  List.map (fun (_, s) -> erase_srt sg s) fields
+  List.map (fun (_, s) -> Sign.erase_srt sg s) fields
 
 (** The type family a sort's target erases to. *)
 let fam_of_srt (sg : Sign.t) (s : Lf.srt) : Lf.cid_typ =
-  Lf.typ_target (erase_srt sg s)
+  Lf.typ_target (Sign.erase_srt sg s)
 
 (* --- strengthening ------------------------------------------------------ *)
 
@@ -180,7 +174,7 @@ let telescope (sg : Sign.t) (psi : Ctxs.sctx) : ext option =
         (List.map
            (function
              | Ctxs.SCDecl (x, s) ->
-                 (Name.to_string x, [ erase_srt sg s ])
+                 (Name.to_string x, [ Sign.erase_srt sg s ])
              | Ctxs.SCBlock (x, e, _ms) ->
                  ( Printf.sprintf "%s : %s" (Name.to_string x)
                      (Name.to_string e.Ctxs.f_name),

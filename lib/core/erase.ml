@@ -15,10 +15,9 @@
 open Belr_syntax
 open Belr_lf
 
-let rec srt (sg : Sign.t) : Lf.srt -> Lf.typ = function
-  | Lf.SAtom (s, sp) -> Lf.mk_atom (Sign.srt_entry sg s).Sign.s_refines sp
-  | Lf.SEmbed (a, sp) -> Lf.mk_atom a sp
-  | Lf.SPi (x, s1, s2) -> Lf.mk_pi x (srt sg s1) (srt sg s2)
+(** Sort erasure, defined with the signature so that the analyzers
+    share it. *)
+let srt = Sign.erase_srt
 
 let rec skind (sg : Sign.t) : Lf.skind -> Lf.kind = function
   | Lf.Ksort -> Lf.Ktype

@@ -688,6 +688,11 @@ let typ_entry sg id =
 let srt_entry sg id =
   match Hashtbl.find_opt sg.srts id with Some e -> e | None -> fail_unknown "sort" id
 
+let rec erase_srt sg : Lf.srt -> Lf.typ = function
+  | Lf.SAtom (s, sp) -> Lf.mk_atom (srt_entry sg s).s_refines sp
+  | Lf.SEmbed (a, sp) -> Lf.mk_atom a sp
+  | Lf.SPi (x, s1, s2) -> Lf.mk_pi x (erase_srt sg s1) (erase_srt sg s2)
+
 let const_entry sg id =
   match Hashtbl.find_opt sg.consts id with
   | Some e -> e

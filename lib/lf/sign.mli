@@ -290,6 +290,12 @@ val typ_entry : t -> Lf.cid_typ -> typ_entry
 
 val srt_entry : t -> Lf.cid_srt -> srt_entry
 
+(** Sort erasure: the type a sort refines, its atoms replaced by the
+    families they refine ([SAtom (q, sp) ↦ Atom (a, sp)] for [q ⊑ a],
+    [SEmbed (a, sp) ↦ Atom (a, sp)]).  The analyzers and the
+    conservativity checks ([Erase]) share it. *)
+val erase_srt : t -> Lf.srt -> Lf.typ
+
 val const_entry : t -> Lf.cid_const -> const_entry
 
 val schema_entry : t -> Lf.cid_schema -> schema_entry

@@ -131,6 +131,9 @@ let reset (t : t) : unit =
   Hashtbl.reset t.i_caches
 
 let entries (t : t) : entry list = Array.to_list (Array.sub t.i_arr 0 t.i_len)
+
+let candidates (t : t) : entry list =
+  List.filter (fun e -> e.en_book.bk_cand = t.i_checks) (entries t)
 let checks (t : t) : int = t.i_checks
 
 let decl (e : entry) : Ext.decl =
@@ -280,14 +283,14 @@ let first_scope (ix : index) (x : string) : int =
 
 (* --- invalidation ------------------------------------------------------- *)
 
-(** The invalidation walk, numbered [gen]: mark every entry reached from
-    [seeds] and the [removed] entries over the name indexes [ix] as a
-    candidate ([bk_cand = gen]), the seeds and the entries the forward
-    rule reaches also as seeds ([bk_seed = gen]).  Returns the number of
-    candidates.  It allocates nothing per candidate: a warm check
-    reaches many, and keeps most.  See {!invalidate} for the rules. *)
-let close (ix : index) (work : stack) (gen : int) (seeds : entry list)
-    (removed : entry list) : int =
+(** The invalidation walk of the check numbered [t.i_checks]: mark every
+    entry reached from [seeds] and the [removed] entries over [t]'s name
+    indexes as a candidate ([bk_cand]), the seeds and the entries the
+    forward rule reaches also as seeds ([bk_seed]).  Returns the number
+    of candidates.  It allocates nothing per candidate: a warm check
+    reaches many, and keeps most.  See {!candidates} for the rules. *)
+let close (t : t) (seeds : entry list) (removed : entry list) : int =
+  let ix = t.i_ix and work = t.i_work and gen = t.i_checks in
   let count = ref 0 in
   let mark1 e =
     if e.en_book.bk_cand <> gen then begin
@@ -354,17 +357,17 @@ let close (ix : index) (work : stack) (gen : int) (seeds : entry list)
   done;
   !count
 
-(** The survivors whose scope a reorder flipped: [news] in order, each
-    with the position of its previous entry ([prev], -1 if none), where
-    [first_old] gives the position and key of a name's first declarer
-    or provider in the previous order. *)
-let flipped (ix : index) (news : entry array) (len : int)
-    (prev : entry -> int) (first_old : (string, int * string) Hashtbl.t) :
+(** The survivors whose scope a reorder flipped: [t]'s entries in
+    order, each with the position of its previous entry ([bk_prev], -1
+    if none), where [first_old] gives the position and key of a name's
+    first declarer or provider in the previous order. *)
+let flipped (t : t) (first_old : (string, int * string) Hashtbl.t) :
     entry list =
+  let ix = t.i_ix and news = t.i_arr in
   let acc = ref [] in
-  for i = 0 to len - 1 do
+  for i = 0 to t.i_len - 1 do
     let e = news.(i) in
-    let j = prev e in
+    let j = e.en_book.bk_prev in
     if j >= 0 then begin
       let flips r =
         let was =
@@ -381,15 +384,16 @@ let flipped (ix : index) (news : entry array) (len : int)
   done;
   !acc
 
-(** Name → (position, key) of its first declarer or provider in [olds]. *)
-let first_declarers (olds : entry array) (n : int) (key : entry -> string) =
+(** Name → (position, key) of its first declarer or provider among the
+    first [n] entries of [olds]. *)
+let first_declarers (olds : entry array) (n : int) =
   let first_old = Hashtbl.create 256 in
   for j = 0 to n - 1 do
     let o = olds.(j) in
     List.iter
       (fun x ->
         if not (Hashtbl.mem first_old x) then
-          Hashtbl.replace first_old x (j, key o))
+          Hashtbl.replace first_old x (j, o.en_key))
       (o.en_names @ o.en_worlds)
   done;
   first_old
@@ -407,49 +411,6 @@ let reordered (from : int) (len : int) (prev : int -> int) : bool =
     end
   done;
   !out
-
-(* standalone walks number themselves downwards, apart from the checks *)
-let standalone_gen = ref 0
-
-let invalidate (olds : entry list) (news : entry array) :
-    bool array * bool array =
-  let ix = new_index () in
-  let len = Array.length news in
-  Array.iteri
-    (fun i e ->
-      e.en_pos <- i;
-      index_entry ix e)
-    news;
-  let old_at = Hashtbl.create 64 in
-  List.iteri (fun j o -> Hashtbl.replace old_at o.en_key (j, o)) olds;
-  let new_keys = Hashtbl.create 64 in
-  Array.iter (fun e -> Hashtbl.replace new_keys e.en_key ()) news;
-  let prev e =
-    match Hashtbl.find_opt old_at e.en_key with Some (j, _) -> j | None -> -1
-  in
-  let seeds =
-    List.filter
-      (fun e ->
-        match Hashtbl.find_opt old_at e.en_key with
-        | None -> true
-        | Some (_, o) -> o.en_hash <> e.en_hash || not o.en_ok)
-      (Array.to_list news)
-  in
-  let removed =
-    List.filter (fun o -> not (Hashtbl.mem new_keys o.en_key)) olds
-  in
-  let flips =
-    if reordered 0 len (fun i -> prev news.(i)) then
-      let olds = Array.of_list olds in
-      flipped ix news len prev
-        (first_declarers olds (Array.length olds) (fun o -> o.en_key))
-    else []
-  in
-  decr standalone_gen;
-  let gen = !standalone_gen in
-  ignore (close ix (stack ()) gen (seeds @ flips) removed);
-  ( Array.map (fun e -> e.en_book.bk_cand = gen) news,
-    Array.map (fun e -> e.en_book.bk_seed = gen) news )
 
 (* --- incremental reparse -------------------------------------------------- *)
 
@@ -818,7 +779,7 @@ let apply_splice (t : t) (src : string) (sp : splice) : delta =
         if j < k then arr.(j).en_book.bk_prev <- p
         else if j >= k + c then arr.(j - shift).en_book.bk_prev <- p
       done;
-      Some (first_declarers arr n (fun o -> o.en_key))
+      Some (first_declarers arr n)
     end
     else None
   in
@@ -873,9 +834,24 @@ let apply_splice (t : t) (src : string) (sp : splice) : delta =
 
 (* --- the check: parse, invalidate, walk ----------------------------------- *)
 
-(** Record the locations of [e]'s names where it stands now. *)
+(** Record the locations of [e]'s names where it stands now: as parsed,
+    then shifted by its displacement, without relocating the
+    declaration. *)
 let record_at (sg : Sign.t) (e : entry) : unit =
-  Process.record_locs sg (decl e);
+  Process.record_locs sg e.en_parsed;
+  let rec shift = function
+    | [] -> ()
+    | x :: xs ->
+        (* once per name: a declaration may bind a name twice *)
+        (if not (List.mem x xs) then
+           match Sign.decl_loc sg x with
+           | Some l ->
+               Sign.set_decl_loc sg x
+                 (Ext.shift_loc ~bytes:e.en_bytes ~lines:e.en_lines l)
+           | None -> ());
+        shift xs
+  in
+  if e.en_bytes <> 0 || e.en_lines <> 0 then shift e.en_names;
   e.en_book.bk_loc_bytes <- e.en_bytes;
   e.en_book.bk_loc_lines <- e.en_lines
 
@@ -934,9 +910,9 @@ let check (t : t) (sink : Diagnostics.sink) (sg : Sign.t) ~(name : string)
   let flips =
     match dl.dl_first_old with
     | None -> []
-    | Some first_old -> flipped t.i_ix arr len (fun e -> e.en_book.bk_prev) first_old
+    | Some first_old -> flipped t first_old
   in
-  let ncands = close t.i_ix t.i_work stamp (flips @ !seeds) dl.dl_removed in
+  let ncands = close t (flips @ !seeds) dl.dl_removed in
   let cand e = e.en_book.bk_cand = stamp and seed e = e.en_book.bk_seed = stamp in
   (* the signature holds a candidate's names as its previous entry
      declared them ([spare], with none, if it is new) *)

@@ -140,8 +140,9 @@ val checks : t -> int
 (** The entries of a full parse of [src]. *)
 val entry_list : string -> Ext.decl list -> entry list
 
-(** Which new entries are candidates for re-checking, and which of them
-    are seeds that re-check whatever happens?  [news.(i)] is a seed when:
+(** The entries the last {!check}'s invalidation walk reached, in
+    declaration order: its candidates for re-checking.  An entry is a
+    seed, which re-checks whatever happens, when:
     - it changed: its key is new, its content hash differs, or its
       previous check failed (always retried, so an erroneous-then-fixed
       declaration fully recovers);
@@ -155,13 +156,12 @@ val entry_list : string -> Ext.decl list -> entry list
     name that a candidate or removed entry declares (retraction is by
     name), or mentions a world that a candidate or removed schema
     provides ({!Ext.world_names}).  A candidate that is no seed re-checks
-    only if a name it mentions changed meaning ({!check}).  One walk
-    from the seeds and the removed entries over name → entries indexes
-    of [en_names], [en_refs] and [en_worlds]; DESIGN.md §S23 argues that
-    this is sound.  {!check} runs the same walk over the indexes it
-    keeps; this one builds them for [news] (renumbering their
-    [en_pos]).  Returns [(candidates, seeds)]. *)
-val invalidate : entry list -> entry array -> bool array * bool array
+    only if a name it mentions changed meaning.  One walk from the seeds
+    and the removed entries over the name → entries indexes of
+    [en_names], [en_refs] and [en_worlds], which the engine keeps;
+    DESIGN.md §S23 argues that this is sound, and the edit-sequence
+    property compares these entries with a reference rule's. *)
+val candidates : t -> entry list
 
 (** The engine's own indexes and key table, as {!check} updates them,
     equal to those built afresh from its entries: [Error] names the

@@ -126,9 +126,6 @@ let g_tele_dropped =
   Telemetry.gauge ~help:"telemetry span events dropped by the ring buffer"
     "telemetry.events_dropped"
 
-let g_log_dropped =
-  Telemetry.gauge ~help:"log lines dropped by the rate bound" "log.dropped"
-
 let create ?deadline_ms ?(max_depth = Limits.default_max_depth)
     ?(max_errors = 64) ?watermark ?slow_ms () : t =
   {
@@ -195,8 +192,7 @@ let sample_gauges (t : t) : unit =
   Telemetry.set_int g_pressure_resets t.sv_pressure_resets;
   Telemetry.set_int g_deadline_overruns t.sv_deadline_overruns;
   Telemetry.set_int g_limit_trips (Limits.trip_count ());
-  Telemetry.set_int g_tele_dropped (Telemetry.events_dropped ());
-  Telemetry.set_int g_log_dropped (Log.dropped ())
+  Telemetry.set_int g_tele_dropped (Telemetry.events_dropped ())
 
 let find_session (t : t) (name : string) : session =
   match Hashtbl.find_opt t.sv_sessions name with
@@ -287,9 +283,8 @@ let protocol_error ?(id = J.Null) ?(session = "-") ~rid msg : J.t =
     Diagnostics.make ~code:"E0904" Diagnostics.Error
       "malformed serve request: %s" msg
   in
-  Log.event ~level:Log.Warn "serve.protocol_error"
-    [ ("request_id", J.String rid); ("session", J.String session);
-      ("detail", J.String msg) ];
+  Telemetry.log ~level:Telemetry.Warn "serve.protocol_error"
+    [ ("session", J.String session); ("detail", J.String msg) ];
   reply ~id ~rid ~session ~status:"error" ~exit_code:1 ~diags:[ d ]
     ~telemetry:[] ()
 
@@ -344,7 +339,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
   let t0 = Limits.now_ns () in
   let decl_spans0 = Telemetry.phase_count "decl" in
   let ring_mark = Telemetry.events_recorded () in
-  let finish ?result ?(degraded = false) ?(extra_telemetry = []) () =
+  let finish ?result ?(degraded = false) ?counts () =
     Limits.clear_deadline ();
     (* memory watermark: an oversized session store is cleared in place —
        sharing (not soundness) is lost, and the reply says so *)
@@ -376,31 +371,27 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
     | Some h -> Telemetry.observe h (Int64.to_int elapsed_ns)
     | None -> ());
     let exit_code = Diagnostics.exit_code sink in
-    let log_counts =
-      List.filter_map
-        (fun (k, v) ->
-          match (k, v) with
-          | ("rechecked" | "reused"), J.Int n -> Some (k, J.Int n)
-          | _ -> None)
-        extra_telemetry
+    let counts =
+      match counts with
+      | Some (rechecked, reused) ->
+          [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
+      | None -> []
     in
-    Log.event "serve.request"
+    Telemetry.log "serve.request"
       ([
-         ("request_id", J.String rid);
          ("session", J.String rq.rq_session);
          ("method", J.String rq.rq_method);
          ("status", J.String status);
          ("exit_code", J.Int exit_code);
          ("duration_ms", J.Float elapsed_ms);
        ]
-      @ log_counts);
+      @ counts);
     (match t.sv_slow_ms with
     | Some slow when elapsed_ms >= slow ->
         (* the request blew the latency threshold: dump its span tree so
            the hot phase is identifiable post-hoc, correlated by id *)
-        Log.event ~level:Log.Warn "serve.slow"
+        Telemetry.log ~level:Telemetry.Warn "serve.slow"
           [
-            ("request_id", J.String rid);
             ("session", J.String rq.rq_session);
             ("method", J.String rq.rq_method);
             ("duration_ms", J.Float elapsed_ms);
@@ -416,7 +407,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
            ( "decl_spans",
              J.Int (Telemetry.phase_count "decl" - decl_spans0) );
          ]
-        @ extra_telemetry)
+        @ counts)
       ()
   in
   let reject msg =
@@ -447,7 +438,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                ("limit_trips", J.Int (Limits.trip_count ()));
                ( "telemetry_events_dropped",
                  J.Int (Telemetry.events_dropped ()) );
-               ("log_lines_dropped", J.Int (Log.dropped ()));
+               ("log_lines_dropped", J.Int (Telemetry.log_dropped ()));
              ])
         ()
   | meth -> (
@@ -464,10 +455,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
                 let o = Driver.run_analysis_in a ses.ss_core sink in
                 Lazy.force o.Driver.reply)
           in
-          finish ~result
-            ~extra_telemetry:
-              [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-            ()
+          finish ~result ~counts:(rechecked, reused) ()
       | "check", None -> (
           let src =
             match (rq.rq_source, rq.rq_file) with
@@ -518,10 +506,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
               in
               Telemetry.add m_decls_rechecked rechecked;
               Telemetry.add m_decls_reused reused;
-              finish ~result ~degraded
-                ~extra_telemetry:
-                  [ ("rechecked", J.Int rechecked); ("reused", J.Int reused) ]
-                ())
+              finish ~result ~degraded ~counts:(rechecked, reused) ())
       | "reset", None ->
           (* capture the session's watermarks {e before} discarding its
              world: a reset is exactly when an operator wants to know how
@@ -570,9 +555,8 @@ let reply_to_line (t : t) ~(rid : string) (line : string) : J.t =
             Limits.clear_deadline ();
             Limits.reset ();
             Hashtbl.remove t.sv_sessions rq.rq_session;
-            Log.event ~level:Log.Error "serve.engine_fault"
+            Telemetry.log ~level:Telemetry.Error "serve.engine_fault"
               [
-                ("request_id", J.String rid);
                 ("session", J.String rq.rq_session);
                 ("method", J.String rq.rq_method);
                 ("detail", J.String (Printexc.to_string exn));

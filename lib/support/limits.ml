@@ -76,7 +76,8 @@ let peaks () = List.map (fun c -> (c.c_name, c.c_peak)) !registry
 
 (* --- wall-clock deadlines and step budgets ---------------------------- *)
 
-(* Same monotonic clock as the telemetry layer (clock_stubs.c). *)
+(* The one binding of the monotonic clock (clock_stubs.c): deadlines,
+   and Telemetry's spans and log lines, read it. *)
 external now_ns : unit -> int64 = "belr_monotonic_clock_ns"
 
 exception Deadline_exceeded of int

@@ -1,5 +1,3 @@
-external now_ns : unit -> int64 = "belr_monotonic_clock_ns"
-
 let on = ref false
 
 let enabled () = !on
@@ -172,6 +170,92 @@ let clear_request_id () = request_id := ""
 
 let current_request_id () = !request_id
 
+(* --- the event log -------------------------------------------------------- *)
+
+(* in rising order: the level gate compares them *)
+type level = Debug | Info | Warn | Error
+
+let level_label = function
+  | Debug -> "debug"
+  | Info -> "info"
+  | Warn -> "warn"
+  | Error -> "error"
+
+let level_of_string = function
+  | "debug" -> Some Debug
+  | "info" -> Some Info
+  | "warn" | "warning" -> Some Warn
+  | "error" -> Some Error
+  | _ -> None
+
+let log_out : out_channel option ref = ref None
+
+let log_level = ref Info
+
+(** Lines admitted per monotonic second. *)
+let max_per_window = 2000
+
+let window_start = ref 0L
+
+let in_window = ref 0
+
+let g_log_dropped =
+  gauge ~help:"log lines dropped by the rate bound" "log.dropped"
+
+let log_dropped () = int_of_float (gauge_value g_log_dropped)
+
+let set_log ?(level = Info) (oc : out_channel option) =
+  (match !log_out with
+  | Some old -> ( try flush old with Sys_error _ -> ())
+  | None -> ());
+  log_out := oc;
+  log_level := level;
+  window_start := Limits.now_ns ();
+  in_window := 0
+
+(** Does a line at [l] pass the level gate and the rate window?  Counts
+    the drop when it does not. *)
+let admit (l : level) : bool =
+  l >= !log_level
+  && begin
+       let t = Limits.now_ns () in
+       if Int64.sub t !window_start >= 1_000_000_000L then begin
+         window_start := t;
+         in_window := 0
+       end;
+       if !in_window >= max_per_window then begin
+         set g_log_dropped (gauge_value g_log_dropped +. 1.);
+         false
+       end
+       else begin
+         incr in_window;
+         true
+       end
+     end
+
+let log ?(level = Info) (name : string) (fields : (string * Json.t) list) :
+    unit =
+  match !log_out with
+  | Some oc when admit level -> (
+      let rid =
+        if !request_id = "" then []
+        else [ ("request_id", Json.String !request_id) ]
+      in
+      let line =
+        Json.to_string ~compact:true
+          (Json.Obj
+             (("ts_ns", Json.Int (Int64.to_int (Limits.now_ns ())))
+             :: ("level", Json.String (level_label level))
+             :: ("event", Json.String name)
+             :: (rid @ fields)))
+      in
+      try
+        output_string oc line;
+        output_char oc '\n';
+        if level >= Warn then flush oc
+      with Sys_error _ -> log_out := None)
+  | _ -> ()
+
 (** Completed spans, oldest-first once the buffer wraps.  The ring
     starts small and doubles while it is full, up to {!max_capacity}
     slots, from which on it wraps; a slot's record is allocated when it
@@ -229,7 +313,7 @@ let reset () =
       h.h_max <- 0)
     !histograms;
   Limits.reset_peaks ();
-  epoch := now_ns ()
+  epoch := Limits.now_ns ()
 
 let record name arg start_ns dur_ns d =
   ensure_ring ();
@@ -269,9 +353,9 @@ let with_span : 'a. ?arg:string -> string -> (unit -> 'a) -> 'a =
   else begin
     let d = !depth in
     depth := d + 1;
-    let t0 = now_ns () in
+    let t0 = Limits.now_ns () in
     let finish () =
-      let dur = Int64.sub (now_ns ()) t0 in
+      let dur = Int64.sub (Limits.now_ns ()) t0 in
       depth := d;
       record name arg t0 dur d
     in

@@ -30,6 +30,10 @@
       method) and {!exposition}, its Prometheus-style text form
       ([--metrics FILE]).
 
+    The one view written as events happen is the [--log FILE] stream
+    ({!log}): leveled, rate-bounded lines, each stamped with the clock
+    and the request id the spans use.
+
     Invariants (DESIGN.md §S24):
 
     - {e one flag}: counters, histograms and spans record only while
@@ -155,6 +159,41 @@ val set_request_id : string -> unit
 val clear_request_id : unit -> unit
 
 val current_request_id : unit -> string
+
+(** {1 The event log}
+
+    The [--log FILE] stream ([--log-level] sets its level): one JSON
+    object per line.  Each line is [ts_ns] (the monotonic clock of
+    {!Limits.now_ns}), [level], [event], the {!current_request_id} as
+    [request_id] when one is set, then the caller's fields.
+
+    {b Bounded rate.}  At most 2,000 lines per monotonic second are
+    written.  A line past the cap is dropped and counted in the
+    [log.dropped] gauge ({!log_dropped}), so a request flood does not
+    become an I/O flood.  [Warn] and [Error] lines flush the sink at
+    once; [Info] and [Debug] lines ride its buffer.
+
+    With no sink installed (the default) {!log} is one comparison, and
+    building the fields list is the only allocation its caller pays. *)
+
+type level = Debug | Info | Warn | Error
+
+(** ["debug"], ["info"], ["warn"] (or ["warning"]), ["error"]. *)
+val level_of_string : string -> level option
+
+(** Install the line sink [oc] ([None]: no sink), writing lines at
+    [level] (default [Info]) and above.  The sink it replaces is flushed,
+    not closed: the caller owns the channel. *)
+val set_log : ?level:level -> out_channel option -> unit
+
+(** [log ?level event fields] writes one line (default level [Info]) if
+    a sink is installed and the level gate and rate bound admit it.
+    Writing is total: an I/O error (disk full, closed pipe) uninstalls
+    the sink rather than killing the request. *)
+val log : ?level:level -> string -> (string * Json.t) list -> unit
+
+(** Lines dropped by the rate bound: the [log.dropped] gauge. *)
+val log_dropped : unit -> int
 
 (** Clear all recorded state: events (the span ring is released and
     grows again as spans are recorded), aggregates, every counter, gauge

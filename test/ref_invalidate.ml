@@ -1,7 +1,8 @@
 (** The invalidation rule of the incremental server before it dropped the
-    subordination frontier, kept verbatim as a test oracle: the closure
-    {!Belr_parser.Incr.invalidate} computes must stay inside this one
-    (up to the reorder and shared-name rules this one lacks).  Only the
+    subordination frontier, kept verbatim as a test oracle: the
+    candidates of each check the engine runs ({!Belr_parser.Incr.candidates},
+    read after the check) must stay inside this one (up to the reorder
+    and shared-name rules this one lacks).  Only the
     frontier's reachability, which the analysis library no longer
     provides, is inlined: [dependents_of] is its former
     [Subord.dependents_of], verbatim. *)

@@ -263,20 +263,16 @@ let json_tests =
 
 (* --- structured log ----------------------------------------------------- *)
 
-(** Run [f] with the log writing to a fresh temp file, restoring the
-    (disabled) global log state after; returns the lines written. *)
-let with_log ?level ?rate (f : unit -> unit) : string list =
+(** Run [f] with the log writing to a fresh temp file, uninstalling it
+    after; returns the lines written. *)
+let with_log ?level (f : unit -> unit) : string list =
   let path = Filename.temp_file "belr_test_log" ".jsonl" in
   let oc = open_out path in
-  Log.set_output (Some oc);
-  Option.iter Log.set_level level;
-  Option.iter Log.set_rate rate;
+  Telemetry.set_log ?level (Some oc);
   Fun.protect
     ~finally:(fun () ->
-      Log.close ();
-      close_out_noerr oc;
-      Log.set_level Log.Info;
-      Log.set_rate Log.default_max_per_window)
+      Telemetry.set_log None;
+      close_out_noerr oc)
     f;
   let ic = open_in path in
   let lines = ref [] in
@@ -294,10 +290,10 @@ let log_tests =
     test "lines carry ts_ns/level/event plus caller fields, and the \
           level gate filters" (fun () ->
         let lines =
-          with_log ~level:Log.Info (fun () ->
-              Log.event ~level:Log.Debug "invisible" [];
-              Log.event "visible" [ ("k", J.String "v") ];
-              Log.event ~level:Log.Error "boom" [])
+          with_log ~level:Telemetry.Info (fun () ->
+              Telemetry.log ~level:Telemetry.Debug "invisible" [];
+              Telemetry.log "visible" [ ("k", J.String "v") ];
+              Telemetry.log ~level:Telemetry.Error "boom" [])
         in
         Alcotest.(check int) "debug filtered out" 2 (List.length lines);
         match List.map J.parse lines with
@@ -314,19 +310,25 @@ let log_tests =
               (J.member "level" l2 = Some (J.String "error"))
         | _ -> Alcotest.fail "a log line failed to parse");
     test "the rate bound drops excess lines and counts them" (fun () ->
-        let d0 = Log.dropped () in
+        (* the bound is 2,000 lines per monotonic second; the lines below
+           take a few milliseconds *)
+        let cap = 2000 in
+        let d0 = Telemetry.log_dropped () in
         let lines =
-          with_log ~rate:5 (fun () ->
-              for i = 1 to 12 do
-                Log.event "tick" [ ("i", J.Int i) ]
+          with_log (fun () ->
+              for i = 1 to cap + 7 do
+                Telemetry.log "tick" [ ("i", J.Int i) ]
               done)
         in
-        Alcotest.(check int) "only the cap is written" 5
+        Alcotest.(check int) "only the cap is written" cap
           (List.length lines);
-        Alcotest.(check int) "drops counted" 7 (Log.dropped () - d0));
+        Alcotest.(check int) "drops counted" 7
+          (Telemetry.log_dropped () - d0));
     test "disabled, the log accepts events silently" (fun () ->
-        Log.event "nowhere" [];
-        Alcotest.(check bool) "disabled" false (Log.enabled ()));
+        let d0 = Telemetry.log_dropped () in
+        Telemetry.log "nowhere" [];
+        Alcotest.(check int) "nothing written, nothing dropped" d0
+          (Telemetry.log_dropped ()));
   ]
 
 (* --- request-id correlation through serve ------------------------------- *)
@@ -394,6 +396,81 @@ let rid_tests =
           (List.length logged_rids);
         Alcotest.(check int) "ids distinct" 2
           (List.length (List.sort_uniq compare logged_rids)));
+    test "every serve log line keeps its event, level and ordered keys"
+      (fun () ->
+        let t = Serve.create ~slow_ms:0. () in
+        let nat = "LF nat : type =\n| z : nat\n| s : nat -> nat;" in
+        let tp = "LF tp : type =\n| unit : tp;" in
+        let rids = ref [] in
+        let send line =
+          let r = round t line in
+          match Option.bind (J.member "request_id" r) J.to_str with
+          | Some rid -> rids := rid :: !rids
+          | None -> Alcotest.fail "reply lacks request_id"
+        in
+        let lines =
+          with_log (fun () ->
+              send (request ~meth:"check" ~source:(nat ^ "\n\n" ^ tp) 1);
+              (* tp edited: re-checked, nat reused *)
+              send
+                (request ~meth:"check"
+                   ~source:(nat ^ "\n\nLF tp : type =\n| one : tp;") 2);
+              send (request ~meth:"health" 3);
+              send "{{{ not json";
+              Fault.arm ~site:"serve-dispatch" ~n:1;
+              Fun.protect ~finally:Fault.disarm (fun () ->
+                  send (request ~meth:"check" ~source:nat 4)))
+        in
+        let request_keys =
+          [ "ts_ns"; "level"; "event"; "request_id"; "session"; "method";
+            "status"; "exit_code"; "duration_ms" ]
+        in
+        let slow =
+          ( "serve.slow", "warn",
+            [ "ts_ns"; "level"; "event"; "request_id"; "session"; "method";
+              "duration_ms"; "slow_ms"; "span_tree" ] )
+        in
+        let checked =
+          ("serve.request", "info", request_keys @ [ "rechecked"; "reused" ])
+        in
+        let expected =
+          [
+            (checked, 0); (slow, 0); (checked, 1); (slow, 1);
+            (("serve.request", "info", request_keys), 2); (slow, 2);
+            ( ( "serve.protocol_error", "warn",
+                [ "ts_ns"; "level"; "event"; "request_id"; "session";
+                  "detail" ] ),
+              3 );
+            ( ( "serve.engine_fault", "error",
+                [ "ts_ns"; "level"; "event"; "request_id"; "session";
+                  "method"; "detail" ] ),
+              4 );
+          ]
+        in
+        let rids = Array.of_list (List.rev !rids) in
+        Alcotest.(check int) "one line each" (List.length expected)
+          (List.length lines);
+        List.iter2
+          (fun line ((event, level, keys), n) ->
+            match J.parse line with
+            | Ok (J.Obj fields as j) ->
+                let str k = Option.bind (J.member k j) J.to_str in
+                Alcotest.(check (option string)) "event" (Some event)
+                  (str "event");
+                Alcotest.(check (option string)) (event ^ " level")
+                  (Some level) (str "level");
+                Alcotest.(check (list string)) (event ^ " keys") keys
+                  (List.map fst fields);
+                Alcotest.(check (option string)) (event ^ " request_id")
+                  (Some rids.(n)) (str "request_id")
+            | _ -> Alcotest.failf "not a JSON object line: %s" line)
+          lines expected;
+        match List.map J.parse lines with
+        | _ :: _ :: Ok second :: _ ->
+            Alcotest.(check bool) "the edit re-checked one, reused one" true
+              (J.member "rechecked" second = Some (J.Int 1)
+              && J.member "reused" second = Some (J.Int 1))
+        | _ -> Alcotest.fail "a log line failed to parse");
     test "trace spans carry the ambient request id" (fun () ->
         Telemetry.reset ();
         Telemetry.set_enabled true;

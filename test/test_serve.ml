@@ -636,15 +636,13 @@ let health_gauge_tests =
 
 module SS = Ref_invalidate.SS
 
-(** The candidates of {!Incr.invalidate} as a key set. *)
-let candidate_keys olds news =
-  let news = Array.of_list news in
-  let invalid, _ = Incr.invalidate olds news in
-  let keys = ref SS.empty in
-  Array.iteri
-    (fun i e -> if invalid.(i) then keys := SS.add e.Incr.en_key !keys)
-    news;
-  !keys
+(** The keys of the candidates of the last check on session ["s"] of
+    [t] ({!Incr.candidates}). *)
+let candidate_keys t =
+  List.fold_left
+    (fun keys e -> SS.add e.Incr.en_key keys)
+    SS.empty
+    (Incr.candidates (Serve.find_session t "s").Serve.ss_incr)
 
 (** Check [src] on session ["s"] and return the keys the check actually
     re-checked: the entries it stamped. *)
@@ -723,16 +721,18 @@ let stamp_tests =
         (* the deliberate difference from a net diff against the cached
            entries: when a later check reverts an earlier edit, the
            stamps still count what both checks processed *)
-        let cached = Incr.entries (Serve.find_session t "s").Serve.ss_incr in
         let c3 = check_closure t 6 (lines [ nat; exp'; dep ]) in
         let c4 = check_closure t 7 (lines [ nat'; exp; dep ]) in
         let q = round t (request ~meth:"lint" 8) in
         Alcotest.(check int) "union again"
           (SS.cardinal (SS.union c3 c4))
           (tele_field "rechecked" q);
+        (* the cached text, then the current one, on a fresh session *)
         let net =
-          candidate_keys cached
-            (Incr.entries (Serve.find_session t "s").Serve.ss_incr)
+          let t' = Serve.create () in
+          ignore (round t' (request ~source:(lines [ nat'; exp'; dep ]) 1));
+          ignore (round t' (request ~source:(lines [ nat'; exp; dep ]) 2));
+          candidate_keys t'
         in
         (* nat is back to its cached text, so only exp differs *)
         Alcotest.(check (list string)) "the net diff is exp alone"
@@ -886,6 +886,28 @@ let splice_tests =
         Alcotest.(check bool) "moved" true (mode_loc t <> before);
         Alcotest.(check (option string)) "as fresh" (mode_loc fresh)
           (mode_loc t));
+    test "a moved declaration that binds a name twice records it once, \
+          as a fresh check does" (fun () ->
+        (* the second nat fails, but shares nat with the first: when the
+           first is re-recorded, so is it, and its c once *)
+        let src pad =
+          pad ^ src3 nat ^ "\n\nLF nat : type =\n| c : nat\n| c : nat;"
+        in
+        let c_loc t =
+          let ses = Serve.find_session t "s" in
+          Option.map Loc.to_string
+            (Belr_lf.Sign.decl_loc (Belr_lf.Session.sign ses.Serve.ss_core) "c")
+        in
+        let t = Serve.create () in
+        ignore (round t (request ~source:(src "") 1));
+        ignore (round t (request ~meth:"lint" 2));
+        let moved = src "% a note\n\n" in
+        ignore (round t (request ~source:moved 3));
+        ignore (round t (request ~meth:"lint" 4));
+        let fresh = Serve.create () in
+        ignore (round fresh (request ~source:moved 1));
+        Alcotest.(check bool) "recorded" true (c_loc fresh <> None);
+        Alcotest.(check (option string)) "as fresh" (c_loc fresh) (c_loc t));
     test "a reorder that puts a use before its declaration re-checks it"
       (fun () ->
         let a = fam "a" and x = fam "x" and y = fam "y" in
@@ -1652,8 +1674,8 @@ let warm_equals_fresh (dev, edits) =
               (Belr_lf.Session.sign ses.Serve.ss_core)
               olds news)
       in
-      let invalid = candidate_keys olds news in
       let warm = round t (request ~source:src (step + 1)) in
+      let invalid = candidate_keys t in
       let ft = Serve.create () in
       let fresh = round ft (request ~source:src 1) in
       let entries = Incr.entries (Serve.find_session t "s").Serve.ss_incr in

@@ -17,8 +17,8 @@
     [diagnostics] array, and a [telemetry] object, and every structured
     log line (an object with an [event] field, as written by
     [serve --log]) must carry [ts_ns], a known [level], and — for
-    [serve.request] lines — the request_id/session/method/status join
-    fields.  After [--serve-abuse], [.jsonl] files must additionally
+    [serve.*] lines — the request_id/session join fields ([serve.request]
+    lines also method/status).  After [--serve-abuse], [.jsonl] files must additionally
     satisfy the scripted-abuse contract of the [@serve] alias: at least
     one [error] reply (the injected fault), at least one [degraded]
     reply (the blown deadline), and a final reply that is [ok] with exit
@@ -355,36 +355,37 @@ let check_abuse_contract (replies : J.t list) : string option =
 
 (* --- structured log streams (--log FILE) -------------------------------- *)
 
-(** One [Log.event] line: monotonic [ts_ns], a known [level], an [event]
-    name; [serve.request] lines must additionally carry the join fields
-    documented in DESIGN.md §S24. *)
+(** One [--log] line ([Telemetry.log]): monotonic [ts_ns], a known
+    [level], an [event] name.  Every [serve.*] line must carry the
+    [request_id] and [session] strings that join it to its reply, and a
+    [serve.request] line its [method] and [status] too (DESIGN.md
+    §S24). *)
 let check_log_line (j : J.t) : string option =
   match J.member "ts_ns" j with
   | Some (J.Int _) -> (
       match J.member "level" j with
       | Some (J.String ("debug" | "info" | "warn" | "error")) -> (
           match J.member "event" j with
-          | Some (J.String ev) ->
-              if ev <> "serve.request" then None
-              else
-                let required =
+          | Some (J.String ev) -> (
+              let required =
+                if ev = "serve.request" then
                   [ "request_id"; "session"; "method"; "status" ]
-                in
-                (match
-                   List.find_opt
-                     (fun k ->
-                       match J.member k j with
-                       | Some (J.String _) -> false
-                       | _ -> true)
-                     required
-                 with
-                | Some k ->
-                    Some
-                      (Printf.sprintf
-                         "serve.request log line lacks its %S string" k)
-                | None -> None)
-          | _ -> Some "log line lacks an \"event\" string"
-          )
+                else if String.starts_with ~prefix:"serve." ev then
+                  [ "request_id"; "session" ]
+                else []
+              in
+              match
+                List.find_opt
+                  (fun k ->
+                    match J.member k j with
+                    | Some (J.String _) -> false
+                    | _ -> true)
+                  required
+              with
+              | Some k ->
+                  Some (Printf.sprintf "%s log line lacks its %S string" ev k)
+              | None -> None)
+          | _ -> Some "log line lacks an \"event\" string")
       | _ -> Some "log line \"level\" is not debug, info, warn, or error")
   | _ -> Some "log line lacks an integer \"ts_ns\""
 
