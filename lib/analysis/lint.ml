@@ -33,13 +33,15 @@ let empty_result = { lr_passes = [] }
 
 (** Run the given passes (default: all of {!Passes.all}, in registry
     order) over [sg], reporting into [sink].  Callers filter with
-    {!Passes.select} ([--only] / [--skip]).  Every pass shares the
-    subordination relation of [facts].  The [--max-errors] cap is
+    {!Passes.select} ([--only] / [--skip]).  Every pass reads the
+    sorted entries and the subordination relation of [facts], which is
+    computed before the first pass runs.  The [--max-errors] cap is
     absorbed by {!Pass.run_all}, so a result is always returned. *)
 let run ?passes (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) :
     result =
   let passes = Option.value ~default:Passes.all passes in
-  { lr_passes = Pass.run_all passes sg (Facts.subord facts) sink }
+  ignore (Facts.subord facts);
+  { lr_passes = Pass.run_all passes sg facts sink }
 
 (** The report's [passes] section. *)
 let sections (r : result) : (string * Json.t) list =

@@ -221,16 +221,7 @@ let empty_result = { mr_fams = []; mr_modes = 0; mr_missing = 0 }
     through [sink].  Analysis failures on a recovered (partially
     checked) signature are contained per family. *)
 let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
-  let typ_names = Hashtbl.create 32 in
-  List.iter
-    (fun (a, (te : Sign.typ_entry)) ->
-      Hashtbl.replace typ_names a te.Sign.t_name)
-    (Sign.all_typs sg);
-  let names a =
-    match Hashtbl.find_opt typ_names a with
-    | Some n -> n
-    | None -> "#" ^ string_of_int a
-  in
+  let names = Facts.family_name sg in
   let sub =
     Telemetry.with_span "modes:subord" (fun () -> Facts.subord facts)
   in
@@ -241,7 +232,8 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
   in
   let mode_loc me = Option.value ~default:Loc.ghost (Sign.mode_loc sg me) in
   (* W0732, deduplicated: a family missing its %mode is reported at
-     its first appeal, wherever that is *)
+     its first appeal, wherever that is; [via] names the appeal, and is
+     formatted only for a finding *)
   let missing_warned : (Lf.cid_typ, unit) Hashtbl.t = Hashtbl.create 8 in
   let missing = ref 0 in
   let warn_missing ~loc ~via fam' =
@@ -252,7 +244,7 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
         (Diagnostics.make ~loc ~code:"W0732" Diagnostics.Warning
            "%s appeals to %s, which has no %%mode declaration; its \
             arguments are assumed ground"
-           via (names fam'))
+           (via ()) (names fam'))
     end
   in
   let check_family (me : Sign.mode_entry) : fam_report =
@@ -346,9 +338,8 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
                 (* an unmoded judgment premise: warn, then be
                    lenient so one missing %mode does not cascade *)
                 warn_missing ~loc:v.v_loc
-                  ~via:
-                    (Printf.sprintf "clause %s of %s" v.v_name
-                       me.Sign.m_name)
+                  ~via:(fun () ->
+                    Printf.sprintf "clause %s of %s" v.v_name me.Sign.m_name)
                   tgt;
                 g := ISet.add k (ISet.union !g domfv.(k))
               end)
@@ -496,7 +487,7 @@ let run (sg : Sign.t) (facts : Facts.t) (sink : Diagnostics.sink) : result =
                        && Lf.kind_arity (Sign.typ_entry sg a).Sign.t_kind
                           >= 1 ->
                     warn_missing ~loc
-                      ~via:(Printf.sprintf "rec %s" re.Sign.r_name)
+                      ~via:(fun () -> "rec " ^ re.Sign.r_name)
                       a
                 | _ -> ())
               re.Sign.r_styp)

@@ -11,27 +11,29 @@
     [lint:<name>] telemetry span so [--stats]/[--profile] break analysis
     time down per pass.
 
-    Every pass receives the signature's subordination relation, computed
-    once by the caller, so no pass re-runs the closure. *)
+    Every pass receives the run's {!Facts}: the signature's entries in
+    id order and its subordination relation, each computed once per run
+    (the relation kept across runs of a session), so no pass sorts the
+    signature or re-runs the closure itself. *)
 
 open Belr_support
 
 type t = {
   p_name : string;  (** short stable name, e.g. ["subord"] *)
   p_doc : string;  (** one-line description for [-v] listings *)
-  p_run : Belr_lf.Sign.t -> Subord.t -> Diagnostics.sink -> unit;
+  p_run : Belr_lf.Sign.t -> Facts.t -> Diagnostics.sink -> unit;
 }
 
 let findings_so_far sink =
   Diagnostics.error_count sink + Diagnostics.warning_count sink
 
-(** Run every pass in order over [sg] and its relation [sub], emitting
+(** Run every pass in order over [sg] and its [facts], emitting
     into [sink]; returns the per-pass finding counts (errors + warnings
     attributed to that pass), in pass order.  When the [--max-errors] cap
     trips ({!Diagnostics.Stop}), the remaining passes are skipped and a
     final [E0002] note is emitted, as in the checking pipeline; the counts
     then cover the passes that ran, the tripping one included. *)
-let run_all (passes : t list) (sg : Belr_lf.Sign.t) (sub : Subord.t)
+let run_all (passes : t list) (sg : Belr_lf.Sign.t) (facts : Facts.t)
     (sink : Diagnostics.sink) : (string * int) list =
   let counts = ref [] in
   let run p =
@@ -41,7 +43,7 @@ let run_all (passes : t list) (sg : Belr_lf.Sign.t) (sub : Subord.t)
         counts := (p.p_name, findings_so_far sink - before) :: !counts)
       (fun () ->
         Telemetry.with_span ("lint:" ^ p.p_name) (fun () ->
-            ignore (Diagnostics.recover sink (fun () -> p.p_run sg sub sink))))
+            ignore (Diagnostics.recover sink (fun () -> p.p_run sg facts sink))))
   in
   Diagnostics.with_stop sink (fun () -> List.iter run passes);
   List.rev !counts

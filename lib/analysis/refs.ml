@@ -40,12 +40,20 @@ and iter_normal f (m : Lf.normal) =
   | Lf.Lam (_, body) -> iter_normal f body
   | Lf.Root (h, sp) ->
       iter_head f h;
-      List.iter (iter_normal f) sp
+      iter_spine f sp
+
+(* [iter_spine f], without a closure per spine *)
+and iter_spine f (sp : Lf.spine) =
+  match sp with
+  | [] -> ()
+  | m :: sp ->
+      iter_normal f m;
+      iter_spine f sp
 
 and iter_front f (fr : Lf.front) =
   match fr with
   | Lf.Obj m -> iter_normal f m
-  | Lf.Tup ms -> List.iter (iter_normal f) ms
+  | Lf.Tup ms -> iter_spine f ms
   | Lf.Undef -> ()
 
 and iter_sub f (s : Lf.sub) =
@@ -61,7 +69,7 @@ let rec iter_typ f (ty : Lf.typ) =
   match ty with
   | Lf.Atom (a, sp) ->
       f (RTyp a);
-      List.iter (iter_normal f) sp
+      iter_spine f sp
   | Lf.Pi (_, a, b) ->
       iter_typ f a;
       iter_typ f b
@@ -77,10 +85,10 @@ let rec iter_srt f (s : Lf.srt) =
   match s with
   | Lf.SAtom (q, sp) ->
       f (RSrt q);
-      List.iter (iter_normal f) sp
+      iter_spine f sp
   | Lf.SEmbed (a, sp) ->
       f (RTyp a);
-      List.iter (iter_normal f) sp
+      iter_spine f sp
   | Lf.SPi (_, s1, s2) ->
       iter_srt f s1;
       iter_srt f s2
@@ -108,7 +116,7 @@ let iter_sctx f (psi : Ctxs.sctx) =
       | Ctxs.SCDecl (_, s) -> iter_srt f s
       | Ctxs.SCBlock (_, e, ms) ->
           iter_selem f e;
-          List.iter (iter_normal f) ms)
+          iter_spine f ms)
     psi.Ctxs.s_decls
 
 (* --- contextual layer --------------------------------------------------- *)
@@ -125,7 +133,7 @@ let iter_msrt f (ms : Meta.msrt) =
   | Meta.MSParam (psi, e, ms) ->
       iter_sctx f psi;
       iter_selem f e;
-      List.iter (iter_normal f) ms
+      iter_spine f ms
 
 let iter_mobj f (mo : Meta.mobj) =
   match mo with
@@ -146,7 +154,7 @@ let iter_mdecl f (d : Meta.mdecl) =
   | Meta.MDParam (_, psi, e, ms) ->
       iter_sctx f psi;
       iter_selem f e;
-      List.iter (iter_normal f) ms
+      iter_spine f ms
 
 (* --- computation level --------------------------------------------------- *)
 
@@ -206,8 +214,12 @@ let rec head_mentions_bvar i (h : Lf.head) =
 and normal_mentions_bvar i (m : Lf.normal) =
   match m with
   | Lf.Lam (_, body) -> normal_mentions_bvar (i + 1) body
-  | Lf.Root (h, sp) ->
-      head_mentions_bvar i h || List.exists (normal_mentions_bvar i) sp
+  | Lf.Root (h, sp) -> head_mentions_bvar i h || spine_mentions_bvar i sp
+
+and spine_mentions_bvar i (sp : Lf.spine) =
+  match sp with
+  | [] -> false
+  | m :: sp -> normal_mentions_bvar i m || spine_mentions_bvar i sp
 
 and front_mentions_bvar i (fr : Lf.front) =
   match fr with
@@ -222,7 +234,7 @@ and sub_mentions_bvar i (s : Lf.sub) =
 
 let rec typ_mentions_bvar i (ty : Lf.typ) =
   match ty with
-  | Lf.Atom (_, sp) -> List.exists (normal_mentions_bvar i) sp
+  | Lf.Atom (_, sp) -> spine_mentions_bvar i sp
   | Lf.Pi (_, a, b) -> typ_mentions_bvar i a || typ_mentions_bvar (i + 1) b
 
 let rec kind_mentions_bvar i (k : Lf.kind) =

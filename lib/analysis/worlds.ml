@@ -365,16 +365,7 @@ let rec_loc sg id =
     per function. *)
 let run ?(check_strict = true) (sg : Sign.t) (facts : Facts.t)
     (sink : Diagnostics.sink) : result =
-  let typ_names = Hashtbl.create 32 in
-  List.iter
-    (fun (a, (te : Sign.typ_entry)) ->
-      Hashtbl.replace typ_names a te.Sign.t_name)
-    (Sign.all_typs sg);
-  let names a =
-    match Hashtbl.find_opt typ_names a with
-    | Some n -> n
-    | None -> "#" ^ string_of_int a
-  in
+  let names = Facts.family_name sg in
   let sub =
     Telemetry.with_span "worlds:subord" (fun () -> Facts.subord facts)
   in

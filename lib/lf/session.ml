@@ -30,6 +30,12 @@
 open Belr_support
 open Belr_syntax
 
+(** What an analysis library derives from the session's signature and
+    keeps between runs, to reuse while its inputs are unchanged (the
+    library that defines it extends this type: this one cannot name it).
+    {!reset} and {!drop_caches} forget it. *)
+type facts = ..
+
 type t = {
   mutable sn_sign : Sign.t;
   mutable sn_store : Store.state;
@@ -38,6 +44,7 @@ type t = {
   mutable sn_phys_hits : int;
   mutable sn_phys_misses : int;
   sn_limits : Limits.state;
+  mutable sn_facts : facts option;
 }
 
 let create () =
@@ -49,6 +56,7 @@ let create () =
     sn_phys_hits = 0;
     sn_phys_misses = 0;
     sn_limits = Limits.fresh_state ();
+    sn_facts = None;
   }
 
 let sign s = s.sn_sign
@@ -92,6 +100,7 @@ let reset (s : t) : unit =
   s.sn_whnf <- Whnf.fresh_tables ();
   s.sn_phys_hits <- 0;
   s.sn_phys_misses <- 0;
+  s.sn_facts <- None;
   Limits.clear_state s.sn_limits
 
 (** Drop the session's kernel caches but keep its signature (the serve
@@ -101,8 +110,10 @@ let reset (s : t) : unit =
     terms outlive the clear as unshared nodes ([Equal] falls back to
     structure, metadata is recomputed on first query), and ids stay
     monotone, so no memo key can name a post-clear node by mistake.
-    Intern and memo hit counters are kept. *)
+    Intern and memo hit counters are kept.  The kept analysis facts go
+    too: a memory-pressure reset keeps nothing it can rebuild. *)
 let drop_caches (s : t) : unit =
+  s.sn_facts <- None;
   with_ s (fun () ->
       Store.store_clear ();
       Hsub.clear_memo ();

@@ -685,6 +685,8 @@ let fail_unknown what id = Error.violation "unknown %s id %d" what id
 let typ_entry sg id =
   match Hashtbl.find_opt sg.typs id with Some e -> e | None -> fail_unknown "type" id
 
+let typ_entry_opt sg id = Hashtbl.find_opt sg.typs id
+
 let srt_entry sg id =
   match Hashtbl.find_opt sg.srts id with Some e -> e | None -> fail_unknown "sort" id
 

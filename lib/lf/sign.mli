@@ -288,6 +288,8 @@ val in_source_order : t -> ('a -> string) -> (int * 'a) list -> (int * 'a) list
 
 val typ_entry : t -> Lf.cid_typ -> typ_entry
 
+val typ_entry_opt : t -> Lf.cid_typ -> typ_entry option
+
 val srt_entry : t -> Lf.cid_srt -> srt_entry
 
 (** Sort erasure: the type a sort refines, its atoms replaced by the

@@ -145,12 +145,15 @@ let modes_analysis () =
 let analyses =
   [ lint_analysis (); total_analysis (); worlds_analysis (); modes_analysis () ]
 
-let run_analyses (analyses : analysis list) (sink : Diagnostics.sink)
+let run_with facts (analyses : analysis list) (sink : Diagnostics.sink)
     (sg : Belr_lf.Sign.t) : outcome list =
-  let facts = Belr_analysis.Facts.make sg in
   List.map
     (fun a -> Telemetry.with_span a.name (fun () -> a.run sg facts sink))
     analyses
+
+let run_analyses (analyses : analysis list) (sink : Diagnostics.sink)
+    (sg : Belr_lf.Sign.t) : outcome list =
+  run_with (Belr_analysis.Facts.make sg) analyses sink sg
 
 let run_analysis (a : analysis) (sink : Diagnostics.sink)
     (sg : Belr_lf.Sign.t) : outcome =
@@ -210,7 +213,9 @@ let check_sources_in (ses : Belr_lf.Session.t) (sink : Diagnostics.sink)
 let run_analysis_in (a : analysis) (ses : Belr_lf.Session.t)
     (sink : Diagnostics.sink) : outcome =
   Belr_lf.Session.with_ ses (fun () ->
-      run_analysis a sink (Belr_lf.Session.sign ses))
+      let sg = Belr_lf.Session.sign ses in
+      List.hd
+        (run_with (Belr_analysis.Facts.make ~session:ses sg) [ a ] sink sg))
 
 let lint_in = run_analysis_in (lint_analysis ())
 let total_in = run_analysis_in (total_analysis ())

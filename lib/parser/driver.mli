@@ -97,6 +97,10 @@ val report_json :
 val check_sources_in :
   Belr_lf.Session.t -> Diagnostics.sink -> (string * string) list -> Belr_lf.Sign.t
 
+(** Run one analyzer over the session's signature.  The subordination
+    relation the session's previous run left is reused while the family
+    ids and generating edges are unchanged (DESIGN.md §S28), and the
+    relation this run reads is kept for the next one. *)
 val run_analysis_in :
   analysis -> Belr_lf.Session.t -> Diagnostics.sink -> outcome
 

@@ -40,12 +40,20 @@ and book = {
 
 let unrecorded = min_int
 
+(** What an analysis run saw of one declaration. *)
+type seen = {
+  sd_key : string;
+  sd_hash : int;  (** content hash *)
+  sd_ok : bool;  (** last-check verdict *)
+  sd_loc : Loc.t;  (** location, displacement applied *)
+}
+
 type analysis_cache = {
-  ac_sig : (string * int * bool * Loc.t) list;
-      (** (key, content hash, last-check verdict, current location) per
-          declaration when the analysis ran — the cache is valid iff this
-          still matches: text in no declaration's slice moves every
-          location without changing any hash *)
+  ac_seen : seen array;
+      (** per declaration, in order, when the analysis ran — the cache is
+          valid iff every entry still matches in place: text in no
+          declaration's slice moves every location without changing any
+          hash *)
   ac_stamp : int;
       (** [i_checks] when the analysis ran: the entries stamped later
           are the ones a miss reports as re-analyzed *)
@@ -1100,19 +1108,41 @@ let consistent (t : t) : (unit, string) result =
 
 (* --- whole-signature analysis caching ------------------------------------- *)
 
-let cache_sig (t : t) : (string * int * bool * Loc.t) list =
-  let acc = ref [] in
-  for i = t.i_len - 1 downto 0 do
-    let e = t.i_arr.(i) in
-    acc :=
-      ( e.en_key,
-        e.en_hash,
-        e.en_ok,
-        Ext.shift_loc ~bytes:e.en_bytes ~lines:e.en_lines
-          (Ext.decl_loc e.en_parsed) )
-      :: !acc
-  done;
-  !acc
+let seen_of (e : entry) : seen =
+  {
+    sd_key = e.en_key;
+    sd_hash = e.en_hash;
+    sd_ok = e.en_ok;
+    sd_loc =
+      Ext.shift_loc ~bytes:e.en_bytes ~lines:e.en_lines
+        (Ext.decl_loc e.en_parsed);
+  }
+
+(* [p] moved [bytes] bytes and [lines] lines down is [q] *)
+let moved_to ~bytes ~lines (p : Loc.pos) (q : Loc.pos) =
+  p.Loc.offset + bytes = q.Loc.offset
+  && p.Loc.line + lines = q.Loc.line
+  && p.Loc.col = q.Loc.col
+
+(* [e] is the declaration [s] saw: {!seen_of}[ e = s], decided without
+   allocating (the displaced location is compared field by field, as
+   {!Ext.shift_loc} would build it) *)
+let still (e : entry) (s : seen) : bool =
+  let l = Ext.decl_loc e.en_parsed and m = s.sd_loc in
+  let ghost = Loc.is_ghost l in
+  let bytes = if ghost then 0 else e.en_bytes
+  and lines = if ghost then 0 else e.en_lines in
+  e.en_hash = s.sd_hash && e.en_ok = s.sd_ok
+  && String.equal e.en_key s.sd_key
+  && String.equal l.Loc.source m.Loc.source
+  && moved_to ~bytes ~lines l.Loc.start_pos m.Loc.start_pos
+  && moved_to ~bytes ~lines l.Loc.end_pos m.Loc.end_pos
+
+let unchanged (t : t) (seen : seen array) : bool =
+  Array.length seen = t.i_len
+  &&
+  let rec go i = i = t.i_len || (still t.i_arr.(i) seen.(i) && go (i + 1)) in
+  go 0
 
 (** Bring the signature's recorded locations up to the entries'
     displacements: the analyzers are their only readers.  A name two
@@ -1142,9 +1172,8 @@ let refresh_locs (t : t) (sg : Sign.t) : unit =
 
 let analysis (t : t) (sink : Diagnostics.sink) (sg : Sign.t) (name : string)
     (analyze : unit -> J.t) : J.t * int * int =
-  let now = cache_sig t in
   match Hashtbl.find_opt t.i_caches name with
-  | Some c when c.ac_sig = now ->
+  | Some c when unchanged t c.ac_seen ->
       Diagnostics.with_stop sink (fun () ->
           List.iter (Diagnostics.emit sink) c.ac_diags);
       (c.ac_result, 0, t.i_len)
@@ -1154,11 +1183,12 @@ let analysis (t : t) (sink : Diagnostics.sink) (sg : Sign.t) (name : string)
       for i = 0 to t.i_len - 1 do
         if t.i_arr.(i).en_stamp > since then incr rechecked
       done;
+      let seen = Array.init t.i_len (fun i -> seen_of t.i_arr.(i)) in
       refresh_locs t sg;
       let result = analyze () in
       Hashtbl.replace t.i_caches name
         {
-          ac_sig = now;
+          ac_seen = seen;
           ac_stamp = t.i_checks;
           ac_result = result;
           ac_diags = Diagnostics.all sink;

@@ -106,7 +106,10 @@ val check :
     current location) unchanged since the cached run — the cached
     findings are replayed into [sink] and the cached result returned
     without re-running the analysis, so a warm reply is
-    indistinguishable from a cold one.  On a miss the analysis re-runs
+    indistinguishable from a cold one.  The hit test compares the
+    entries in place against the array the cached run stored, reading
+    each location's displacement without relocating it, so a hit
+    allocates nothing per declaration.  On a miss the analysis re-runs
     over the whole signature (the passes are signature folds, not
     per-declaration ones), after the locations [sg] records for the
     names of every declaration that moved since they were recorded are
