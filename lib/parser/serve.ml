@@ -256,7 +256,8 @@ let parse_request (j : J.t) : (request, string) result =
             })
   | _ -> Result.Error "request is not a JSON object"
 
-let reply ~id ~rid ~session ~status ~exit_code ?(result = J.Null) ~diags
+(** A reply, carrying the request id {!handle_line} set for its line. *)
+let reply ~id ~session ~status ~exit_code ?(result = J.Null) ~diags
     ~telemetry () : J.t =
   (match status with
   | "ok" -> Telemetry.bump m_replies_ok
@@ -266,7 +267,7 @@ let reply ~id ~rid ~session ~status ~exit_code ?(result = J.Null) ~diags
     [
       ("schema", J.String schema_id);
       ("id", id);
-      ("request_id", J.String rid);
+      ("request_id", J.String (Telemetry.current_request_id ()));
       ("session", J.String session);
       ("status", J.String status);
       ("exit_code", J.Int exit_code);
@@ -277,7 +278,7 @@ let reply ~id ~rid ~session ~status ~exit_code ?(result = J.Null) ~diags
 
 (** A protocol-level rejection: stable [E0904], nothing touched (but
     counted, logged, and carrying the request id like any reply). *)
-let protocol_error ?(id = J.Null) ?(session = "-") ~rid msg : J.t =
+let protocol_error ?(id = J.Null) ?(session = "-") msg : J.t =
   Telemetry.bump m_protocol_errors;
   let d =
     Diagnostics.make ~code:"E0904" Diagnostics.Error
@@ -285,7 +286,7 @@ let protocol_error ?(id = J.Null) ?(session = "-") ~rid msg : J.t =
   in
   Telemetry.log ~level:Telemetry.Warn "serve.protocol_error"
     [ ("session", J.String session); ("detail", J.String msg) ];
-  reply ~id ~rid ~session ~status:"error" ~exit_code:1 ~diags:[ d ]
+  reply ~id ~session ~status:"error" ~exit_code:1 ~diags:[ d ]
     ~telemetry:[] ()
 
 let has_code (diags : Diagnostics.t list) (code : string) : bool =
@@ -320,7 +321,7 @@ let span_tree_json (mark : int) : J.t =
     session bracket with a sink; exceptions escaping {e this} function
     are engine bugs handled by {!reply_to_line}'s crash-only wrapper;
     {!handle_line} owns the recording flag and the request id. *)
-let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
+let handle_request (t : t) (rq : request) : J.t =
   t.sv_requests <- t.sv_requests + 1;
   Telemetry.bump m_requests;
   Limits.set_max_depth
@@ -399,7 +400,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
             ("span_tree", span_tree_json ring_mark);
           ]
     | _ -> ());
-    reply ~id:rq.rq_id ~rid ~session:rq.rq_session ~status ~exit_code
+    reply ~id:rq.rq_id ~session:rq.rq_session ~status ~exit_code
       ?result ~diags
       ~telemetry:
         ([
@@ -411,7 +412,7 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
       ()
   in
   let reject msg =
-    protocol_error ~id:rq.rq_id ~session:rq.rq_session ~rid msg
+    protocol_error ~id:rq.rq_id ~session:rq.rq_session msg
   in
   (* the [serve-dispatch] fault site makes the crash-only path of
      [reply_to_line] testable end-to-end (every kernel site is absorbed by
@@ -537,20 +538,20 @@ let handle_request (t : t) ~(rid : string) (rq : request) : J.t =
             (Printf.sprintf "unknown method %S (expected %s)" m
                expected_methods))
 
-(** The reply to one non-blank input line, minted [rid]: a protocol
-    error for a malformed request, else {!handle_request}'s reply.  An
+(** The reply to one non-blank input line, under the request id
+    {!handle_line} minted for it: a protocol error for a malformed request, else {!handle_request}'s reply.  An
     exception escaping the handler is an engine bug: the session is
     discarded (crash-only — its world is unreachable from any other
     session, so dropping it is safe) and reported as a [B0002]-class
     error reply. *)
-let reply_to_line (t : t) ~(rid : string) (line : string) : J.t =
+let reply_to_line (t : t) (line : string) : J.t =
   match J.parse line with
-  | Result.Error msg -> protocol_error ~rid msg
+  | Result.Error msg -> protocol_error msg
   | Ok j -> (
       match parse_request j with
-      | Result.Error msg -> protocol_error ~rid msg
+      | Result.Error msg -> protocol_error msg
       | Ok rq -> (
-          try handle_request t ~rid rq
+          try handle_request t rq
           with exn ->
             Limits.clear_deadline ();
             Limits.reset ();
@@ -567,7 +568,7 @@ let reply_to_line (t : t) ~(rid : string) (line : string) : J.t =
                  discarded): %s"
                 rq.rq_session (Printexc.to_string exn)
             in
-            reply ~id:rq.rq_id ~rid ~session:rq.rq_session ~status:"error"
+            reply ~id:rq.rq_id ~session:rq.rq_session ~status:"error"
               ~exit_code:2 ~diags:[ d ] ~telemetry:[] ()))
 
 let handle_line (t : t) (line : string) : string option =
@@ -586,7 +587,7 @@ let handle_line (t : t) (line : string) : string option =
     let was_enabled = Telemetry.enabled () in
     Telemetry.set_enabled true;
     Telemetry.set_request_id rid;
-    match reply_to_line t ~rid line with
+    match reply_to_line t line with
     | reply_json ->
         Telemetry.clear_request_id ();
         Telemetry.set_enabled was_enabled;

@@ -1745,6 +1745,91 @@ let property_tests =
           List.iter (fun s -> ignore (warm_equals_fresh s)) failing_sessions);
     ]
 
+(* --- the session's subordination relation ------------------------------ *)
+
+let rebuilt () =
+  Telemetry.counter_total (Telemetry.counter "analysis.subord.rebuilt")
+
+(** Send [lint] then [modes] on [t]: each reply must equal a fresh
+    session's (W0901, which only the watermark raises, aside; findings
+    compared as sets, as the edit-sequence property does, since they
+    come in id order and an edit renumbers what it re-checks).  Returns
+    how many subordination closures the two queries computed. *)
+let queries_as_fresh t id src =
+  let closures = ref 0 in
+  List.iteri
+    (fun k meth ->
+      let before = rebuilt () in
+      let warm = round t (request ~meth (id + k)) in
+      closures := !closures + rebuilt () - before;
+      let fresh = fresh_reply ~meth src in
+      let diags j =
+        List.sort compare
+          (List.filter (fun (c, _) -> c <> "W0901") (diag_locs j))
+      in
+      Alcotest.(check (list (pair string string)))
+        (meth ^ " diagnostics as fresh") (diags fresh) (diags warm);
+      Alcotest.(check bool) (meth ^ " result as fresh") true
+        (J.member "result" warm = J.member "result" fresh))
+    [ "lint"; "modes" ];
+  !closures
+
+(* [sx : nat -> vec] adds a constructor and no edge ([cons] already makes
+   nat subordinate to vec); [emb : nat -> exp] adds the edge nat =< exp *)
+let dep_sx =
+  "LF vec : type =\n| nil : vec\n| cons : nat -> vec -> vec\n| sx : nat -> vec;"
+
+let exp_emb =
+  "LF exp : type =\n| lam : (exp -> exp) -> exp\n| app : exp -> exp -> exp\n\
+   | emb : nat -> exp;"
+
+let subord_src ?(exp = exp) ?(dep = dep) extra =
+  String.concat "\n\n" ([ nat; exp; dep ] @ extra)
+
+let subord_tests =
+  [
+    test "the session's relation is reused while no edit adds an edge or \
+          a family"
+      (fun () ->
+        let t = Serve.create () in
+        let src = subord_src [] in
+        ignore (round t (request ~source:src 1));
+        Alcotest.(check int) "cold: one closure for lint and modes" 1
+          (queries_as_fresh t 2 src);
+        let src = subord_src ~dep:dep_sx [] in
+        ignore (round t (request ~source:src 4));
+        Alcotest.(check int) "a constructor and no edge: reused" 0
+          (queries_as_fresh t 5 src);
+        let src = subord_src ~dep:dep_sx ~exp:exp_emb [] in
+        ignore (round t (request ~source:src 7));
+        Alcotest.(check int) "a new edge: rebuilt once" 1
+          (queries_as_fresh t 8 src);
+        let src = subord_src ~dep:dep_sx ~exp:exp_emb [ bool_decl ] in
+        ignore (round t (request ~source:src 10));
+        Alcotest.(check int) "a new family: rebuilt once" 1
+          (queries_as_fresh t 11 src));
+    test "reset forgets the relation" (fun () ->
+        let t = Serve.create () in
+        let src = subord_src [] in
+        ignore (round t (request ~source:src 1));
+        ignore (queries_as_fresh t 2 src);
+        ignore (round t (request ~meth:"reset" 4));
+        ignore (round t (request ~source:src 5));
+        Alcotest.(check int) "the same signature, rebuilt after reset" 1
+          (queries_as_fresh t 6 src));
+    test "the memory-pressure reset (W0901) forgets the relation" (fun () ->
+        let t = Serve.create ~watermark:1 () in
+        let src = subord_src [] in
+        ignore (round t (request ~source:src 1));
+        ignore (queries_as_fresh t 2 src);
+        let src = subord_src ~dep:dep_sx [] in
+        let r = round t (request ~source:src 4) in
+        Alcotest.(check bool) "the edit passed the watermark" true
+          (List.mem "W0901" (codes r));
+        Alcotest.(check int) "no new edge, but rebuilt after the drop" 1
+          (queries_as_fresh t 5 src));
+  ]
+
 let suites =
   [
     ("serve incremental", incremental_tests);
@@ -1755,4 +1840,5 @@ let suites =
     ("serve splice", splice_tests);
     ("serve cutoff", cutoff_tests);
     ("serve properties", property_tests);
+    ("serve subordination", subord_tests);
   ]

@@ -29,16 +29,22 @@
     fault, a [belr-metrics/1] reply with a populated [serve.check]
     latency histogram and a positive kernel counter
     ([hsub.substitutions]: the reply reads the one registry the kernel
-    records into), and an [up] health reply that counts no more sessions
-    than the [check] replies name and sees live store nodes.
+    records into), an [up] health reply that counts no more sessions
+    than the [check] replies name and sees live store nodes, and at
+    least two [lint] replies, all with the same [passes] counts (the
+    script's edit between them adds a constructor, no finding).
 
     A [belr-metrics/1] document must carry its [counters]/[gauges]/
     [histograms] arrays (histogram entries: name, count, quantiles,
     buckets), and a [.prom] argument is checked as a Prometheus text
     exposition (every sample [belr_]-prefixed and numeric, the serve
     request counter present, at least one [_bucket{le=...}] series;
-    after [--serve-metrics], a positive [belr_store_live] gauge and the
-    [belr_hsub_substitutions_total] kernel counter).
+    after [--serve-metrics], a positive [belr_store_live] gauge, the
+    [belr_hsub_substitutions_total] kernel counter, and fewer
+    subordination closures ([belr_analysis_subord_rebuilt_total]) than
+    analysis queries (the [_count]s of the [serve_lint], [serve_total],
+    [serve_worlds] and [serve_modes] histograms): a session reuses its
+    relation across an edit that adds no edge).
     Exit 0 iff every file passes; the [@smoke], [@analyses], [@serve],
     [@metrics], and [@bench-json] dune aliases fail the build
     otherwise. *)
@@ -416,13 +422,26 @@ let check_health_gauges (replies : J.t list) (res : J.t) : string option =
       else Some "health reports 0 live_nodes after real checks"
   | _ -> Some "health reply lacks integer \"sessions\"/\"live_nodes\""
 
+(** Every [lint] reply (a result with [passes]) carries the same pass
+    counts, and there are two at least. *)
+let check_lint_replies (replies : J.t list) : string option =
+  match
+    List.filter_map
+      (fun r -> Option.bind (J.member "result" r) (J.member "passes"))
+      replies
+  with
+  | [] | [ _ ] -> Some "metrics stream has fewer than two lint replies"
+  | p :: ps ->
+      if List.for_all (fun q -> q = p) ps then None
+      else Some "lint replies differ in their \"passes\" counts"
+
 (** The observability contract (see [examples/dune], alias [@metrics]):
     the scripted stream must show the injected fault as an [error]
     reply, a [metrics] reply whose [belr-metrics/1] payload has a
     populated [serve.check] latency histogram and a positive
     [hsub.substitutions] counter, a [health] reply that is [up] and
-    passes {!check_health_gauges}, and a distinct [request_id] on every
-    reply. *)
+    passes {!check_health_gauges}, a distinct [request_id] on every
+    reply, and {!check_lint_replies}. *)
 let check_metrics_contract (replies : J.t list) : string option =
   let rids =
     List.filter_map
@@ -505,7 +524,10 @@ let check_metrics_contract (replies : J.t list) : string option =
                         Some
                           "metrics stream has no health reply with status \
                            \"up\""
-                    | Some res -> check_health_gauges replies res)
+                    | Some res -> (
+                        match check_health_gauges replies res with
+                        | Some _ as e -> e
+                        | None -> check_lint_replies replies))
                 | _ -> Some "\"serve.check\" histogram has p50_ns <= 0")))
 
 let check_jsonl ~abuse ~metrics (src : string) : string option =
@@ -556,6 +578,13 @@ let check_prom ~metrics (src : string) : string option =
   let has_bucket = ref false in
   let store_live = ref 0.0 in
   let has_kernel = ref false in
+  let rebuilt = ref None in
+  let queries = ref 0. in
+  let analysis_counts =
+    List.map
+      (fun a -> "belr_serve_" ^ a ^ "_count")
+      [ "lint"; "total"; "worlds"; "modes" ]
+  in
   List.iteri
     (fun i line ->
       let line = String.trim line in
@@ -591,6 +620,10 @@ let check_prom ~metrics (src : string) : string option =
                 store_live := float_of_string (String.trim value);
               if name = "belr_hsub_substitutions_total" then
                 has_kernel := true;
+              if name = "belr_analysis_subord_rebuilt_total" then
+                rebuilt := Some (float_of_string (String.trim value));
+              if List.mem name analysis_counts then
+                queries := !queries +. float_of_string (String.trim value);
               let is_sub sub s =
                 let n = String.length sub and m = String.length s in
                 let rec go i =
@@ -613,6 +646,16 @@ let check_prom ~metrics (src : string) : string option =
         Some "exposition's belr_store_live is not positive"
       else if metrics && not !has_kernel then
         Some "exposition lacks belr_hsub_substitutions_total"
+      else if metrics then
+        match !rebuilt with
+        | None -> Some "exposition lacks belr_analysis_subord_rebuilt_total"
+        | Some n when n >= !queries ->
+            Some
+              (Printf.sprintf
+                 "%g subordination closures for %g analysis queries: the \
+                  session did not reuse its relation"
+                 n !queries)
+        | Some _ -> None
       else None
 
 let () =
